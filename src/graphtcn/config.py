@@ -83,13 +83,6 @@ class ModelConfig:
 
     # Derived quantities -------------------------------------------------
 
-    def receptive_field(self) -> int:
-        return 1 + (self.tcn_kernel - 1) * sum(self.tcn_dilations)
-
-    def kl_weight(self, epoch: int) -> float:
-        """Latent regularizer weight: stronger early, relaxed later."""
-        return self.kl_weight_early if epoch <= self.kl_switch_epoch else self.kl_weight_late
-
     def spatial_out_dim(self) -> int:
         """Width of the per-step spatial encoding fed to the TCN."""
         if self.variant == "no_efgat":

@@ -11,6 +11,9 @@ coordinates in one step at the end:
   posterior during training, reparameterizes, and decodes the latent
   concatenated with the flattened embedding. At inference the latent
   comes from the standard normal prior.
+
+Both heads decode all M draws at once: the draws are a leading axis of
+the noise, and every output carries it as [M, N, T_pred, 2].
 """
 
 from __future__ import annotations
@@ -43,32 +46,28 @@ class PredictionSet:
             raise ContractError("non-finite prediction")
 
 
-def sample_shared_noise(rng: np.random.Generator, t_obs: int, noise_dim: int) -> np.ndarray:
-    """One standard-normal noise block, shared by all pedestrians in a draw."""
-    return rng.standard_normal((t_obs, noise_dim))
-
-
-def reparameterize(mu: T.Tensor, sigma: T.Tensor, eps) -> T.Tensor:
-    """z = mu + sigma * eps with gradients into mu and sigma.
-
-    ``eps`` is either a Generator (drawn here) or a pre-drawn array, which
-    keeps gradient checks deterministic.
-    """
-    if isinstance(eps, np.random.Generator):
-        eps = eps.standard_normal(mu.data.shape)
+def reparameterize(mu: T.Tensor, sigma: T.Tensor, eps: np.ndarray) -> T.Tensor:
+    """z = mu + sigma * eps for M pre-drawn eps [M, N, L], with gradients
+    into mu and sigma [N, L]; pre-drawn eps keeps gradient checks
+    deterministic."""
     eps = np.asarray(eps, dtype=np.float64)
-    if eps.shape != mu.data.shape:
-        raise ShapeError(f"eps {eps.shape} vs mu {mu.data.shape}")
-    return T.add(mu, T.mul(sigma, T.Tensor(eps)))
+    if eps.ndim != 3 or eps.shape[1:] != mu.data.shape:
+        raise ShapeError(f"eps {eps.shape} vs mu {mu.data.shape}, expected [M, N, L]")
+    m = eps.shape[0]
+    return T.add(_tile(mu, m), T.mul(_tile(sigma, m), T.Tensor(eps)))
 
 
 def relative_to_absolute(delta: T.Tensor, origin: np.ndarray) -> T.Tensor:
-    """Offsets-from-origin [N, T_pred, 2] -> absolute positions."""
-    n, t_pred = delta.data.shape[0], delta.data.shape[1]
+    """Offsets-from-origin [..., N, T_pred, 2] -> absolute positions."""
+    n = delta.data.shape[-3]
     if origin.shape != (n, 2):
         raise ShapeError(f"origin {origin.shape} for {n} pedestrians")
-    tiled = np.repeat(origin[:, None, :], t_pred, axis=1)
-    return T.add(delta, T.Tensor(tiled))
+    return T.add(delta, T.Tensor(np.broadcast_to(origin[:, None, :], delta.data.shape)))
+
+
+def _tile(x: T.Tensor, m: int) -> T.Tensor:
+    """[...] -> [m, ...], m copies along a new leading axis."""
+    return T.repeat_axis(T.reshape(x, (1,) + x.data.shape), 0, m)
 
 
 class _Head:
@@ -103,17 +102,17 @@ class MlpDecoder:
                           t_pred * 2, hidden, slope, rng)
 
     def forward(self, h: T.Tensor, noise: np.ndarray) -> T.Tensor:
-        """h [N, T_obs, F2], noise [T_obs, F3] -> offsets [N, T_pred, 2]."""
+        """h [N, T_obs, F2], noise [M, T_obs, F3] -> offsets [M, N, T_pred, 2]."""
         n = h.data.shape[0]
         if h.data.shape != (n, self.t_obs, self.feat_dim):
             raise ShapeError(f"embedding {h.shape}, expected [N, {self.t_obs}, {self.feat_dim}]")
-        if noise.shape != (self.t_obs, self.noise_dim):
-            raise ShapeError(f"noise {noise.shape}, expected {(self.t_obs, self.noise_dim)}")
-        z = T.repeat_axis(T.Tensor(noise[None, :, :]), axis=0, times=n)
-        joint = T.concat([h, z], axis=2)
-        flat = T.reshape(joint, (n, self.t_obs * (self.feat_dim + self.noise_dim)))
-        out = self.head.forward(flat)
-        return T.reshape(out, (n, self.t_pred, 2))
+        if noise.ndim != 3 or noise.shape[1:] != (self.t_obs, self.noise_dim):
+            raise ShapeError(f"noise {noise.shape}, expected [M, {self.t_obs}, {self.noise_dim}]")
+        m = noise.shape[0]
+        z = np.broadcast_to(noise[:, None], (m, n, self.t_obs, self.noise_dim))
+        joint = T.concat([_tile(h, m), T.Tensor(z)], axis=3)
+        out = self.head.forward(T.reshape(joint, (m, n, -1)))
+        return T.reshape(out, (m, n, self.t_pred, 2))
 
 
 class CvaeDecoder:
@@ -152,8 +151,10 @@ class CvaeDecoder:
         return mu, sigma, logvar
 
     def decode(self, h_flat: T.Tensor, z: T.Tensor) -> T.Tensor:
+        """h_flat [N, flat], latents z [M, N, L] -> offsets [M, N, T_pred, 2]."""
         n = h_flat.data.shape[0]
-        if z.data.shape != (n, self.latent_dim):
-            raise ShapeError(f"latent {z.shape}, expected [N, {self.latent_dim}]")
-        out = self.head.forward(T.concat([h_flat, z], axis=1))
-        return T.reshape(out, (n, self.t_pred, 2))
+        if z.data.ndim != 3 or z.data.shape[1:] != (n, self.latent_dim):
+            raise ShapeError(f"latent {z.shape}, expected [M, {n}, {self.latent_dim}]")
+        m = z.data.shape[0]
+        out = self.head.forward(T.concat([_tile(h_flat, m), z], axis=2))
+        return T.reshape(out, (m, n, self.t_pred, 2))

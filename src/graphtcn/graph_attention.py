@@ -1,6 +1,6 @@
-"""Per-time-step spatial encoder: attention over pedestrians with
-displacement-derived edge features, gated value transform, multi-head
-aggregation, and an affine graph residual.
+"""Spatial encoder: attention over pedestrians with displacement-derived
+edge features, gated value transform, multi-head aggregation, and an
+affine graph residual, run for every observed step in one batched pass.
 
 The scene graph is fully connected including the self-loop, so a lone
 pedestrian attends to itself with weight 1. Edge features embed the
@@ -37,7 +37,8 @@ class GraphAttentionLayer:
     followed by a masked softmax over j. Values pass through a gated
     transform u * tanh(u) before aggregation, and each head's weighted
     sum gets a final leaky_relu. Heads are concatenated and an affine
-    projection of the input is added as the graph residual.
+    projection of the input is added as the graph residual. All heads run
+    at once on their parameters laid side by side.
     """
 
     def __init__(self, store, prefix: str, in_dim: int, heads: int, head_out: int,
@@ -54,7 +55,7 @@ class GraphAttentionLayer:
 
         if use_edges:
             self.edge_W, self.edge_b = add_affine(store, f"{prefix}.edge", 2, head_out, rng)
-        self.head_params = []
+        per_head = []
         for k in range(heads):
             hp = {}
             hp["w1"] = store.add(f"{prefix}.h{k}.w1", xavier_uniform(rng, in_dim, 1))
@@ -64,56 +65,64 @@ class GraphAttentionLayer:
             hp["Wh"], hp["bh"] = add_affine(store, f"{prefix}.h{k}.val", in_dim, head_out, rng)
             if separate_gate:
                 hp["Wg"], hp["bg"] = add_affine(store, f"{prefix}.h{k}.gate", in_dim, head_out, rng)
-            self.head_params.append(hp)
+            per_head.append(hp)
+        # Every per-head parameter as a list over heads, ready to concatenate.
+        self.head_params = {key: [hp[key] for hp in per_head] for key in per_head[0]}
         self.res_W, self.res_b = add_affine(store, f"{prefix}.res", in_dim, self.out_dim, rng)
 
     def edge_features(self, positions: np.ndarray) -> T.Tensor:
-        """Embed pairwise displacements: edge[i, j] = f(p_i - p_j)."""
-        if positions.ndim != 2 or positions.shape[1] != 2:
-            raise ShapeError(f"positions must be [N, 2], got {positions.shape}")
-        disp = positions[:, None, :] - positions[None, :, :]
-        return T.affine(T.Tensor(disp), self.edge_W, self.edge_b)
+        """Embed pairwise displacements: edge[..., i, j, :] = f(p_i - p_j)."""
+        return T.affine(T.Tensor(_displacements(positions)), self.edge_W, self.edge_b)
+
+    def _heads(self, key: str) -> T.Tensor:
+        """One per-head parameter, all heads side by side on the last axis."""
+        return T.concat(self.head_params[key], axis=-1)
 
     def forward(self, h: T.Tensor, positions: np.ndarray):
-        """Returns ([N, heads*head_out] output, [heads, N, N] attention)."""
-        n = h.data.shape[0]
-        if h.data.shape != (n, self.in_dim):
-            raise ShapeError(f"node features {h.shape}, expected [N, {self.in_dim}]")
-        edge = self.edge_features(positions) if self.use_edges else None
-        mask = np.ones((n, n), dtype=bool)
+        """h [..., N, in_dim], positions [..., N, 2] -> ([..., N, heads*head_out]
+        output, [heads, ..., N, N] attention). Leading axes are independent
+        graphs (observed steps) and share the weights."""
+        if h.data.ndim < 2 or h.data.shape[-1] != self.in_dim:
+            raise ShapeError(f"node features {h.shape}, expected [..., N, {self.in_dim}]")
+        lead, n = h.data.shape[:-2], h.data.shape[-2]
+        if positions.shape != lead + (n, 2):
+            raise ShapeError(f"positions {positions.shape} for node features {h.shape}")
+        heads, width, r = self.heads, self.head_out, len(lead)
 
-        head_outs = []
-        attn = np.empty((self.heads, n, n))
-        for k, hp in enumerate(self.head_params):
-            si = T.affine(h, hp["w1"], None)                   # [N, 1], row term
-            sj = T.affine(h, hp["w2"], None)                   # [N, 1], column term
-            logits = T.add(
-                T.repeat_axis(si, axis=1, times=n),
-                T.repeat_axis(T.transpose(sj, (1, 0)), axis=0, times=n),
-            )
-            if edge is not None:
-                es = T.reshape(T.affine(edge, hp["ae"], None), (n, n))
-                logits = T.add(logits, es)
-            alpha = T.masked_softmax(T.leaky_relu(logits, self.slope), mask)
-            attn[k] = alpha.data
+        u = T.affine(h, self._heads("Wh"), self._heads("bh"))
+        gate_pre = T.affine(h, self._heads("Wg"), self._heads("bg")) if self.separate_gate else None
+        g = T.reshape(gated_transform(u, gate_pre), lead + (n, heads, width))
+        g = T.transpose(g, (r + 1,) + tuple(range(r + 1)) + (r + 2,))   # [heads, ..., N, width]
+        # logits[..., i, j, k] = w1_k . h_i + w2_k . h_j (+ a_e,k . edge_ij)
+        si = T.reshape(T.affine(h, self._heads("w1")), lead + (n, 1, heads))
+        sj = T.reshape(T.affine(h, self._heads("w2")), lead + (1, n, heads))
+        logits = T.add(T.repeat_axis(si, r + 1, n), T.repeat_axis(sj, r, n))
+        if self.use_edges:
+            # a_e . (W d + b) = d . (W a_e) + b . a_e, so the per-pair edge
+            # embedding itself is never materialized here.
+            ae = self._heads("ae")
+            edge_score = T.affine(T.Tensor(_displacements(positions)),
+                                  T.affine(self.edge_W, ae), T.affine(self.edge_b, ae))
+            logits = T.add(logits, edge_score)
+        logits = T.transpose(logits, (r + 2,) + tuple(range(r + 2)))   # [heads, ..., N, N]
+        alpha = T.masked_softmax(T.leaky_relu(logits, self.slope),
+                                 np.ones(logits.shape, dtype=bool))
 
-            u = T.affine(h, hp["Wh"], hp["bh"])
-            gate_pre = T.affine(h, hp["Wg"], hp["bg"]) if self.separate_gate else None
-            g = gated_transform(u, gate_pre)
-            head_outs.append(T.leaky_relu(T.matmul(alpha, g), self.slope))
-
-        merged = head_outs[0] if len(head_outs) == 1 else T.concat(head_outs, axis=1)
+        per_head = T.leaky_relu(T.matmul(alpha, g), self.slope)
+        merged = T.reshape(T.transpose(per_head, tuple(range(1, r + 2)) + (0, r + 2)),
+                           lead + (n, self.out_dim))
         out = T.add(merged, T.affine(h, self.res_W, self.res_b))
-        return out, attn
+        return out, alpha.data
 
 
 class SpatialEncoder:
-    """Input embedding plus two attention layers, run at every observed step.
+    """Input embedding plus two attention layers over every observed step.
 
     Steps are independent: layer weights are shared across time but no
-    state crosses step boundaries. Returns the per-step encodings stacked
-    to [N, T_obs, width] and, per layer, the attention tensor
-    [heads, T_obs, N, N] for inspection dumps.
+    state crosses step boundaries, so all steps run as one batch with time
+    as the leading axis. Returns the encodings as [N, T_obs, width] and,
+    per layer, the attention tensor [heads, T_obs, N, N] for inspection
+    dumps.
     """
 
     def __init__(self, store, cfg, rng: np.random.Generator):
@@ -131,18 +140,15 @@ class SpatialEncoder:
 
     def forward(self, features: T.Tensor, positions: np.ndarray):
         """features [N, T, 4], positions [N, T, 2] -> [N, T, out_dim]."""
-        n, t_obs = features.data.shape[0], features.data.shape[1]
-        embedded = T.affine(features, self.embed_W, self.embed_b)
-        step_outs = []
-        attn1 = np.empty((self.gal1.heads, t_obs, n, n))
-        attn2 = np.empty((self.gal2.heads, t_obs, n, n))
-        for t in range(t_obs):
-            h_t = T.reshape(T.slice_axis(embedded, 1, t, t + 1), (n, -1))
-            pos_t = positions[:, t, :]
-            h1, a1 = self.gal1.forward(h_t, pos_t)
-            h2, a2 = self.gal2.forward(h1, pos_t)
-            attn1[:, t] = a1
-            attn2[:, t] = a2
-            step_outs.append(T.reshape(h2, (n, 1, self.out_dim)))
-        out = step_outs[0] if t_obs == 1 else T.concat(step_outs, axis=1)
-        return out, [attn1, attn2]
+        h = T.affine(T.transpose(features, (1, 0, 2)), self.embed_W, self.embed_b)
+        pos = positions.transpose(1, 0, 2)
+        h, attn1 = self.gal1.forward(h, pos)
+        h, attn2 = self.gal2.forward(h, pos)
+        return T.transpose(h, (1, 0, 2)), [attn1, attn2]
+
+
+def _displacements(positions: np.ndarray) -> np.ndarray:
+    """Pairwise p_i - p_j: [..., N, 2] -> [..., N, N, 2]."""
+    if positions.ndim < 2 or positions.shape[-1] != 2:
+        raise ShapeError(f"positions must be [..., N, 2], got {positions.shape}")
+    return positions[..., :, None, :] - positions[..., None, :, :]

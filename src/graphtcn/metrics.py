@@ -41,13 +41,9 @@ def _check_pair(pred: T.Tensor, gt: T.Tensor):
 
 
 def _step_distances(pred: T.Tensor, gt: T.Tensor) -> T.Tensor:
-    """Euclidean distance per pedestrian per step, [N, T]."""
+    """Euclidean distance per step over the last axis: [..., T, 2] -> [..., T]."""
     diff = T.sub(pred, gt)
-    sq = T.mul(diff, diff)
-    n, t = pred.data.shape[0], pred.data.shape[1]
-    dx2 = T.reshape(T.slice_axis(sq, 2, 0, 1), (n, t))
-    dy2 = T.reshape(T.slice_axis(sq, 2, 1, 2), (n, t))
-    return T.sqrt(T.add(dx2, dy2))
+    return T.sqrt(T.reduce_sum(T.mul(diff, diff), axis=-1))
 
 
 def ade(pred: T.Tensor, gt: T.Tensor) -> T.Tensor:
@@ -65,17 +61,23 @@ def fde(pred: T.Tensor, gt: T.Tensor) -> T.Tensor:
     return T.reduce_mean(_step_distances(last_p, last_g))
 
 
-def variety_loss(samples: list, gt: T.Tensor) -> T.Tensor:
+def variety_loss(samples, gt: T.Tensor) -> T.Tensor:
     """Minimum per-sample ADE; gradient reaches only the best sample.
 
-    Ties resolve to the lowest sample index via the min reduction's
-    deterministic arg-min routing.
+    ``samples`` is [M, N, T, 2] (a list of [N, T, 2] tensors is stacked
+    first); ``gt`` is the constant target [N, T, 2]. Ties resolve to the
+    lowest sample index via the min reduction's deterministic arg-min
+    routing.
     """
-    if not samples:
-        raise ContractError("variety loss needs at least one sample")
-    ades = [T.reshape(ade(s, gt), (1,)) for s in samples]
-    stacked = ades[0] if len(ades) == 1 else T.concat(ades, axis=0)
-    return T.reduce_min(stacked)
+    if isinstance(samples, (list, tuple)):
+        if not samples:
+            raise ContractError("variety loss needs at least one sample")
+        samples = T.stack(samples)
+    if samples.data.ndim != 4 or samples.data.shape[1:] != gt.data.shape or gt.data.shape[-1] != 2:
+        raise ShapeError(f"samples {samples.shape} vs ground truth {gt.shape}, expected [M, N, T, 2]")
+    m = samples.data.shape[0]
+    dist = _step_distances(samples, T.Tensor(np.broadcast_to(gt.data, samples.data.shape)))
+    return T.reduce_min(T.reduce_mean(T.reshape(dist, (m, -1)), axis=1))
 
 
 def kl_diag_gaussian(mu: T.Tensor, sigma: T.Tensor, logvar: T.Tensor = None) -> T.Tensor:

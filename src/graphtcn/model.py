@@ -22,7 +22,6 @@ from .decoders import (
     PredictionSet,
     relative_to_absolute,
     reparameterize,
-    sample_shared_noise,
 )
 from .errors import ContractError
 from .graph_attention import SpatialEncoder
@@ -90,35 +89,34 @@ class GraphTCN:
     def _ground_truth(self, window: SequenceWindow) -> np.ndarray:
         return window.positions[:, self.cfg.t_obs : self.cfg.t_obs + self.cfg.t_pred, :]
 
-    def draw_noise(self, rng: np.random.Generator, n_peds: int) -> list:
-        """Pre-draw the M noise blocks used by one window forward.
+    def draw_noise(self, rng: np.random.Generator, n_peds: int) -> np.ndarray:
+        """Pre-draw the noise of one window forward, all cfg.samples draws.
 
-        A list keeps gradient checks deterministic: the same blocks can
-        be replayed through window_loss any number of times.
+        Pre-drawn noise keeps gradient checks deterministic: the same
+        block can be replayed through window_loss any number of times.
         """
-        cfg = self.cfg
-        if cfg.variant == "graphtcn_g":
-            return [rng.standard_normal((n_peds, cfg.future_embed_dim)) for _ in range(cfg.samples)]
-        return [sample_shared_noise(rng, cfg.t_obs, cfg.noise_dim) for _ in range(cfg.samples)]
+        return self._noise(rng, self.cfg.samples, n_peds)
 
-    def decode_samples(self, h: T.Tensor, origin: np.ndarray, noise: list) -> list:
-        """Prior-noise decoding: absolute trajectories, one per noise block."""
+    def _noise(self, rng: np.random.Generator, m: int, n_peds: int) -> np.ndarray:
+        """M draws in one block: shared noise [M, T_obs, noise_dim], or
+        latents [M, N, future_embed_dim] for the latent variant. The block
+        holds the same numbers as M consecutive single draws."""
         cfg = self.cfg
-        out = []
         if cfg.variant == "graphtcn_g":
-            h_flat = self.decoder.flatten_embedding(h)
-            for eps in noise:
-                delta = self.decoder.decode(h_flat, T.Tensor(eps))
-                out.append(relative_to_absolute(delta, origin))
+            return rng.standard_normal((m, n_peds, cfg.future_embed_dim))
+        return rng.standard_normal((m, cfg.t_obs, cfg.noise_dim))
+
+    def decode_samples(self, h: T.Tensor, origin: np.ndarray, noise: np.ndarray) -> T.Tensor:
+        """Prior-noise decoding: absolute trajectories [M, N, T_pred, 2]."""
+        if self.cfg.variant == "graphtcn_g":
+            delta = self.decoder.decode(self.decoder.flatten_embedding(h), T.Tensor(noise))
         else:
-            for z in noise:
-                delta = self.decoder.forward(h, z)
-                out.append(relative_to_absolute(delta, origin))
-        return out
+            delta = self.decoder.forward(h, noise)
+        return relative_to_absolute(delta, origin)
 
     # Training objective ---------------------------------------------------
 
-    def window_loss(self, window: SequenceWindow, epoch: int, noise: list):
+    def window_loss(self, window: SequenceWindow, epoch: int, noise: np.ndarray):
         """Variety (+ scheduled KL for the latent variant) on one window.
 
         Returns (loss tensor, parts dict of plain floats for logging).
@@ -127,30 +125,24 @@ class GraphTCN:
         """
         cfg = self.cfg
         if len(noise) != cfg.samples:
-            raise ContractError(f"{len(noise)} noise blocks for {cfg.samples} samples")
+            raise ContractError(f"{len(noise)} noise draws for {cfg.samples} samples")
         gt = self._ground_truth(window)
         origin = self._origin(window)
         h, _ = self.encode(window)
-        gt_t = T.Tensor(gt)
 
+        kl = None
         if cfg.variant == "graphtcn_g":
             h_flat = self.decoder.flatten_embedding(h)
             gt_delta = gt - origin[:, None, :]
             mu, sigma, logvar = self.decoder.encode_posterior(h_flat, T.Tensor(gt_delta))
-            samples = []
-            for eps in noise:
-                z = reparameterize(mu, sigma, eps)
-                delta = self.decoder.decode(h_flat, z)
-                samples.append(relative_to_absolute(delta, origin))
-            variety = variety_loss(samples, gt_t)
+            delta = self.decoder.decode(h_flat, reparameterize(mu, sigma, noise))
+            samples = relative_to_absolute(delta, origin)
             kl = kl_diag_gaussian(mu, sigma, logvar)
-            loss = combined_loss(variety, kl, self.loss_weights, epoch)
-            parts = {"variety": variety.item(), "kl": kl.item()}
         else:
             samples = self.decode_samples(h, origin, noise)
-            variety = variety_loss(samples, gt_t)
-            loss = combined_loss(variety, None, self.loss_weights, epoch)
-            parts = {"variety": variety.item(), "kl": 0.0}
+        variety = variety_loss(samples, T.Tensor(gt))
+        loss = combined_loss(variety, kl, self.loss_weights, epoch)
+        parts = {"variety": variety.item(), "kl": 0.0 if kl is None else kl.item()}
         return loss, parts
 
     # Inference -------------------------------------------------------------
@@ -159,13 +151,7 @@ class GraphTCN:
         """M prior-noise trajectories; returns (PredictionSet, attention)."""
         if m < 1:
             raise ContractError(f"need m >= 1, got {m}")
-        cfg = self.cfg
         h, attn = self.encode(window)
         origin = self._origin(window)
-        if cfg.variant == "graphtcn_g":
-            noise = [rng.standard_normal((window.n_peds, cfg.future_embed_dim)) for _ in range(m)]
-        else:
-            noise = [sample_shared_noise(rng, cfg.t_obs, cfg.noise_dim) for _ in range(m)]
-        samples = self.decode_samples(h, origin, noise)
-        trajs = np.stack([s.data for s in samples])
-        return PredictionSet(trajs, origin.copy(), m), attn
+        samples = self.decode_samples(h, origin, self._noise(rng, m, window.n_peds))
+        return PredictionSet(samples.data, origin.copy(), m), attn

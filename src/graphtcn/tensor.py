@@ -1,9 +1,10 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
 Everything numeric in the model runs through this module. Tensors wrap a
-row-major float64 numpy array; each operation pairs a numpy forward pass
-with a hand-written backward rule that is recorded on the active Tape
-whenever an operand requires gradients. The op set is deliberately closed:
+float64 numpy array (row-major, except the read-only views repeat_axis
+returns); each operation pairs a numpy forward pass with a hand-written
+backward rule that is recorded on the active Tape whenever an operand
+requires gradients. The op set is deliberately closed:
 only what the model needs, no implicit broadcasting (a 0-d scalar operand
 is the single exception in add/sub/mul).
 
@@ -205,15 +206,16 @@ def affine(x, W, b=None) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """Plain 2-d matrix product."""
+    """Matrix product over the last two axes; leading axes must be equal."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
+    if (a.data.ndim < 2 or b.data.ndim != a.data.ndim or a.data.shape[:-2] != b.data.shape[:-2]
+            or a.data.shape[-1] != b.data.shape[-2]):
         raise ShapeError(f"matmul mismatch: {a.shape} vs {b.shape}")
     out = Tensor(a.data @ b.data)
 
     def bwd(g, a=a, b=b):
-        _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.T @ g)
+        _accumulate(a, g @ np.swapaxes(b.data, -1, -2))
+        _accumulate(b, np.swapaxes(a.data, -1, -2) @ g)
 
     _record(out, [a, b], bwd)
     return out
@@ -285,7 +287,8 @@ def sigmoid(x) -> Tensor:
     x = _as_tensor(x)
     # Split by sign to avoid overflow in exp.
     d = x.data
-    y = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))), np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
+    e = np.exp(-np.abs(d))
+    y = np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     out = Tensor(y)
 
     def bwd(g, x=x, y=y):
@@ -412,12 +415,16 @@ def transpose(x, axes) -> Tensor:
 
 
 def repeat_axis(x, axis: int, times: int) -> Tensor:
-    """Explicit broadcast: tile a unit extent along ``axis`` ``times`` over."""
+    """Explicit broadcast: tile a unit extent along ``axis`` ``times`` over.
+
+    The result is a read-only broadcast view of ``x``, not a copy.
+    """
     x = _as_tensor(x)
     axis = _norm_axis(axis, x.data.ndim)
     if x.data.shape[axis] != 1:
         raise ShapeError(f"repeat_axis needs extent 1 at axis {axis}, got {x.shape}")
-    out = Tensor(np.repeat(x.data, times, axis=axis))
+    shape = x.data.shape[:axis] + (times,) + x.data.shape[axis + 1:]
+    out = Tensor(np.broadcast_to(x.data, shape))
 
     def bwd(g, x=x, axis=axis):
         _accumulate(x, g.sum(axis=axis, keepdims=True))
@@ -451,11 +458,12 @@ def masked_softmax(logits, mask) -> Tensor:
     if (counts == 0).any():
         row = tuple(int(i) for i in np.argwhere(counts == 0)[0])
         raise NeighborhoodError(f"fully masked row at index {row}")
-    neg_inf = np.where(mask, x.data, -np.inf)
-    rowmax = neg_inf.max(axis=-1, keepdims=True)
-    e = np.exp(np.where(mask, x.data - rowmax, -np.inf))
-    denom = e.sum(axis=-1, keepdims=True)
-    y = e / denom
+    # One working array, updated in place, keeps the peak memory of large
+    # batched attention logits at one extra array.
+    y = np.where(mask, x.data, -np.inf)
+    y -= y.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
     out = Tensor(y)
 
     def bwd(g, x=x, y=y):

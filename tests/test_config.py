@@ -4,6 +4,8 @@ import pytest
 
 from graphtcn.config import ModelConfig, VARIANTS
 from graphtcn.errors import ConfigError
+from graphtcn.model import GraphTCN
+from graphtcn.temporal_conv import receptive_field
 
 
 class TestDefaults:
@@ -33,15 +35,16 @@ class TestDefaults:
 
     def test_default_receptive_field_covers_observation(self):
         cfg = ModelConfig()
-        assert cfg.receptive_field() == 9
-        assert cfg.receptive_field() >= cfg.t_obs
+        field = receptive_field(cfg.tcn_kernel, cfg.tcn_dilations)
+        assert field == 9
+        assert field >= cfg.t_obs
 
     def test_kl_schedule(self):
-        cfg = ModelConfig()
-        assert cfg.kl_weight(1) == 0.5
-        assert cfg.kl_weight(15) == 0.5
-        assert cfg.kl_weight(16) == 0.2
-        assert cfg.kl_weight(50) == 0.2
+        weights = GraphTCN(ModelConfig(variant="graphtcn_g")).loss_weights
+        assert weights.kl_at(1) == 0.5
+        assert weights.kl_at(15) == 0.5
+        assert weights.kl_at(16) == 0.2
+        assert weights.kl_at(50) == 0.2
 
     def test_spatial_out_dim_by_variant(self):
         assert ModelConfig().spatial_out_dim() == 32
@@ -68,7 +71,7 @@ class TestValidation:
     def test_explicit_dilations_kept(self):
         cfg = ModelConfig(tcn_layers=3, tcn_dilations=(1, 2, 4))
         assert cfg.tcn_dilations == (1, 2, 4)
-        assert cfg.receptive_field() == 1 + 2 * 7
+        assert receptive_field(cfg.tcn_kernel, cfg.tcn_dilations) == 1 + 2 * 7
 
     def test_negative_lr(self):
         with pytest.raises(ConfigError):

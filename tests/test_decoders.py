@@ -10,17 +10,19 @@ from graphtcn.decoders import (
     PredictionSet,
     relative_to_absolute,
     reparameterize,
-    sample_shared_noise,
 )
+from graphtcn.config import ModelConfig
 from graphtcn.errors import ContractError, ShapeError
+from graphtcn.model import GraphTCN
 from graphtcn.tensor import ParameterStore, Tensor
 
 
 class TestSharedNoise:
     def test_shape_and_determinism(self):
-        z1 = sample_shared_noise(np.random.default_rng(9), 8, 4)
-        z2 = sample_shared_noise(np.random.default_rng(9), 8, 4)
-        assert z1.shape == (8, 4)
+        model = GraphTCN(ModelConfig(samples=3))
+        z1 = model.draw_noise(np.random.default_rng(9), 5)
+        z2 = model.draw_noise(np.random.default_rng(9), 5)
+        assert z1.shape == (3, 8, 4)
         assert (z1 == z2).all()
 
     def test_standard_normal_moments(self):
@@ -34,9 +36,9 @@ class TestSharedNoise:
         dec = MlpDecoder(store, "dec", 2, 3, 2, 1, np.random.default_rng(11))
         h_row = np.random.default_rng(12).normal(size=(2, 2))
         h = Tensor(np.stack([h_row, h_row]))
-        z = sample_shared_noise(np.random.default_rng(13), 2, 1)
+        z = np.random.default_rng(13).standard_normal((1, 2, 1))
         out = dec.forward(h, z).data
-        assert (out[0] == out[1]).all()
+        assert (out[0, 0] == out[0, 1]).all()
 
 
 class TestMlpDecoder:
@@ -45,8 +47,8 @@ class TestMlpDecoder:
         dec = MlpDecoder(store, "dec", 3, 4, 2, 1, np.random.default_rng(14))
         for _, t in store.items():
             t.data[...] = 0.0
-        out = dec.forward(Tensor(np.ones((2, 3, 2))), np.ones((3, 1)))
-        np.testing.assert_array_equal(out.data, np.zeros((2, 4, 2)))
+        out = dec.forward(Tensor(np.ones((2, 3, 2))), np.ones((1, 3, 1)))
+        np.testing.assert_array_equal(out.data, np.zeros((1, 2, 4, 2)))
 
     def test_hand_affine_evaluation(self):
         # T_obs=2, F2=1, F3=1, T_pred=1: flattened input is
@@ -57,32 +59,34 @@ class TestMlpDecoder:
         store["dec.out.W"].data[...] = W
         store["dec.out.b"].data[...] = [0.1, -0.2]
         h = np.array([[[0.3], [0.7]]])
-        z = np.array([[2.0], [-1.0]])
+        z = np.array([[[2.0], [-1.0]]])
         out = dec.forward(Tensor(h), z).data
         flat = np.array([0.3, 2.0, 0.7, -1.0])
-        np.testing.assert_allclose(out[0, 0], flat @ W + [0.1, -0.2], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(out[0, 0, 0], flat @ W + [0.1, -0.2], rtol=0, atol=1e-15)
 
     def test_shape_validation(self):
         store = ParameterStore()
         dec = MlpDecoder(store, "dec", 2, 1, 1, 1, np.random.default_rng(16))
         with pytest.raises(ShapeError):
-            dec.forward(Tensor(np.zeros((2, 3, 1))), np.zeros((2, 1)))
+            dec.forward(Tensor(np.zeros((2, 3, 1))), np.zeros((1, 2, 1)))
         with pytest.raises(ShapeError):
-            dec.forward(Tensor(np.zeros((2, 2, 1))), np.zeros((3, 1)))
+            dec.forward(Tensor(np.zeros((2, 2, 1))), np.zeros((1, 3, 1)))
+        with pytest.raises(ShapeError):
+            dec.forward(Tensor(np.zeros((2, 2, 1))), np.zeros((2, 1)))
 
     def test_hidden_layer_path(self):
         store = ParameterStore()
         dec = MlpDecoder(store, "dec", 2, 2, 2, 1, np.random.default_rng(17), hidden=5)
         assert "dec.out.hidden.W" in store
         out = dec.forward(Tensor(np.random.default_rng(18).normal(size=(3, 2, 2))),
-                          np.zeros((2, 1)))
-        assert out.shape == (3, 2, 2)
+                          np.zeros((1, 2, 1)))
+        assert out.shape == (1, 3, 2, 2)
 
     def test_gradients_flow(self):
         store = ParameterStore()
         dec = MlpDecoder(store, "dec", 2, 2, 2, 1, np.random.default_rng(19))
         h = np.random.default_rng(20).normal(size=(2, 2, 2))
-        z = np.random.default_rng(21).standard_normal((2, 1))
+        z = np.random.default_rng(21).standard_normal((3, 2, 1))
 
         def f(p):
             out = dec.forward(Tensor(h), z)
@@ -149,26 +153,20 @@ class TestReparameterize:
     def test_zero_eps_returns_mu(self):
         mu = Tensor([[1.0, 2.0]])
         sigma = Tensor([[3.0, 4.0]])
-        z = reparameterize(mu, sigma, np.zeros((1, 2)))
-        np.testing.assert_array_equal(z.data, mu.data)
+        z = reparameterize(mu, sigma, np.zeros((1, 1, 2)))
+        np.testing.assert_array_equal(z.data[0], mu.data)
 
     def test_zero_sigma_returns_mu(self):
         mu = Tensor([[1.0, 2.0]])
-        z = reparameterize(mu, Tensor(np.zeros((1, 2))), np.ones((1, 2)))
-        np.testing.assert_array_equal(z.data, mu.data)
-
-    def test_seeded_reproducibility(self):
-        mu, sigma = Tensor(np.zeros((2, 3))), Tensor(np.ones((2, 3)))
-        z1 = reparameterize(mu, sigma, np.random.default_rng(30))
-        z2 = reparameterize(mu, sigma, np.random.default_rng(30))
-        assert (z1.data == z2.data).all()
+        z = reparameterize(mu, Tensor(np.zeros((1, 2))), np.ones((1, 1, 2)))
+        np.testing.assert_array_equal(z.data[0], mu.data)
 
     def test_gradients_into_moments(self):
         store = ParameterStore()
         rng = np.random.default_rng(31)
         store.add("mu", rng.normal(size=(2, 3)))
         store.add("sigma", rng.uniform(0.5, 1.5, size=(2, 3)))
-        eps = rng.standard_normal((2, 3))
+        eps = rng.standard_normal((4, 2, 3))
 
         def f(p):
             z = reparameterize(p["mu"], p["sigma"], eps)
@@ -184,15 +182,15 @@ class TestCvaeDecode:
         store["dec.out.W"].data[...] = 0.0
         store["dec.out.b"].data[...] = np.arange(4.0)
         h = Tensor(np.random.default_rng(33).normal(size=(2, 2, 2)))
-        out = dec.decode(dec.flatten_embedding(h), Tensor(np.zeros((2, 3))))
-        np.testing.assert_array_equal(out.data, np.tile(np.arange(4.0).reshape(2, 2), (2, 1, 1)))
+        out = dec.decode(dec.flatten_embedding(h), Tensor(np.zeros((1, 2, 3))))
+        np.testing.assert_array_equal(out.data, np.tile(np.arange(4.0).reshape(2, 2), (1, 2, 1, 1)))
 
     def test_same_latent_same_output(self):
         store = ParameterStore()
         dec = CvaeDecoder(store, "dec", 2, 2, 2, 3, np.random.default_rng(34))
         rng = np.random.default_rng(35)
         h = Tensor(rng.normal(size=(1, 2, 2)))
-        z = Tensor(rng.normal(size=(1, 3)))
+        z = Tensor(rng.normal(size=(1, 1, 3)))
         out1 = dec.decode(dec.flatten_embedding(h), z)
         out2 = dec.decode(dec.flatten_embedding(h), z)
         assert (out1.data == out2.data).all()
@@ -202,7 +200,7 @@ class TestCvaeDecode:
         dec = CvaeDecoder(store, "dec", 2, 2, 2, 3, np.random.default_rng(36))
         with pytest.raises(ShapeError):
             dec.decode(dec.flatten_embedding(Tensor(np.zeros((1, 2, 2)))),
-                       Tensor(np.zeros((1, 4))))
+                       Tensor(np.zeros((1, 1, 4))))
 
     def test_full_posterior_path_gradients(self):
         store = ParameterStore()
@@ -210,7 +208,7 @@ class TestCvaeDecode:
         rng = np.random.default_rng(38)
         h = rng.normal(size=(2, 2, 2))
         fut = rng.normal(size=(2, 2, 2))
-        eps = rng.standard_normal((2, 3))
+        eps = rng.standard_normal((3, 2, 3))
 
         def f(p):
             h_flat = dec.flatten_embedding(Tensor(h))
@@ -242,6 +240,14 @@ class TestAbsoluteConversion:
         delta = rng.integers(-512, 512, size=(3, 4, 2)) / 1024.0
         out = relative_to_absolute(Tensor(delta), origin).data
         np.testing.assert_array_equal(out - origin[:, None, :], delta)
+
+    def test_leading_sample_axis(self):
+        rng = np.random.default_rng(40)
+        origin = rng.normal(size=(3, 2))
+        delta = rng.normal(size=(2, 3, 4, 2))
+        out = relative_to_absolute(Tensor(delta), origin).data
+        for m in range(2):
+            np.testing.assert_array_equal(out[m], relative_to_absolute(Tensor(delta[m]), origin).data)
 
     def test_origin_shape_checked(self):
         with pytest.raises(ShapeError):

@@ -138,6 +138,15 @@ class TestVariety:
         with pytest.raises(ContractError):
             variety_loss([], Tensor(np.zeros((1, 2, 2))))
 
+    def test_stacked_tensor_equals_list(self):
+        rng = np.random.default_rng(10)
+        gt = Tensor(rng.normal(size=(3, 4, 2)))
+        samples = rng.normal(size=(5, 3, 4, 2))
+        stacked = variety_loss(Tensor(samples), gt).item()
+        assert stacked == variety_loss([Tensor(s) for s in samples], gt).item()
+        with pytest.raises(ShapeError):
+            variety_loss(Tensor(samples[:, :2]), gt)
+
 
 class TestKl:
     def test_standard_normal_is_zero(self):

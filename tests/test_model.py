@@ -177,6 +177,15 @@ def test_draw_noise_latent_shape():
     assert all(z.shape == (5, cfg.future_embed_dim) for z in noise)
 
 
+@pytest.mark.parametrize("variant", ["graphtcn", "graphtcn_g"])
+def test_draw_noise_block_is_consecutive_single_draws(variant):
+    cfg = tiny_cfg(variant=variant, samples=3)
+    block = GraphTCN(cfg).draw_noise(np.random.default_rng(4), n_peds=5)
+    rng = np.random.default_rng(4)
+    shape = (5, cfg.future_embed_dim) if variant == "graphtcn_g" else (cfg.t_obs, cfg.noise_dim)
+    assert np.array_equal(block, np.stack([rng.standard_normal(shape) for _ in range(3)]))
+
+
 # Loss ------------------------------------------------------------------------
 
 def test_window_loss_rejects_wrong_noise_count():

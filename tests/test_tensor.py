@@ -5,12 +5,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphtcn import tensor as T
+from graphtcn.decoders import MlpDecoder
 from graphtcn.errors import (
     ContractError,
     DomainError,
     NeighborhoodError,
     ShapeError,
 )
+from graphtcn.graph_attention import GraphAttentionLayer
+
+from oracles import gal_oracle
 
 
 def fd_scalar(build, n_params, shapes, seed=0, h=1e-5):
@@ -330,6 +334,22 @@ class TestFiniteDifference:
         err = fd_scalar(f, 2, [(3, 4), (4, 2)], seed=5)
         assert err < 1e-6
 
+    def test_batched_matmul_gradient(self):
+        def f(p):
+            y = T.matmul(p["p0"], p["p1"])
+            return T.reduce_sum(T.mul(y, y))
+
+        err = fd_scalar(f, 2, [(2, 3, 3, 4), (2, 3, 4, 2)], seed=15)
+        assert err < 1e-6
+
+    def test_matmul_leading_axes_must_match(self):
+        with pytest.raises(ShapeError):
+            T.matmul(np.zeros((2, 3, 4)), np.zeros((3, 4, 2)))
+        with pytest.raises(ShapeError):
+            T.matmul(np.zeros((2, 3, 4)), np.zeros((4, 2)))
+        with pytest.raises(ShapeError):
+            T.matmul(np.zeros((2, 3, 4)), np.zeros((2, 3, 2)))
+
     def test_concat_slice_gradient(self):
         def f(p):
             c = T.concat([p["p0"], p["p1"]], axis=1)
@@ -454,6 +474,38 @@ class TestProperties:
         o1, gx1, gw1 = run()
         o2, gx2, gw2 = run()
         assert (o1 == o2).all() and (gx1 == gx2).all() and (gw1 == gw2).all()
+
+
+class TestBatchedPasses:
+    """One pass over a leading axis equals one call per slice of it."""
+
+    def test_attention_over_steps_equals_per_step_calls(self):
+        store = T.ParameterStore()
+        layer = GraphAttentionLayer(store, "gal", 5, 3, 4, np.random.default_rng(50))
+        rng = np.random.default_rng(51)
+        h = rng.normal(size=(4, 6, 5))
+        pos = rng.normal(size=(4, 6, 2)) * 3.0
+        out, attn = layer.forward(T.Tensor(h), pos)
+        assert out.shape == (4, 6, 12) and attn.shape == (3, 4, 6, 6)
+        for t in range(4):
+            step_out, step_attn = layer.forward(T.Tensor(h[t]), pos[t])
+            o_out, o_attn = gal_oracle(h[t], pos[t], store, "gal", 3, 4)
+            np.testing.assert_allclose(out.data[t], step_out.data, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(attn[:, t], step_attn, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(out.data[t], o_out, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(attn[:, t], o_attn, rtol=0, atol=1e-12)
+
+    def test_decoder_over_draws_equals_one_draw_calls(self):
+        store = T.ParameterStore()
+        dec = MlpDecoder(store, "dec", 3, 4, 5, 2, np.random.default_rng(52), hidden=6)
+        rng = np.random.default_rng(53)
+        h = T.Tensor(rng.normal(size=(7, 3, 5)))
+        noise = rng.standard_normal((4, 3, 2))
+        out = dec.forward(h, noise).data
+        assert out.shape == (4, 7, 4, 2)
+        for m in range(4):
+            np.testing.assert_allclose(out[m], dec.forward(h, noise[m:m + 1]).data[0],
+                                       rtol=0, atol=1e-12)
 
 
 class TestParameterStore:

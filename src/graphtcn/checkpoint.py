@@ -14,7 +14,9 @@ Layout (all integers little-endian, unsigned):
         f64[prod(dims)] values, C order, little-endian
 
 The config text is canonical (serialize-parse-serialize is identity), so
-save -> load -> save reproduces the file byte for byte.
+save -> load -> save reproduces the file byte for byte. Loading rejects
+text that is not UTF-8 and parameters holding NaN or Inf with
+CheckpointCorruptError.
 """
 
 from __future__ import annotations
@@ -71,6 +73,15 @@ class _Reader:
         self.pos += n
         return out
 
+    def text(self, n: int, what: str) -> str:
+        start = self.pos
+        try:
+            return self.take(n).decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise CheckpointCorruptError(
+                f"{what} has invalid UTF-8 at offset {start + e.start}"
+            ) from None
+
     def u8(self) -> int:
         return struct.unpack("<B", self.take(1))[0]
 
@@ -90,17 +101,19 @@ def load_checkpoint(path) -> Checkpoint:
     if version != VERSION:
         raise CheckpointFormatError(f"unsupported checkpoint version {version}")
     cfg_len = r.u32()
-    config = ModelConfig.from_text(r.take(cfg_len).decode("utf-8"))
+    config = ModelConfig.from_text(r.text(cfg_len, "config text"))
     n_params = r.u32()
     arrays = {}
     for _ in range(n_params):
-        name = r.take(r.u16()).decode("utf-8")
+        name = r.text(r.u16(), "parameter name")
         rank = r.u8()
         dims = struct.unpack(f"<{rank}I", r.take(4 * rank)) if rank else ()
         count = int(np.prod(dims, dtype=np.int64)) if rank else 1
         data = np.frombuffer(r.take(8 * count), dtype="<f8").reshape(dims)
         if name in arrays:
             raise CheckpointCorruptError(f"duplicate parameter {name!r}")
+        if not np.isfinite(data).all():
+            raise CheckpointCorruptError(f"parameter {name!r} holds non-finite values")
         arrays[name] = np.ascontiguousarray(data, dtype=np.float64)
     if r.pos != len(blob):
         raise CheckpointCorruptError(f"{len(blob) - r.pos} trailing bytes after parameters")

@@ -1,9 +1,12 @@
 """Gated causal temporal convolutions over each pedestrian's sequence.
 
-Each layer runs two causal convolutions over time, a tanh gate and a
-sigmoid filter, and multiplies them. Left zero padding keeps output
-length equal to input length and makes step t blind to steps after t.
-Pedestrians never mix here; the batch axis of conv1d_causal carries them.
+Each layer is a tanh gate times a sigmoid filter, both causal
+convolutions over time (WaveNet's gated activation). The two run fused:
+one conv1d_causal over the stacked gate and filter weights, which is one
+im2col matmul, and the result is split in half along channels. Left zero
+padding keeps output length equal to input length and makes step t blind
+to steps after t. Pedestrians never mix here; the batch axis of
+conv1d_causal carries them.
 """
 
 from __future__ import annotations
@@ -24,7 +27,12 @@ def receptive_field(kernel: int, dilations) -> int:
 
 
 class GatedConvLayer:
-    """tanh(conv_g(h)) * sigmoid(conv_f(h)), both causal."""
+    """tanh(conv_g(h)) * sigmoid(conv_f(h)), both causal.
+
+    The gate and filter weights stay separate parameters (checkpoint
+    names ``{prefix}.gate.*`` and ``{prefix}.filt.*``) but run as one
+    convolution over their [2 * C_out, C_in, k] concatenation.
+    """
 
     def __init__(self, store, prefix: str, c_in: int, c_out: int, kernel: int,
                  dilation: int, rng: np.random.Generator):
@@ -37,8 +45,12 @@ class GatedConvLayer:
 
     def forward(self, h: T.Tensor) -> T.Tensor:
         """h is [N, C_in, T] -> [N, C_out, T]."""
-        gate = T.tanh(T.conv1d_causal(h, self.Wg, self.bg, dilation=self.dilation))
-        filt = T.sigmoid(T.conv1d_causal(h, self.Wf, self.bf, dilation=self.dilation))
+        c_out = self.Wg.data.shape[0]
+        W = T.concat([self.Wg, self.Wf], axis=0)
+        b = T.concat([self.bg, self.bf], axis=0)
+        both = T.conv1d_causal(h, W, b, dilation=self.dilation)
+        gate = T.tanh(T.slice_axis(both, -2, 0, c_out))
+        filt = T.sigmoid(T.slice_axis(both, -2, c_out, 2 * c_out))
         return T.mul(gate, filt)
 
 

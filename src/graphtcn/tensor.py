@@ -2,9 +2,10 @@
 
 Everything numeric in the model runs through this module. Tensors wrap a
 float64 numpy array (row-major, except the read-only views repeat_axis
-returns); each operation pairs a numpy forward pass with a hand-written
-backward rule that is recorded on the active Tape whenever an operand
-requires gradients. The op set is deliberately closed:
+returns and the channel-transposed view conv1d_causal returns); each
+operation pairs a numpy forward pass with a hand-written backward rule
+that is recorded on the active Tape whenever an operand requires
+gradients. The op set is deliberately closed:
 only what the model needs, no implicit broadcasting (a 0-d scalar operand
 is the single exception in add/sub/mul).
 
@@ -480,7 +481,12 @@ def conv1d_causal(x, W, b=None, dilation: int = 1) -> Tensor:
     ``x`` is [C_in, T] or batched [B, C_in, T]; ``W`` is [C_out, C_in, k].
     Output keeps the input length, and out[..., t] depends only on
     x[..., 0..t]: tap k-1 reads the current step, lower taps read the
-    past.
+    past. Runs as one im2col matmul: row (b, t) of the column block holds
+    the k dilated taps of every input channel, in the (C_in, k) order of
+    ``W.reshape(C_out, C_in * k)``, with zeros where a tap reads before
+    step 0. The result is a [B, C_out, T] view of the [B, T, C_out]
+    product. Backward is the transpose: two matmuls, then the k tap slices
+    of the column gradient are added back onto the input steps they read.
     """
     x, W = _as_tensor(x), _as_tensor(W)
     if dilation < 1:
@@ -498,32 +504,36 @@ def conv1d_causal(x, W, b=None, dilation: int = 1) -> Tensor:
         if b.data.shape != (c_out,):
             raise ShapeError(f"conv bias {b.shape} vs W {W.shape}")
     t_len = x.data.shape[-1]
-    pad = (k - 1) * dilation
     xb = x.data if batched else x.data[None]
-    x_pad = np.pad(xb, ((0, 0), (0, 0), (pad, 0)))
-    out_data = np.zeros((xb.shape[0], c_out, t_len))
-    for tap in range(k):
-        seg = x_pad[:, :, tap * dilation : tap * dilation + t_len]
-        out_data += np.einsum("oc,bct->bot", W.data[:, :, tap], seg)
+    n = xb.shape[0]
+    # Tap j reads step t - shift[j]; the first shift[j] steps read padding.
+    shifts = [(k - 1 - j) * dilation for j in range(k)]
+    cols4 = np.zeros((n, t_len, c_in, k))
+    x_t = xb.transpose(0, 2, 1)
+    for j, s in enumerate(shifts):
+        if s < t_len:
+            cols4[:, s:, :, j] = x_t[:, : t_len - s]
+    cols = cols4.reshape(n * t_len, c_in * k)
+    W2 = W.data.reshape(c_out, c_in * k)
+    out2 = cols @ W2.T
     if b is not None:
-        out_data += b.data[None, :, None]
+        out2 += b.data
+    out_data = out2.reshape(n, t_len, c_out).transpose(0, 2, 1)
     out = Tensor(out_data if batched else out_data[0])
 
-    def bwd(g, x=x, W=W, b=b, x_pad=x_pad, batched=batched, pad=pad,
-            k=k, t_len=t_len, dilation=dilation):
-        gb = g if batched else g[None]
-        gx_pad = np.zeros_like(x_pad)
-        gw = np.zeros_like(W.data)
-        for tap in range(k):
-            lo = tap * dilation
-            seg = x_pad[:, :, lo : lo + t_len]
-            gw[:, :, tap] = np.einsum("bot,bct->oc", gb, seg)
-            gx_pad[:, :, lo : lo + t_len] += np.einsum("oc,bot->bct", W.data[:, :, tap], gb)
-        gx = gx_pad[:, :, pad:]
-        _accumulate(x, gx if batched else gx[0])
-        _accumulate(W, gw)
+    def bwd(g, x=x, W=W, b=b, cols=cols, W2=W2, batched=batched):
+        g2 = (g if batched else g[None]).transpose(0, 2, 1).reshape(n * t_len, c_out)
+        _accumulate(W, (g2.T @ cols).reshape(W.data.shape))
         if b is not None:
-            _accumulate(b, gb.sum(axis=(0, 2)))
+            _accumulate(b, g2.sum(axis=0))
+        if x.requires_grad:
+            gcols = (g2 @ W2).reshape(n, t_len, c_in, k)
+            gx_t = np.zeros((n, t_len, c_in))
+            for j, s in enumerate(shifts):
+                if s < t_len:
+                    gx_t[:, : t_len - s] += gcols[:, s:, :, j]
+            gx = gx_t.transpose(0, 2, 1)
+            _accumulate(x, gx if batched else gx[0])
 
     _record(out, [x, W] + ([b] if b is not None else []), bwd)
     return out

@@ -72,34 +72,34 @@ def spatial_oracle(features, positions, store, cfg):
     return out
 
 
-def conv_stack_oracle(x, store, prefix, layers, kernel, dilations):
-    """Direct-summation gated causal convolution stack, one pedestrian.
+def conv_oracle(x, W, b, dilation):
+    """Causal convolution of one sequence as a per-tap loop.
 
-    x is [C0, T]; layer l reads p[f"{prefix}.l{l}.Wg/bg/Wf/bf"] and applies
+    x is [C_in, T], W is [C_out, C_in, k]; tap j reads step
+    t - (k - 1 - j) * dilation, and steps before 0 read zero.
+    """
+    c_out, c_in, k = W.shape
+    t_len = x.shape[1]
+    out = np.repeat(np.asarray(b, dtype=float)[:, None], t_len, axis=1)
+    for tap in range(k):
+        shift = (k - 1 - tap) * dilation
+        for t in range(shift, t_len):
+            out[:, t] += W[:, :, tap] @ x[:, t - shift]
+    return out
+
+
+def conv_stack_oracle(x, store, prefix, layers, kernel, dilations):
+    """Gated causal convolution stack, one pedestrian, via conv_oracle.
+
+    x is [C0, T]; layer l reads p[f"{prefix}.l{l}.gate/filt.W/b"] and applies
     tanh(conv_g) * sigmoid(conv_f).
     """
     p = {name: t.data for name, t in store.items()}
     h = x
     for layer in range(layers):
-        Wg, bg = p[f"{prefix}.l{layer}.gate.W"], p[f"{prefix}.l{layer}.gate.b"]
-        Wf, bf = p[f"{prefix}.l{layer}.filt.W"], p[f"{prefix}.l{layer}.filt.b"]
-        d = dilations[layer]
-        c_out, c_in, k = Wg.shape
-        t_len = h.shape[1]
-        g = np.zeros((c_out, t_len))
-        f = np.zeros((c_out, t_len))
-        for c in range(c_out):
-            for t in range(t_len):
-                sg = bg[c]
-                sf = bf[c]
-                for cc in range(c_in):
-                    for tap in range(k):
-                        src = t - (k - 1 - tap) * d
-                        if src >= 0:
-                            sg += Wg[c, cc, tap] * h[cc, src]
-                            sf += Wf[c, cc, tap] * h[cc, src]
-                g[c, t] = sg
-                f[c, t] = sf
+        pre, d = f"{prefix}.l{layer}", dilations[layer]
+        g = conv_oracle(h, p[f"{pre}.gate.W"], p[f"{pre}.gate.b"], d)
+        f = conv_oracle(h, p[f"{pre}.filt.W"], p[f"{pre}.filt.b"], d)
         h = np.tanh(g) * (1.0 / (1.0 + np.exp(-f)))
     return h
 

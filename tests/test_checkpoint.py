@@ -103,6 +103,30 @@ def test_duplicate_parameter_detected(tmp_path):
         load_checkpoint(path)
 
 
+def test_non_utf8_text_detected(tmp_path):
+    path = tmp_path / "m.ckpt"
+    cfg = small_cfg()
+    save_checkpoint(path, toy_store(), cfg)
+    blob = path.read_bytes()
+    cfg_len = struct.unpack("<I", blob[8:12])[0]
+    name_at = 12 + cfg_len + 4 + 2  # after the parameter count and name length
+    assert blob[name_at:name_at + 7] == b"alpha.W"
+    for offset, what in ((12, "config text"), (name_at, "parameter name")):
+        path.write_bytes(blob[:offset] + b"\xff" + blob[offset + 1:])
+        with pytest.raises(CheckpointCorruptError, match=what):
+            load_checkpoint(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_parameter_detected(tmp_path, bad):
+    store = toy_store()
+    store["alpha.b"].data[1] = bad
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, store, small_cfg())
+    with pytest.raises(CheckpointCorruptError, match="'alpha.b'"):
+        load_checkpoint(path)
+
+
 def test_model_round_trip_predicts_identically(tmp_path):
     cfg = small_cfg()
     model = GraphTCN(cfg)

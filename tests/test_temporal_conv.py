@@ -72,6 +72,48 @@ class TestGatedLayer:
         np.testing.assert_allclose(out, expected, rtol=0, atol=1e-15)
 
 
+class TestFusedLayer:
+    """One conv over the stacked gate and filter weights, split in two."""
+
+    def make_layer(self, dilation=2, seed=30):
+        store = ParameterStore()
+        layer = GatedConvLayer(store, "l", 3, 4, 3, dilation, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed + 1)
+        for name in ("l.gate.b", "l.filt.b"):
+            store[name].data[...] = rng.normal(size=4)
+        return layer, store
+
+    @pytest.mark.parametrize("dilation", [1, 2, 3])
+    def test_equals_two_separate_convs(self, dilation):
+        layer, store = self.make_layer(dilation)
+        x = np.random.default_rng(31).normal(size=(5, 3, 9))
+        gate = T.conv1d_causal(x, store["l.gate.W"], store["l.gate.b"], dilation=dilation)
+        filt = T.conv1d_causal(x, store["l.filt.W"], store["l.filt.b"], dilation=dilation)
+        expected = np.tanh(gate.data) / (1.0 + np.exp(-filt.data))
+        out = layer.forward(Tensor(x)).data
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
+
+    def test_gradient_with_input_grad(self):
+        layer, store = self.make_layer(dilation=2)
+        store.add("x", np.random.default_rng(32).normal(size=(2, 3, 7)))
+
+        def f(p):
+            out = layer.forward(p["x"])
+            return T.reduce_mean(T.mul(out, out))
+
+        assert T.finite_difference_check(f, store) < 1e-6
+
+    def test_gradient_without_input_grad(self):
+        layer, store = self.make_layer(dilation=2)
+        x = Tensor(np.random.default_rng(33).normal(size=(2, 3, 7)))
+
+        def f(p):
+            out = layer.forward(x)
+            return T.reduce_mean(T.mul(out, out))
+
+        assert T.finite_difference_check(f, store) < 1e-6
+
+
 class TestStack:
     def test_matches_direct_summation_oracle(self):
         net, store = make_tcn(in_dim=3, channels=4, layers=3, kernel=3, seed=10)

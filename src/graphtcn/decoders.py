@@ -13,7 +13,10 @@ coordinates in one step at the end:
   comes from the standard normal prior.
 
 Both heads decode all M draws at once: the draws are a leading axis of
-the noise, and every output carries it as [M, N, T_pred, 2].
+the noise, and every output carries it as [M, N, T_pred, 2]. Neither
+builds the concatenation: its first affine map is the sum of an
+embedding part, computed once per pedestrian, and a noise or latent
+part, computed once per draw.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ def reparameterize(mu: T.Tensor, sigma: T.Tensor, eps: np.ndarray) -> T.Tensor:
     if eps.ndim != 3 or eps.shape[1:] != mu.data.shape:
         raise ShapeError(f"eps {eps.shape} vs mu {mu.data.shape}, expected [M, N, L]")
     m = eps.shape[0]
-    return T.add(_tile(mu, m), T.mul(_tile(sigma, m), T.Tensor(eps)))
+    return T.add(_tile(mu, 0, m), T.mul(_tile(sigma, 0, m), T.Tensor(eps)))
 
 
 def relative_to_absolute(delta: T.Tensor, origin: np.ndarray) -> T.Tensor:
@@ -65,17 +68,29 @@ def relative_to_absolute(delta: T.Tensor, origin: np.ndarray) -> T.Tensor:
     return T.add(delta, T.Tensor(np.broadcast_to(origin[:, None, :], delta.data.shape)))
 
 
-def _tile(x: T.Tensor, m: int) -> T.Tensor:
-    """[...] -> [m, ...], m copies along a new leading axis."""
-    return T.repeat_axis(T.reshape(x, (1,) + x.data.shape), 0, m)
+def _tile(x: T.Tensor, axis: int, m: int) -> T.Tensor:
+    """m copies of x along a new axis inserted at ``axis``."""
+    shape = x.data.shape
+    return T.repeat_axis(T.reshape(x, shape[:axis] + (1,) + shape[axis:]), axis, m)
 
 
 class _Head:
-    """Affine head, optionally with one hidden layer when configured."""
+    """Affine head, optionally with one hidden layer when configured.
 
-    def __init__(self, store, prefix: str, in_dim: int, out_dim: int,
-                 hidden: int, slope: float, rng):
+    The head reads concat(shared, per_draw): a part that varies only over
+    pedestrians and a part that varies over draws. The rows of its first
+    weight come in ``groups`` blocks of ``shared_dim`` shared rows followed
+    by the draw rows, so the first affine runs as
+    shared @ W_shared + per_draw @ W_draw on the two row sets, added over
+    [M, N, .], and the concatenated [M, N, .] input is never built.
+    """
+
+    def __init__(self, store, prefix: str, groups: int, shared_dim: int, draw_dim: int,
+                 out_dim: int, hidden: int, slope: float, rng):
         self.slope = slope
+        self.groups = groups
+        self.shared_dim = shared_dim
+        in_dim = groups * (shared_dim + draw_dim)
         if hidden > 0:
             self.h_W, self.h_b = add_affine(store, f"{prefix}.hidden", in_dim, hidden, rng)
             in_dim = hidden
@@ -83,10 +98,24 @@ class _Head:
             self.h_W = None
         self.W, self.b = add_affine(store, prefix, in_dim, out_dim, rng)
 
-    def forward(self, x: T.Tensor) -> T.Tensor:
+    def forward(self, shared: T.Tensor, per_draw: T.Tensor) -> T.Tensor:
+        """shared [N, groups*shared_dim], per_draw [M, groups*draw_dim]
+        (the same for every pedestrian) or [M, N, groups*draw_dim]
+        -> [M, N, out_dim]."""
+        W, b = (self.W, self.b) if self.h_W is None else (self.h_W, self.h_b)
+        width = W.data.shape[1]
+        blocks = T.reshape(W, (self.groups, -1, width))
+        s, rows = self.shared_dim, blocks.data.shape[1]
+        W_shared = T.reshape(T.slice_axis(blocks, 1, 0, s), (-1, width))
+        W_draw = T.reshape(T.slice_axis(blocks, 1, s, rows), (-1, width))
+        m, n = per_draw.data.shape[0], shared.data.shape[0]
+        draw = T.affine(per_draw, W_draw)
+        if draw.data.ndim == 2:
+            draw = _tile(draw, 1, n)
+        x = T.add(_tile(T.affine(shared, W_shared, b), 0, m), draw)
         if self.h_W is not None:
-            x = T.leaky_relu(T.affine(x, self.h_W, self.h_b), self.slope)
-        return T.affine(x, self.W, self.b)
+            x = T.affine(T.leaky_relu(x, self.slope), self.W, self.b)
+        return x
 
 
 class MlpDecoder:
@@ -98,7 +127,9 @@ class MlpDecoder:
         self.t_pred = t_pred
         self.feat_dim = feat_dim
         self.noise_dim = noise_dim
-        self.head = _Head(store, f"{prefix}.out", t_obs * (feat_dim + noise_dim),
+        # Input rows interleave per observed step: feat_dim embedding rows,
+        # then noise_dim noise rows.
+        self.head = _Head(store, f"{prefix}.out", t_obs, feat_dim, noise_dim,
                           t_pred * 2, hidden, slope, rng)
 
     def forward(self, h: T.Tensor, noise: np.ndarray) -> T.Tensor:
@@ -109,9 +140,7 @@ class MlpDecoder:
         if noise.ndim != 3 or noise.shape[1:] != (self.t_obs, self.noise_dim):
             raise ShapeError(f"noise {noise.shape}, expected [M, {self.t_obs}, {self.noise_dim}]")
         m = noise.shape[0]
-        z = np.broadcast_to(noise[:, None], (m, n, self.t_obs, self.noise_dim))
-        joint = T.concat([_tile(h, m), T.Tensor(z)], axis=3)
-        out = self.head.forward(T.reshape(joint, (m, n, -1)))
+        out = self.head.forward(T.reshape(h, (n, -1)), T.Tensor(noise.reshape(m, -1)))
         return T.reshape(out, (m, n, self.t_pred, 2))
 
 
@@ -130,7 +159,7 @@ class CvaeDecoder:
         self.post_W, self.post_b = add_affine(
             store, f"{prefix}.posterior", self.flat_dim + latent_dim, 2 * latent_dim, rng
         )
-        self.head = _Head(store, f"{prefix}.out", self.flat_dim + latent_dim,
+        self.head = _Head(store, f"{prefix}.out", 1, self.flat_dim, latent_dim,
                           t_pred * 2, hidden, slope, rng)
 
     def flatten_embedding(self, h: T.Tensor) -> T.Tensor:
@@ -156,5 +185,5 @@ class CvaeDecoder:
         if z.data.ndim != 3 or z.data.shape[1:] != (n, self.latent_dim):
             raise ShapeError(f"latent {z.shape}, expected [M, {n}, {self.latent_dim}]")
         m = z.data.shape[0]
-        out = self.head.forward(T.concat([_tile(h_flat, m), z], axis=2))
+        out = self.head.forward(h_flat, z)
         return T.reshape(out, (m, n, self.t_pred, 2))

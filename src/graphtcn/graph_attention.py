@@ -4,8 +4,14 @@ affine graph residual, run for every observed step in one batched pass.
 
 The scene graph is fully connected including the self-loop, so a lone
 pedestrian attends to itself with weight 1. Edge features embed the
-displacement p_i - p_j, never absolute positions, which is what makes
-the spatial encoding translation invariant.
+displacement p_i - p_j. Because the embedding is affine and scored by a
+dot product, the layer never forms it per pair: each pedestrian's score
+takes its position relative to pedestrian 0 of the same step, and the
+logit of a pair is the sum of two per-node scores. That per-step
+centring, not the pairwise difference, is what makes the spatial
+encoding translation invariant; on a grid of dyadic positions with an
+integer shift the centred positions, and so the output, are reproduced
+bit for bit.
 """
 
 from __future__ import annotations
@@ -34,9 +40,9 @@ class GraphAttentionLayer:
 
     Per head, the scalar attention logit between pedestrians i and j is
         leaky_relu(w1 . h_i + w2 . h_j + a_e . edge_ij)
-    followed by a masked softmax over j. Values pass through a gated
-    transform u * tanh(u) before aggregation, and each head's weighted
-    sum gets a final leaky_relu. Heads are concatenated and an affine
+    followed by a softmax over j, computed from per-node scores. Values
+    pass through a gated transform u * tanh(u) before aggregation, and
+    each head's weighted sum gets a final leaky_relu. Heads are concatenated and an affine
     projection of the input is added as the graph residual. All heads run
     at once on their parameters laid side by side.
     """
@@ -88,25 +94,26 @@ class GraphAttentionLayer:
         if positions.shape != lead + (n, 2):
             raise ShapeError(f"positions {positions.shape} for node features {h.shape}")
         heads, width, r = self.heads, self.head_out, len(lead)
+        to_heads = (r + 1,) + tuple(range(r + 1))   # [..., N, heads] -> [heads, ..., N]
 
         u = T.affine(h, self._heads("Wh"), self._heads("bh"))
         gate_pre = T.affine(h, self._heads("Wg"), self._heads("bg")) if self.separate_gate else None
         g = T.reshape(gated_transform(u, gate_pre), lead + (n, heads, width))
-        g = T.transpose(g, (r + 1,) + tuple(range(r + 1)) + (r + 2,))   # [heads, ..., N, width]
-        # logits[..., i, j, k] = w1_k . h_i + w2_k . h_j (+ a_e,k . edge_ij)
-        si = T.reshape(T.affine(h, self._heads("w1")), lead + (n, 1, heads))
-        sj = T.reshape(T.affine(h, self._heads("w2")), lead + (1, n, heads))
-        logits = T.add(T.repeat_axis(si, r + 1, n), T.repeat_axis(sj, r, n))
+        g = T.transpose(g, to_heads + (r + 2,))   # [heads, ..., N, width]
+        # Logit (k, i, j) is src[i, k] + dst[j, k]. The edge term is linear
+        # in the displacement: a_e . (W (p_i - p_j) + b) = q_i . v - q_j . v
+        # + b . a_e with v = W a_e, so it folds into the per-node scores.
+        # q centres each step on its pedestrian 0, which keeps the scores
+        # unchanged under a shift of the scene.
+        w1, w2 = self._heads("w1"), self._heads("w2")
         if self.use_edges:
-            # a_e . (W d + b) = d . (W a_e) + b . a_e, so the per-pair edge
-            # embedding itself is never materialized here.
             ae = self._heads("ae")
-            edge_score = T.affine(T.Tensor(_displacements(positions)),
-                                  T.affine(self.edge_W, ae), T.affine(self.edge_b, ae))
-            logits = T.add(logits, edge_score)
-        logits = T.transpose(logits, (r + 2,) + tuple(range(r + 2)))   # [heads, ..., N, N]
-        alpha = T.masked_softmax(T.leaky_relu(logits, self.slope),
-                                 np.ones(logits.shape, dtype=bool))
+            qv = T.affine(T.Tensor(positions - positions[..., :1, :]), T.affine(self.edge_W, ae))
+            src = T.add(T.affine(h, w1, T.affine(self.edge_b, ae)), qv)
+            dst = T.sub(T.affine(h, w2), qv)
+        else:
+            src, dst = T.affine(h, w1), T.affine(h, w2)
+        alpha = T.pair_softmax(T.transpose(src, to_heads), T.transpose(dst, to_heads), self.slope)
 
         per_head = T.leaky_relu(T.matmul(alpha, g), self.slope)
         merged = T.reshape(T.transpose(per_head, tuple(range(1, r + 2)) + (0, r + 2)),

@@ -7,7 +7,9 @@ operation pairs a numpy forward pass with a hand-written backward rule
 that is recorded on the active Tape whenever an operand requires
 gradients. The op set is deliberately closed:
 only what the model needs, no implicit broadcasting (a 0-d scalar operand
-is the single exception in add/sub/mul).
+is the single exception in add/sub/mul). pair_softmax is the one fused op:
+it takes per-node scores and returns the row-softmaxed [..., N, N]
+attention, so attention logits never exist as separate N x N operands.
 
 Gradients accumulate into ``Tensor.grad`` buffers; callers zero them
 explicitly between optimizer steps. Running ``backward`` twice on the same
@@ -381,9 +383,10 @@ def slice_axis(x, axis: int, start: int, stop: int) -> Tensor:
     out = Tensor(x.data[tuple(sl)].copy())
 
     def bwd(g, x=x, sl=tuple(sl)):
-        full = np.zeros_like(x.data)
-        full[sl] = g
-        _accumulate(x, full)
+        if x.requires_grad:
+            if x.grad is None:
+                x.grad = np.zeros_like(x.data)
+            x.grad[sl] += g
 
     _record(out, [x], bwd)
     return out
@@ -472,6 +475,38 @@ def masked_softmax(logits, mask) -> Tensor:
         _accumulate(x, y * (g - inner))
 
     _record(out, [x], bwd)
+    return out
+
+
+def pair_softmax(src, dst, slope: float = 0.2) -> Tensor:
+    """Row softmax of leaky_relu(src[..., i] + dst[..., j]) over j.
+
+    ``src`` and ``dst`` are [..., N] per-node scores; the result is
+    [..., N, N]. Equals masked_softmax(leaky_relu(src_i + dst_j)) with
+    nothing masked, without the N x N operands of that chain: the logits
+    are built once and normalized in place. Backward folds the softmax
+    and leaky_relu rules into one logit gradient, whose row sums go to
+    ``src`` and column sums to ``dst``.
+    """
+    src, dst = _as_tensor(src), _as_tensor(dst)
+    if src.data.ndim < 1 or src.data.shape != dst.data.shape:
+        raise ShapeError(f"pair_softmax operands {src.shape} vs {dst.shape}")
+    y = src.data[..., :, None] + dst.data[..., None, :]
+    neg = y < 0.0
+    np.multiply(y, slope, out=y, where=neg)
+    y -= y.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
+    out = Tensor(y)
+
+    def bwd(g, src=src, dst=dst, y=y, neg=neg, slope=slope):
+        gl = g * y
+        gl -= y * gl.sum(axis=-1, keepdims=True)
+        np.multiply(gl, slope, out=gl, where=neg)
+        _accumulate(src, gl.sum(axis=-1))
+        _accumulate(dst, gl.sum(axis=-2))
+
+    _record(out, [src, dst], bwd)
     return out
 
 

@@ -72,6 +72,34 @@ def spatial_oracle(features, positions, store, cfg):
     return out
 
 
+def decoder_oracle(h, draws, store, prefix, slope=0.2):
+    """Loop evaluation of a decoder head on its explicitly concatenated input.
+
+    Sampling head: h is the embedding [N, T_obs, F] and draws the noise
+    [M, T_obs, D]; the input of (draw m, pedestrian n) is the
+    concatenation over t of (h[n, t], draws[m, t]). Latent head: h is the
+    flat embedding [N, flat] and draws the latents [M, N, L]; the input is
+    (h[n], draws[m, n]). An optional hidden layer applies leaky_relu.
+    Returns offsets [M, N, T_pred, 2].
+    """
+    p = {name: t.data for name, t in store.items()}
+    n_draws, n_peds = draws.shape[0], h.shape[0]
+    out = []
+    for m in range(n_draws):
+        for n in range(n_peds):
+            if h.ndim == 3:
+                parts = []
+                for t in range(h.shape[1]):
+                    parts.extend([h[n, t], draws[m, t]])
+                x = np.concatenate(parts)
+            else:
+                x = np.concatenate([h[n], draws[m, n]])
+            if f"{prefix}.hidden.W" in p:
+                x = leaky(x @ p[f"{prefix}.hidden.W"] + p[f"{prefix}.hidden.b"], slope)
+            out.append(x @ p[f"{prefix}.W"] + p[f"{prefix}.b"])
+    return np.array(out).reshape(n_draws, n_peds, -1, 2)
+
+
 def conv_oracle(x, W, b, dilation):
     """Causal convolution of one sequence as a per-tap loop.
 

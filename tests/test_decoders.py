@@ -16,6 +16,8 @@ from graphtcn.errors import ContractError, ShapeError
 from graphtcn.model import GraphTCN
 from graphtcn.tensor import ParameterStore, Tensor
 
+from oracles import decoder_oracle
+
 
 class TestSharedNoise:
     def test_shape_and_determinism(self):
@@ -216,6 +218,64 @@ class TestCvaeDecode:
             z = reparameterize(mu, sigma, eps)
             out = dec.decode(h_flat, z)
             return T.reduce_mean(T.mul(out, out))
+
+        assert T.finite_difference_check(f, store) < 1e-6
+
+
+class TestSplitHead:
+    """Both heads against the concat-form loop oracle, with and without
+    the hidden layer, and gradients through both blocks of the split
+    first affine, the embedding included."""
+
+    @pytest.mark.parametrize("hidden", [0, 5])
+    def test_mlp_matches_concat_oracle(self, hidden):
+        store = ParameterStore()
+        dec = MlpDecoder(store, "dec", 3, 4, 5, 2, np.random.default_rng(60), hidden=hidden)
+        rng = np.random.default_rng(61)
+        h = rng.normal(size=(6, 3, 5))
+        noise = rng.standard_normal((4, 3, 2))
+        out = dec.forward(Tensor(h), noise).data
+        expected = decoder_oracle(h, noise, store, "dec.out")
+        assert out.shape == expected.shape == (4, 6, 4, 2)
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("hidden", [0, 5])
+    def test_cvae_matches_concat_oracle(self, hidden):
+        store = ParameterStore()
+        dec = CvaeDecoder(store, "dec", 3, 4, 5, 2, np.random.default_rng(62), hidden=hidden)
+        rng = np.random.default_rng(63)
+        h_flat = rng.normal(size=(6, 15))
+        z = rng.standard_normal((4, 6, 2))
+        out = dec.decode(Tensor(h_flat), Tensor(z)).data
+        expected = decoder_oracle(h_flat, z, store, "dec.out")
+        assert out.shape == expected.shape == (4, 6, 4, 2)
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("hidden", [0, 3])
+    def test_mlp_gradients(self, hidden):
+        store = ParameterStore()
+        dec = MlpDecoder(store, "dec", 2, 2, 3, 2, np.random.default_rng(64), hidden=hidden)
+        rng = np.random.default_rng(65)
+        store.add("h", rng.normal(size=(3, 2, 3)))
+        noise = rng.standard_normal((2, 2, 2))
+
+        def f(p):
+            out = dec.forward(p["h"], noise)
+            return T.reduce_mean(T.mul(out, T.tanh(out)))
+
+        assert T.finite_difference_check(f, store) < 1e-6
+
+    @pytest.mark.parametrize("hidden", [0, 3])
+    def test_cvae_gradients(self, hidden):
+        store = ParameterStore()
+        dec = CvaeDecoder(store, "dec", 2, 2, 3, 2, np.random.default_rng(66), hidden=hidden)
+        rng = np.random.default_rng(67)
+        store.add("h_flat", rng.normal(size=(3, 6)))
+        store.add("z", rng.normal(size=(2, 3, 2)))
+
+        def f(p):
+            out = dec.decode(p["h_flat"], p["z"])
+            return T.reduce_mean(T.mul(out, T.tanh(out)))
 
         assert T.finite_difference_check(f, store) < 1e-6
 

@@ -115,6 +115,19 @@ class TestLayerForward:
         np.testing.assert_allclose(out.data, o_out, rtol=0, atol=1e-12)
         np.testing.assert_allclose(attn, o_attn, rtol=0, atol=1e-12)
 
+    def test_matches_loop_oracle_far_from_origin(self):
+        # Scenes 1000 m from the origin bound the cancellation in the
+        # separable edge score q_i . v - q_j . v, over several steps.
+        layer, store = make_layer(in_dim=5, heads=3, head_out=4, seed=21)
+        rng = np.random.default_rng(22)
+        h = rng.normal(size=(3, 6, 5))
+        pos = rng.normal(size=(3, 6, 2)) * 3.0 + [1000.0, -1000.0]
+        out, attn = layer.forward(Tensor(h), pos)
+        for t in range(3):
+            o_out, o_attn = gal_oracle(h[t], pos[t], store, "gal", 3, 4)
+            np.testing.assert_allclose(out.data[t], o_out, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(attn[:, t], o_attn, rtol=0, atol=1e-12)
+
     def test_separate_gate_matches_oracle(self):
         layer, store = make_layer(in_dim=4, heads=2, head_out=3, seed=23, separate_gate=True)
         rng = np.random.default_rng(24)

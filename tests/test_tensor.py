@@ -146,6 +146,31 @@ class TestForwardValues:
         with pytest.raises(NeighborhoodError):
             T.masked_softmax([[1.0, 2.0], [3.0, 4.0]], [[True, True], [False, False]])
 
+    @pytest.mark.parametrize("shape", [(1,), (5,), (2, 3, 4)])
+    def test_pair_softmax_equals_unfused_chain(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        si, sj = rng.normal(size=shape) * 3.0, rng.normal(size=shape) * 3.0
+        n = shape[-1]
+        ref = T.masked_softmax(
+            T.leaky_relu(T.add(T.repeat_axis(si[..., :, None], -1, n),
+                               T.repeat_axis(sj[..., None, :], -2, n)), 0.3),
+            np.ones(shape + (n,), dtype=bool))
+        out = T.pair_softmax(si, sj, 0.3)
+        assert out.shape == shape + (n,)
+        assert (out.data == ref.data).all()
+
+    def test_pair_softmax_single_node_is_one(self):
+        out = T.pair_softmax(np.array([[-40.0], [7.0]]), np.array([[3.0], [-2.0]]))
+        assert (out.data == 1.0).all() and out.shape == (2, 1, 1)
+
+    def test_pair_softmax_shapes_must_match(self):
+        with pytest.raises(ShapeError):
+            T.pair_softmax(np.zeros((2, 3)), np.zeros((2, 4)))
+        with pytest.raises(ShapeError):
+            T.pair_softmax(np.zeros((2, 3)), np.zeros(3))
+        with pytest.raises(ShapeError):
+            T.pair_softmax(np.zeros(()), np.zeros(()))
+
     def test_conv_identity_tap(self):
         # Kernel [0,0,1]: only the current-step tap fires.
         x = np.array([[3.0, 1.0, 4.0, 1.0, 5.0]])
@@ -289,6 +314,26 @@ class TestBackward:
         T.backward(out, tape)
         np.testing.assert_array_equal(x.grad, [[0.0, 1.0], [1.0, 0.0]])
 
+    def test_slice_gradients_add_into_one_buffer(self):
+        # Overlapping slices of a leaf and of an intermediate add their
+        # gradients in place, in reverse tape order.
+        rng = np.random.default_rng(17)
+        p = T.Tensor(rng.normal(size=(2, 5)), requires_grad=True)
+        a, b = rng.normal(size=(2, 3)), rng.normal(size=(2, 3))
+        with T.Tape() as tape:
+            y = T.tanh(p)
+            loss = T.add(
+                T.add(T.reduce_sum(T.mul(T.slice_axis(p, 1, 0, 3), a)),
+                      T.reduce_sum(T.mul(T.slice_axis(p, 1, 2, 5), b))),
+                T.add(T.reduce_sum(T.mul(T.slice_axis(y, 1, 0, 3), a)),
+                      T.reduce_sum(T.mul(T.slice_axis(y, 1, 2, 5), b))))
+        T.backward(loss, tape)
+        expected = np.zeros((2, 5))
+        expected[:, 2:5] += b
+        expected[:, 0:3] += a
+        assert (y.grad == expected).all()
+        assert (p.grad == expected * (1.0 - y.data * y.data) + expected).all()
+
     def test_no_tape_records_nothing(self):
         x = T.Tensor([1.0], requires_grad=True)
         out = T.mul(x, x)
@@ -417,6 +462,23 @@ class TestFiniteDifference:
 
         err = fd_scalar(f, 1, [(2, 4)], seed=8)
         assert err < 1e-6
+
+    def test_pair_softmax_gradient(self):
+        # A row whose logits all sit on one side of the leaky_relu kink is
+        # shift invariant, so its src gradient is exactly 0 and the relative
+        # error is noise. Offsetting dst by +-2 and +-3 puts every row on
+        # both sides, at least 1 away from the kink.
+        rng = np.random.default_rng(16)
+        store = T.ParameterStore()
+        store.add("src", rng.uniform(-0.5, 0.5, size=(2, 3, 4)))
+        store.add("dst", rng.uniform(-0.5, 0.5, size=(2, 3, 4)) + [-3.0, -2.0, 2.0, 3.0])
+        w = rng.normal(size=(2, 3, 4, 4))
+
+        def f(p):
+            y = T.pair_softmax(p["src"], p["dst"], 0.2)
+            return T.reduce_sum(T.mul(y, w))
+
+        assert T.finite_difference_check(f, store) < 1e-6
 
     @pytest.mark.parametrize("dilation", [1, 2])
     def test_conv_gradient(self, dilation):

@@ -1,4 +1,12 @@
-"""Adam with standard bias correction over a ParameterStore."""
+"""Adam with standard bias correction over a ParameterStore.
+
+The store keeps every parameter's values and gradient as views into two
+flat buffers (see ParameterStore); the moments are two flat vectors with
+the same layout, so a step is one in-place pass over every parameter
+value at once. A gradient a caller rebound instead of writing into its
+view is copied into the buffer first. The store must not gain
+parameters once an Adam holds it.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +17,13 @@ from .tensor import ParameterStore
 
 
 class Adam:
-    """Keeps first/second moment buffers per parameter; updates in place.
+    """Keeps first/second moments as flat vectors; updates in place.
+
+    The moments and two scratch vectors are sized from ``params`` here, so
+    the store must not gain parameters afterwards (``step`` raises
+    ContractError if it has). Each step writes every temporary into the
+    scratch vectors: fresh temporaries of the store's size would map new
+    pages on every step.
 
     The very first step with gradient g moves each weight by
     -lr * g / (|g| + eps), since the bias-corrected moments are exactly
@@ -26,24 +40,47 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
-        self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
+        self._count = len(params)
+        n = params.n_values()
+        self.m = np.zeros(n)
+        self.v = np.zeros(n)
+        self._scratch = (np.empty(n), np.empty(n))
 
     def step(self):
+        params = self.params
+        if len(params) != self._count:
+            raise ContractError(
+                f"store has {len(params)} parameters, Adam was built for {self._count}"
+            )
+        for (name, p), view in zip(params.items(), params.grad_views()):
+            g = p.grad
+            if g is view:
+                continue
+            if g is None:
+                raise ContractError(f"parameter {name!r} has no gradient buffer")
+            if g.shape != view.shape:
+                raise ContractError(f"gradient shape {g.shape} vs parameter {view.shape}")
+            view[...] = g
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         bc1 = 1.0 - b1**self.t
         bc2 = 1.0 - b2**self.t
-        for name, p in self.params.items():
-            g = p.grad
-            if g is None:
-                raise ContractError(f"parameter {name!r} has no gradient buffer")
-            if g.shape != p.data.shape:
-                raise ContractError(f"gradient shape {g.shape} vs parameter {p.data.shape}")
-            m = self.m[name]
-            v = self.v[name]
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        data, g = params.flat()
+        m, v = self.m, self.v
+        s, u = self._scratch
+        # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
+        m *= b1
+        np.multiply(g, 1.0 - b1, out=s)
+        m += s
+        v *= b2
+        np.multiply(g, 1.0 - b2, out=s)
+        s *= g
+        v += s
+        # data -= lr (m / bc1) / (sqrt(v / bc2) + eps)
+        np.divide(m, bc1, out=u)
+        u *= self.lr
+        np.divide(v, bc2, out=s)
+        np.sqrt(s, out=s)
+        s += self.eps
+        u /= s
+        data -= u

@@ -13,7 +13,14 @@ attention, so attention logits never exist as separate N x N operands.
 
 Gradients accumulate into ``Tensor.grad`` buffers; callers zero them
 explicitly between optimizer steps. Running ``backward`` twice on the same
-tape without zeroing doubles every leaf gradient.
+tape without zeroing doubles every leaf gradient. An intermediate's first
+gradient is stored as a copy, not added into zeros. affine, matmul and
+conv1d_causal skip the products for an operand that needs no gradient.
+
+ParameterStore keeps every parameter's data and gradient as views into
+two flat buffers, so zeroing all gradients is one fill and an optimizer
+step is a few whole-vector operations (see ParameterStore for the view
+contract).
 """
 
 from __future__ import annotations
@@ -140,8 +147,12 @@ def _accumulate(t: Tensor, g: np.ndarray):
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # A copy, because g may be a view of another tensor's gradient. C
+        # order keeps trained weights bit-identical to adding g into zeros;
+        # a copy in g's own layout changed their last bits.
+        t.grad = np.array(g, order="C")
+    else:
+        t.grad += g
 
 
 def _record(out: Tensor, inputs, backward_fn):
@@ -199,7 +210,8 @@ def affine(x, W, b=None) -> Tensor:
 
     def bwd(g, x=x, W=W, b=b, x2=x2, lead=lead):
         g2 = g.reshape(-1, g.shape[-1])
-        _accumulate(x, (g2 @ W.data.T).reshape(x.data.shape))
+        if x.requires_grad:
+            _accumulate(x, (g2 @ W.data.T).reshape(x.data.shape))
         _accumulate(W, x2.T @ g2)
         if b is not None:
             _accumulate(b, g2.sum(axis=0))
@@ -217,8 +229,10 @@ def matmul(a, b) -> Tensor:
     out = Tensor(a.data @ b.data)
 
     def bwd(g, a=a, b=b):
-        _accumulate(a, g @ np.swapaxes(b.data, -1, -2))
-        _accumulate(b, np.swapaxes(a.data, -1, -2) @ g)
+        if a.requires_grad:
+            _accumulate(a, g @ np.swapaxes(b.data, -1, -2))
+        if b.requires_grad:
+            _accumulate(b, np.swapaxes(a.data, -1, -2) @ g)
 
     _record(out, [a, b], bwd)
     return out
@@ -638,17 +652,58 @@ def _norm_axis(axis: int, ndim: int) -> int:
 
 
 class ParameterStore:
-    """Named, ordered, shaped learnable parameters; the checkpoint unit."""
+    """Named, ordered, shaped learnable parameters; the checkpoint unit.
+
+    Every parameter's ``data`` and ``grad`` are views into two contiguous
+    float64 buffers, laid out in store order, so an optimizer step or a
+    gradient reset is a handful of whole-vector operations. The buffers
+    double in capacity while parameters are added; each tensor already
+    handed out is re-pointed at the new buffers, so it stays valid.
+
+    The view contract: write ``data`` in place (never rebind it). A caller
+    may rebind ``grad``; ``zero_grads`` points it back at its view, and
+    ``Adam.step`` copies it into the buffer. An ``Adam`` sizes its moments
+    from the store when it is built, so the store must not gain
+    parameters after that.
+    """
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
+        self._grad_views: list[np.ndarray] = []
+        self._size = 0
+        self._data = np.zeros(0)
+        self._grad = np.zeros(0)
 
     def add(self, name: str, values: np.ndarray) -> Tensor:
         if name in self._params:
             raise ContractError(f"duplicate parameter name {name!r}")
-        t = Tensor(np.array(values, dtype=np.float64), requires_grad=True)
+        values = np.asarray(values, dtype=np.float64)
+        start, stop = self._size, self._size + values.size
+        if stop > self._data.size:
+            self._grow(max(stop, 2 * self._data.size))
+        self._data[start:stop] = values.reshape(-1)
+        self._size = stop
+        t = Tensor(self._data[start:stop].reshape(values.shape))
+        t.requires_grad = True
+        t.grad = self._grad[start:stop].reshape(values.shape)
         self._params[name] = t
+        self._grad_views.append(t.grad)
         return t
+
+    def _grow(self, capacity: int):
+        data, grad = np.zeros(capacity), np.zeros(capacity)
+        data[:self._size] = self._data[:self._size]
+        grad[:self._size] = self._grad[:self._size]
+        self._data, self._grad = data, grad
+        start = 0
+        for i, t in enumerate(self._params.values()):
+            stop = start + t.data.size
+            t.data = data[start:stop].reshape(t.data.shape)
+            view = grad[start:stop].reshape(t.data.shape)
+            if t.grad is self._grad_views[i]:
+                t.grad = view
+            self._grad_views[i] = view
+            start = stop
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
@@ -668,25 +723,38 @@ class ParameterStore:
     def tensors(self) -> list[Tensor]:
         return list(self._params.values())
 
+    def flat(self) -> tuple[np.ndarray, np.ndarray]:
+        """The data and gradient buffers as two vectors, in store order."""
+        return self._data[:self._size], self._grad[:self._size]
+
+    def grad_views(self) -> list[np.ndarray]:
+        """Each parameter's view into the gradient buffer, in store order."""
+        return self._grad_views
+
     def zero_grads(self):
-        for t in self._params.values():
-            t.zero_grad()
+        for t, view in zip(self._params.values(), self._grad_views):
+            t.grad = view
+        self._grad[:self._size] = 0.0
 
     def n_values(self) -> int:
-        return sum(t.data.size for t in self._params.values())
+        return self._size
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self._params.items()}
 
     def load_arrays(self, arrays: dict[str, np.ndarray]):
+        """Overwrite every parameter; validates all names and shapes first."""
         if set(arrays) != set(self._params):
             missing = set(self._params) - set(arrays)
             extra = set(arrays) - set(self._params)
             raise ContractError(f"parameter name mismatch: missing={sorted(missing)}, extra={sorted(extra)}")
+        checked = []
         for name, t in self._params.items():
             arr = np.asarray(arrays[name], dtype=np.float64)
             if arr.shape != t.data.shape:
                 raise ShapeError(f"parameter {name!r}: stored {arr.shape} vs expected {t.data.shape}")
+            checked.append((t, arr))
+        for t, arr in checked:
             t.data[...] = arr
 
 

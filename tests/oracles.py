@@ -163,3 +163,25 @@ def kl_mc_oracle(mu, logvar, n_draws, seed):
     logp = -0.5 * (z**2 + np.log(2 * np.pi))
     per_draw = (logq - logp).sum(axis=tuple(range(1, z.ndim)))
     return per_draw.mean()
+
+
+def adam_oracle(values, grad_steps, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam looped per parameter, one step per dict in ``grad_steps``.
+
+    ``values`` and each step map parameter names to arrays; returns the
+    updated values (the inputs are not modified).
+    """
+    x = {name: np.array(v, dtype=np.float64) for name, v in values.items()}
+    m = {name: np.zeros_like(a) for name, a in x.items()}
+    v = {name: np.zeros_like(a) for name, a in x.items()}
+    for t, grads in enumerate(grad_steps, start=1):
+        bc1 = 1.0 - beta1**t
+        bc2 = 1.0 - beta2**t
+        for name in x:
+            g = grads[name]
+            m[name] *= beta1
+            m[name] += (1.0 - beta1) * g
+            v[name] *= beta2
+            v[name] += (1.0 - beta2) * g * g
+            x[name] -= lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + eps)
+    return x

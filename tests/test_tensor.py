@@ -626,6 +626,39 @@ class TestParameterStore:
         w.grad += 5.0
         store.zero_grads()
         np.testing.assert_array_equal(w.grad, np.zeros(3))
+        w.grad = np.ones(3)
+        store.zero_grads()
+        assert w.grad is store.grad_views()[0]
+        np.testing.assert_array_equal(w.grad, np.zeros(3))
+
+    def test_views_into_flat_buffers_survive_growth(self):
+        store = T.ParameterStore()
+        rng = np.random.default_rng(61)
+        handed_out = []
+        for i, shape in enumerate([(2, 3), (), (4,), (0, 2), (3, 2, 2), (40,)]):
+            t = store.add(f"p{i}", rng.normal(size=shape))
+            t.grad[...] = rng.normal(size=shape)
+            handed_out.append((t, t.data.copy(), t.grad.copy()))
+            data, grad = store.flat()
+            assert data.size == grad.size == store.n_values()
+            for (t, values, grads), view in zip(handed_out, store.grad_views()):
+                assert t.grad is view
+                assert np.shares_memory(t.data, data) or t.data.size == 0
+                assert np.shares_memory(t.grad, grad) or t.grad.size == 0
+                np.testing.assert_array_equal(t.data, values)
+                np.testing.assert_array_equal(t.grad, grads)
+            np.testing.assert_array_equal(
+                data, np.concatenate([t.data.ravel() for t, _, _ in handed_out]))
+            np.testing.assert_array_equal(
+                grad, np.concatenate([t.grad.ravel() for t, _, _ in handed_out]))
+
+    def test_load_arrays_writes_nothing_on_a_late_mismatch(self):
+        store = T.ParameterStore()
+        store.add("first", np.ones(3))
+        store.add("last", np.ones((2, 2)))
+        with pytest.raises(ShapeError):
+            store.load_arrays({"first": np.full(3, 7.0), "last": np.ones((2, 3))})
+        np.testing.assert_array_equal(store["first"].data, np.ones(3))
 
     def test_load_arrays_validates(self):
         store = T.ParameterStore()

@@ -7,7 +7,8 @@ Layout (all integers little-endian, unsigned):
     u32          config byte length, then that many UTF-8 bytes
                  (the canonical key=value text of ModelConfig)
     u32          parameter count
-    per parameter, in store order:
+    per parameter, in name order (the order names were added to the
+    store, which is not the buffer order; see ParameterStore):
         u16      name byte length, then the UTF-8 name
         u8       rank
         u32[rank] dims

@@ -16,7 +16,7 @@ Both heads decode all M draws at once: the draws are a leading axis of
 the noise, and every output carries it as [M, N, T_pred, 2]. Neither
 builds the concatenation: its first affine map is the sum of an
 embedding part, computed once per pedestrian, and a noise or latent
-part, computed once per draw.
+part, computed once per draw, on two views of the stored weight's rows.
 """
 
 from __future__ import annotations
@@ -83,13 +83,13 @@ class _Head:
     by the draw rows, so the first affine runs as
     shared @ W_shared + per_draw @ W_draw on the two row sets, added over
     [M, N, .], and the concatenated [M, N, .] input is never built.
+    W_shared and W_draw are views of the stored weight, [groups, rows,
+    width] cut on the row axis, so each forward only flattens them.
     """
 
     def __init__(self, store, prefix: str, groups: int, shared_dim: int, draw_dim: int,
                  out_dim: int, hidden: int, slope: float, rng):
         self.slope = slope
-        self.groups = groups
-        self.shared_dim = shared_dim
         in_dim = groups * (shared_dim + draw_dim)
         if hidden > 0:
             self.h_W, self.h_b = add_affine(store, f"{prefix}.hidden", in_dim, hidden, rng)
@@ -97,17 +97,22 @@ class _Head:
         else:
             self.h_W = None
         self.W, self.b = add_affine(store, prefix, in_dim, out_dim, rng)
+        W = self.W if self.h_W is None else self.h_W
+        width = self.width = W.data.shape[1]
+
+        def rows(start, stop):
+            return store.view(W, lambda a: a.reshape(groups, -1, width)[:, start:stop])
+
+        self.W_shared = rows(0, shared_dim)
+        self.W_draw = rows(shared_dim, shared_dim + draw_dim)
 
     def forward(self, shared: T.Tensor, per_draw: T.Tensor) -> T.Tensor:
         """shared [N, groups*shared_dim], per_draw [M, groups*draw_dim]
         (the same for every pedestrian) or [M, N, groups*draw_dim]
         -> [M, N, out_dim]."""
-        W, b = (self.W, self.b) if self.h_W is None else (self.h_W, self.h_b)
-        width = W.data.shape[1]
-        blocks = T.reshape(W, (self.groups, -1, width))
-        s, rows = self.shared_dim, blocks.data.shape[1]
-        W_shared = T.reshape(T.slice_axis(blocks, 1, 0, s), (-1, width))
-        W_draw = T.reshape(T.slice_axis(blocks, 1, s, rows), (-1, width))
+        b = self.b if self.h_W is None else self.h_b
+        W_shared = T.reshape(self.W_shared, (-1, self.width))
+        W_draw = T.reshape(self.W_draw, (-1, self.width))
         m, n = per_draw.data.shape[0], shared.data.shape[0]
         draw = T.affine(per_draw, W_draw)
         if draw.data.ndim == 2:

@@ -12,6 +12,9 @@ centring, not the pairwise difference, is what makes the spatial
 encoding translation invariant; on a grid of dyadic positions with an
 integer shift the centred positions, and so the output, are reproduced
 bit for bit.
+
+Each per-head parameter lives in one head-major block for all heads, so
+the heads run at once without rebuilding their weights on every pass.
 """
 
 from __future__ import annotations
@@ -42,9 +45,14 @@ class GraphAttentionLayer:
         leaky_relu(w1 . h_i + w2 . h_j + a_e . edge_ij)
     followed by a softmax over j, computed from per-node scores. Values
     pass through a gated transform u * tanh(u) before aggregation, and
-    each head's weighted sum gets a final leaky_relu. Heads are concatenated and an affine
-    projection of the input is added as the graph residual. All heads run
-    at once on their parameters laid side by side.
+    each head's weighted sum gets a final leaky_relu. Heads are
+    concatenated and an affine projection of the input is added as the
+    graph residual.
+
+    All heads run at once on head-major parameter blocks: [heads, in, out]
+    for the value (and gate) weights, [heads, out] for their biases and
+    a_e, [heads, in] for w1 and w2. Each head's checkpoint entry
+    (``{prefix}.h{k}.*``) is the C-contiguous slice k of its block.
     """
 
     def __init__(self, store, prefix: str, in_dim: int, heads: int, head_out: int,
@@ -61,28 +69,37 @@ class GraphAttentionLayer:
 
         if use_edges:
             self.edge_W, self.edge_b = add_affine(store, f"{prefix}.edge", 2, head_out, rng)
-        per_head = []
+        shapes = {"w1": (in_dim,), "w2": (in_dim,)}
+        if use_edges:
+            shapes["ae"] = (head_out,)
+        shapes.update({"val.W": (in_dim, head_out), "val.b": (head_out,)})
+        if separate_gate:
+            shapes.update({"gate.W": (in_dim, head_out), "gate.b": (head_out,)})
+        self.blocks = {key: store.reserve((heads,) + shape) for key, shape in shapes.items()}
+        # Names are added head by head, which keeps the init draws and the
+        # checkpoint in their per-head order; head k's entry is slice k.
         for k in range(heads):
-            hp = {}
-            hp["w1"] = store.add(f"{prefix}.h{k}.w1", xavier_uniform(rng, in_dim, 1))
-            hp["w2"] = store.add(f"{prefix}.h{k}.w2", xavier_uniform(rng, in_dim, 1))
+            def put(key, values, k=k):
+                store.add(f"{prefix}.h{k}.{key}", values, block=self.blocks[key],
+                          offset=k * values.size)
+
+            put("w1", xavier_uniform(rng, in_dim, 1))
+            put("w2", xavier_uniform(rng, in_dim, 1))
             if use_edges:
-                hp["ae"] = store.add(f"{prefix}.h{k}.ae", xavier_uniform(rng, head_out, 1))
-            hp["Wh"], hp["bh"] = add_affine(store, f"{prefix}.h{k}.val", in_dim, head_out, rng)
+                put("ae", xavier_uniform(rng, head_out, 1))
+            put("val.W", xavier_uniform(rng, in_dim, head_out))
+            put("val.b", np.zeros(head_out))
             if separate_gate:
-                hp["Wg"], hp["bg"] = add_affine(store, f"{prefix}.h{k}.gate", in_dim, head_out, rng)
-            per_head.append(hp)
-        # Every per-head parameter as a list over heads, ready to concatenate.
-        self.head_params = {key: [hp[key] for hp in per_head] for key in per_head[0]}
+                put("gate.W", xavier_uniform(rng, in_dim, head_out))
+                put("gate.b", np.zeros(head_out))
+        # w1 and w2 enter affine as [in, heads].
+        self.w1 = store.view(self.blocks["w1"], np.transpose)
+        self.w2 = store.view(self.blocks["w2"], np.transpose)
         self.res_W, self.res_b = add_affine(store, f"{prefix}.res", in_dim, self.out_dim, rng)
 
     def edge_features(self, positions: np.ndarray) -> T.Tensor:
         """Embed pairwise displacements: edge[..., i, j, :] = f(p_i - p_j)."""
         return T.affine(T.Tensor(_displacements(positions)), self.edge_W, self.edge_b)
-
-    def _heads(self, key: str) -> T.Tensor:
-        """One per-head parameter, all heads side by side on the last axis."""
-        return T.concat(self.head_params[key], axis=-1)
 
     def forward(self, h: T.Tensor, positions: np.ndarray):
         """h [..., N, in_dim], positions [..., N, 2] -> ([..., N, heads*head_out]
@@ -93,26 +110,25 @@ class GraphAttentionLayer:
         lead, n = h.data.shape[:-2], h.data.shape[-2]
         if positions.shape != lead + (n, 2):
             raise ShapeError(f"positions {positions.shape} for node features {h.shape}")
-        heads, width, r = self.heads, self.head_out, len(lead)
+        blocks, r = self.blocks, len(lead)
         to_heads = (r + 1,) + tuple(range(r + 1))   # [..., N, heads] -> [heads, ..., N]
 
-        u = T.affine(h, self._heads("Wh"), self._heads("bh"))
-        gate_pre = T.affine(h, self._heads("Wg"), self._heads("bg")) if self.separate_gate else None
-        g = T.reshape(gated_transform(u, gate_pre), lead + (n, heads, width))
-        g = T.transpose(g, to_heads + (r + 2,))   # [heads, ..., N, width]
+        u = T.head_affine(h, blocks["val.W"], blocks["val.b"])   # [heads, ..., N, width]
+        gate_pre = (T.head_affine(h, blocks["gate.W"], blocks["gate.b"])
+                    if self.separate_gate else None)
+        g = gated_transform(u, gate_pre)
         # Logit (k, i, j) is src[i, k] + dst[j, k]. The edge term is linear
         # in the displacement: a_e . (W (p_i - p_j) + b) = q_i . v - q_j . v
         # + b . a_e with v = W a_e, so it folds into the per-node scores.
         # q centres each step on its pedestrian 0, which keeps the scores
         # unchanged under a shift of the scene.
-        w1, w2 = self._heads("w1"), self._heads("w2")
         if self.use_edges:
-            ae = self._heads("ae")
+            ae = T.transpose(blocks["ae"], (1, 0))   # [width, heads]
             qv = T.affine(T.Tensor(positions - positions[..., :1, :]), T.affine(self.edge_W, ae))
-            src = T.add(T.affine(h, w1, T.affine(self.edge_b, ae)), qv)
-            dst = T.sub(T.affine(h, w2), qv)
+            src = T.add(T.affine(h, self.w1, T.affine(self.edge_b, ae)), qv)
+            dst = T.sub(T.affine(h, self.w2), qv)
         else:
-            src, dst = T.affine(h, w1), T.affine(h, w2)
+            src, dst = T.affine(h, self.w1), T.affine(h, self.w2)
         alpha = T.pair_softmax(T.transpose(src, to_heads), T.transpose(dst, to_heads), self.slope)
 
         per_head = T.leaky_relu(T.matmul(alpha, g), self.slope)

@@ -4,8 +4,8 @@ The store keeps every parameter's values and gradient as views into two
 flat buffers (see ParameterStore); the moments are two flat vectors with
 the same layout, so a step is one in-place pass over every parameter
 value at once. A gradient a caller rebound instead of writing into its
-view is copied into the buffer first. The store must not gain
-parameters once an Adam holds it.
+view is copied into the buffer first. The store must not take more
+space (a name or a block) once an Adam holds it.
 """
 
 from __future__ import annotations
@@ -20,10 +20,10 @@ class Adam:
     """Keeps first/second moments as flat vectors; updates in place.
 
     The moments and two scratch vectors are sized from ``params`` here, so
-    the store must not gain parameters afterwards (``step`` raises
-    ContractError if it has). Each step writes every temporary into the
-    scratch vectors: fresh temporaries of the store's size would map new
-    pages on every step.
+    the store must not take more space afterwards: ``step`` raises
+    ContractError if a name or a reserved block has taken some. Each step
+    writes every temporary into the scratch vectors: fresh temporaries of
+    the store's size would map new pages on every step.
 
     The very first step with gradient g moves each weight by
     -lr * g / (|g| + eps), since the bias-corrected moments are exactly
@@ -40,7 +40,6 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self._count = len(params)
         n = params.n_values()
         self.m = np.zeros(n)
         self.v = np.zeros(n)
@@ -48,9 +47,9 @@ class Adam:
 
     def step(self):
         params = self.params
-        if len(params) != self._count:
+        if params.n_values() != self.m.size:
             raise ContractError(
-                f"store has {len(params)} parameters, Adam was built for {self._count}"
+                f"store holds {params.n_values()} values, Adam was built for {self.m.size}"
             )
         for (name, p), view in zip(params.items(), params.grad_views()):
             g = p.grad

@@ -2,11 +2,11 @@
 
 Each layer is a tanh gate times a sigmoid filter, both causal
 convolutions over time (WaveNet's gated activation). The two run fused:
-one conv1d_causal over the stacked gate and filter weights, which is one
-im2col matmul, and the result is split in half along channels. Left zero
-padding keeps output length equal to input length and makes step t blind
-to steps after t. Pedestrians never mix here; the batch axis of
-conv1d_causal carries them.
+gate and filter weights are the two halves of one parameter block, so a
+layer is one conv1d_causal (one im2col matmul) and one gated_activation
+over the halves of its output channels. Left zero padding keeps output
+length equal to input length and makes step t blind to steps after t.
+Pedestrians never mix here; the batch axis of conv1d_causal carries them.
 """
 
 from __future__ import annotations
@@ -29,29 +29,26 @@ def receptive_field(kernel: int, dilations) -> int:
 class GatedConvLayer:
     """tanh(conv_g(h)) * sigmoid(conv_f(h)), both causal.
 
-    The gate and filter weights stay separate parameters (checkpoint
-    names ``{prefix}.gate.*`` and ``{prefix}.filt.*``) but run as one
-    convolution over their [2 * C_out, C_in, k] concatenation.
+    The gate and filter weights keep separate checkpoint names
+    (``{prefix}.gate.*`` and ``{prefix}.filt.*``) as the two halves of one
+    [2 * C_out, C_in, k] weight block and one [2 * C_out] bias block, so
+    the layer is one convolution and one gated_activation.
     """
 
     def __init__(self, store, prefix: str, c_in: int, c_out: int, kernel: int,
                  dilation: int, rng: np.random.Generator):
         self.dilation = dilation
         fan_in, fan_out = c_in * kernel, c_out * kernel
-        self.Wg = store.add(f"{prefix}.gate.W", xavier_uniform(rng, fan_in, fan_out, (c_out, c_in, kernel)))
-        self.bg = store.add(f"{prefix}.gate.b", np.zeros(c_out))
-        self.Wf = store.add(f"{prefix}.filt.W", xavier_uniform(rng, fan_in, fan_out, (c_out, c_in, kernel)))
-        self.bf = store.add(f"{prefix}.filt.b", np.zeros(c_out))
+        self.W = store.reserve((2 * c_out, c_in, kernel))
+        self.b = store.reserve((2 * c_out,))
+        for half, name in enumerate(("gate", "filt")):
+            W = xavier_uniform(rng, fan_in, fan_out, (c_out, c_in, kernel))
+            store.add(f"{prefix}.{name}.W", W, block=self.W, offset=half * W.size)
+            store.add(f"{prefix}.{name}.b", np.zeros(c_out), block=self.b, offset=half * c_out)
 
     def forward(self, h: T.Tensor) -> T.Tensor:
         """h is [N, C_in, T] -> [N, C_out, T]."""
-        c_out = self.Wg.data.shape[0]
-        W = T.concat([self.Wg, self.Wf], axis=0)
-        b = T.concat([self.bg, self.bf], axis=0)
-        both = T.conv1d_causal(h, W, b, dilation=self.dilation)
-        gate = T.tanh(T.slice_axis(both, -2, 0, c_out))
-        filt = T.sigmoid(T.slice_axis(both, -2, c_out, 2 * c_out))
-        return T.mul(gate, filt)
+        return T.gated_activation(T.conv1d_causal(h, self.W, self.b, dilation=self.dilation), -2)
 
 
 class TemporalConvNet:

@@ -7,9 +7,13 @@ operation pairs a numpy forward pass with a hand-written backward rule
 that is recorded on the active Tape whenever an operand requires
 gradients. The op set is deliberately closed:
 only what the model needs, no implicit broadcasting (a 0-d scalar operand
-is the single exception in add/sub/mul). pair_softmax is the one fused op:
-it takes per-node scores and returns the row-softmaxed [..., N, N]
-attention, so attention logits never exist as separate N x N operands.
+is the single exception in add/sub/mul). Three ops are fused chains, each
+equal bit for bit to the chain it replaces: pair_softmax takes per-node
+scores and returns the row-softmaxed [..., N, N] attention, so attention
+logits never exist as separate N x N operands; head_affine runs every
+attention head's affine map from a head-major weight block; and
+gated_activation is the TCN's tanh(gate) * sigmoid(filter) over the two
+halves of one convolution output.
 
 Gradients accumulate into ``Tensor.grad`` buffers; callers zero them
 explicitly between optimizer steps. Running ``backward`` twice on the same
@@ -19,12 +23,15 @@ conv1d_causal skip the products for an operand that needs no gradient.
 
 ParameterStore keeps every parameter's data and gradient as views into
 two flat buffers, so zeroing all gradients is one fill and an optimizer
-step is a few whole-vector operations (see ParameterStore for the view
+step is a few whole-vector operations. Layers reserve blocks there in the
+layout they compute on and place their named parameters inside them, so
+no forward pass rebuilds a weight layout (see ParameterStore for the view
 contract).
 """
 
 from __future__ import annotations
 
+import math
 import threading
 
 import numpy as np
@@ -220,6 +227,41 @@ def affine(x, W, b=None) -> Tensor:
     return out
 
 
+def head_affine(x, W, b) -> Tensor:
+    """Per-head affine maps: x [..., in], W [H, in, out], b [H, out] ->
+    [H, ..., out], head k being x @ W[k] + b[k].
+
+    Runs as one product over the heads laid side by side ([in, H * out]),
+    and backward takes the input gradient as one product too, so every
+    head sums in the order of an affine over the side-by-side weights.
+    """
+    x, W, b = _as_tensor(x), _as_tensor(W), _as_tensor(b)
+    if W.data.ndim != 3:
+        raise ShapeError(f"head_affine weight must be [H, in, out], got {W.shape}")
+    heads, d_in, d_out = W.data.shape
+    if x.data.ndim < 1 or x.data.shape[-1] != d_in:
+        raise ShapeError(f"head_affine mismatch: x {x.shape} vs W {W.shape}")
+    if b.data.shape != (heads, d_out):
+        raise ShapeError(f"head_affine bias {b.shape} vs W {W.shape}")
+    lead = x.data.shape[:-1]
+    x2 = x.data.reshape(-1, d_in)
+    W2 = W.data.transpose(1, 0, 2).reshape(d_in, heads * d_out)
+    out2 = x2 @ W2
+    out2 += b.data.reshape(-1)
+    out_data = out2.reshape(-1, heads, d_out).transpose(1, 0, 2)
+    out = Tensor(out_data.reshape((heads,) + lead + (d_out,)))
+
+    def bwd(g, x=x, W=W, b=b, x2=x2, W2=W2):
+        g2 = g.reshape(heads, -1, d_out).transpose(1, 0, 2).reshape(-1, heads * d_out)
+        if x.requires_grad:
+            _accumulate(x, (g2 @ W2.T).reshape(x.data.shape))
+        _accumulate(W, (x2.T @ g2).reshape(d_in, heads, d_out).transpose(1, 0, 2))
+        _accumulate(b, g2.sum(axis=0).reshape(heads, d_out))
+
+    _record(out, [x, W, b], bwd)
+    return out
+
+
 def matmul(a, b) -> Tensor:
     """Matrix product over the last two axes; leading axes must be equal."""
     a, b = _as_tensor(a), _as_tensor(b)
@@ -300,16 +342,51 @@ def tanh(x) -> Tensor:
     return out
 
 
+def _sigmoid(d: np.ndarray) -> np.ndarray:
+    # Split by sign to avoid overflow in exp.
+    e = np.exp(-np.abs(d))
+    return np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def sigmoid(x) -> Tensor:
     x = _as_tensor(x)
-    # Split by sign to avoid overflow in exp.
-    d = x.data
-    e = np.exp(-np.abs(d))
-    y = np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    y = _sigmoid(x.data)
     out = Tensor(y)
 
     def bwd(g, x=x, y=y):
         _accumulate(x, g * y * (1.0 - y))
+
+    _record(out, [x], bwd)
+    return out
+
+
+def gated_activation(x, axis: int) -> Tensor:
+    """tanh(first half) * sigmoid(second half) of ``x`` along ``axis``.
+
+    WaveNet's gated activation on a stacked gate+filter output. Equals
+    mul(tanh(slice_axis(x, ...)), sigmoid(slice_axis(x, ...))) bit for bit,
+    as one op; backward keeps that chain's order of operations.
+    """
+    x = _as_tensor(x)
+    axis = _norm_axis(axis, x.data.ndim)
+    c2 = x.data.shape[axis]
+    if c2 % 2:
+        raise ShapeError(f"gated_activation needs an even extent at axis {axis}, got {x.shape}")
+    first = [slice(None)] * x.data.ndim
+    second = list(first)
+    first[axis], second[axis] = slice(0, c2 // 2), slice(c2 // 2, c2)
+    first, second = tuple(first), tuple(second)
+    # Contiguous copies of the halves, as the unfused chain's slices make.
+    a = np.tanh(x.data[first].copy())
+    s = _sigmoid(x.data[second].copy())
+    out = Tensor(a * s)
+
+    def bwd(g, x=x, a=a, s=s):
+        if x.requires_grad:
+            gx = np.empty(x.data.shape)
+            gx[first] = (g * s) * (1.0 - a * a)
+            gx[second] = ((g * a) * s) * (1.0 - s)
+            _accumulate(x, gx)
 
     _record(out, [x], bwd)
     return out
@@ -423,7 +500,9 @@ def transpose(x, axes) -> Tensor:
     if sorted(axes) != list(range(x.data.ndim)):
         raise ShapeError(f"transpose axes {axes} invalid for shape {x.shape}")
     out = Tensor(np.ascontiguousarray(x.data.transpose(axes)))
-    inv = tuple(np.argsort(axes))
+    inv = [0] * len(axes)
+    for i, a in enumerate(axes):
+        inv[a] = i
 
     def bwd(g, x=x, inv=inv):
         _accumulate(x, g.transpose(inv))
@@ -655,39 +734,117 @@ class ParameterStore:
     """Named, ordered, shaped learnable parameters; the checkpoint unit.
 
     Every parameter's ``data`` and ``grad`` are views into two contiguous
-    float64 buffers, laid out in store order, so an optimizer step or a
-    gradient reset is a handful of whole-vector operations. The buffers
-    double in capacity while parameters are added; each tensor already
-    handed out is re-pointed at the new buffers, so it stays valid.
+    float64 buffers, so an optimizer step or a gradient reset is a handful
+    of whole-vector operations. Names keep the order they were added in,
+    which is the checkpoint order; the buffer order can differ. A layer may
+    ``reserve`` one block per weight in the layout it computes on (all
+    heads together, or gate and filter together) and ``add`` its names at
+    offsets inside that block: the layer then computes on the block, while
+    every named entry stays a C-contiguous view that sees each update.
+    ``view`` derives one more view (a transpose, a subset of rows) of a
+    block or a named entry, for an op that wants another layout. The
+    buffers double in capacity while space is taken; every tensor already
+    handed out (name, block or view) is re-pointed at the new buffers, so
+    it stays valid.
 
     The view contract: write ``data`` in place (never rebind it). A caller
-    may rebind ``grad``; ``zero_grads`` points it back at its view, and
-    ``Adam.step`` copies it into the buffer. An ``Adam`` sizes its moments
-    from the store when it is built, so the store must not gain
-    parameters after that.
+    may rebind a named entry's ``grad``; ``zero_grads`` points it back at
+    its view, and ``Adam.step`` copies it into the buffer. An ``Adam``
+    sizes its moments from the store when it is built, so the store must
+    not take more space after that.
     """
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
         self._grad_views: list[np.ndarray] = []
+        # id(tensor) -> the function that cuts its view from a buffer, for
+        # every tensor handed out; blocks and views also keep a list.
+        self._makes: dict[int, object] = {}
+        self._other_makes: list = []
+        # id(block) -> (start, stop, [(start, stop, name) placed inside]).
+        self._blocks: dict[int, tuple] = {}
         self._size = 0
         self._data = np.zeros(0)
         self._grad = np.zeros(0)
 
-    def add(self, name: str, values: np.ndarray) -> Tensor:
+    def add(self, name: str, values: np.ndarray, block: Tensor = None,
+            offset: int = 0) -> Tensor:
+        """Register ``name`` with initial ``values``.
+
+        Without ``block`` the values take fresh space at the end of the
+        buffers. With ``block`` (a tensor from ``reserve``) they are placed
+        ``offset`` values into it; the placement must lie inside the block
+        and must not overlap a name placed there before.
+        """
         if name in self._params:
             raise ContractError(f"duplicate parameter name {name!r}")
         values = np.asarray(values, dtype=np.float64)
-        start, stop = self._size, self._size + values.size
-        if stop > self._data.size:
-            self._grow(max(stop, 2 * self._data.size))
-        self._data[start:stop] = values.reshape(-1)
-        self._size = stop
-        t = Tensor(self._data[start:stop].reshape(values.shape))
-        t.requires_grad = True
-        t.grad = self._grad[start:stop].reshape(values.shape)
+        if block is None:
+            start = self._take(values.size)
+        else:
+            start = self._place(name, block, offset, values.size)
+        make = _region(start, values.shape)
+        t = self._hand_out(make)
+        t.data[...] = values
         self._params[name] = t
         self._grad_views.append(t.grad)
+        return t
+
+    def reserve(self, shape) -> Tensor:
+        """Take one zeroed block of ``shape`` for names to be placed into."""
+        shape = tuple(shape)
+        size = math.prod(shape)
+        start = self._take(size)
+        make = _region(start, shape)
+        t = self._hand_out(make)
+        self._other_makes.append((t, make))
+        self._blocks[id(t)] = (start, start + size, [])
+        return t
+
+    def view(self, base: Tensor, fn) -> Tensor:
+        """A tensor whose data and grad are ``fn`` of ``base``'s, where
+        ``base`` is a name, block or view of this store and ``fn`` returns
+        a view (not a copy) of the array it is given."""
+        base_make = self._makes.get(id(base))
+        if base_make is None:
+            raise ContractError("view of a tensor this store did not hand out")
+
+        def make(buf, base_make=base_make, fn=fn):
+            return fn(base_make(buf))
+
+        if base.size and not np.may_share_memory(make(self._data), self._data):
+            raise ContractError("view function returned a copy, not a view")
+        t = self._hand_out(make)
+        self._other_makes.append((t, make))
+        return t
+
+    def _take(self, size: int) -> int:
+        start, stop = self._size, self._size + size
+        if stop > self._data.size:
+            self._grow(max(stop, 2 * self._data.size))
+        self._size = stop
+        return start
+
+    def _place(self, name: str, block: Tensor, offset: int, size: int) -> int:
+        entry = self._blocks.get(id(block))
+        if entry is None:
+            raise ContractError(f"{name!r}: block was not reserved in this store")
+        start, stop, placed = entry
+        lo, hi = start + offset, start + offset + size
+        if offset < 0 or hi > stop:
+            raise ContractError(
+                f"{name!r}: values [{offset}, {offset + size}) outside a block of {stop - start}")
+        for a, b, other in placed:
+            if lo < b and a < hi:
+                raise ContractError(f"{name!r} overlaps {other!r} in its block")
+        placed.append((lo, hi, name))
+        return lo
+
+    def _hand_out(self, make) -> Tensor:
+        t = Tensor(make(self._data))
+        t.requires_grad = True
+        t.grad = make(self._grad)
+        self._makes[id(t)] = make
         return t
 
     def _grow(self, capacity: int):
@@ -695,15 +852,15 @@ class ParameterStore:
         data[:self._size] = self._data[:self._size]
         grad[:self._size] = self._grad[:self._size]
         self._data, self._grad = data, grad
-        start = 0
         for i, t in enumerate(self._params.values()):
-            stop = start + t.data.size
-            t.data = data[start:stop].reshape(t.data.shape)
-            view = grad[start:stop].reshape(t.data.shape)
+            make = self._makes[id(t)]
+            t.data = make(data)
+            view = make(grad)
             if t.grad is self._grad_views[i]:
                 t.grad = view
             self._grad_views[i] = view
-            start = stop
+        for t, make in self._other_makes:
+            t.data, t.grad = make(data), make(grad)
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
@@ -724,11 +881,11 @@ class ParameterStore:
         return list(self._params.values())
 
     def flat(self) -> tuple[np.ndarray, np.ndarray]:
-        """The data and gradient buffers as two vectors, in store order."""
+        """The data and gradient buffers as two vectors, in buffer order."""
         return self._data[:self._size], self._grad[:self._size]
 
     def grad_views(self) -> list[np.ndarray]:
-        """Each parameter's view into the gradient buffer, in store order."""
+        """Each parameter's view into the gradient buffer, in name order."""
         return self._grad_views
 
     def zero_grads(self):
@@ -758,6 +915,16 @@ class ParameterStore:
             t.data[...] = arr
 
 
+def _region(start: int, shape: tuple):
+    """The view of ``shape`` that starts ``start`` values into a buffer."""
+    stop = start + math.prod(shape)
+
+    def make(buf):
+        return buf[start:stop].reshape(shape)
+
+    return make
+
+
 def finite_difference_check(f, params: ParameterStore, h: float = 1e-5) -> float:
     """Compare tape gradients of a scalar function against central differences.
 
@@ -781,6 +948,9 @@ def finite_difference_check(f, params: ParameterStore, h: float = 1e-5) -> float
     worst = 0.0
     for name, t in params.items():
         flat = t.data.reshape(-1)
+        if flat.size and not np.may_share_memory(flat, t.data):
+            raise ContractError(f"parameter {name!r} is not contiguous; perturbing it would "
+                                "change a copy")
         aflat = analytic[name].reshape(-1)
         for i in range(flat.size):
             orig = flat[i]

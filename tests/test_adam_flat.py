@@ -49,6 +49,15 @@ def test_store_grown_after_adam_is_rejected():
         opt.step()
 
 
+def test_store_with_a_block_reserved_after_adam_is_rejected():
+    store = ParameterStore()
+    store.add("w", np.ones(3))
+    opt = Adam(store, lr=0.1)
+    store.reserve((2, 2))
+    with pytest.raises(ContractError):
+        opt.step()
+
+
 shapes = st.lists(st.lists(st.integers(1, 4), max_size=3).map(tuple), min_size=1, max_size=5)
 
 

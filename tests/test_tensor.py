@@ -47,6 +47,12 @@ def tape_and_central_gradients(build, x, h=1e-5):
     return p.grad, numeric
 
 
+def same_memory(a, b):
+    """Both arrays are C-contiguous and cover the same bytes."""
+    return (a.flags.c_contiguous and b.flags.c_contiguous and a.nbytes == b.nbytes
+            and a.__array_interface__["data"][0] == b.__array_interface__["data"][0])
+
+
 class TestForwardValues:
     def test_affine_identity(self):
         out = T.affine([1.0, 2.0], np.eye(2), [0.0, 0.0])
@@ -170,6 +176,82 @@ class TestForwardValues:
             T.pair_softmax(np.zeros((2, 3)), np.zeros(3))
         with pytest.raises(ShapeError):
             T.pair_softmax(np.zeros(()), np.zeros(()))
+
+    @pytest.mark.parametrize("shape,axis,via_conv", [
+        ((2, 6, 5), -2, True), ((2, 6, 5), -2, False), ((4, 3), 0, False), ((3, 2, 8), 2, False)])
+    def test_gated_activation_equals_unfused_chain(self, shape, axis, via_conv):
+        # Values and input gradients, bit for bit. via_conv feeds the
+        # channel-transposed (strided) view conv1d_causal returns, as in
+        # GatedConvLayer.
+        rng = np.random.default_rng(sum(shape))
+        x = rng.normal(size=shape) * 3.0
+        W = rng.normal(size=(shape[1], shape[1], 2))
+        a = axis % len(shape)
+        c = shape[a] // 2
+        w = rng.normal(size=shape[:a] + (c,) + shape[a + 1:])
+
+        def chain(t):
+            return T.mul(T.tanh(T.slice_axis(t, axis, 0, c)),
+                         T.sigmoid(T.slice_axis(t, axis, c, 2 * c)))
+
+        results = []
+        for op in (chain, lambda t: T.gated_activation(t, axis)):
+            store = T.ParameterStore()
+            p = store.add("x", x)
+            with T.Tape() as tape:
+                out = op(T.conv1d_causal(p, W) if via_conv else p)
+                T.backward(T.reduce_sum(T.mul(out, T.Tensor(w))), tape)
+            results.append((out.data, p.grad.copy()))
+        (ref, ref_grad), (out, grad) = results
+        assert out.shape == w.shape
+        assert (out == ref).all() and (grad == ref_grad).all()
+
+    def test_gated_activation_needs_even_extent(self):
+        with pytest.raises(ShapeError):
+            T.gated_activation(np.zeros((2, 3)), -1)
+
+    @pytest.mark.parametrize("heads,lead", [(1, (5,)), (2, (3, 4)), (3, (2, 2, 3))])
+    def test_head_affine_equals_affine_over_side_by_side_heads(self, heads, lead):
+        # The unfused chain: affine over the heads' weights concatenated on
+        # the output axis, then heads moved to the front. Values and every
+        # gradient, bit for bit.
+        rng = np.random.default_rng(heads)
+        d_in, d_out = 6, 4
+        x = rng.normal(size=lead + (d_in,))
+        W = rng.normal(size=(heads, d_in, d_out))
+        b = rng.normal(size=(heads, d_out))
+        w = rng.normal(size=(heads,) + lead + (d_out,))
+        r = len(lead)
+
+        store = T.ParameterStore()
+        px = store.add("x", x)
+        pW = store.add("Wcat", np.concatenate(list(W), axis=-1))
+        pb = store.add("bcat", b.reshape(-1))
+        with T.Tape() as tape:
+            ref = T.affine(px, pW, pb)
+            ref = T.transpose(T.reshape(ref, lead + (heads, d_out)),
+                              (r,) + tuple(range(r)) + (r + 1,))
+            T.backward(T.reduce_sum(T.mul(ref, T.Tensor(w))), tape)
+
+        store2 = T.ParameterStore()
+        qx, qW, qb = store2.add("x", x), store2.add("W", W), store2.add("b", b)
+        with T.Tape() as tape:
+            out = T.head_affine(qx, qW, qb)
+            T.backward(T.reduce_sum(T.mul(out, T.Tensor(w))), tape)
+
+        assert out.shape == (heads,) + lead + (d_out,)
+        assert (out.data == ref.data).all()
+        assert (qx.grad == px.grad).all()
+        assert (np.concatenate(list(qW.grad), axis=-1) == pW.grad).all()
+        assert (qb.grad.reshape(-1) == pb.grad).all()
+
+    def test_head_affine_shapes_checked(self):
+        with pytest.raises(ShapeError):
+            T.head_affine(np.zeros((3, 4)), np.zeros((4, 2)), np.zeros(2))
+        with pytest.raises(ShapeError):
+            T.head_affine(np.zeros((3, 4)), np.zeros((2, 5, 2)), np.zeros((2, 2)))
+        with pytest.raises(ShapeError):
+            T.head_affine(np.zeros((3, 4)), np.zeros((2, 4, 2)), np.zeros(4))
 
     def test_conv_identity_tap(self):
         # Kernel [0,0,1]: only the current-step tap fires.
@@ -352,6 +434,19 @@ class TestFiniteDifference:
 
         assert T.finite_difference_check(f, store) == 0.0
 
+    def test_rejects_a_parameter_that_reshapes_to_a_copy(self):
+        # A strided entry's reshape(-1) is a copy: perturbing it would leave
+        # the parameter unchanged and report a zero numeric gradient.
+        store = T.ParameterStore()
+        w = store.add("w", np.arange(9.0).reshape(3, 3))
+        w.data = w.data.T
+
+        def f(p):
+            return T.reduce_sum(T.mul(p["w"], p["w"]))
+
+        with pytest.raises(ContractError):
+            T.finite_difference_check(f, store)
+
     def test_affine_chain_tight(self):
         def f(p):
             return T.reduce_sum(T.affine(p["p0"], p["p1"], p["p2"]))
@@ -496,6 +591,38 @@ class TestFiniteDifference:
 
         err = fd_scalar(f, 3, [(2, 3, 5), (2, 3, 2), (2,)], seed=12)
         assert err < 1e-6
+
+    def test_head_affine_gradient(self):
+        w = np.random.default_rng(17).normal(size=(2, 3, 4, 5))
+
+        def f(p):
+            y = T.head_affine(p["p0"], p["p1"], p["p2"])
+            return T.reduce_sum(T.mul(T.tanh(y), T.Tensor(w)))
+
+        err = fd_scalar(f, 3, [(3, 4, 6), (2, 6, 5), (2, 5)], seed=18)
+        assert err < 1e-6
+
+    @pytest.mark.parametrize("axis", [0, -2])
+    def test_gated_activation_gradient(self, axis):
+        shape, out_shape = ((4, 6, 3), (2, 6, 3)) if axis == 0 else ((2, 6, 3), (2, 3, 3))
+        w = np.random.default_rng(19).normal(size=out_shape)
+
+        def f(p):
+            return T.reduce_sum(T.mul(T.gated_activation(p["p0"], axis), T.Tensor(w)))
+
+        err = fd_scalar(f, 1, [shape], seed=20)
+        assert err < 1e-6
+
+    def test_transpose_gradient_non_involutive(self):
+        # (1, 2, 0) is not its own inverse, so backward must invert it.
+        w = np.random.default_rng(21).normal(size=(3, 4, 2))
+
+        def build(p):
+            return T.reduce_sum(T.mul(T.tanh(T.transpose(p["p0"], (1, 2, 0))), T.Tensor(w)))
+
+        x = np.random.default_rng(22).uniform(-2.0, 2.0, size=(2, 3, 4))
+        analytic, numeric = tape_and_central_gradients(build, x)
+        np.testing.assert_allclose(analytic, numeric, rtol=1e-6, atol=1e-8)
 
     def test_min_gradient_off_ties(self):
         rng = np.random.default_rng(13)
@@ -651,6 +778,54 @@ class TestParameterStore:
                 data, np.concatenate([t.data.ravel() for t, _, _ in handed_out]))
             np.testing.assert_array_equal(
                 grad, np.concatenate([t.grad.ravel() for t, _, _ in handed_out]))
+
+    def test_names_placed_in_blocks_are_views_in_name_order(self):
+        store = T.ParameterStore()
+        rng = np.random.default_rng(62)
+        store.add("before", rng.normal(size=3))
+        blk = store.reserve((2, 3, 2))
+        first = rng.normal(size=(3, 2))
+        second = rng.normal(size=(3, 2))
+        store.add("b1", second, block=blk, offset=6)
+        store.add("b0", first, block=blk, offset=0)
+        tr = store.view(blk, lambda a: a.transpose(0, 2, 1))
+        assert store.names() == ["before", "b1", "b0"]
+        assert store.n_values() == 15
+        for i in range(2):
+            np.testing.assert_array_equal(blk.data, np.stack([first, second]))
+            np.testing.assert_array_equal(tr.data, np.stack([first.T, second.T]))
+            for t, k in ((store["b0"], 0), (store["b1"], 1)):
+                assert same_memory(t.data, blk.data[k]) and same_memory(t.grad, blk.grad[k])
+            assert np.shares_memory(tr.grad, blk.grad)
+            store.add(f"grow{i}", np.zeros(100))   # forces the buffers to move
+        blk.grad[...] = rng.normal(size=blk.shape)
+        np.testing.assert_array_equal(np.stack([store["b0"].grad, store["b1"].grad]), blk.grad)
+
+    @pytest.mark.parametrize("offset,size", [(-1, 2), (5, 2), (6, 1), (1, 2), (2, 3)])
+    def test_add_rejects_placement_outside_or_overlapping(self, offset, size):
+        store = T.ParameterStore()
+        blk = store.reserve((6,))
+        store.add("a", np.ones(2), block=blk, offset=0)
+        store.add("b", np.ones(2), block=blk, offset=3)
+        with pytest.raises(ContractError):
+            store.add("c", np.ones(size), block=blk, offset=offset)
+        assert "c" not in store
+
+    def test_add_rejects_a_block_from_elsewhere(self):
+        store, other = T.ParameterStore(), T.ParameterStore()
+        w = store.add("w", np.ones(4))
+        with pytest.raises(ContractError):
+            store.add("x", np.ones(2), block=other.reserve((4,)))
+        with pytest.raises(ContractError):
+            store.add("y", np.ones(2), block=w)
+
+    def test_view_must_not_copy(self):
+        store = T.ParameterStore()
+        blk = store.reserve((2, 3))
+        with pytest.raises(ContractError):
+            store.view(blk, lambda a: a.T.reshape(-1))
+        with pytest.raises(ContractError):
+            store.view(T.Tensor(np.ones(3)), lambda a: a)
 
     def test_load_arrays_writes_nothing_on_a_late_mismatch(self):
         store = T.ParameterStore()

@@ -14,6 +14,11 @@ from pathlib import Path
 from .errors import ConfigError
 
 VARIANTS = ("graphtcn", "graphtcn_g", "no_efgat", "vanilla_gat")
+# Keys whose code is gone, with the one value each still accepts. They
+# stay fields because every v1 checkpoint's config text names them. The
+# variety loss is unweighted, attention gates each value by itself, and
+# every leaky_relu uses the GAT slope 0.2.
+RETIRED = {"variety_weight": 1.0, "leaky_slope": 0.2, "separate_gate": False}
 
 
 @dataclass
@@ -43,13 +48,13 @@ class ModelConfig:
     variant: str = "graphtcn"
     lr: float = 1e-4
     epochs: int = 50
-    variety_weight: float = 1.0
+    variety_weight: float = 1.0     # retired
     kl_weight_early: float = 0.5
     kl_weight_late: float = 0.2
     kl_switch_epoch: int = 15
     seed: int = 0
-    leaky_slope: float = 0.2
-    separate_gate: bool = False
+    leaky_slope: float = 0.2        # retired
+    separate_gate: bool = False     # retired
 
     def __post_init__(self):
         if not self.tcn_dilations:
@@ -80,6 +85,11 @@ class ModelConfig:
             raise ConfigError(f"lr must be positive, got {self.lr}")
         if self.decoder_hidden < 0:
             raise ConfigError(f"decoder_hidden must be >= 0, got {self.decoder_hidden}")
+        for name, value in RETIRED.items():
+            if getattr(self, name) != value:
+                raise ConfigError(
+                    f"{name} is retired and accepts only {value!r}, got {getattr(self, name)!r}"
+                )
 
     # Derived quantities -------------------------------------------------
 

@@ -88,8 +88,7 @@ class _Head:
     """
 
     def __init__(self, store, prefix: str, groups: int, shared_dim: int, draw_dim: int,
-                 out_dim: int, hidden: int, slope: float, rng):
-        self.slope = slope
+                 out_dim: int, hidden: int, rng):
         in_dim = groups * (shared_dim + draw_dim)
         if hidden > 0:
             self.h_W, self.h_b = add_affine(store, f"{prefix}.hidden", in_dim, hidden, rng)
@@ -119,7 +118,7 @@ class _Head:
             draw = _tile(draw, 1, n)
         x = T.add(_tile(T.affine(shared, W_shared, b), 0, m), draw)
         if self.h_W is not None:
-            x = T.affine(T.leaky_relu(x, self.slope), self.W, self.b)
+            x = T.affine(T.leaky_relu(x), self.W, self.b)
         return x
 
 
@@ -127,7 +126,7 @@ class MlpDecoder:
     """Shared-noise decoder: concat(embedding, noise) -> offsets."""
 
     def __init__(self, store, prefix: str, t_obs: int, t_pred: int,
-                 feat_dim: int, noise_dim: int, rng, hidden: int = 0, slope: float = 0.2):
+                 feat_dim: int, noise_dim: int, rng, hidden: int = 0):
         self.t_obs = t_obs
         self.t_pred = t_pred
         self.feat_dim = feat_dim
@@ -135,7 +134,7 @@ class MlpDecoder:
         # Input rows interleave per observed step: feat_dim embedding rows,
         # then noise_dim noise rows.
         self.head = _Head(store, f"{prefix}.out", t_obs, feat_dim, noise_dim,
-                          t_pred * 2, hidden, slope, rng)
+                          t_pred * 2, hidden, rng)
 
     def forward(self, h: T.Tensor, noise: np.ndarray) -> T.Tensor:
         """h [N, T_obs, F2], noise [M, T_obs, F3] -> offsets [M, N, T_pred, 2]."""
@@ -153,7 +152,7 @@ class CvaeDecoder:
     """Latent-variable decoder with a ground-truth-future posterior."""
 
     def __init__(self, store, prefix: str, t_obs: int, t_pred: int,
-                 feat_dim: int, latent_dim: int, rng, hidden: int = 0, slope: float = 0.2):
+                 feat_dim: int, latent_dim: int, rng, hidden: int = 0):
         self.t_obs = t_obs
         self.t_pred = t_pred
         self.feat_dim = feat_dim
@@ -165,7 +164,7 @@ class CvaeDecoder:
             store, f"{prefix}.posterior", self.flat_dim + latent_dim, 2 * latent_dim, rng
         )
         self.head = _Head(store, f"{prefix}.out", 1, self.flat_dim, latent_dim,
-                          t_pred * 2, hidden, slope, rng)
+                          t_pred * 2, hidden, rng)
 
     def flatten_embedding(self, h: T.Tensor) -> T.Tensor:
         n = h.data.shape[0]

@@ -26,16 +26,14 @@ from .errors import ShapeError
 from .init import add_affine, xavier_uniform
 
 
-def gated_transform(value_pre: T.Tensor, gate_pre: T.Tensor = None) -> T.Tensor:
-    """Self-gated value: u * tanh(u), or u * tanh(v) with a separate gate.
+def gated_transform(value_pre: T.Tensor) -> T.Tensor:
+    """Self-gated value: u * tanh(u).
 
     The gate saturates toward 1 for large pre-activations, so the
     transform passes large values through nearly unchanged while
     squashing small ones quadratically.
     """
-    if gate_pre is None:
-        gate_pre = value_pre
-    return T.mul(T.tanh(gate_pre), value_pre)
+    return T.mul(T.tanh(value_pre), value_pre)
 
 
 class GraphAttentionLayer:
@@ -50,21 +48,17 @@ class GraphAttentionLayer:
     graph residual.
 
     All heads run at once on head-major parameter blocks: [heads, in, out]
-    for the value (and gate) weights, [heads, out] for their biases and
-    a_e, [heads, in] for w1 and w2. Each head's checkpoint entry
+    for the value weights, [heads, out] for their biases and a_e,
+    [heads, in] for w1 and w2. Each head's checkpoint entry
     (``{prefix}.h{k}.*``) is the C-contiguous slice k of its block.
     """
 
     def __init__(self, store, prefix: str, in_dim: int, heads: int, head_out: int,
-                 rng: np.random.Generator, slope: float = 0.2,
-                 use_edges: bool = True, separate_gate: bool = False):
+                 rng: np.random.Generator, use_edges: bool = True):
         self.prefix = prefix
         self.in_dim = in_dim
         self.heads = heads
-        self.head_out = head_out
-        self.slope = slope
         self.use_edges = use_edges
-        self.separate_gate = separate_gate
         self.out_dim = heads * head_out
 
         if use_edges:
@@ -73,8 +67,6 @@ class GraphAttentionLayer:
         if use_edges:
             shapes["ae"] = (head_out,)
         shapes.update({"val.W": (in_dim, head_out), "val.b": (head_out,)})
-        if separate_gate:
-            shapes.update({"gate.W": (in_dim, head_out), "gate.b": (head_out,)})
         self.blocks = {key: store.reserve((heads,) + shape) for key, shape in shapes.items()}
         # Names are added head by head, which keeps the init draws and the
         # checkpoint in their per-head order; head k's entry is slice k.
@@ -89,9 +81,6 @@ class GraphAttentionLayer:
                 put("ae", xavier_uniform(rng, head_out, 1))
             put("val.W", xavier_uniform(rng, in_dim, head_out))
             put("val.b", np.zeros(head_out))
-            if separate_gate:
-                put("gate.W", xavier_uniform(rng, in_dim, head_out))
-                put("gate.b", np.zeros(head_out))
         # w1 and w2 enter affine as [in, heads].
         self.w1 = store.view(self.blocks["w1"], np.transpose)
         self.w2 = store.view(self.blocks["w2"], np.transpose)
@@ -113,10 +102,8 @@ class GraphAttentionLayer:
         blocks, r = self.blocks, len(lead)
         to_heads = (r + 1,) + tuple(range(r + 1))   # [..., N, heads] -> [heads, ..., N]
 
-        u = T.head_affine(h, blocks["val.W"], blocks["val.b"])   # [heads, ..., N, width]
-        gate_pre = (T.head_affine(h, blocks["gate.W"], blocks["gate.b"])
-                    if self.separate_gate else None)
-        g = gated_transform(u, gate_pre)
+        # g is [heads, ..., N, width].
+        g = gated_transform(T.head_affine(h, blocks["val.W"], blocks["val.b"]))
         # Logit (k, i, j) is src[i, k] + dst[j, k]. The edge term is linear
         # in the displacement: a_e . (W (p_i - p_j) + b) = q_i . v - q_j . v
         # + b . a_e with v = W a_e, so it folds into the per-node scores.
@@ -129,9 +116,9 @@ class GraphAttentionLayer:
             dst = T.sub(T.affine(h, self.w2), qv)
         else:
             src, dst = T.affine(h, self.w1), T.affine(h, self.w2)
-        alpha = T.pair_softmax(T.transpose(src, to_heads), T.transpose(dst, to_heads), self.slope)
+        alpha = T.pair_softmax(T.transpose(src, to_heads), T.transpose(dst, to_heads))
 
-        per_head = T.leaky_relu(T.matmul(alpha, g), self.slope)
+        per_head = T.leaky_relu(T.matmul(alpha, g))
         merged = T.reshape(T.transpose(per_head, tuple(range(1, r + 2)) + (0, r + 2)),
                            lead + (n, self.out_dim))
         out = T.add(merged, T.affine(h, self.res_W, self.res_b))
@@ -151,14 +138,10 @@ class SpatialEncoder:
     def __init__(self, store, cfg, rng: np.random.Generator):
         use_edges = cfg.variant != "vanilla_gat"
         self.embed_W, self.embed_b = add_affine(store, "embed", 4, cfg.embed_dim, rng)
-        self.gal1 = GraphAttentionLayer(
-            store, "gal1", cfg.embed_dim, cfg.gal1_heads, cfg.gal1_out, rng,
-            slope=cfg.leaky_slope, use_edges=use_edges, separate_gate=cfg.separate_gate,
-        )
-        self.gal2 = GraphAttentionLayer(
-            store, "gal2", self.gal1.out_dim, cfg.gal2_heads, cfg.gal2_out, rng,
-            slope=cfg.leaky_slope, use_edges=use_edges, separate_gate=cfg.separate_gate,
-        )
+        self.gal1 = GraphAttentionLayer(store, "gal1", cfg.embed_dim, cfg.gal1_heads,
+                                        cfg.gal1_out, rng, use_edges=use_edges)
+        self.gal2 = GraphAttentionLayer(store, "gal2", self.gal1.out_dim, cfg.gal2_heads,
+                                        cfg.gal2_out, rng, use_edges=use_edges)
         self.out_dim = self.gal2.out_dim
 
     def forward(self, features: T.Tensor, positions: np.ndarray):

@@ -18,9 +18,8 @@ from .errors import ContractError, DomainError, ShapeError
 
 @dataclass(frozen=True)
 class LossWeights:
-    """Objective weights; the latent term decays after the switch epoch."""
+    """KL weights of the latent variant; the term decays after the switch epoch."""
 
-    variety: float = 1.0
     kl_early: float = 0.5
     kl_late: float = 0.2
     switch_epoch: int = 15
@@ -29,7 +28,7 @@ class LossWeights:
         return self.kl_early if epoch <= self.switch_epoch else self.kl_late
 
     def __post_init__(self):
-        if self.variety < 0 or self.kl_early < 0 or self.kl_late < 0:
+        if self.kl_early < 0 or self.kl_late < 0:
             raise ContractError("loss weights must be nonnegative")
 
 
@@ -103,13 +102,12 @@ def kl_diag_gaussian(mu: T.Tensor, sigma: T.Tensor, logvar: T.Tensor = None) -> 
 
 
 def combined_loss(variety: T.Tensor, kl: T.Tensor, weights: LossWeights, epoch: int) -> T.Tensor:
-    """variety-weighted + epoch-scheduled KL term."""
+    """Variety loss plus the epoch-scheduled KL term (none without a latent)."""
     if epoch < 1:
         raise ContractError(f"epoch must be >= 1, got {epoch}")
-    out = T.mul(variety, weights.variety)
-    if kl is not None:
-        out = T.add(out, T.mul(kl, weights.kl_at(epoch)))
-    return out
+    if kl is None:
+        return variety
+    return T.add(variety, T.mul(kl, weights.kl_at(epoch)))
 
 
 # ---------------------------------------------------------------------------

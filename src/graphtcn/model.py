@@ -52,17 +52,17 @@ class GraphTCN:
         if cfg.variant == "graphtcn_g":
             self.decoder = CvaeDecoder(
                 self.params, "dec", cfg.t_obs, cfg.t_pred, cfg.tcn_channels,
-                cfg.future_embed_dim, rng, hidden=cfg.decoder_hidden, slope=cfg.leaky_slope,
+                cfg.future_embed_dim, rng, hidden=cfg.decoder_hidden,
             )
         else:
             self.decoder = MlpDecoder(
                 self.params, "dec", cfg.t_obs, cfg.t_pred, cfg.tcn_channels,
-                cfg.noise_dim, rng, hidden=cfg.decoder_hidden, slope=cfg.leaky_slope,
+                cfg.noise_dim, rng, hidden=cfg.decoder_hidden,
             )
 
         self.loss_weights = LossWeights(
-            variety=cfg.variety_weight, kl_early=cfg.kl_weight_early,
-            kl_late=cfg.kl_weight_late, switch_epoch=cfg.kl_switch_epoch,
+            kl_early=cfg.kl_weight_early, kl_late=cfg.kl_weight_late,
+            switch_epoch=cfg.kl_switch_epoch,
         )
 
     # Forward pieces ------------------------------------------------------

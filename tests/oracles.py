@@ -21,8 +21,7 @@ def softmax_rows(e):
     return out
 
 
-def gal_oracle(h, pos, store, prefix, heads, head_out, slope=0.2, use_edges=True,
-               separate_gate=False):
+def gal_oracle(h, pos, store, prefix, heads, head_out, use_edges=True):
     """Loop evaluation of one attention layer from named parameters."""
     n = h.shape[0]
     p = {name: t.data for name, t in store.items()}
@@ -39,15 +38,11 @@ def gal_oracle(h, pos, store, prefix, heads, head_out, slope=0.2, use_edges=True
                 s = h[i] @ p[f"{prefix}.h{k}.w1"][:, 0] + h[j] @ p[f"{prefix}.h{k}.w2"][:, 0]
                 if use_edges:
                     s = s + edge[i, j] @ p[f"{prefix}.h{k}.ae"][:, 0]
-                e[i, j] = s if s >= 0 else slope * s
+                e[i, j] = s if s >= 0 else 0.2 * s
         a = softmax_rows(e)
         u = h @ p[f"{prefix}.h{k}.val.W"] + p[f"{prefix}.h{k}.val.b"]
-        if separate_gate:
-            v = h @ p[f"{prefix}.h{k}.gate.W"] + p[f"{prefix}.h{k}.gate.b"]
-            g = np.tanh(v) * u
-        else:
-            g = np.tanh(u) * u
-        outs.append(leaky(a @ g, slope))
+        g = np.tanh(u) * u
+        outs.append(leaky(a @ g))
         attn.append(a)
     merged = np.concatenate(outs, axis=1)
     res = h @ p[f"{prefix}.res.W"] + p[f"{prefix}.res.b"]
@@ -63,16 +58,14 @@ def spatial_oracle(features, positions, store, cfg):
     for t in range(t_obs):
         h0 = features[:, t, :] @ p["embed.W"] + p["embed.b"]
         h1, _ = gal_oracle(h0, positions[:, t, :], store, "gal1",
-                           cfg.gal1_heads, cfg.gal1_out, cfg.leaky_slope,
-                           use_edges, cfg.separate_gate)
+                           cfg.gal1_heads, cfg.gal1_out, use_edges=use_edges)
         h2, _ = gal_oracle(h1, positions[:, t, :], store, "gal2",
-                           cfg.gal2_heads, cfg.gal2_out, cfg.leaky_slope,
-                           use_edges, cfg.separate_gate)
+                           cfg.gal2_heads, cfg.gal2_out, use_edges=use_edges)
         out[:, t, :] = h2
     return out
 
 
-def decoder_oracle(h, draws, store, prefix, slope=0.2):
+def decoder_oracle(h, draws, store, prefix):
     """Loop evaluation of a decoder head on its explicitly concatenated input.
 
     Sampling head: h is the embedding [N, T_obs, F] and draws the noise
@@ -95,7 +88,7 @@ def decoder_oracle(h, draws, store, prefix, slope=0.2):
             else:
                 x = np.concatenate([h[n], draws[m, n]])
             if f"{prefix}.hidden.W" in p:
-                x = leaky(x @ p[f"{prefix}.hidden.W"] + p[f"{prefix}.hidden.b"], slope)
+                x = leaky(x @ p[f"{prefix}.hidden.W"] + p[f"{prefix}.hidden.b"])
             out.append(x @ p[f"{prefix}.W"] + p[f"{prefix}.b"])
     return np.array(out).reshape(n_draws, n_peds, -1, 2)
 

@@ -22,7 +22,6 @@ CONFIGS = [
     {"variant": "graphtcn_g"},
     {"variant": "no_efgat"},
     {"variant": "vanilla_gat"},
-    {"separate_gate": True},
     {"decoder_hidden": 16},
     {"gal1_heads": 3},
     {"gal2_heads": 2},
@@ -157,4 +156,4 @@ def test_training_step_tape_node_count_is_pinned():
     noise = model.draw_noise(np.random.default_rng(4), window.n_peds)
     with T.Tape() as tape:
         loss, _ = model.window_loss(window, 1, noise)
-    assert len(tape.nodes) == 72
+    assert len(tape.nodes) == 71

@@ -86,7 +86,7 @@ class TestTextForm:
         assert text == again
 
     def test_round_trip_preserves_values(self):
-        cfg = ModelConfig(lr=3e-5, tcn_layers=2, tcn_dilations=(2, 3), separate_gate=True)
+        cfg = ModelConfig(lr=3e-5, tcn_layers=2, tcn_dilations=(2, 3), decoder_hidden=5)
         back = ModelConfig.from_text(cfg.to_text())
         assert back == cfg
 
@@ -117,3 +117,33 @@ class TestTextForm:
         p.write_text("samples = 4\nvariant = vanilla_gat\n")
         cfg = ModelConfig.from_file(p)
         assert cfg.samples == 4 and cfg.variant == "vanilla_gat"
+
+
+# The default config text as every v1 checkpoint stores it, copied
+# literally so a change to the fields or their order shows here.
+V1_DEFAULT_TEXT = (
+    "t_obs = 8\nt_pred = 12\nframe_step = 10\nstride = 1\nembed_dim = 64\n"
+    "gal1_heads = 2\ngal1_out = 16\ngal2_heads = 1\ngal2_out = 32\n"
+    "tcn_channels = 16\ntcn_layers = 4\ntcn_kernel = 3\ntcn_dilations = 1,1,1,1\n"
+    "noise_dim = 4\nfuture_embed_dim = 64\ndecoder_hidden = 0\nsamples = 20\n"
+    "variant = graphtcn\nlr = 0.0001\nepochs = 50\nvariety_weight = 1.0\n"
+    "kl_weight_early = 0.5\nkl_weight_late = 0.2\nkl_switch_epoch = 15\nseed = 0\n"
+    "leaky_slope = 0.2\nseparate_gate = false\n"
+)
+
+
+class TestRetiredKeys:
+    @pytest.mark.parametrize("line", [
+        "variety_weight = 2.0", "variety_weight = 0.0",
+        "leaky_slope = 0.1", "leaky_slope = nan",
+        "separate_gate = true",
+    ])
+    def test_non_default_value_rejected_by_name(self, line):
+        key = line.split(" = ")[0]
+        with pytest.raises(ConfigError, match=key):
+            ModelConfig.from_text(line + "\n")
+
+    def test_v1_default_text_round_trips_on_bytes(self):
+        cfg = ModelConfig.from_text(V1_DEFAULT_TEXT)
+        assert cfg == ModelConfig()
+        assert cfg.to_text() == V1_DEFAULT_TEXT

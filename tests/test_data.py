@@ -257,3 +257,45 @@ class TestSceneLoading:
                            __import__("pathlib").Path("data/synthetic").glob("*.txt"))
         fresh = sorted((p.name, p.read_bytes()) for p in scene_dir.glob("*.txt"))
         assert committed == fresh
+
+
+class TestFrameGrid:
+    """The frames windows stand on, for bundled scenes stored every 10th frame."""
+
+    @staticmethod
+    def _key(windows):
+        return [(w.start_frame, w.ped_ids, w.positions.tobytes()) for w in windows]
+
+    @staticmethod
+    def _assert_on_grid(windows, path, step):
+        """Row t of each window is the record at start_frame + t * step."""
+        at = {(r.frame, r.ped_id): (r.x, r.y) for r in D.parse_trajectory_file(path)}
+        for w in windows:
+            for i, pid in enumerate(w.ped_ids):
+                for t in range(w.t_total):
+                    assert tuple(w.positions[i, t]) == at[(w.start_frame + t * step, pid)]
+
+    def test_unit_step_gives_the_stored_grid(self, scene_dir):
+        for name in D.discover_scenes(scene_dir):
+            dense = D.load_scene_windows(scene_dir, name, 8, 12, frame_step=1)
+            stored = D.load_scene_windows(scene_dir, name, 8, 12, frame_step=10)
+            assert dense and self._key(dense) == self._key(stored), name
+            self._assert_on_grid(dense, scene_dir / f"{name}.txt", 10)
+
+    def test_double_step_halves_the_grid(self, scene_dir):
+        wins = D.load_scene_windows(scene_dir, "zara1_like", 8, 12, frame_step=20)
+        assert len(wins) == 41
+        self._assert_on_grid(wins, scene_dir / "zara1_like.txt", 20)
+
+    @pytest.mark.parametrize("frame_step", [1, 10])
+    def test_no_window_bridges_a_gap(self, scene_dir, tmp_path, frame_step):
+        # Cut frames 510..590 out of zara1_like: the windows left are
+        # exactly the full scene's windows that stay clear of the cut.
+        lines = (scene_dir / "zara1_like.txt").read_text().splitlines(keepends=True)
+        kept = [ln for ln in lines if not 500 < int(ln.split()[0]) < 600]
+        (tmp_path / "gappy.txt").write_text("".join(kept))
+        full = D.load_scene_windows(scene_dir, "zara1_like", 8, 12, frame_step=frame_step)
+        gappy = D.load_scene_windows(tmp_path, "gappy", 8, 12, frame_step=frame_step)
+        clear = [w for w in full if w.start_frame + 19 * 10 <= 500 or w.start_frame >= 600]
+        assert len(clear) < len(full)
+        assert self._key(gappy) == self._key(clear)

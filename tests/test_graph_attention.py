@@ -69,10 +69,6 @@ class TestGatedTransform:
         g = gated_transform(Tensor([50.0]))
         np.testing.assert_allclose(g.data, [50.0], rtol=1e-12)
 
-    def test_separate_gate_branch(self):
-        g = gated_transform(Tensor([2.0]), Tensor([0.0]))
-        np.testing.assert_array_equal(g.data, [0.0])
-
 
 class TestAttention:
     def test_single_pedestrian_all_ones(self):
@@ -127,15 +123,6 @@ class TestLayerForward:
             o_out, o_attn = gal_oracle(h[t], pos[t], store, "gal", 3, 4)
             np.testing.assert_allclose(out.data[t], o_out, rtol=0, atol=1e-12)
             np.testing.assert_allclose(attn[:, t], o_attn, rtol=0, atol=1e-12)
-
-    def test_separate_gate_matches_oracle(self):
-        layer, store = make_layer(in_dim=4, heads=2, head_out=3, seed=23, separate_gate=True)
-        rng = np.random.default_rng(24)
-        h = rng.normal(size=(4, 4))
-        pos = rng.normal(size=(4, 2))
-        out, _ = layer.forward(Tensor(h), pos)
-        o_out, _ = gal_oracle(h, pos, store, "gal", 2, 3, separate_gate=True)
-        np.testing.assert_allclose(out.data, o_out, rtol=0, atol=1e-12)
 
     def test_no_edge_variant_ignores_positions(self):
         layer, _ = make_layer(in_dim=4, seed=25, use_edges=False)

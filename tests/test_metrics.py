@@ -231,7 +231,9 @@ class TestCombined:
 
     def test_negative_weights_rejected(self):
         with pytest.raises(ContractError):
-            LossWeights(variety=-1.0)
+            LossWeights(kl_early=-1.0)
+        with pytest.raises(ContractError):
+            LossWeights(kl_late=-1.0)
 
     def test_bad_epoch(self):
         with pytest.raises(ContractError):

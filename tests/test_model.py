@@ -196,16 +196,6 @@ def test_window_loss_rejects_wrong_noise_count():
         model.window_loss(w, 1, noise[:1])
 
 
-def test_plain_loss_is_weighted_variety():
-    cfg = tiny_cfg(variety_weight=2.0)
-    model = GraphTCN(cfg)
-    w = make_window()
-    noise = model.draw_noise(np.random.default_rng(3), 3)
-    loss, parts = model.window_loss(w, 1, noise)
-    assert parts["kl"] == 0.0
-    assert loss.item() == pytest.approx(2.0 * parts["variety"], rel=1e-12)
-
-
 def test_latent_loss_combines_kl_schedule():
     cfg = tiny_cfg(variant="graphtcn_g")
     model = GraphTCN(cfg)

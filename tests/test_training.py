@@ -81,6 +81,7 @@ def test_empty_training_set_rejected():
         train(fast_cfg(), Split(train_scenes=(), test_scene="linear"), DATA_DIR)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergence_raises_with_location():
     # An absurd learning rate overflows the decoder weights after the
     # first step; the next epoch's loss is non-finite.

@@ -136,6 +136,10 @@ def _cmd_bench(args) -> int:
     scene = args.scene if args.scene else discover_scenes(args.data)[0]
     windows = load_scene_windows(args.data, scene, cfg.t_obs, cfg.t_pred,
                                  stride=cfg.stride, frame_step=cfg.frame_step)
+    if not windows:
+        print(f"error: scene {scene!r} has no window of {cfg.t_obs + cfg.t_pred} steps",
+              file=sys.stderr)
+        return 2
     report = benchmark_inference(model, windows[0], args.repeats, m=args.samples,
                                  warmup=args.warmup)
     print(f"scene\t{scene} (window {windows[0].start_frame})")
@@ -150,14 +154,16 @@ def _cmd_dump_attn(args) -> int:
     from .training import model_from_checkpoint
 
     scene, _, start = args.window_id.partition(":")
-    if not start:
+    try:
+        start = int(start)
+    except ValueError:
         print("error: --window-id must be SCENE:START_FRAME", file=sys.stderr)
         return 2
     model = model_from_checkpoint(load_checkpoint(args.ckpt))
     cfg = model.cfg
     windows = load_scene_windows(args.data, scene, cfg.t_obs, cfg.t_pred,
                                  stride=cfg.stride, frame_step=cfg.frame_step)
-    matches = [w for w in windows if w.start_frame == int(start)]
+    matches = [w for w in windows if w.start_frame == start]
     if not matches:
         starts = [w.start_frame for w in windows]
         print(f"error: no window starting at {start} in {scene}; have {starts}",

@@ -102,17 +102,8 @@ class ModelConfig:
     # Text form -----------------------------------------------------------
 
     def to_text(self) -> str:
-        lines = []
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if f.name == "tcn_dilations":
-                v = ",".join(str(d) for d in v)
-            elif isinstance(v, bool):
-                v = "true" if v else "false"
-            elif isinstance(v, float):
-                v = repr(v)
-            lines.append(f"{f.name} = {v}")
-        return "\n".join(lines) + "\n"
+        return "".join(f"{f.name} = {_format_value(f, getattr(self, f.name))}\n"
+                       for f in fields(self))
 
     @classmethod
     def from_text(cls, text: str) -> "ModelConfig":
@@ -130,7 +121,7 @@ class ModelConfig:
                 raise ConfigError(f"line {line_no}: unknown key {key!r}")
             if key in values:
                 raise ConfigError(f"line {line_no}: duplicate key {key!r}")
-            values[key] = _parse_value(key, val, line_no)
+            values[key] = _parse_value(known[key], val, line_no)
         try:
             return cls(**values)
         except TypeError as e:
@@ -141,40 +132,41 @@ class ModelConfig:
         return cls.from_text(Path(path).read_text(encoding="utf-8"))
 
 
-_INT_KEYS = {
-    "t_obs", "t_pred", "frame_step", "stride", "embed_dim", "gal1_heads",
-    "gal1_out", "gal2_heads", "gal2_out", "tcn_channels", "tcn_layers",
-    "tcn_kernel", "noise_dim", "future_embed_dim", "decoder_hidden",
-    "samples", "epochs", "kl_switch_epoch", "seed",
-}
-_FLOAT_KEYS = {
-    "lr", "variety_weight", "kl_weight_early", "kl_weight_late", "leaky_slope",
-}
-_BOOL_KEYS = {"separate_gate"}
+# Field types are annotation strings (postponed annotations), one of
+# "int", "float", "bool", "str" and "tuple"; the text form follows them.
 
 
-def _parse_value(key: str, val: str, line_no: int):
-    if key in _INT_KEYS:
+def _format_value(f, v) -> str:
+    if f.type == "tuple":
+        return ",".join(str(d) for d in v)
+    if f.type == "bool":
+        return "true" if v else "false"
+    if f.type == "float":
+        return repr(float(v))
+    return str(v)
+
+
+def _parse_value(f, val: str, line_no: int):
+    key = f.name
+    if f.type == "int":
         try:
             return int(val)
         except ValueError:
             raise ConfigError(f"line {line_no}: {key} needs an integer, got {val!r}") from None
-    if key in _FLOAT_KEYS:
+    if f.type == "float":
         try:
             return float(val)
         except ValueError:
             raise ConfigError(f"line {line_no}: {key} needs a number, got {val!r}") from None
-    if key in _BOOL_KEYS:
+    if f.type == "bool":
         if val not in ("true", "false"):
             raise ConfigError(f"line {line_no}: {key} needs true/false, got {val!r}")
         return val == "true"
-    if key == "tcn_dilations":
+    if f.type == "tuple":
         if not val:
             return ()
         try:
             return tuple(int(p) for p in val.split(","))
         except ValueError:
             raise ConfigError(f"line {line_no}: bad dilation list {val!r}") from None
-    if key == "variant":
-        return val
-    raise ConfigError(f"line {line_no}: unhandled key {key!r}")
+    return val

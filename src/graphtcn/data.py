@@ -1,10 +1,10 @@
-"""Trajectory file parsing, resampling, windowing, splits, and features.
+"""Trajectory file parsing, windowing, splits, and features.
 
 Input files are whitespace-separated ``frame ped_id x y`` rows in world
-meters, one file per scene, '#' starting a comment line. Frames are
-resampled onto a stride grid anchored at the earliest frame, then sliced
-into observation+prediction windows containing only pedestrians present
-at every step.
+meters, one file per scene, '#' starting a comment line.
+``extract_windows`` alone decides the frame grid from ``frame_step`` and
+the recorded frames, then slices it into observation+prediction windows
+containing only pedestrians present at every step.
 """
 
 from __future__ import annotations
@@ -110,45 +110,39 @@ def parse_trajectory_file(path) -> list[RawRecord]:
     return records
 
 
-def resample_frames(records: list, frame_step: int) -> list:
-    """Keep records on the stride grid anchored at the earliest frame."""
-    if frame_step < 1:
-        raise ContractError(f"frame_step must be >= 1, got {frame_step}")
-    if not records or frame_step == 1:
-        return list(records)
-    base = min(r.frame for r in records)
-    return [r for r in records if (r.frame - base) % frame_step == 0]
-
-
-def _grid_step(frames: list) -> int:
-    gaps = [b - a for a, b in zip(frames, frames[1:]) if b > a]
-    return min(gaps) if gaps else 1
-
-
 def extract_windows(
     records: list,
     t_obs: int,
     t_pred: int,
     stride: int = 1,
     scene_name: str = "",
+    frame_step: int = 1,
 ) -> list:
-    """Slide a T_obs+T_pred window over the resampled frame grid.
+    """Slide a T_obs+T_pred window over the scene's frame grid.
 
-    The grid spacing is inferred as the smallest gap between occupied
-    frames. A pedestrian joins a window only if recorded at every one of
-    its frames; windows where nobody qualifies are dropped, so gaps where
-    the scene is empty produce no windows.
+    Only records on the ``frame_step`` lattice, counted from the scene's
+    earliest frame, are kept. The grid then steps by the smallest gap
+    between kept frames that hold a record: on data stored every 10th
+    frame, ``frame_step`` 1 or 10 gives rows 10 frames apart, and
+    ``frame_step=15`` gives rows 30 frames apart. A pedestrian joins a
+    window only if recorded at every one of its frames; windows where
+    nobody qualifies are dropped, so gaps where the scene is empty
+    produce no windows.
     """
     if t_obs < 1 or t_pred < 1 or stride < 1:
         raise ContractError(f"t_obs={t_obs}, t_pred={t_pred}, stride={stride} must all be >= 1")
+    if frame_step < 1:
+        raise ContractError(f"frame_step must be >= 1, got {frame_step}")
     if not records:
         return []
+    base = min(r.frame for r in records)
     by_frame: dict = {}
     for r in records:
-        by_frame.setdefault(r.frame, {})[r.ped_id] = (r.x, r.y)
+        if (r.frame - base) % frame_step == 0:
+            by_frame.setdefault(r.frame, {})[r.ped_id] = (r.x, r.y)
     frames = sorted(by_frame)
-    step = _grid_step(frames)
-    grid = list(range(frames[0], frames[-1] + 1, step))
+    step = min((b - a for a, b in zip(frames, frames[1:])), default=1)
+    grid = range(frames[0], frames[-1] + 1, step)
     t_total = t_obs + t_pred
 
     windows = []
@@ -219,12 +213,12 @@ def discover_scenes(data_dir) -> list:
 
 def load_scene_windows(data_dir, scene: str, t_obs: int, t_pred: int,
                        stride: int = 1, frame_step: int = 10) -> list:
-    """Parse, resample, and window a single scene file."""
+    """Parse and window a single scene file."""
     path = Path(data_dir) / f"{scene}.txt"
     if not path.is_file():
         raise DataError(f"scene file not found: {path}")
-    records = resample_frames(parse_trajectory_file(path), frame_step)
-    return extract_windows(records, t_obs, t_pred, stride=stride, scene_name=scene)
+    return extract_windows(parse_trajectory_file(path), t_obs, t_pred, stride=stride,
+                           scene_name=scene, frame_step=frame_step)
 
 
 def load_windows(data_dir, scenes, t_obs: int, t_pred: int,

@@ -63,17 +63,12 @@ class TemporalConvNet:
         dilations = tuple(dilations)
         if len(dilations) != layers:
             raise ShapeError(f"{len(dilations)} dilations for {layers} layers")
-        self.kernel = kernel
-        self.dilations = dilations
         self.layers = []
         for i in range(layers):
             c_in = in_dim if i == 0 else channels
             self.layers.append(
                 GatedConvLayer(store, f"{prefix}.l{i}", c_in, channels, kernel, dilations[i], rng)
             )
-
-    def receptive_field(self) -> int:
-        return receptive_field(self.kernel, self.dilations)
 
     def forward(self, h: T.Tensor) -> T.Tensor:
         """h is [N, T, C_in] -> [N, T, channels]."""

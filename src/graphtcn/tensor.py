@@ -68,9 +68,6 @@ class Tensor:
             raise ContractError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def zero_grad(self):
         if self.grad is None:
             self.grad = np.zeros_like(self.data)

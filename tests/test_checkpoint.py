@@ -52,6 +52,16 @@ def test_save_load_save_byte_identical(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_int_valued_float_fields_save_load_save_byte_identical(tmp_path):
+    p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+    cfg = ModelConfig(lr=1, kl_weight_late=0)
+    cfg.kl_weight_early = 1
+    save_checkpoint(p1, toy_store(), cfg)
+    ckpt = load_checkpoint(p1)
+    save_checkpoint(p2, toy_store(), ckpt.config)
+    assert p1.read_bytes() == p2.read_bytes()
+
+
 def test_bad_magic(tmp_path):
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, toy_store(), small_cfg())

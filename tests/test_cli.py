@@ -103,6 +103,15 @@ def test_bench_reports_timing(workdir, trained, capsys):
     assert "crossing" in out
 
 
+def test_bench_scene_without_a_window(trained, tmp_path, capsys):
+    # Ten frames of one walker: too short for an 8 + 12 step window.
+    (tmp_path / "short.txt").write_text("".join(f"{f * 10} 1 {f} 0\n" for f in range(10)))
+    rc = main(["bench", "--ckpt", str(trained), "--data", str(tmp_path),
+               "--repeats", "2", "--scene", "short"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_dump_attn_and_plots(workdir, trained, capsys):
     root, data, _ = workdir
     attn = root / "attn.txt"
@@ -132,6 +141,14 @@ def test_dump_attn_bad_window_id(workdir, trained, capsys):
                "--window-id", "crossing:999", "--out", str(root / "y.txt")])
     assert rc == 2
     assert "999" in capsys.readouterr().err
+
+
+def test_dump_attn_non_integer_start_frame(workdir, trained, capsys):
+    root, data, _ = workdir
+    rc = main(["dump-attn", "--ckpt", str(trained), "--data", str(data),
+               "--window-id", "crossing:x", "--out", str(root / "y.txt")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_dump_attn_refuses_attention_free_variant(workdir, capsys):

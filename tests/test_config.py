@@ -1,5 +1,7 @@
 """Configuration defaults, validation, and the key=value text round trip."""
 
+from dataclasses import fields
+
 import pytest
 
 from graphtcn.config import ModelConfig, VARIANTS
@@ -117,6 +119,24 @@ class TestTextForm:
         p.write_text("samples = 4\nvariant = vanilla_gat\n")
         cfg = ModelConfig.from_file(p)
         assert cfg.samples == 4 and cfg.variant == "vanilla_gat"
+
+    def test_int_given_to_float_field_is_canonical(self):
+        cfg = ModelConfig(lr=1, kl_weight_late=0)
+        text = cfg.to_text()
+        assert "lr = 1.0\n" in text and "kl_weight_late = 0.0\n" in text
+        assert ModelConfig.from_text(text).to_text() == text
+
+    def test_reassigned_field_is_canonical(self):
+        cfg = ModelConfig()
+        cfg.lr = 2
+        text = cfg.to_text()
+        assert "lr = 2.0\n" in text
+        assert ModelConfig.from_text(text).to_text() == text
+
+    def test_every_field_type_has_a_text_form(self):
+        # The text form is chosen by each field's declared type.
+        kinds = {f.type for f in fields(ModelConfig)}
+        assert kinds == {"int", "float", "bool", "str", "tuple"}
 
 
 # The default config text as every v1 checkpoint stores it, copied

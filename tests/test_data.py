@@ -83,27 +83,33 @@ def _rec(frame, ped=1, x=0.0, y=0.0):
 
 
 class TestResample:
+    """The frame_step lattice extract_windows keeps records on."""
+
+    @staticmethod
+    def _row_frames(recs, t_obs, t_pred, frame_step):
+        # Each test record carries its frame in x.
+        (w,) = D.extract_windows(recs, t_obs, t_pred, frame_step=frame_step)
+        return w.positions[0, :, 0].tolist()
+
     def test_full_grid_kept(self):
-        recs = [_rec(f) for f in (0, 10, 20, 30)]
-        assert len(D.resample_frames(recs, 10)) == 4
+        recs = [_rec(f, x=float(f)) for f in (0, 10, 20, 30)]
+        assert self._row_frames(recs, 2, 2, 10) == [0.0, 10.0, 20.0, 30.0]
 
     def test_step_one_identity(self):
-        recs = [_rec(f) for f in (3, 4, 7)]
-        assert D.resample_frames(recs, 1) == recs
+        recs = [_rec(f, x=float(f)) for f in (3, 4, 5, 6)]
+        assert self._row_frames(recs, 2, 2, 1) == [3.0, 4.0, 5.0, 6.0]
 
     def test_off_grid_dropped(self):
-        recs = [_rec(f) for f in (0, 5, 10)]
-        kept = D.resample_frames(recs, 10)
-        assert [r.frame for r in kept] == [0, 10]
+        recs = [_rec(f, x=float(f)) for f in (0, 5, 10)]
+        assert self._row_frames(recs, 1, 1, 10) == [0.0, 10.0]
 
     def test_anchored_at_min_frame(self):
-        recs = [_rec(f) for f in (7, 17, 22, 27)]
-        kept = D.resample_frames(recs, 10)
-        assert [r.frame for r in kept] == [7, 17, 27]
+        recs = [_rec(f, x=float(f)) for f in (7, 17, 22, 27)]
+        assert self._row_frames(recs, 2, 1, 10) == [7.0, 17.0, 27.0]
 
     def test_bad_step(self):
         with pytest.raises(ContractError):
-            D.resample_frames([_rec(0)], 0)
+            D.extract_windows([_rec(0)], 8, 12, frame_step=0)
 
 
 class TestWindows:
@@ -299,3 +305,39 @@ class TestFrameGrid:
         clear = [w for w in full if w.start_frame + 19 * 10 <= 500 or w.start_frame >= 600]
         assert len(clear) < len(full)
         assert self._key(gappy) == self._key(clear)
+
+
+class TestGridSpacing:
+    """Grid spacing on dense, sparse and off-lattice scenes.
+
+    Rows stand ``step`` frames apart, where ``step`` is the smallest gap
+    between kept frames that hold a record, so it can exceed ``frame_step``.
+    """
+
+    @pytest.fixture
+    def dense_dir(self, tmp_path):
+        # Two walkers recorded at every frame from 0 to 299.
+        rows = [f"{f} {p} {f / 8 + p} {p / 2}\n" for f in range(300) for p in (1, 2)]
+        (tmp_path / "dense.txt").write_text("".join(rows))
+        return tmp_path
+
+    @pytest.mark.parametrize("frame_step,count", [(1, 281), (10, 11), (15, 1)])
+    def test_dense_scene(self, dense_dir, frame_step, count):
+        wins = D.load_scene_windows(dense_dir, "dense", 8, 12, frame_step=frame_step)
+        assert len(wins) == count
+        assert all(w.ped_ids == [1, 2] for w in wins)
+        TestFrameGrid._assert_on_grid(wins, dense_dir / "dense.txt", frame_step)
+
+    def test_step_off_the_stored_grid(self, scene_dir):
+        # The 15-frame lattice meets the 10-frame records every 30 frames.
+        wins = D.load_scene_windows(scene_dir, "zara1_like", 8, 12, frame_step=15)
+        assert len(wins) == 21
+        TestFrameGrid._assert_on_grid(wins, scene_dir / "zara1_like.txt", 30)
+
+    def test_one_off_grid_record_narrows_the_unit_grid(self, tmp_path):
+        # Records every 10th frame plus one at frame 25: at frame_step=1
+        # the grid narrows to 5 frames and no window has everyone present.
+        rows = [f"{f * 10} 1 {f} 0\n" for f in range(40)] + ["25 2 0 0\n"]
+        (tmp_path / "extra.txt").write_text("".join(rows))
+        assert D.load_scene_windows(tmp_path, "extra", 8, 12, frame_step=1) == []
+        assert len(D.load_scene_windows(tmp_path, "extra", 8, 12, frame_step=10)) == 21

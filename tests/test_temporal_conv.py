@@ -165,7 +165,7 @@ class TestStack:
     def test_receptive_field_exact_boundary(self, kernel, layers):
         net, _ = make_tcn(in_dim=1, channels=2, layers=layers, kernel=kernel,
                           seed=19 + kernel + layers)
-        field = net.receptive_field()
+        field = receptive_field(kernel, (1,) * layers)
         t_len = field + 4
         rng = np.random.default_rng(20)
         h = rng.normal(size=(1, t_len, 1))

@@ -8,6 +8,8 @@ default.
 
 from __future__ import annotations
 
+import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -57,13 +59,19 @@ class ModelConfig:
     separate_gate: bool = False     # retired
 
     def __post_init__(self):
-        if not self.tcn_dilations:
+        if isinstance(self.tcn_dilations, Iterable):
+            self.tcn_dilations = tuple(self.tcn_dilations)
+        # No dilations means 1 per layer; a mistyped value is left for
+        # validate to name.
+        if self.tcn_dilations == () and _has_type("int", self.tcn_layers):
             self.tcn_dilations = (1,) * self.tcn_layers
-        else:
-            self.tcn_dilations = tuple(int(d) for d in self.tcn_dilations)
         self.validate()
 
     def validate(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _has_type(f.type, value):
+                raise ConfigError(f"{f.name} needs {_FIELD_TYPES[f.type][1]}, got {value!r}")
         positive = (
             "t_obs", "t_pred", "frame_step", "stride", "embed_dim",
             "gal1_heads", "gal1_out", "gal2_heads", "gal2_out",
@@ -133,7 +141,25 @@ class ModelConfig:
 
 
 # Field types are annotation strings (postponed annotations), one of
-# "int", "float", "bool", "str" and "tuple"; the text form follows them.
+# "int", "float", "bool", "str" and "tuple"; validation and the text form
+# follow them. Each maps to the class its values must have and the words
+# an error names it by. A bool is no number here, though Python counts it
+# as an int; numpy integers and floats are numbers.
+_FIELD_TYPES = {
+    "int": (numbers.Integral, "an integer"),
+    "float": (numbers.Real, "a number"),
+    "bool": (bool, "true or false"),
+    "str": (str, "a string"),
+    "tuple": (tuple, "a tuple of integers"),
+}
+
+
+def _has_type(type_name: str, v) -> bool:
+    if isinstance(v, bool) and type_name != "bool":
+        return False
+    if type_name == "tuple":
+        return isinstance(v, tuple) and all(_has_type("int", d) for d in v)
+    return isinstance(v, _FIELD_TYPES[type_name][0])
 
 
 def _format_value(f, v) -> str:

@@ -1,8 +1,8 @@
 """Displacement metrics and training objectives.
 
 Differentiable paths (used in the loss) run on the autodiff ops; the
-plain-number evaluation helpers at the bottom work on numpy arrays and
-are what the reporting code calls.
+plain-number best-of-M evaluation at the bottom works on numpy arrays
+and is what the reporting code calls.
 """
 
 from __future__ import annotations
@@ -114,20 +114,18 @@ def combined_loss(variety: T.Tensor, kl: T.Tensor, weights: LossWeights, epoch: 
 # Plain-number evaluation (no tape)
 
 
-def ade_value(pred: np.ndarray, gt: np.ndarray) -> float:
-    d = np.linalg.norm(pred - gt, axis=-1)
-    return float(d.mean())
-
-
-def fde_value(pred: np.ndarray, gt: np.ndarray) -> float:
-    d = np.linalg.norm(pred[:, -1] - gt[:, -1], axis=-1)
-    return float(d.mean())
-
-
 def evaluate_min_of_m(pred_set: PredictionSet, gt: np.ndarray) -> tuple:
-    """Best-of-M ADE and FDE, minima taken independently per metric."""
+    """Best-of-M ADE and FDE, minima taken independently per metric.
+
+    One pass over all M samples: the [M, N, T] step distances give each
+    sample's ADE (mean over pedestrians and steps) and FDE (mean over
+    pedestrians at the last step).
+    """
     if pred_set.sample_count < 1:
         raise ContractError("need at least one sample")
-    ades = [ade_value(pred_set.trajectories[m], gt) for m in range(pred_set.sample_count)]
-    fdes = [fde_value(pred_set.trajectories[m], gt) for m in range(pred_set.sample_count)]
-    return min(ades), min(fdes)
+    if np.shape(gt) != pred_set.trajectories.shape[1:]:
+        raise ShapeError(f"ground truth {np.shape(gt)} vs samples {pred_set.trajectories.shape}")
+    d = np.linalg.norm(pred_set.trajectories - gt, axis=-1)
+    ades = d.reshape(d.shape[0], -1).mean(axis=1)
+    fdes = d[:, :, -1].mean(axis=1)
+    return float(ades.min()), float(fdes.min())

@@ -3,23 +3,32 @@
 Everything numeric in the model runs through this module. Tensors wrap a
 float64 numpy array (row-major, except the read-only views repeat_axis
 returns and the channel-transposed view conv1d_causal returns); each
-operation pairs a numpy forward pass with a hand-written backward rule
-that is recorded on the active Tape whenever an operand requires
-gradients. The op set is deliberately closed:
-only what the model needs, no implicit broadcasting (a 0-d scalar operand
-is the single exception in add/sub/mul). Three ops are fused chains, each
-equal bit for bit to the chain it replaces: pair_softmax takes per-node
-scores and returns the row-softmaxed [..., N, N] attention, so attention
-logits never exist as separate N x N operands; head_affine runs every
-attention head's affine map from a head-major weight block; and
-gated_activation is the TCN's tanh(gate) * sigmoid(filter) over the two
-halves of one convolution output.
+operation pairs a numpy forward pass with a backward rule. The op set is
+deliberately closed: only what the model needs, no implicit broadcasting
+(a 0-d scalar operand is the single exception in add/sub/mul). Three ops
+are fused chains, each equal bit for bit to the chain it replaces:
+pair_softmax takes per-node scores and returns the row-softmaxed
+[..., N, N] attention, so attention logits never exist as separate N x N
+operands; head_affine runs every attention head's affine map from a
+head-major weight block; and gated_activation is the TCN's
+tanh(gate) * sigmoid(filter) over the two halves of one convolution
+output.
+
+Recording follows one rule: an op pushes one node onto the tape active
+on the current thread if, and only if, one of its inputs requires
+gradients. A single-input op states only its result and its input
+gradient as a function of the output gradient (``_unary``); add, sub and
+mul state their forward ufunc and one gradient function per operand
+(``_binary``). affine, head_affine, matmul, conv1d_causal, pair_softmax,
+concat and slice_axis keep hand-written backward rules: each shares one
+intermediate across several inputs or writes into a slice of a gradient.
 
 Gradients accumulate into ``Tensor.grad`` buffers; callers zero them
 explicitly between optimizer steps. Running ``backward`` twice on the same
 tape without zeroing doubles every leaf gradient. An intermediate's first
-gradient is stored as a copy, not added into zeros. affine, matmul and
-conv1d_causal skip the products for an operand that needs no gradient.
+gradient is stored as a copy, not added into zeros. add, sub, mul,
+affine, matmul and conv1d_causal skip the gradient of an operand that
+needs none.
 
 ParameterStore keeps every parameter's data and gradient as views into
 two flat buffers, so zeroing all gradients is one fill and an optimizer
@@ -101,28 +110,22 @@ class Tape:
         self.nodes: list[_Node] = []
 
     def __enter__(self):
-        _tape_stack().append(self)
+        _ACTIVE.stack.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        _tape_stack().pop()
+        _ACTIVE.stack.pop()
         return False
 
 
-_LOCAL = threading.local()
+class _Active(threading.local):
+    """The stack of entered tapes, one per thread; the last is active."""
+
+    def __init__(self):
+        self.stack: list[Tape] = []
 
 
-def _tape_stack() -> list:
-    stack = getattr(_LOCAL, "stack", None)
-    if stack is None:
-        stack = []
-        _LOCAL.stack = stack
-    return stack
-
-
-def _active_tape():
-    stack = _tape_stack()
-    return stack[-1] if stack else None
+_ACTIVE = _Active()
 
 
 def _as_tensor(x) -> Tensor:
@@ -145,11 +148,19 @@ def _accumulate(t: Tensor, g: np.ndarray):
 
 def _record(out: Tensor, inputs, backward_fn):
     """Mark ``out`` differentiable and push a node if a tape is active."""
-    tape = _active_tape()
-    if tape is None or not any(t.requires_grad for t in inputs):
+    stack = _ACTIVE.stack
+    if not stack or not any(t.requires_grad for t in inputs):
         return
     out.requires_grad = True
-    tape.nodes.append(_Node(out, backward_fn))
+    stack[-1].nodes.append(_Node(out, backward_fn))
+
+
+def _unary(x: Tensor, y, grad) -> Tensor:
+    """The result ``y`` of a single-input op on ``x``; backward adds
+    ``grad(g)`` into ``x``."""
+    out = Tensor(y)
+    _record(out, (x,), lambda g, x=x, grad=grad: _accumulate(x, grad(g)))
+    return out
 
 
 def backward(root: Tensor, tape: Tape):
@@ -261,66 +272,48 @@ def matmul(a, b) -> Tensor:
     return out
 
 
-def _binary(kind, a, b):
+def _binary(a, b, forward, grad_a, grad_b) -> Tensor:
+    """Elementwise ``forward`` of two equal-shape operands, or of one
+    operand and a 0-d scalar. Backward adds ``grad_a(g, a, b)`` into ``a``
+    and ``grad_b(g, a, b)`` into ``b``, summed to a scalar for a 0-d
+    operand, for each operand that needs a gradient."""
     a, b = _as_tensor(a), _as_tensor(b)
-    a_scalar, b_scalar = a.data.ndim == 0, b.data.ndim == 0
-    if a.data.shape != b.data.shape and not (a_scalar or b_scalar):
-        raise ShapeError(f"{kind} mismatch: {a.shape} vs {b.shape}")
-    if kind == "add":
-        out_data = a.data + b.data
-    elif kind == "sub":
-        out_data = a.data - b.data
-    else:
-        out_data = a.data * b.data
-    out = Tensor(out_data)
+    if a.data.shape != b.data.shape and a.data.ndim and b.data.ndim:
+        raise ShapeError(f"{forward.__name__} mismatch: {a.shape} vs {b.shape}")
+    out = Tensor(forward(a.data, b.data))
 
-    def bwd(g, a=a, b=b, kind=kind):
-        if kind == "add":
-            ga, gb = g, g
-        elif kind == "sub":
-            ga, gb = g, -g
-        else:
-            ga, gb = g * b.data, g * a.data
-        _accumulate(a, ga.sum() if a.data.ndim == 0 and g.ndim > 0 else ga)
-        _accumulate(b, gb.sum() if b.data.ndim == 0 and g.ndim > 0 else gb)
+    def bwd(g, a=a, b=b, grad_a=grad_a, grad_b=grad_b):
+        for t, grad in ((a, grad_a), (b, grad_b)):
+            if t.requires_grad:
+                gt = grad(g, a, b)
+                _accumulate(t, gt.sum() if t.data.ndim == 0 and g.ndim > 0 else gt)
 
-    _record(out, [a, b], bwd)
+    _record(out, (a, b), bwd)
     return out
 
 
 def add(a, b) -> Tensor:
-    return _binary("add", a, b)
+    return _binary(a, b, np.add, lambda g, a, b: g, lambda g, a, b: g)
 
 
 def sub(a, b) -> Tensor:
-    return _binary("sub", a, b)
+    return _binary(a, b, np.subtract, lambda g, a, b: g, lambda g, a, b: -g)
 
 
 def mul(a, b) -> Tensor:
-    return _binary("mul", a, b)
+    return _binary(a, b, np.multiply, lambda g, a, b: g * b.data, lambda g, a, b: g * a.data)
 
 
 def leaky_relu(x, slope: float = 0.2) -> Tensor:
     x = _as_tensor(x)
-    out = Tensor(np.where(x.data >= 0.0, x.data, slope * x.data))
-
-    def bwd(g, x=x, slope=slope):
-        _accumulate(x, g * np.where(x.data >= 0.0, 1.0, slope))
-
-    _record(out, [x], bwd)
-    return out
+    return _unary(x, np.where(x.data >= 0.0, x.data, slope * x.data),
+                  lambda g, x=x, slope=slope: g * np.where(x.data >= 0.0, 1.0, slope))
 
 
 def tanh(x) -> Tensor:
     x = _as_tensor(x)
     y = np.tanh(x.data)
-    out = Tensor(y)
-
-    def bwd(g, x=x, y=y):
-        _accumulate(x, g * (1.0 - y * y))
-
-    _record(out, [x], bwd)
-    return out
+    return _unary(x, y, lambda g, y=y: g * (1.0 - y * y))
 
 
 def _sigmoid(d: np.ndarray) -> np.ndarray:
@@ -332,13 +325,7 @@ def _sigmoid(d: np.ndarray) -> np.ndarray:
 def sigmoid(x) -> Tensor:
     x = _as_tensor(x)
     y = _sigmoid(x.data)
-    out = Tensor(y)
-
-    def bwd(g, x=x, y=y):
-        _accumulate(x, g * y * (1.0 - y))
-
-    _record(out, [x], bwd)
-    return out
+    return _unary(x, y, lambda g, y=y: g * y * (1.0 - y))
 
 
 def gated_activation(x, axis: int) -> Tensor:
@@ -360,60 +347,39 @@ def gated_activation(x, axis: int) -> Tensor:
     # Contiguous copies of the halves, as the unfused chain's slices make.
     a = np.tanh(x.data[first].copy())
     s = _sigmoid(x.data[second].copy())
-    out = Tensor(a * s)
 
-    def bwd(g, x=x, a=a, s=s):
-        if x.requires_grad:
-            gx = np.empty(x.data.shape)
-            gx[first] = (g * s) * (1.0 - a * a)
-            gx[second] = ((g * a) * s) * (1.0 - s)
-            _accumulate(x, gx)
+    def grad(g, x=x, a=a, s=s, first=first, second=second):
+        gx = np.empty(x.data.shape)
+        gx[first] = (g * s) * (1.0 - a * a)
+        gx[second] = ((g * a) * s) * (1.0 - s)
+        return gx
 
-    _record(out, [x], bwd)
-    return out
+    return _unary(x, a * s, grad)
 
 
 def exp(x) -> Tensor:
     x = _as_tensor(x)
     y = np.exp(x.data)
-    out = Tensor(y)
-
-    def bwd(g, x=x, y=y):
-        _accumulate(x, g * y)
-
-    _record(out, [x], bwd)
-    return out
+    return _unary(x, y, lambda g, y=y: g * y)
 
 
 def log(x) -> Tensor:
     x = _as_tensor(x)
-    bad = x.data <= 0.0
-    if bad.any():
-        idx = tuple(int(i) for i in np.argwhere(bad)[0])
-        raise DomainError(f"log of non-positive element at index {idx}")
-    out = Tensor(np.log(x.data))
-
-    def bwd(g, x=x):
-        _accumulate(x, g / x.data)
-
-    _record(out, [x], bwd)
-    return out
+    _check_domain(x.data <= 0.0, "log of non-positive")
+    return _unary(x, np.log(x.data), lambda g, x=x: g / x.data)
 
 
 def sqrt(x) -> Tensor:
     x = _as_tensor(x)
-    bad = x.data < 0.0
+    _check_domain(x.data < 0.0, "sqrt of negative")
+    y = np.sqrt(x.data)
+    return _unary(x, y, lambda g, y=y: g * 0.5 / y)
+
+
+def _check_domain(bad: np.ndarray, what: str):
     if bad.any():
         idx = tuple(int(i) for i in np.argwhere(bad)[0])
-        raise DomainError(f"sqrt of negative element at index {idx}")
-    y = np.sqrt(x.data)
-    out = Tensor(y)
-
-    def bwd(g, x=x, y=y):
-        _accumulate(x, g * 0.5 / y)
-
-    _record(out, [x], bwd)
-    return out
+        raise DomainError(f"{what} element at index {idx}")
 
 
 def concat(tensors, axis: int) -> Tensor:
@@ -466,13 +432,7 @@ def slice_axis(x, axis: int, start: int, stop: int) -> Tensor:
 
 def reshape(x, shape) -> Tensor:
     x = _as_tensor(x)
-    out = Tensor(x.data.reshape(shape))
-
-    def bwd(g, x=x):
-        _accumulate(x, g.reshape(x.data.shape))
-
-    _record(out, [x], bwd)
-    return out
+    return _unary(x, x.data.reshape(shape), lambda g, x=x: g.reshape(x.data.shape))
 
 
 def transpose(x, axes) -> Tensor:
@@ -480,16 +440,11 @@ def transpose(x, axes) -> Tensor:
     axes = tuple(axes)
     if sorted(axes) != list(range(x.data.ndim)):
         raise ShapeError(f"transpose axes {axes} invalid for shape {x.shape}")
-    out = Tensor(np.ascontiguousarray(x.data.transpose(axes)))
     inv = [0] * len(axes)
     for i, a in enumerate(axes):
         inv[a] = i
-
-    def bwd(g, x=x, inv=inv):
-        _accumulate(x, g.transpose(inv))
-
-    _record(out, [x], bwd)
-    return out
+    return _unary(x, np.ascontiguousarray(x.data.transpose(axes)),
+                  lambda g, inv=inv: g.transpose(inv))
 
 
 def repeat_axis(x, axis: int, times: int) -> Tensor:
@@ -502,13 +457,8 @@ def repeat_axis(x, axis: int, times: int) -> Tensor:
     if x.data.shape[axis] != 1:
         raise ShapeError(f"repeat_axis needs extent 1 at axis {axis}, got {x.shape}")
     shape = x.data.shape[:axis] + (times,) + x.data.shape[axis + 1:]
-    out = Tensor(np.broadcast_to(x.data, shape))
-
-    def bwd(g, x=x, axis=axis):
-        _accumulate(x, g.sum(axis=axis, keepdims=True))
-
-    _record(out, [x], bwd)
-    return out
+    return _unary(x, np.broadcast_to(x.data, shape),
+                  lambda g, axis=axis: g.sum(axis=axis, keepdims=True))
 
 
 def stack(tensors, axis: int = 0) -> Tensor:
@@ -542,14 +492,7 @@ def masked_softmax(logits, mask) -> Tensor:
     y -= y.max(axis=-1, keepdims=True)
     np.exp(y, out=y)
     y /= y.sum(axis=-1, keepdims=True)
-    out = Tensor(y)
-
-    def bwd(g, x=x, y=y):
-        inner = (g * y).sum(axis=-1, keepdims=True)
-        _accumulate(x, y * (g - inner))
-
-    _record(out, [x], bwd)
-    return out
+    return _unary(x, y, lambda g, y=y: y * (g - (g * y).sum(axis=-1, keepdims=True)))
 
 
 def pair_softmax(src, dst, slope: float = 0.2) -> Tensor:
@@ -649,55 +592,48 @@ def conv1d_causal(x, W, b=None, dilation: int = 1) -> Tensor:
 
 
 def reduce_sum(x, axis=None) -> Tensor:
-    return _reduce("sum", x, axis)
+    x, axis = _reduction_input(x, axis)
+    return _unary(x, x.data.sum(axis=axis), lambda g, x=x, axis=axis: _spread(g, x, axis, 1.0))
 
 
 def reduce_mean(x, axis=None) -> Tensor:
-    return _reduce("mean", x, axis)
+    x, axis = _reduction_input(x, axis)
+    scale = 1.0 / (x.data.size if axis is None else x.data.shape[axis])
+    return _unary(x, x.data.mean(axis=axis),
+                  lambda g, x=x, axis=axis, scale=scale: _spread(g, x, axis, scale))
 
 
 def reduce_min(x, axis=None) -> Tensor:
     """Minimum reduction; backward routes to the arg-min (lowest index on ties)."""
-    return _reduce("min", x, axis)
+    x, axis = _reduction_input(x, axis)
+
+    def grad(g, x=x, axis=axis):
+        gx = np.zeros_like(x.data)
+        if axis is None:
+            gx.reshape(-1)[int(np.argmin(x.data.reshape(-1)))] = float(g)
+        else:
+            idx = np.argmin(x.data, axis=axis)
+            np.put_along_axis(gx, np.expand_dims(idx, axis), np.expand_dims(g, axis), axis)
+        return gx
+
+    return _unary(x, x.data.min(axis=axis), grad)
 
 
-def _reduce(kind, x, axis):
+def _reduction_input(x, axis):
+    """A reduction's operand as a tensor, and its axis (None: all axes)."""
     x = _as_tensor(x)
     if x.data.size == 0:
-        raise ShapeError(f"{kind} over empty tensor of shape {x.shape}")
+        raise ShapeError(f"reduction over empty tensor of shape {x.shape}")
     if axis is not None:
         axis = _norm_axis(axis, x.data.ndim)
-    if kind == "sum":
-        out_data = x.data.sum(axis=axis)
-    elif kind == "mean":
-        out_data = x.data.mean(axis=axis)
-    else:
-        out_data = x.data.min(axis=axis)
-    out = Tensor(out_data)
+    return x, axis
 
-    def bwd(g, x=x, axis=axis, kind=kind):
-        if kind in ("sum", "mean"):
-            scale = 1.0
-            if kind == "mean":
-                scale = 1.0 / (x.data.size if axis is None else x.data.shape[axis])
-            if axis is None:
-                _accumulate(x, np.full_like(x.data, float(g) * scale))
-            else:
-                _accumulate(x, np.expand_dims(g, axis) * scale * np.ones_like(x.data))
-        else:
-            gx = np.zeros_like(x.data)
-            if axis is None:
-                flat_idx = int(np.argmin(x.data.reshape(-1)))
-                gx.reshape(-1)[flat_idx] = float(g)
-            else:
-                idx = np.argmin(x.data, axis=axis)
-                np.put_along_axis(
-                    gx, np.expand_dims(idx, axis), np.expand_dims(g, axis), axis
-                )
-            _accumulate(x, gx)
 
-    _record(out, [x], bwd)
-    return out
+def _spread(g, x: Tensor, axis, scale: float) -> np.ndarray:
+    """Gradient of a sum-like reduction: ``g * scale`` at every element."""
+    if axis is None:
+        return np.full_like(x.data, float(g) * scale)
+    return np.expand_dims(g, axis) * scale * np.ones_like(x.data)
 
 
 def _norm_axis(axis: int, ndim: int) -> int:

@@ -147,6 +147,13 @@ def fde_oracle(pred, gt):
     return total / n
 
 
+def min_of_m_oracle(trajs, gt):
+    """Best-of-M ADE and FDE, one sample at a time. trajs is [M, N, T, 2]."""
+    ades = [ade_oracle(trajs[m], gt) for m in range(trajs.shape[0])]
+    fdes = [fde_oracle(trajs[m], gt) for m in range(trajs.shape[0])]
+    return min(ades), min(fdes)
+
+
 def kl_mc_oracle(mu, logvar, n_draws, seed):
     """Monte-Carlo KL(q || N(0, I)) via log-density difference."""
     rng = np.random.default_rng(seed)

@@ -2,6 +2,7 @@
 
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from graphtcn.config import ModelConfig, VARIANTS
@@ -78,6 +79,35 @@ class TestValidation:
     def test_negative_lr(self):
         with pytest.raises(ConfigError):
             ModelConfig(lr=-1.0)
+
+
+class TestFieldTypes:
+    """Every value has its field's declared type, so to_text reloads."""
+
+    WRONG = [
+        ("epochs", 2.0), ("gal1_heads", True), ("samples", "20"), ("stride", None),
+        ("lr", True), ("lr", "1e-4"), ("seed", 1.5), ("variant", 3),
+        ("separate_gate", 0), ("tcn_dilations", (1.5, 1, 1, 1)),
+        ("tcn_dilations", (True, 1, 1, 1)), ("tcn_dilations", ("1", 1, 1, 1)),
+        ("tcn_dilations", 3), ("tcn_dilations", 0), ("tcn_layers", 2.0),
+    ]
+
+    @pytest.mark.parametrize("key,value", WRONG, ids=[f"{k}={v!r}" for k, v in WRONG])
+    def test_wrong_type_rejected_by_name(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            ModelConfig(**{key: value})
+
+    def test_reassigned_wrong_type_rejected(self):
+        cfg = ModelConfig()
+        cfg.epochs = 3.0
+        with pytest.raises(ConfigError, match="epochs"):
+            cfg.validate()
+
+    def test_numpy_and_int_values_accepted(self):
+        cfg = ModelConfig(epochs=np.int64(3), lr=1, kl_weight_late=np.float64(0.1),
+                          tcn_layers=2, tcn_dilations=[np.int64(1), 2])
+        assert cfg.tcn_dilations == (1, 2)
+        assert ModelConfig.from_text(cfg.to_text()).to_text() == cfg.to_text()
 
 
 class TestTextForm:

@@ -10,17 +10,15 @@ from graphtcn.errors import ContractError, DomainError, ShapeError
 from graphtcn.metrics import (
     LossWeights,
     ade,
-    ade_value,
     combined_loss,
     evaluate_min_of_m,
     fde,
-    fde_value,
     kl_diag_gaussian,
     variety_loss,
 )
 from graphtcn.tensor import Tensor
 
-from oracles import ade_oracle, fde_oracle, kl_mc_oracle
+from oracles import ade_oracle, fde_oracle, kl_mc_oracle, min_of_m_oracle
 
 
 class TestAde:
@@ -255,7 +253,22 @@ class TestEvaluateMinOfM:
         pred = rng.normal(size=(3, 4, 2))
         ps = PredictionSet(pred[None], gt[:, 0], 1)
         a, f = evaluate_min_of_m(ps, gt)
-        assert a == ade_value(pred, gt) and f == fde_value(pred, gt)
+        assert abs(a - ade_oracle(pred, gt)) <= 1e-12 and abs(f - fde_oracle(pred, gt)) <= 1e-12
+
+    def test_ground_truth_shape_must_match(self):
+        ps = PredictionSet(np.zeros((4, 3, 12, 2)), np.zeros((3, 2)), 4)
+        with pytest.raises(ShapeError):
+            evaluate_min_of_m(ps, np.ones((1, 12, 2)))
+
+    @pytest.mark.parametrize("m", [1, 4, 20])
+    @pytest.mark.parametrize("n", [1, 5, 64])
+    def test_one_pass_matches_per_sample_loop(self, m, n):
+        rng = np.random.default_rng(100 * m + n)
+        gt = rng.normal(size=(n, 12, 2)) * 5.0
+        trajs = gt + rng.normal(size=(m, n, 12, 2))
+        a, f = evaluate_min_of_m(PredictionSet(trajs, gt[:, 0], m), gt)
+        ref_a, ref_f = min_of_m_oracle(trajs, gt)
+        assert abs(a - ref_a) <= 1e-12 and abs(f - ref_f) <= 1e-12
 
     def test_independent_minima(self):
         # Sample A: best ADE, bad FDE. Sample B: bad ADE, best FDE.

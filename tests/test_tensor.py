@@ -1,5 +1,7 @@
 """Autodiff core: frozen forward values, gradient oracles, tape semantics."""
 
+import inspect
+import threading
 import zlib
 
 import numpy as np
@@ -420,6 +422,109 @@ class TestBackward:
         x = T.Tensor([1.0], requires_grad=True)
         out = T.mul(x, x)
         assert out.requires_grad is False
+        for name, (fn, shapes, _) in OP_CASES.items():
+            inputs = _op_inputs(shapes, grad_at=range(len(shapes)))
+            assert fn(*inputs).requires_grad is False, name
+
+
+def _public_ops() -> set:
+    """Every public op of the tensor module, found by introspection."""
+    skip = {"backward", "finite_difference_check"}
+    return {name for name, obj in vars(T).items()
+            if inspect.isfunction(obj) and obj.__module__ == T.__name__
+            and not name.startswith("_") and name not in skip}
+
+
+# "op" or "op.variant" -> (call on the input tensors, input shapes, tape
+# nodes one call records). stack is reshape + concat: two nodes.
+OP_CASES = {
+    "add": (T.add, [(2, 3), (2, 3)], 1),
+    "add.scalar": (T.add, [(2, 3), ()], 1),
+    "sub": (T.sub, [(2, 3), (2, 3)], 1),
+    "sub.scalar": (T.sub, [(), (2, 3)], 1),
+    "mul": (T.mul, [(2, 3), (2, 3)], 1),
+    "mul.scalar": (T.mul, [(2, 3), ()], 1),
+    "affine": (T.affine, [(2, 3), (3, 4), (4,)], 1),
+    "head_affine": (T.head_affine, [(2, 3), (2, 3, 4), (2, 4)], 1),
+    "matmul": (T.matmul, [(2, 3), (3, 4)], 1),
+    "leaky_relu": (T.leaky_relu, [(2, 3)], 1),
+    "tanh": (T.tanh, [(2, 3)], 1),
+    "sigmoid": (T.sigmoid, [(2, 3)], 1),
+    "gated_activation": (lambda x: T.gated_activation(x, axis=1), [(2, 4)], 1),
+    "exp": (T.exp, [(2, 3)], 1),
+    "log": (T.log, [(2, 3)], 1),
+    "sqrt": (T.sqrt, [(2, 3)], 1),
+    "concat": (lambda a, b: T.concat([a, b], axis=1), [(2, 3), (2, 1)], 1),
+    "slice_axis": (lambda x: T.slice_axis(x, 1, 1, 3), [(2, 4)], 1),
+    "reshape": (lambda x: T.reshape(x, (3, 2)), [(2, 3)], 1),
+    "transpose": (lambda x: T.transpose(x, (1, 0)), [(2, 3)], 1),
+    "repeat_axis": (lambda x: T.repeat_axis(x, 1, 3), [(2, 1)], 1),
+    "stack": (lambda a, b: T.stack([a, b], axis=1), [(2, 3), (2, 3)], 2),
+    "masked_softmax": (lambda x: T.masked_softmax(x, [[True, False, True]] * 2), [(2, 3)], 1),
+    "pair_softmax": (T.pair_softmax, [(2, 3), (2, 3)], 1),
+    "conv1d_causal": (lambda x, W, b: T.conv1d_causal(x, W, b, dilation=2),
+                      [(2, 5), (3, 2, 2), (3,)], 1),
+    "reduce_sum": (T.reduce_sum, [(2, 3)], 1),
+    "reduce_sum.axis": (lambda x: T.reduce_sum(x, axis=1), [(2, 3)], 1),
+    "reduce_mean": (T.reduce_mean, [(2, 3)], 1),
+    "reduce_mean.axis": (lambda x: T.reduce_mean(x, axis=0), [(2, 3)], 1),
+    "reduce_min": (T.reduce_min, [(2, 3)], 1),
+    "reduce_min.axis": (lambda x: T.reduce_min(x, axis=-1), [(2, 3)], 1),
+}
+
+
+def _op_inputs(shapes, grad_at=()):
+    # Positive values, so log and sqrt are in their domain.
+    rng = np.random.default_rng(5)
+    inputs = [T.Tensor(rng.uniform(0.5, 1.5, size=s)) for s in shapes]
+    for i in grad_at:
+        inputs[i].requires_grad = True
+    return inputs
+
+
+class TestRecordingRule:
+    """Every public op records one node exactly when an input needs a gradient."""
+
+    def test_table_covers_every_public_op(self):
+        assert {case.split(".")[0] for case in OP_CASES} == _public_ops()
+
+    @pytest.mark.parametrize("case", sorted(OP_CASES))
+    def test_constant_inputs_record_nothing(self, case):
+        fn, shapes, _ = OP_CASES[case]
+        with T.Tape() as tape:
+            out = fn(*_op_inputs(shapes))
+        assert tape.nodes == [] and out.requires_grad is False
+
+    @pytest.mark.parametrize("case,i", [(c, i) for c in sorted(OP_CASES)
+                                        for i in range(len(OP_CASES[c][1]))])
+    def test_one_grad_input_records_one_node(self, case, i):
+        fn, shapes, nodes = OP_CASES[case]
+        inputs = _op_inputs(shapes, grad_at=[i])
+        # No buffer yet, so the gradient below is one the op wrote.
+        inputs[i].grad = None
+        with T.Tape() as tape:
+            out = fn(*inputs)
+            assert len(tape.nodes) == nodes and out.requires_grad is True
+            loss = T.reduce_sum(out)
+        T.backward(loss, tape)
+        assert inputs[i].grad is not None and inputs[i].grad.shape == shapes[i]
+
+    def test_other_threads_record_nothing_into_this_tape(self):
+        x = T.Tensor([1.0, 2.0], requires_grad=True)
+        seen = {}
+
+        def work():
+            seen["bare"] = T.mul(x, x).requires_grad
+            with T.Tape() as own:
+                T.tanh(x)
+            seen["own"] = len(own.nodes)
+
+        with T.Tape() as tape:
+            thread = threading.Thread(target=work)
+            thread.start()
+            thread.join()
+        assert tape.nodes == []
+        assert seen == {"bare": False, "own": 1}
 
 
 class TestFiniteDifference:

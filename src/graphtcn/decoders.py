@@ -62,10 +62,13 @@ def reparameterize(mu: T.Tensor, sigma: T.Tensor, eps: np.ndarray) -> T.Tensor:
 
 def relative_to_absolute(delta: T.Tensor, origin: np.ndarray) -> T.Tensor:
     """Offsets-from-origin [..., N, T_pred, 2] -> absolute positions."""
-    n = delta.data.shape[-3]
+    n, t_pred = delta.data.shape[-3:-1]
     if origin.shape != (n, 2):
         raise ShapeError(f"origin {origin.shape} for {n} pedestrians")
-    return T.add(delta, T.Tensor(np.broadcast_to(origin[:, None, :], delta.data.shape)))
+    # Repeated over steps and broadcast over the leading axes only, so the
+    # add runs over whole contiguous [T_pred, 2] rows.
+    rows = np.repeat(origin[:, None], t_pred, axis=1)
+    return T.add(delta, T.Tensor(np.broadcast_to(rows, delta.data.shape)))
 
 
 def _tile(x: T.Tensor, axis: int, m: int) -> T.Tensor:

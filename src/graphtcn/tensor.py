@@ -14,6 +14,22 @@ head-major weight block; and gated_activation is the TCN's
 tanh(gate) * sigmoid(filter) over the two halves of one convolution
 output.
 
+No kernel the model calls makes a data-dependent select (numpy's where,
+or a ufunc masked by a where argument): numpy runs those several times
+slower than plain arithmetic, and each select-free form below equals the
+select form bit for bit, signed zeros, infinities and NaN included.
+leaky_relu is max(x, slope * x) and its gradient factor
+max(x >= 0, slope), which holds for a slope in (0, 1]; at slope 0,
+leaky(+inf) would be NaN, so both leaky ops reject any slope outside
+(0, 1]. The logistic numerator is max(exp(-|d|), d >= 0). pair_softmax
+takes each row's maximum from the per-node scores as
+leaky(src_i + max_j dst_j) instead of reducing the N x N logits:
+rounding the sum and leaky are both monotone non-decreasing, so that is
+exactly the row's largest logit. (With a non-finite score, its rows are
+NaN in both forms, with NaN bits that may differ.) masked_softmax keeps
+its select: nothing in the model calls it, and the acceptance gates
+test_01 and test_02 pin it.
+
 Recording follows one rule: an op pushes one node onto the tape active
 on the current thread if, and only if, one of its inputs requires
 gradients. A single-input op states only its result and its input
@@ -146,13 +162,18 @@ def _accumulate(t: Tensor, g: np.ndarray):
         t.grad += g
 
 
+def _recording(inputs) -> bool:
+    """Whether an op on ``inputs`` pushes a node: a tape is active and one
+    of them requires gradients."""
+    return bool(_ACTIVE.stack) and any(t.requires_grad for t in inputs)
+
+
 def _record(out: Tensor, inputs, backward_fn):
-    """Mark ``out`` differentiable and push a node if a tape is active."""
-    stack = _ACTIVE.stack
-    if not stack or not any(t.requires_grad for t in inputs):
+    """Mark ``out`` differentiable and push a node if ``_recording``."""
+    if not _recording(inputs):
         return
     out.requires_grad = True
-    stack[-1].nodes.append(_Node(out, backward_fn))
+    _ACTIVE.stack[-1].nodes.append(_Node(out, backward_fn))
 
 
 def _unary(x: Tensor, y, grad) -> Tensor:
@@ -304,10 +325,23 @@ def mul(a, b) -> Tensor:
     return _binary(a, b, np.multiply, lambda g, a, b: g * b.data, lambda g, a, b: g * a.data)
 
 
+def _check_slope(slope: float):
+    if not 0.0 < slope <= 1.0:
+        raise ContractError(f"leaky slope must lie in (0, 1], got {slope}")
+
+
+def _leaky(v: np.ndarray, slope: float) -> np.ndarray:
+    """A new array max(v, slope * v): v where v >= 0, else slope * v."""
+    out = np.multiply(v, slope)
+    return np.maximum(v, out, out=out)
+
+
 def leaky_relu(x, slope: float = 0.2) -> Tensor:
     x = _as_tensor(x)
-    return _unary(x, np.where(x.data >= 0.0, x.data, slope * x.data),
-                  lambda g, x=x, slope=slope: g * np.where(x.data >= 0.0, 1.0, slope))
+    _check_slope(slope)
+    # max(x >= 0, slope) is 1 where x >= 0, else slope.
+    return _unary(x, _leaky(x.data, slope),
+                  lambda g, x=x, slope=slope: g * np.maximum(x.data >= 0.0, slope))
 
 
 def tanh(x) -> Tensor:
@@ -317,9 +351,16 @@ def tanh(x) -> Tensor:
 
 
 def _sigmoid(d: np.ndarray) -> np.ndarray:
-    # Split by sign to avoid overflow in exp.
-    e = np.exp(-np.abs(d))
-    return np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    # 1 / (1 + e) where d >= 0 and e / (1 + e) elsewhere, with e =
+    # exp(-|d|) so exp never overflows. As e <= 1, max(e, d >= 0) is that
+    # numerator exactly.
+    e = np.abs(d)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    den = 1.0 + e
+    np.maximum(e, d >= 0, out=e)
+    e /= den
+    return e
 
 
 def sigmoid(x) -> Tensor:
@@ -508,18 +549,22 @@ def pair_softmax(src, dst, slope: float = 0.2) -> Tensor:
     src, dst = _as_tensor(src), _as_tensor(dst)
     if src.data.ndim < 1 or src.data.shape != dst.data.shape:
         raise ShapeError(f"pair_softmax operands {src.shape} vs {dst.shape}")
-    y = src.data[..., :, None] + dst.data[..., None, :]
-    neg = y < 0.0
-    np.multiply(y, slope, out=y, where=neg)
-    y -= y.max(axis=-1, keepdims=True)
+    _check_slope(slope)
+    s, d = src.data, dst.data
+    y = s[..., :, None] + d[..., None, :]
+    pos = y >= 0.0 if _recording((src, dst)) else None
+    y = _leaky(y, slope)
+    # Row i's maximum without an N x N reduction: rounding and leaky are
+    # both monotone non-decreasing, so it is leaky(s_i + max_j d_j).
+    y -= _leaky(s + d.max(axis=-1, keepdims=True), slope)[..., None]
     np.exp(y, out=y)
     y /= y.sum(axis=-1, keepdims=True)
     out = Tensor(y)
 
-    def bwd(g, src=src, dst=dst, y=y, neg=neg, slope=slope):
+    def bwd(g, src=src, dst=dst, y=y, pos=pos, slope=slope):
         gl = g * y
         gl -= y * gl.sum(axis=-1, keepdims=True)
-        np.multiply(gl, slope, out=gl, where=neg)
+        gl *= np.maximum(pos, slope)
         _accumulate(src, gl.sum(axis=-1))
         _accumulate(dst, gl.sum(axis=-2))
 

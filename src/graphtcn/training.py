@@ -179,6 +179,8 @@ def benchmark_inference(model: GraphTCN, window, repeats: int, m: int = 4,
     """
     if repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
+    if warmup < 0:
+        raise ConfigError(f"warmup must be >= 0, got {warmup}")
     rng = np.random.default_rng(seed)
     for _ in range(warmup):
         model.predict(window, m, rng)

@@ -9,7 +9,45 @@ import numpy as np
 
 
 def leaky(v, slope=0.2):
-    return np.where(v >= 0, v, slope * v)
+    return leaky_select(v, slope)[0]
+
+
+# Select forms (np.where and masked ufuncs) of leaky_relu, sigmoid and
+# pair_softmax: graphtcn.tensor's select-free kernels must match them byte
+# for byte.
+
+
+def leaky_select(v, slope=0.2):
+    """leaky_relu's value and its input-gradient factor (1 or slope)."""
+    return np.where(v >= 0.0, v, slope * v), np.where(v >= 0.0, 1.0, slope)
+
+
+def sigmoid_select(d):
+    """Logistic function, split by sign so exp never overflows."""
+    e = np.exp(-np.abs(d))
+    return np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def pair_softmax_select(src, dst, slope=0.2):
+    """Row softmax of leaky(src_i + dst_j) over j, and its backward.
+
+    Returns (attention [..., N, N], backward), where backward maps the
+    attention gradient to the (src, dst) gradients.
+    """
+    y = src[..., :, None] + dst[..., None, :]
+    neg = y < 0.0
+    np.multiply(y, slope, out=y, where=neg)
+    y -= y.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
+
+    def backward(g):
+        gl = g * y
+        gl -= y * gl.sum(axis=-1, keepdims=True)
+        np.multiply(gl, slope, out=gl, where=neg)
+        return gl.sum(axis=-1), gl.sum(axis=-2)
+
+    return y, backward
 
 
 def softmax_rows(e):

@@ -103,6 +103,16 @@ def test_bench_reports_timing(workdir, trained, capsys):
     assert "crossing" in out
 
 
+def test_bench_rejects_negative_warmup(workdir, trained, capsys):
+    _, data, _ = workdir
+    rc = main(["bench", "--ckpt", str(trained), "--data", str(data),
+               "--repeats", "2", "--warmup", "-3", "--scene", "crossing"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "warmup must be >= 0, got -3" in captured.err
+    assert "runs" not in captured.out
+
+
 def test_bench_scene_without_a_window(trained, tmp_path, capsys):
     # Ten frames of one walker: too short for an 8 + 12 step window.
     (tmp_path / "short.txt").write_text("".join(f"{f * 10} 1 {f} 0\n" for f in range(10)))

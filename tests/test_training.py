@@ -184,3 +184,12 @@ def test_benchmark_rejects_zero_repeats():
     window = load_scene_windows(DATA_DIR, "bench8", cfg.t_obs, cfg.t_pred)[0]
     with pytest.raises(ConfigError):
         benchmark_inference(model, window, repeats=0)
+
+
+def test_benchmark_rejects_negative_warmup():
+    cfg = fast_cfg()
+    model = GraphTCN(cfg)
+    window = load_scene_windows(DATA_DIR, "bench8", cfg.t_obs, cfg.t_pred)[0]
+    with pytest.raises(ConfigError, match="warmup must be >= 0, got -3"):
+        benchmark_inference(model, window, repeats=2, warmup=-3)
+    assert benchmark_inference(model, window, repeats=1, m=1, warmup=0).warmup == 0

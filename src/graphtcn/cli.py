@@ -77,18 +77,11 @@ def _load_config(args):
 
 
 def _cmd_train(args) -> int:
-    from .data import Split, discover_scenes
+    from .data import discover_scenes, hold_out
     from .training import train
 
     cfg = _load_config(args)
-    scenes = discover_scenes(args.data)
-    if args.leave_out not in scenes:
-        print(f"error: scene {args.leave_out!r} not in {scenes}", file=sys.stderr)
-        return 2
-    split = Split(
-        train_scenes=tuple(s for s in scenes if s != args.leave_out),
-        test_scene=args.leave_out,
-    )
+    split = hold_out(discover_scenes(args.data), args.leave_out)
     log_path = args.log if args.log else args.out + ".log"
     train(cfg, split, args.data, out_path=args.out, log_path=log_path,
           progress=lambda line: print(line, flush=True))
@@ -99,16 +92,12 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     from .checkpoint import load_checkpoint
-    from .data import Split, discover_scenes, load_windows
+    from .data import discover_scenes, hold_out, load_windows
     from .training import evaluate_dataset, model_from_checkpoint
 
     ckpt = load_checkpoint(args.ckpt)
     model = model_from_checkpoint(ckpt)
-    scenes = discover_scenes(args.data)
-    split = Split(
-        train_scenes=tuple(s for s in scenes if s != args.leave_out),
-        test_scene=args.leave_out,
-    )
+    split = hold_out(discover_scenes(args.data), args.leave_out)
     report = evaluate_dataset(model, split, args.data, args.samples, seed=args.seed)
     print(report.format_table(), end="")
     if args.dump_traj:

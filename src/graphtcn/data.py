@@ -179,10 +179,15 @@ def make_splits(scene_names: list) -> list:
         raise ConfigError(f"leave-one-out needs at least 2 scenes, got {len(names)}")
     if len(set(names)) != len(names):
         raise ConfigError(f"duplicate scene names in {names}")
-    return [
-        Split(train_scenes=tuple(n for n in names if n != test), test_scene=test)
-        for test in names
-    ]
+    return [hold_out(names, test) for test in names]
+
+
+def hold_out(scene_names, scene: str) -> Split:
+    """The split that tests on ``scene`` and trains on every other scene."""
+    names = list(scene_names)
+    if scene not in names:
+        raise DataError(f"scene {scene!r} not in {names}")
+    return Split(train_scenes=tuple(n for n in names if n != scene), test_scene=scene)
 
 
 def build_features(window: SequenceWindow, t_obs: int) -> Tensor:

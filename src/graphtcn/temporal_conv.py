@@ -6,7 +6,9 @@ gate and filter weights are the two halves of one parameter block, so a
 layer is one conv1d_causal (one im2col matmul) and one gated_activation
 over the halves of its output channels. Left zero padding keeps output
 length equal to input length and makes step t blind to steps after t.
-Pedestrians never mix here; the batch axis of conv1d_causal carries them.
+Activations stay channels-last [N, T, C] from the spatial encoder through
+every layer, so the stack moves no axes. Pedestrians never mix here; the
+batch axis of conv1d_causal carries them.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ def receptive_field(kernel: int, dilations) -> int:
 
 
 class GatedConvLayer:
-    """tanh(conv_g(h)) * sigmoid(conv_f(h)), both causal.
+    """tanh(conv_g(h)) * sigmoid(conv_f(h)), both causal, channels-last.
 
     The gate and filter weights keep separate checkpoint names
     (``{prefix}.gate.*`` and ``{prefix}.filt.*``) as the two halves of one
@@ -47,16 +49,12 @@ class GatedConvLayer:
             store.add(f"{prefix}.{name}.b", np.zeros(c_out), block=self.b, offset=half * c_out)
 
     def forward(self, h: T.Tensor) -> T.Tensor:
-        """h is [N, C_in, T] -> [N, C_out, T]."""
-        return T.gated_activation(T.conv1d_causal(h, self.W, self.b, dilation=self.dilation), -2)
+        """h is [N, T, C_in] -> [N, T, C_out]."""
+        return T.gated_activation(T.conv1d_causal(h, self.W, self.b, dilation=self.dilation))
 
 
 class TemporalConvNet:
-    """Stack of gated causal layers, channels-last at the boundary.
-
-    Input and output are [N, T, C] to match the spatial encoder; the
-    internal layout is [N, C, T] for the convolutions.
-    """
+    """Stack of gated causal layers over [N, T, C] activations."""
 
     def __init__(self, store, prefix: str, in_dim: int, channels: int,
                  layers: int, kernel: int, dilations, rng: np.random.Generator):
@@ -74,7 +72,6 @@ class TemporalConvNet:
         """h is [N, T, C_in] -> [N, T, channels]."""
         if h.data.ndim != 3:
             raise ShapeError(f"expected [N, T, C], got {h.shape}")
-        x = T.transpose(h, (0, 2, 1))
         for layer in self.layers:
-            x = layer.forward(x)
-        return T.transpose(x, (0, 2, 1))
+            h = layer.forward(h)
+        return h

@@ -2,15 +2,14 @@
 
 Everything numeric in the model runs through this module. Tensors wrap a
 float64 numpy array (row-major, except the read-only views repeat_axis
-returns and the channel-transposed view conv1d_causal returns); each
-operation pairs a numpy forward pass with a backward rule. The op set is
-deliberately closed: only what the model needs, no implicit broadcasting
-(a 0-d scalar operand is the single exception in add/sub/mul). Three ops
-are fused chains, each equal bit for bit to the chain it replaces:
-pair_softmax takes per-node scores and returns the row-softmaxed
-[..., N, N] attention, so attention logits never exist as separate N x N
-operands; head_affine runs every attention head's affine map from a
-head-major weight block; and gated_activation is the TCN's
+returns); each operation pairs a numpy forward pass with a backward
+rule. The op set is deliberately closed: only what the model needs, no
+implicit broadcasting (a 0-d scalar operand is the single exception in
+add/sub/mul). Three ops are fused chains, each equal bit for bit to the
+chain it replaces: pair_softmax takes per-node scores and returns the
+row-softmaxed [..., N, N] attention, so attention logits never exist as
+separate N x N operands; head_affine runs every attention head's affine
+map from a head-major weight block; and gated_activation is the TCN's
 tanh(gate) * sigmoid(filter) over the two halves of one convolution
 output.
 
@@ -369,30 +368,25 @@ def sigmoid(x) -> Tensor:
     return _unary(x, y, lambda g, y=y: g * y * (1.0 - y))
 
 
-def gated_activation(x, axis: int) -> Tensor:
-    """tanh(first half) * sigmoid(second half) of ``x`` along ``axis``.
+def gated_activation(x) -> Tensor:
+    """tanh(first half) * sigmoid(second half) of ``x``'s last axis.
 
     WaveNet's gated activation on a stacked gate+filter output. Equals
     mul(tanh(slice_axis(x, ...)), sigmoid(slice_axis(x, ...))) bit for bit,
     as one op; backward keeps that chain's order of operations.
     """
     x = _as_tensor(x)
-    axis = _norm_axis(axis, x.data.ndim)
-    c2 = x.data.shape[axis]
-    if c2 % 2:
-        raise ShapeError(f"gated_activation needs an even extent at axis {axis}, got {x.shape}")
-    first = [slice(None)] * x.data.ndim
-    second = list(first)
-    first[axis], second[axis] = slice(0, c2 // 2), slice(c2 // 2, c2)
-    first, second = tuple(first), tuple(second)
+    if x.data.ndim < 1 or x.data.shape[-1] % 2:
+        raise ShapeError(f"gated_activation needs an even last extent, got {x.shape}")
+    c = x.data.shape[-1] // 2
     # Contiguous copies of the halves, as the unfused chain's slices make.
-    a = np.tanh(x.data[first].copy())
-    s = _sigmoid(x.data[second].copy())
+    a = np.tanh(x.data[..., :c].copy())
+    s = _sigmoid(x.data[..., c:].copy())
 
-    def grad(g, x=x, a=a, s=s, first=first, second=second):
+    def grad(g, x=x, a=a, s=s):
         gx = np.empty(x.data.shape)
-        gx[first] = (g * s) * (1.0 - a * a)
-        gx[second] = ((g * a) * s) * (1.0 - s)
+        gx[..., :c] = (g * s) * (1.0 - a * a)
+        gx[..., c:] = ((g * a) * s) * (1.0 - s)
         return gx
 
     return _unary(x, a * s, grad)
@@ -575,15 +569,17 @@ def pair_softmax(src, dst, slope: float = 0.2) -> Tensor:
 def conv1d_causal(x, W, b=None, dilation: int = 1) -> Tensor:
     """Causal 1-d convolution with left zero padding of (k-1)*dilation.
 
-    ``x`` is [C_in, T] or batched [B, C_in, T]; ``W`` is [C_out, C_in, k].
-    Output keeps the input length, and out[..., t] depends only on
-    x[..., 0..t]: tap k-1 reads the current step, lower taps read the
-    past. Runs as one im2col matmul: row (b, t) of the column block holds
-    the k dilated taps of every input channel, in the (C_in, k) order of
-    ``W.reshape(C_out, C_in * k)``, with zeros where a tap reads before
-    step 0. The result is a [B, C_out, T] view of the [B, T, C_out]
-    product. Backward is the transpose: two matmuls, then the k tap slices
-    of the column gradient are added back onto the input steps they read.
+    ``x`` is channels-last [B, T, C_in] and the result is [B, T, C_out];
+    ``W`` is [C_out, C_in, k]. A 2-d ``x`` is one channels-first sequence
+    [C_in, T], read through its transpose as a batch of one; its result
+    is [C_out, T]. Output keeps the input length, and step t depends only
+    on input steps 0..t: tap k-1 reads the current step, lower taps read
+    the past. Runs as one im2col matmul: row (b, t) of the column block
+    holds the k dilated taps of every input channel, in the (C_in, k)
+    order of ``W.reshape(C_out, C_in * k)``, with zeros where a tap reads
+    before step 0. Backward is the transpose: two matmuls, then the k tap
+    slices of the column gradient are added back onto the input steps
+    they read.
     """
     x, W = _as_tensor(x), _as_tensor(W)
     if dilation < 1:
@@ -592,45 +588,41 @@ def conv1d_causal(x, W, b=None, dilation: int = 1) -> Tensor:
         raise ShapeError(f"conv weight must be [C_out, C_in, k], got {W.shape}")
     batched = x.data.ndim == 3
     if x.data.ndim not in (2, 3):
-        raise ShapeError(f"conv input must be [C_in, T] or [B, C_in, T], got {x.shape}")
+        raise ShapeError(f"conv input must be [C_in, T] or [B, T, C_in], got {x.shape}")
     c_out, c_in, k = W.data.shape
-    if x.data.shape[-2] != c_in:
+    xb = x.data if batched else x.data.T[None]
+    if xb.shape[-1] != c_in:
         raise ShapeError(f"conv channel mismatch: x {x.shape} vs W {W.shape}")
     if b is not None:
         b = _as_tensor(b)
         if b.data.shape != (c_out,):
             raise ShapeError(f"conv bias {b.shape} vs W {W.shape}")
-    t_len = x.data.shape[-1]
-    xb = x.data if batched else x.data[None]
-    n = xb.shape[0]
+    n, t_len = xb.shape[:2]
     # Tap j reads step t - shift[j]; the first shift[j] steps read padding.
     shifts = [(k - 1 - j) * dilation for j in range(k)]
     cols4 = np.zeros((n, t_len, c_in, k))
-    x_t = xb.transpose(0, 2, 1)
     for j, s in enumerate(shifts):
         if s < t_len:
-            cols4[:, s:, :, j] = x_t[:, : t_len - s]
+            cols4[:, s:, :, j] = xb[:, : t_len - s]
     cols = cols4.reshape(n * t_len, c_in * k)
     W2 = W.data.reshape(c_out, c_in * k)
     out2 = cols @ W2.T
     if b is not None:
         out2 += b.data
-    out_data = out2.reshape(n, t_len, c_out).transpose(0, 2, 1)
-    out = Tensor(out_data if batched else out_data[0])
+    out = Tensor(out2.reshape(n, t_len, c_out) if batched else out2.T.copy())
 
     def bwd(g, x=x, W=W, b=b, cols=cols, W2=W2, batched=batched):
-        g2 = (g if batched else g[None]).transpose(0, 2, 1).reshape(n * t_len, c_out)
+        g2 = g.reshape(n * t_len, c_out) if batched else g.T
         _accumulate(W, (g2.T @ cols).reshape(W.data.shape))
         if b is not None:
             _accumulate(b, g2.sum(axis=0))
         if x.requires_grad:
             gcols = (g2 @ W2).reshape(n, t_len, c_in, k)
-            gx_t = np.zeros((n, t_len, c_in))
+            gx = np.zeros((n, t_len, c_in))
             for j, s in enumerate(shifts):
                 if s < t_len:
-                    gx_t[:, : t_len - s] += gcols[:, s:, :, j]
-            gx = gx_t.transpose(0, 2, 1)
-            _accumulate(x, gx if batched else gx[0])
+                    gx[:, : t_len - s] += gcols[:, s:, :, j]
+            _accumulate(x, gx if batched else gx[0].T)
 
     _record(out, [x, W] + ([b] if b is not None else []), bwd)
     return out

@@ -62,6 +62,18 @@ def test_train_unknown_scene(workdir, capsys):
     assert "nope" in capsys.readouterr().err
 
 
+def test_unknown_leave_out_scene_same_error(workdir, trained, capsys):
+    # train and eval build the split with one helper, so they reject an
+    # unknown held-out scene with the same line.
+    root, data, cfg_path = workdir
+    line = "error: scene 'nope' not in ['crossing', 'linear']\n"
+    rc = main(["train", "--data", str(data), "--leave-out", "nope",
+               "--config", str(cfg_path), "--out", str(root / "x.ckpt")])
+    assert rc == 2 and capsys.readouterr().err == line
+    rc = main(["eval", "--ckpt", str(trained), "--data", str(data), "--leave-out", "nope"])
+    assert rc == 2 and capsys.readouterr().err == line
+
+
 def test_eval_prints_table(workdir, trained, capsys):
     _, data, _ = workdir
     rc = main(["eval", "--ckpt", str(trained), "--data", str(data),

@@ -15,10 +15,6 @@ FIXTURE = golden.load_fixture()
 MODE = "exact" if FIXTURE["fingerprint"] == golden.fingerprint() else "values"
 
 
-def test_fixture_covers_every_configuration():
-    assert sorted(FIXTURE["configs"]) == sorted(golden.config_names())
-
-
 @pytest.mark.parametrize("mode", [MODE])
 @pytest.mark.parametrize("name", golden.config_names())
 def test_matches_golden(name, mode):

@@ -44,15 +44,15 @@ class TestGatedLayer:
     def test_zero_input_zero_bias_gives_zero(self):
         store = ParameterStore()
         layer = GatedConvLayer(store, "l", 2, 3, 3, 1, np.random.default_rng(1))
-        out = layer.forward(Tensor(np.zeros((2, 2, 5))))
-        np.testing.assert_array_equal(out.data, np.zeros((2, 3, 5)))
+        out = layer.forward(Tensor(np.zeros((2, 5, 2))))
+        np.testing.assert_array_equal(out.data, np.zeros((2, 5, 3)))
 
     def test_closed_filter_suppresses_output(self):
         store = ParameterStore()
         layer = GatedConvLayer(store, "l", 1, 1, 2, 1, np.random.default_rng(2))
         store["l.filt.W"].data[...] = 0.0
         store["l.filt.b"].data[...] = -200.0
-        out = layer.forward(Tensor(np.ones((1, 1, 4))))
+        out = layer.forward(Tensor(np.ones((1, 4, 1))))
         np.testing.assert_allclose(out.data, 0.0, atol=1e-80)
 
     def test_hand_scalar_evaluation(self):
@@ -65,7 +65,7 @@ class TestGatedLayer:
         store["l.filt.W"].data[...] = np.array([[[-0.25, 2.0]]])
         store["l.filt.b"].data[...] = 0.0
         x = np.array([0.3, -0.7])
-        out = layer.forward(Tensor(x.reshape(1, 1, 2))).data.reshape(2)
+        out = layer.forward(Tensor(x.reshape(1, 2, 1))).data.reshape(2)
         g = np.array([1.0 * 0.3 + 0.1, 0.5 * 0.3 + 1.0 * (-0.7) + 0.1])
         f = np.array([2.0 * 0.3, -0.25 * 0.3 + 2.0 * (-0.7)])
         expected = np.tanh(g) / (1.0 + np.exp(-f))
@@ -86,7 +86,7 @@ class TestFusedLayer:
     @pytest.mark.parametrize("dilation", [1, 2, 3])
     def test_equals_two_separate_convs(self, dilation):
         layer, store = self.make_layer(dilation)
-        x = np.random.default_rng(31).normal(size=(5, 3, 9))
+        x = np.random.default_rng(31).normal(size=(5, 9, 3))
         gate = T.conv1d_causal(x, store["l.gate.W"], store["l.gate.b"], dilation=dilation)
         filt = T.conv1d_causal(x, store["l.filt.W"], store["l.filt.b"], dilation=dilation)
         expected = np.tanh(gate.data) / (1.0 + np.exp(-filt.data))
@@ -95,7 +95,11 @@ class TestFusedLayer:
 
     def test_gradient_with_input_grad(self):
         layer, store = self.make_layer(dilation=2)
-        store.add("x", np.random.default_rng(32).normal(size=(2, 3, 7)))
+        # The draws of the channels-first version, moved to [N, T, C].
+        # Fresh [2, 7, 3] draws put some gradient entries so near zero
+        # that central differences miss them by over 1e-6 relative, with
+        # channels-first code as well.
+        store.add("x", np.random.default_rng(32).normal(size=(2, 3, 7)).transpose(0, 2, 1))
 
         def f(p):
             out = layer.forward(p["x"])
@@ -105,7 +109,7 @@ class TestFusedLayer:
 
     def test_gradient_without_input_grad(self):
         layer, store = self.make_layer(dilation=2)
-        x = Tensor(np.random.default_rng(33).normal(size=(2, 3, 7)))
+        x = Tensor(np.random.default_rng(33).normal(size=(2, 3, 7)).transpose(0, 2, 1))
 
         def f(p):
             out = layer.forward(x)

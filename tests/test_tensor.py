@@ -179,25 +179,23 @@ class TestForwardValues:
         with pytest.raises(ShapeError):
             T.pair_softmax(np.zeros(()), np.zeros(()))
 
-    @pytest.mark.parametrize("shape,axis,via_conv", [
-        ((2, 6, 5), -2, True), ((2, 6, 5), -2, False), ((4, 3), 0, False), ((3, 2, 8), 2, False)])
-    def test_gated_activation_equals_unfused_chain(self, shape, axis, via_conv):
+    @pytest.mark.parametrize("shape,via_conv", [
+        ((2, 5, 6), True), ((2, 5, 6), False), ((3, 4), False), ((3, 2, 8), False)])
+    def test_gated_activation_equals_unfused_chain(self, shape, via_conv):
         # Values and input gradients, bit for bit. via_conv feeds the
-        # channel-transposed (strided) view conv1d_causal returns, as in
-        # GatedConvLayer.
+        # [B, T, C] output of conv1d_causal, as in GatedConvLayer.
         rng = np.random.default_rng(sum(shape))
         x = rng.normal(size=shape) * 3.0
-        W = rng.normal(size=(shape[1], shape[1], 2))
-        a = axis % len(shape)
-        c = shape[a] // 2
-        w = rng.normal(size=shape[:a] + (c,) + shape[a + 1:])
+        W = rng.normal(size=(shape[-1], shape[-1], 2))
+        c = shape[-1] // 2
+        w = rng.normal(size=shape[:-1] + (c,))
 
         def chain(t):
-            return T.mul(T.tanh(T.slice_axis(t, axis, 0, c)),
-                         T.sigmoid(T.slice_axis(t, axis, c, 2 * c)))
+            return T.mul(T.tanh(T.slice_axis(t, -1, 0, c)),
+                         T.sigmoid(T.slice_axis(t, -1, c, 2 * c)))
 
         results = []
-        for op in (chain, lambda t: T.gated_activation(t, axis)):
+        for op in (chain, T.gated_activation):
             store = T.ParameterStore()
             p = store.add("x", x)
             with T.Tape() as tape:
@@ -210,7 +208,7 @@ class TestForwardValues:
 
     def test_gated_activation_needs_even_extent(self):
         with pytest.raises(ShapeError):
-            T.gated_activation(np.zeros((2, 3)), -1)
+            T.gated_activation(np.zeros((2, 3)))
 
     @pytest.mark.parametrize("heads,lead", [(1, (5,)), (2, (3, 4)), (3, (2, 2, 3))])
     def test_head_affine_equals_affine_over_side_by_side_heads(self, heads, lead):
@@ -282,30 +280,33 @@ class TestForwardValues:
         np.testing.assert_array_equal(out.data, [[1.0, 2.0, 4.0, 6.0]])
 
     def test_conv_batched_matches_loop(self):
+        # Batched [B, T, C_in] against the 2-d call on each x[i].T, byte
+        # for byte; the batched result is a C-ordered [B, T, C_out].
         rng = np.random.default_rng(7)
-        x = rng.normal(size=(3, 2, 6))
+        x = rng.normal(size=(3, 6, 2))
         W = rng.normal(size=(4, 2, 3))
         b = rng.normal(size=4)
         out = T.conv1d_causal(x, W, b)
+        assert out.shape == (3, 6, 4) and out.data.flags.c_contiguous
         for i in range(3):
-            single = T.conv1d_causal(x[i], W, b)
-            np.testing.assert_array_equal(out.data[i], single.data)
+            single = T.conv1d_causal(x[i].T, W, b)
+            assert out.data[i].tobytes() == np.ascontiguousarray(single.data.T).tobytes()
 
     @pytest.mark.parametrize("dilation", [1, 2, 3])
     @pytest.mark.parametrize("k,t_len", [(1, 4), (2, 1), (3, 7), (5, 4)])
     def test_conv_matches_per_tap_loop(self, k, t_len, dilation):
         # (5, 4) and (2, 1): the kernel reaches further back than the input.
         rng = np.random.default_rng(100 * k + 10 * t_len + dilation)
-        x = rng.normal(size=(3, 2, t_len))
+        x = rng.normal(size=(3, t_len, 2))
         W = rng.normal(size=(4, 2, k))
         b = rng.normal(size=4)
         batched = T.conv1d_causal(x, W, b, dilation=dilation).data
-        assert batched.shape == (3, 4, t_len)
+        assert batched.shape == (3, t_len, 4)
         for i in range(3):
-            ref = conv_oracle(x[i], W, b, dilation)
-            single = T.conv1d_causal(x[i], W, b, dilation=dilation).data
+            ref = conv_oracle(x[i].T, W, b, dilation)
+            single = T.conv1d_causal(x[i].T, W, b, dilation=dilation).data
             np.testing.assert_allclose(single, ref, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(batched[i], ref, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(batched[i], ref.T, rtol=0, atol=1e-12)
 
     def test_reduce_values(self):
         assert T.reduce_mean([2.5, 1.5]).item() == 2.0
@@ -450,7 +451,7 @@ OP_CASES = {
     "leaky_relu": (T.leaky_relu, [(2, 3)], 1),
     "tanh": (T.tanh, [(2, 3)], 1),
     "sigmoid": (T.sigmoid, [(2, 3)], 1),
-    "gated_activation": (lambda x: T.gated_activation(x, axis=1), [(2, 4)], 1),
+    "gated_activation": (T.gated_activation, [(2, 4)], 1),
     "exp": (T.exp, [(2, 3)], 1),
     "log": (T.log, [(2, 3)], 1),
     "sqrt": (T.sqrt, [(2, 3)], 1),
@@ -694,7 +695,7 @@ class TestFiniteDifference:
             y = T.conv1d_causal(p["p0"], p["p1"], p["p2"])
             return T.reduce_mean(T.mul(y, y))
 
-        err = fd_scalar(f, 3, [(2, 3, 5), (2, 3, 2), (2,)], seed=12)
+        err = fd_scalar(f, 3, [(2, 5, 3), (2, 3, 2), (2,)], seed=12)
         assert err < 1e-6
 
     def test_head_affine_gradient(self):
@@ -707,13 +708,12 @@ class TestFiniteDifference:
         err = fd_scalar(f, 3, [(3, 4, 6), (2, 6, 5), (2, 5)], seed=18)
         assert err < 1e-6
 
-    @pytest.mark.parametrize("axis", [0, -2])
-    def test_gated_activation_gradient(self, axis):
-        shape, out_shape = ((4, 6, 3), (2, 6, 3)) if axis == 0 else ((2, 6, 3), (2, 3, 3))
-        w = np.random.default_rng(19).normal(size=out_shape)
+    @pytest.mark.parametrize("shape", [(6, 3, 4), (2, 3, 6)])
+    def test_gated_activation_gradient(self, shape):
+        w = np.random.default_rng(19).normal(size=shape[:-1] + (shape[-1] // 2,))
 
         def f(p):
-            return T.reduce_sum(T.mul(T.gated_activation(p["p0"], axis), T.Tensor(w)))
+            return T.reduce_sum(T.mul(T.gated_activation(p["p0"]), T.Tensor(w)))
 
         err = fd_scalar(f, 1, [shape], seed=20)
         assert err < 1e-6

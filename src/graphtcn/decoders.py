@@ -113,13 +113,7 @@ class _Head:
         (the same for every pedestrian) or [M, N, groups*draw_dim]
         -> [M, N, out_dim]."""
         b = self.b if self.h_W is None else self.h_b
-        W_shared = T.reshape(self.W_shared, (-1, self.width))
-        W_draw = T.reshape(self.W_draw, (-1, self.width))
-        m, n = per_draw.data.shape[0], shared.data.shape[0]
-        draw = T.affine(per_draw, W_draw)
-        if draw.data.ndim == 2:
-            draw = _tile(draw, 1, n)
-        x = T.add(_tile(T.affine(shared, W_shared, b), 0, m), draw)
+        x = T.draw_affine(shared, per_draw, self.W_shared, self.W_draw, b)
         if self.h_W is not None:
             x = T.affine(T.leaky_relu(x), self.W, self.b)
         return x

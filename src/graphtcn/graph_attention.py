@@ -26,16 +26,6 @@ from .errors import ShapeError
 from .init import add_affine, xavier_uniform
 
 
-def gated_transform(value_pre: T.Tensor) -> T.Tensor:
-    """Self-gated value: u * tanh(u).
-
-    The gate saturates toward 1 for large pre-activations, so the
-    transform passes large values through nearly unchanged while
-    squashing small ones quadratically.
-    """
-    return T.mul(T.tanh(value_pre), value_pre)
-
-
 class GraphAttentionLayer:
     """One multi-head attention layer over the pedestrian graph.
 
@@ -81,9 +71,6 @@ class GraphAttentionLayer:
                 put("ae", xavier_uniform(rng, head_out, 1))
             put("val.W", xavier_uniform(rng, in_dim, head_out))
             put("val.b", np.zeros(head_out))
-        # w1 and w2 enter affine as [in, heads].
-        self.w1 = store.view(self.blocks["w1"], np.transpose)
-        self.w2 = store.view(self.blocks["w2"], np.transpose)
         self.res_W, self.res_b = add_affine(store, f"{prefix}.res", in_dim, self.out_dim, rng)
 
     def edge_features(self, positions: np.ndarray) -> T.Tensor:
@@ -100,23 +87,16 @@ class GraphAttentionLayer:
         if positions.shape != lead + (n, 2):
             raise ShapeError(f"positions {positions.shape} for node features {h.shape}")
         blocks, r = self.blocks, len(lead)
-        to_heads = (r + 1,) + tuple(range(r + 1))   # [..., N, heads] -> [heads, ..., N]
 
         # g is [heads, ..., N, width].
-        g = gated_transform(T.head_affine(h, blocks["val.W"], blocks["val.b"]))
-        # Logit (k, i, j) is src[i, k] + dst[j, k]. The edge term is linear
-        # in the displacement: a_e . (W (p_i - p_j) + b) = q_i . v - q_j . v
-        # + b . a_e with v = W a_e, so it folds into the per-node scores.
-        # q centres each step on its pedestrian 0, which keeps the scores
-        # unchanged under a shift of the scene.
+        g = T.tanh_gate(T.head_affine(h, blocks["val.W"], blocks["val.b"]))
+        # Positions centred on each step's pedestrian 0 keep the edge
+        # scores unchanged under a shift of the scene.
         if self.use_edges:
-            ae = T.transpose(blocks["ae"], (1, 0))   # [width, heads]
-            qv = T.affine(T.Tensor(positions - positions[..., :1, :]), T.affine(self.edge_W, ae))
-            src = T.add(T.affine(h, self.w1, T.affine(self.edge_b, ae)), qv)
-            dst = T.sub(T.affine(h, self.w2), qv)
+            alpha = T.attention_weights(h, positions - positions[..., :1, :], blocks["w1"],
+                                        blocks["w2"], (self.edge_W, self.edge_b, blocks["ae"]))
         else:
-            src, dst = T.affine(h, self.w1), T.affine(h, self.w2)
-        alpha = T.pair_softmax(T.transpose(src, to_heads), T.transpose(dst, to_heads))
+            alpha = T.attention_weights(h, None, blocks["w1"], blocks["w2"])
 
         per_head = T.leaky_relu(T.matmul(alpha, g))
         merged = T.reshape(T.transpose(per_head, tuple(range(1, r + 2)) + (0, r + 2)),
@@ -146,7 +126,9 @@ class SpatialEncoder:
 
     def forward(self, features: T.Tensor, positions: np.ndarray):
         """features [N, T, 4], positions [N, T, 2] -> [N, T, out_dim]."""
-        h = T.affine(T.transpose(features, (1, 0, 2)), self.embed_W, self.embed_b)
+        # The features are constants, so they turn time-major in numpy.
+        steps = T.Tensor(np.ascontiguousarray(features.data.transpose(1, 0, 2)))
+        h = T.affine(steps, self.embed_W, self.embed_b)
         pos = positions.transpose(1, 0, 2)
         h, attn1 = self.gal1.forward(h, pos)
         h, attn2 = self.gal2.forward(h, pos)

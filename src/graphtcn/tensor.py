@@ -149,14 +149,22 @@ def _as_tensor(x) -> Tensor:
     return Tensor(x)
 
 
-def _accumulate(t: Tensor, g: np.ndarray):
+def _accumulate(t: Tensor, g: np.ndarray, fresh: bool = False):
+    """Add ``g`` into ``t``'s gradient, if ``t`` requires one.
+
+    A first gradient is stored as a C-ordered copy, because g may be a view
+    of another tensor's gradient (C order keeps trained weights
+    bit-identical to adding g into zeros; a copy in g's own layout changed
+    their last bits). A caller passes ``fresh`` for a g it has just built
+    and holds nowhere else; a fresh g that is a C-ordered array is then
+    stored as it is. (A ufunc on 0-d arrays returns a numpy scalar, which
+    is copied into an array, so that backward can zero it in place.)
+    """
     if not t.requires_grad:
         return
     if t.grad is None:
-        # A copy, because g may be a view of another tensor's gradient. C
-        # order keeps trained weights bit-identical to adding g into zeros;
-        # a copy in g's own layout changed their last bits.
-        t.grad = np.array(g, order="C")
+        handover = fresh and isinstance(g, np.ndarray) and g.flags.c_contiguous
+        t.grad = g if handover else np.array(g, order="C")
     else:
         t.grad += g
 
@@ -175,11 +183,12 @@ def _record(out: Tensor, inputs, backward_fn):
     _ACTIVE.stack[-1].nodes.append(_Node(out, backward_fn))
 
 
-def _unary(x: Tensor, y, grad) -> Tensor:
+def _unary(x: Tensor, y, grad, fresh: bool = False) -> Tensor:
     """The result ``y`` of a single-input op on ``x``; backward adds
-    ``grad(g)`` into ``x``."""
+    ``grad(g)`` into ``x``. An op whose ``grad`` builds a new array each
+    call passes ``fresh`` (see ``_accumulate``)."""
     out = Tensor(y)
-    _record(out, (x,), lambda g, x=x, grad=grad: _accumulate(x, grad(g)))
+    _record(out, (x,), lambda g, x=x, grad=grad: _accumulate(x, grad(g), fresh))
     return out
 
 
@@ -230,10 +239,10 @@ def affine(x, W, b=None) -> Tensor:
     def bwd(g, x=x, W=W, b=b, x2=x2, lead=lead):
         g2 = g.reshape(-1, g.shape[-1])
         if x.requires_grad:
-            _accumulate(x, (g2 @ W.data.T).reshape(x.data.shape))
-        _accumulate(W, x2.T @ g2)
+            _accumulate(x, (g2 @ W.data.T).reshape(x.data.shape), fresh=True)
+        _accumulate(W, x2.T @ g2, fresh=True)
         if b is not None:
-            _accumulate(b, g2.sum(axis=0))
+            _accumulate(b, g2.sum(axis=0), fresh=True)
 
     _record(out, [x, W] + ([b] if b is not None else []), bwd)
     return out
@@ -266,11 +275,64 @@ def head_affine(x, W, b) -> Tensor:
     def bwd(g, x=x, W=W, b=b, x2=x2, W2=W2):
         g2 = g.reshape(heads, -1, d_out).transpose(1, 0, 2).reshape(-1, heads * d_out)
         if x.requires_grad:
-            _accumulate(x, (g2 @ W2.T).reshape(x.data.shape))
+            _accumulate(x, (g2 @ W2.T).reshape(x.data.shape), fresh=True)
         _accumulate(W, (x2.T @ g2).reshape(d_in, heads, d_out).transpose(1, 0, 2))
-        _accumulate(b, g2.sum(axis=0).reshape(heads, d_out))
+        _accumulate(b, g2.sum(axis=0).reshape(heads, d_out), fresh=True)
 
     _record(out, [x, W, b], bwd)
+    return out
+
+
+def draw_affine(shared, per_draw, W_shared, W_draw, b) -> Tensor:
+    """shared @ W_shared + b + per_draw @ W_draw for every draw and node:
+    [M, N, width].
+
+    ``shared`` [N, S] varies over nodes only. ``per_draw`` is [M, D], the
+    same for every node of a draw, or [M, N, D]. ``W_shared`` and
+    ``W_draw`` are [..., width] weights whose rows flatten to S and D (a
+    strided view of a larger weight is fine); ``b`` is [width]. This is an
+    affine map of the never-built concatenation of the two inputs.
+
+    One op for the chain affine, reshape, repeat_axis and add ops it
+    replaces, equal to that chain bit for bit: the forward runs the
+    chain's numpy expressions, and backward adds into each input as the
+    chain's tape sweep did.
+    """
+    shared, per_draw = _as_tensor(shared), _as_tensor(per_draw)
+    W_shared, W_draw, b = _as_tensor(W_shared), _as_tensor(W_draw), _as_tensor(b)
+    if b.data.ndim != 1 or W_shared.data.ndim < 2 or W_draw.data.ndim < 2:
+        raise ShapeError(f"draw_affine weights {W_shared.shape}, {W_draw.shape}, bias {b.shape}")
+    width = b.data.shape[0]
+    if W_shared.data.shape[-1] != width or W_draw.data.shape[-1] != width:
+        raise ShapeError(f"draw_affine weights {W_shared.shape}, {W_draw.shape}, bias {b.shape}")
+    Ws, Wd = W_shared.data.reshape(-1, width), W_draw.data.reshape(-1, width)
+    s2, p = shared.data, per_draw.data
+    if s2.ndim != 2 or s2.shape[1] != Ws.shape[0]:
+        raise ShapeError(f"draw_affine shared input {shared.shape} vs W_shared {W_shared.shape}")
+    n, m = s2.shape[0], p.shape[0] if p.ndim else 0
+    if p.ndim not in (2, 3) or p.shape[-1] != Wd.shape[0] or p.shape[1:-1] not in ((), (n,)):
+        raise ShapeError(f"draw_affine per-draw input {per_draw.shape} vs W_draw "
+                         f"{W_draw.shape} for {n} nodes")
+    per_node = p.ndim == 3
+    p2 = p.reshape(-1, Wd.shape[0])
+    s = s2 @ Ws
+    s = s + b.data
+    d = p2 @ Wd
+    out = Tensor(np.add(s, d.reshape(m, n, width) if per_node else d[:, None]))
+
+    def bwd(g):
+        gs = g.sum(axis=0)
+        gd = g.reshape(-1, width) if per_node else g.sum(axis=1)
+        if shared.requires_grad:
+            _accumulate(shared, gs @ Ws.T, fresh=True)
+        gWs = s2.T @ gs
+        _accumulate(b, gs.sum(axis=0), fresh=True)
+        if per_draw.requires_grad:
+            _accumulate(per_draw, (gd @ Wd.T).reshape(p.shape), fresh=True)
+        _accumulate(W_draw, (p2.T @ gd).reshape(W_draw.data.shape))
+        _accumulate(W_shared, gWs.reshape(W_shared.data.shape))
+
+    _record(out, [shared, per_draw, W_shared, W_draw, b], bwd)
     return out
 
 
@@ -284,9 +346,9 @@ def matmul(a, b) -> Tensor:
 
     def bwd(g, a=a, b=b):
         if a.requires_grad:
-            _accumulate(a, g @ np.swapaxes(b.data, -1, -2))
+            _accumulate(a, g @ np.swapaxes(b.data, -1, -2), fresh=True)
         if b.requires_grad:
-            _accumulate(b, np.swapaxes(a.data, -1, -2) @ g)
+            _accumulate(b, np.swapaxes(a.data, -1, -2) @ g, fresh=True)
 
     _record(out, [a, b], bwd)
     return out
@@ -296,7 +358,9 @@ def _binary(a, b, forward, grad_a, grad_b) -> Tensor:
     """Elementwise ``forward`` of two equal-shape operands, or of one
     operand and a 0-d scalar. Backward adds ``grad_a(g, a, b)`` into ``a``
     and ``grad_b(g, a, b)`` into ``b``, summed to a scalar for a 0-d
-    operand, for each operand that needs a gradient."""
+    operand, for each operand that needs a gradient. A gradient function
+    returns g itself (add, and sub's first operand) or a new array, which
+    is handed over fresh."""
     a, b = _as_tensor(a), _as_tensor(b)
     if a.data.shape != b.data.shape and a.data.ndim and b.data.ndim:
         raise ShapeError(f"{forward.__name__} mismatch: {a.shape} vs {b.shape}")
@@ -306,7 +370,9 @@ def _binary(a, b, forward, grad_a, grad_b) -> Tensor:
         for t, grad in ((a, grad_a), (b, grad_b)):
             if t.requires_grad:
                 gt = grad(g, a, b)
-                _accumulate(t, gt.sum() if t.data.ndim == 0 and g.ndim > 0 else gt)
+                if t.data.ndim == 0 and g.ndim > 0:
+                    gt = gt.sum()
+                _accumulate(t, gt, fresh=gt is not g)
 
     _record(out, (a, b), bwd)
     return out
@@ -324,6 +390,11 @@ def mul(a, b) -> Tensor:
     return _binary(a, b, np.multiply, lambda g, a, b: g * b.data, lambda g, a, b: g * a.data)
 
 
+# The leaky_relu slope of the attention logits and of every other leaky
+# step in the model.
+_SLOPE = 0.2
+
+
 def _check_slope(slope: float):
     if not 0.0 < slope <= 1.0:
         raise ContractError(f"leaky slope must lie in (0, 1], got {slope}")
@@ -335,18 +406,32 @@ def _leaky(v: np.ndarray, slope: float) -> np.ndarray:
     return np.maximum(v, out, out=out)
 
 
-def leaky_relu(x, slope: float = 0.2) -> Tensor:
+def leaky_relu(x, slope: float = _SLOPE) -> Tensor:
     x = _as_tensor(x)
     _check_slope(slope)
     # max(x >= 0, slope) is 1 where x >= 0, else slope.
     return _unary(x, _leaky(x.data, slope),
-                  lambda g, x=x, slope=slope: g * np.maximum(x.data >= 0.0, slope))
+                  lambda g, x=x, slope=slope: g * np.maximum(x.data >= 0.0, slope), fresh=True)
 
 
 def tanh(x) -> Tensor:
     x = _as_tensor(x)
     y = np.tanh(x.data)
-    return _unary(x, y, lambda g, y=y: g * (1.0 - y * y))
+    return _unary(x, y, lambda g, y=y: g * (1.0 - y * y), fresh=True)
+
+
+def tanh_gate(x) -> Tensor:
+    """The self-gated value x * tanh(x), as one op.
+
+    Equals mul(tanh(x), x) bit for bit. Its gradient is the chain's mul
+    term plus its tanh term, summed in the chain's order; that is the
+    chain's gradient bit for bit when x feeds nothing else (as the
+    attention values do).
+    """
+    x = _as_tensor(x)
+    t = np.tanh(x.data)
+    return _unary(x, t * x.data,
+                  lambda g, x=x, t=t: g * t + (g * x.data) * (1.0 - t * t), fresh=True)
 
 
 def _sigmoid(d: np.ndarray) -> np.ndarray:
@@ -365,7 +450,7 @@ def _sigmoid(d: np.ndarray) -> np.ndarray:
 def sigmoid(x) -> Tensor:
     x = _as_tensor(x)
     y = _sigmoid(x.data)
-    return _unary(x, y, lambda g, y=y: g * y * (1.0 - y))
+    return _unary(x, y, lambda g, y=y: g * y * (1.0 - y), fresh=True)
 
 
 def gated_activation(x) -> Tensor:
@@ -389,26 +474,26 @@ def gated_activation(x) -> Tensor:
         gx[..., c:] = ((g * a) * s) * (1.0 - s)
         return gx
 
-    return _unary(x, a * s, grad)
+    return _unary(x, a * s, grad, fresh=True)
 
 
 def exp(x) -> Tensor:
     x = _as_tensor(x)
     y = np.exp(x.data)
-    return _unary(x, y, lambda g, y=y: g * y)
+    return _unary(x, y, lambda g, y=y: g * y, fresh=True)
 
 
 def log(x) -> Tensor:
     x = _as_tensor(x)
     _check_domain(x.data <= 0.0, "log of non-positive")
-    return _unary(x, np.log(x.data), lambda g, x=x: g / x.data)
+    return _unary(x, np.log(x.data), lambda g, x=x: g / x.data, fresh=True)
 
 
 def sqrt(x) -> Tensor:
     x = _as_tensor(x)
     _check_domain(x.data < 0.0, "sqrt of negative")
     y = np.sqrt(x.data)
-    return _unary(x, y, lambda g, y=y: g * 0.5 / y)
+    return _unary(x, y, lambda g, y=y: g * 0.5 / y, fresh=True)
 
 
 def _check_domain(bad: np.ndarray, what: str):
@@ -493,7 +578,7 @@ def repeat_axis(x, axis: int, times: int) -> Tensor:
         raise ShapeError(f"repeat_axis needs extent 1 at axis {axis}, got {x.shape}")
     shape = x.data.shape[:axis] + (times,) + x.data.shape[axis + 1:]
     return _unary(x, np.broadcast_to(x.data, shape),
-                  lambda g, axis=axis: g.sum(axis=axis, keepdims=True))
+                  lambda g, axis=axis: g.sum(axis=axis, keepdims=True), fresh=True)
 
 
 def stack(tensors, axis: int = 0) -> Tensor:
@@ -527,10 +612,11 @@ def masked_softmax(logits, mask) -> Tensor:
     y -= y.max(axis=-1, keepdims=True)
     np.exp(y, out=y)
     y /= y.sum(axis=-1, keepdims=True)
-    return _unary(x, y, lambda g, y=y: y * (g - (g * y).sum(axis=-1, keepdims=True)))
+    return _unary(x, y, lambda g, y=y: y * (g - (g * y).sum(axis=-1, keepdims=True)),
+                  fresh=True)
 
 
-def pair_softmax(src, dst, slope: float = 0.2) -> Tensor:
+def pair_softmax(src, dst, slope: float = _SLOPE) -> Tensor:
     """Row softmax of leaky_relu(src[..., i] + dst[..., j]) over j.
 
     ``src`` and ``dst`` are [..., N] per-node scores; the result is
@@ -544,25 +630,120 @@ def pair_softmax(src, dst, slope: float = 0.2) -> Tensor:
     if src.data.ndim < 1 or src.data.shape != dst.data.shape:
         raise ShapeError(f"pair_softmax operands {src.shape} vs {dst.shape}")
     _check_slope(slope)
-    s, d = src.data, dst.data
+    y, grads = _pair_softmax(src.data, dst.data, slope, _recording((src, dst)))
+    out = Tensor(y)
+
+    def bwd(g, src=src, dst=dst, grads=grads):
+        gs, gd = grads(g)
+        _accumulate(src, gs, fresh=True)
+        _accumulate(dst, gd, fresh=True)
+
+    _record(out, [src, dst], bwd)
+    return out
+
+
+def _pair_softmax(s: np.ndarray, d: np.ndarray, slope: float, record: bool):
+    """The kernel of pair_softmax and attention_weights: the [..., N, N]
+    row softmax of leaky(s_i + d_j) for [..., N] scores, and, if
+    ``record``, its backward, which maps the attention gradient to the
+    (s, d) gradients (else None)."""
     y = s[..., :, None] + d[..., None, :]
-    pos = y >= 0.0 if _recording((src, dst)) else None
+    pos = y >= 0.0 if record else None
     y = _leaky(y, slope)
     # Row i's maximum without an N x N reduction: rounding and leaky are
     # both monotone non-decreasing, so it is leaky(s_i + max_j d_j).
     y -= _leaky(s + d.max(axis=-1, keepdims=True), slope)[..., None]
     np.exp(y, out=y)
     y /= y.sum(axis=-1, keepdims=True)
-    out = Tensor(y)
+    if not record:
+        return y, None
 
-    def bwd(g, src=src, dst=dst, y=y, pos=pos, slope=slope):
+    def grads(g, y=y, pos=pos, slope=slope):
         gl = g * y
         gl -= y * gl.sum(axis=-1, keepdims=True)
         gl *= np.maximum(pos, slope)
-        _accumulate(src, gl.sum(axis=-1))
-        _accumulate(dst, gl.sum(axis=-2))
+        return gl.sum(axis=-1), gl.sum(axis=-2)
 
-    _record(out, [src, dst], bwd)
+    return y, grads
+
+
+def attention_weights(h, centred, w1, w2, edge=None) -> Tensor:
+    """Graph attention of every head: [H, ..., N, N], row i of head k the
+    softmax over j of leaky(w1[k] . h_i + w2[k] . h_j + a_e[k] . edge_ij).
+
+    ``h`` is [..., N, in] and ``w1``, ``w2`` are [H, in]. With ``edge`` =
+    (W_edge [2, width], b_edge [width], a_e [H, width]), edge_ij is
+    (c_i - c_j) @ W_edge + b_edge for the constant positions ``centred``
+    [..., N, 2]; without it ``centred`` is unused. The edge term is linear
+    in the displacement, a_e . edge_ij = c_i . v - c_j . v + b_edge . a_e
+    with v = W_edge @ a_e, so every logit is the sum of two per-node scores
+    and the N x N edges are never built.
+
+    One op for the chain affine, add, sub, transpose and pair_softmax ops
+    it replaces, equal to that chain bit for bit: the forward runs the
+    chain's numpy expressions, and backward adds into each input in the
+    order the chain's tape sweep did (h takes the w2 term, then the w1
+    term; the shared c . v score takes -g_dst, then +g_src).
+    """
+    h, w1, w2 = _as_tensor(h), _as_tensor(w1), _as_tensor(w2)
+    if w1.data.ndim != 2 or w2.data.shape != w1.data.shape:
+        raise ShapeError(f"attention_weights w1 {w1.shape} and w2 {w2.shape} must be [H, in]")
+    heads, d_in = w1.data.shape
+    if h.data.ndim < 2 or h.data.shape[-1] != d_in:
+        raise ShapeError(f"attention_weights h {h.shape} vs w1 {w1.shape}")
+    inputs = [h, w1, w2]
+    lead = h.data.shape[:-1]
+    r = len(lead)
+    to_heads, from_heads = (r,) + tuple(range(r)), tuple(range(1, r + 1)) + (0,)
+    x2 = h.data.reshape(-1, d_in)
+    src = x2 @ w1.data.T
+    dst = x2 @ w2.data.T
+    if edge is not None:
+        W_e, b_e, a_e = (_as_tensor(t) for t in edge)
+        inputs += [W_e, b_e, a_e]
+        width = b_e.data.size
+        if (W_e.data.shape != (2, width) or b_e.data.shape != (width,)
+                or a_e.data.shape != (heads, width)):
+            raise ShapeError(f"attention_weights edge weights {W_e.shape}, {b_e.shape}, "
+                             f"{a_e.shape} for {heads} heads")
+        centred = np.asarray(centred, dtype=np.float64)
+        if centred.shape != lead + (2,):
+            raise ShapeError(f"attention_weights positions {centred.shape} for h {h.shape}")
+        ae = np.ascontiguousarray(a_e.data.T)   # [width, H]
+        b2 = b_e.data.reshape(1, width)
+        c2 = centred.reshape(-1, 2)
+        qv = c2 @ (W_e.data @ ae)
+        src = src + (b2 @ ae).reshape(heads)
+        src = src + qv
+        dst = dst - qv
+    record = _recording(inputs)
+    y, grads = _pair_softmax(np.ascontiguousarray(src.reshape(lead + (heads,)).transpose(to_heads)),
+                             np.ascontiguousarray(dst.reshape(lead + (heads,)).transpose(to_heads)),
+                             _SLOPE, record)
+    out = Tensor(y)
+    if not record:
+        return out
+
+    def bwd(g):
+        gs, gd = grads(g)
+        gd = np.ascontiguousarray(gd.transpose(from_heads)).reshape(-1, heads)
+        gs = np.ascontiguousarray(gs.transpose(from_heads)).reshape(-1, heads)
+        if h.requires_grad:
+            _accumulate(h, (gd @ w2.data).reshape(h.data.shape), fresh=True)
+        _accumulate(w2, (x2.T @ gd).T)
+        if h.requires_grad:
+            _accumulate(h, (gs @ w1.data).reshape(h.data.shape), fresh=True)
+        _accumulate(w1, (x2.T @ gs).T)
+        if edge is not None:
+            gb = gs.sum(axis=0).reshape(1, heads)
+            _accumulate(b_e, (gb @ ae.T).reshape(width), fresh=True)
+            gae = b2.T @ gb
+            gv = c2.T @ (gs - gd)
+            _accumulate(W_e, gv @ ae.T, fresh=True)
+            gae += W_e.data.T @ gv
+            _accumulate(a_e, gae.T)
+
+    _record(out, inputs, bwd)
     return out
 
 
@@ -613,16 +794,16 @@ def conv1d_causal(x, W, b=None, dilation: int = 1) -> Tensor:
 
     def bwd(g, x=x, W=W, b=b, cols=cols, W2=W2, batched=batched):
         g2 = g.reshape(n * t_len, c_out) if batched else g.T
-        _accumulate(W, (g2.T @ cols).reshape(W.data.shape))
+        _accumulate(W, (g2.T @ cols).reshape(W.data.shape), fresh=True)
         if b is not None:
-            _accumulate(b, g2.sum(axis=0))
+            _accumulate(b, g2.sum(axis=0), fresh=True)
         if x.requires_grad:
             gcols = (g2 @ W2).reshape(n, t_len, c_in, k)
             gx = np.zeros((n, t_len, c_in))
             for j, s in enumerate(shifts):
                 if s < t_len:
                     gx[:, : t_len - s] += gcols[:, s:, :, j]
-            _accumulate(x, gx if batched else gx[0].T)
+            _accumulate(x, gx if batched else gx[0].T, fresh=True)
 
     _record(out, [x, W] + ([b] if b is not None else []), bwd)
     return out
@@ -630,14 +811,15 @@ def conv1d_causal(x, W, b=None, dilation: int = 1) -> Tensor:
 
 def reduce_sum(x, axis=None) -> Tensor:
     x, axis = _reduction_input(x, axis)
-    return _unary(x, x.data.sum(axis=axis), lambda g, x=x, axis=axis: _spread(g, x, axis, 1.0))
+    return _unary(x, x.data.sum(axis=axis),
+                  lambda g, x=x, axis=axis: _spread(g, x, axis, 1.0), fresh=True)
 
 
 def reduce_mean(x, axis=None) -> Tensor:
     x, axis = _reduction_input(x, axis)
     scale = 1.0 / (x.data.size if axis is None else x.data.shape[axis])
     return _unary(x, x.data.mean(axis=axis),
-                  lambda g, x=x, axis=axis, scale=scale: _spread(g, x, axis, scale))
+                  lambda g, x=x, axis=axis, scale=scale: _spread(g, x, axis, scale), fresh=True)
 
 
 def reduce_min(x, axis=None) -> Tensor:
@@ -653,7 +835,7 @@ def reduce_min(x, axis=None) -> Tensor:
             np.put_along_axis(gx, np.expand_dims(idx, axis), np.expand_dims(g, axis), axis)
         return gx
 
-    return _unary(x, x.data.min(axis=axis), grad)
+    return _unary(x, x.data.min(axis=axis), grad, fresh=True)
 
 
 def _reduction_input(x, axis):

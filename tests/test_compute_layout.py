@@ -147,7 +147,7 @@ def test_predict_op_count_is_pinned(monkeypatch):
     window = make_window(model.cfg, n=8, seed=1)
     count = count_outermost_ops(monkeypatch)
     model.predict(window, 4, np.random.default_rng(2))
-    assert count[0] == 63
+    assert count[0] == 32
 
 
 def test_training_step_tape_node_count_is_pinned():
@@ -156,4 +156,4 @@ def test_training_step_tape_node_count_is_pinned():
     noise = model.draw_noise(np.random.default_rng(4), window.n_peds)
     with T.Tape() as tape:
         loss, _ = model.window_loss(window, 1, noise)
-    assert len(tape.nodes) == 69
+    assert len(tape.nodes) == 39

@@ -5,7 +5,7 @@ import pytest
 
 from graphtcn import tensor as T
 from graphtcn.config import ModelConfig
-from graphtcn.graph_attention import GraphAttentionLayer, SpatialEncoder, gated_transform
+from graphtcn.graph_attention import GraphAttentionLayer, SpatialEncoder
 from graphtcn.tensor import ParameterStore, Tensor
 
 from oracles import gal_oracle, spatial_oracle
@@ -58,15 +58,15 @@ class TestEdgeFeatures:
 
 class TestGatedTransform:
     def test_zero_preactivation(self):
-        g = gated_transform(Tensor([0.0]))
+        g = T.tanh_gate(Tensor([0.0]))
         np.testing.assert_array_equal(g.data, [0.0])
 
     def test_unit_preactivation(self):
-        g = gated_transform(Tensor([1.0]))
+        g = T.tanh_gate(Tensor([1.0]))
         np.testing.assert_allclose(g.data, [0.7615941559557649], rtol=0, atol=1e-15)
 
     def test_saturation_passes_value(self):
-        g = gated_transform(Tensor([50.0]))
+        g = T.tanh_gate(Tensor([50.0]))
         np.testing.assert_allclose(g.data, [50.0], rtol=1e-12)
 
 

@@ -253,6 +253,146 @@ class TestForwardValues:
         with pytest.raises(ShapeError):
             T.head_affine(np.zeros((3, 4)), np.zeros((2, 4, 2)), np.zeros(4))
 
+    @pytest.mark.parametrize("edges", [True, False])
+    @pytest.mark.parametrize("heads,lead", [(1, ()), (2, (3,)), (3, (2, 3))])
+    def test_attention_weights_equals_unfused_chain(self, heads, lead, edges):
+        # The chain the op replaces: w1 and w2 as transposed store views,
+        # the edge term through a transposed a_e, then per-head transposes
+        # and pair_softmax. Values and every input gradient, bit for bit.
+        # h is an op output that feeds one more op after the attention, as
+        # the layer's residual does, so it holds a gradient before the
+        # attention's two terms arrive, and their order shows.
+        rng = np.random.default_rng(10 * heads + len(lead) + edges)
+        n, d_in, width = 5, 6, 4
+        shapes = {"h": lead + (n, d_in), "w1": (heads, d_in), "w2": (heads, d_in),
+                  "W_e": (2, width), "b_e": (width,), "a_e": (heads, width)}
+        values = {k: rng.normal(size=v) for k, v in shapes.items()}
+        centred = rng.normal(size=lead + (n, 2)) * 3.0
+        w = rng.normal(size=(heads,) + lead + (n, n))
+        w_h = rng.normal(size=shapes["h"])
+        r = len(lead)
+        to_heads = (r + 1,) + tuple(range(r + 1))
+
+        def chain(p, h):
+            w1 = p.view(p["w1"], np.transpose)
+            w2 = p.view(p["w2"], np.transpose)
+            if edges:
+                ae = T.transpose(p["a_e"], (1, 0))
+                qv = T.affine(T.Tensor(centred), T.affine(p["W_e"], ae))
+                src = T.add(T.affine(h, w1, T.affine(p["b_e"], ae)), qv)
+                dst = T.sub(T.affine(h, w2), qv)
+            else:
+                src, dst = T.affine(h, w1), T.affine(h, w2)
+            return T.pair_softmax(T.transpose(src, to_heads), T.transpose(dst, to_heads))
+
+        def fused(p, h):
+            edge = (p["W_e"], p["b_e"], p["a_e"]) if edges else None
+            return T.attention_weights(h, centred if edges else None, p["w1"], p["w2"], edge)
+
+        results = []
+        for op in (chain, fused):
+            store = T.ParameterStore()
+            for k, v in values.items():
+                store.add(k, v)
+            with T.Tape() as tape:
+                h = T.reshape(store["h"], shapes["h"])
+                out = op(store, h)
+                loss = T.add(T.reduce_sum(T.mul(out, T.Tensor(w))),
+                             T.reduce_sum(T.mul(h, T.Tensor(w_h))))
+                T.backward(loss, tape)
+            results.append([out.data] + [store[k].grad.copy() for k in shapes])
+        assert results[1][0].shape == (heads,) + lead + (n, n)
+        for ref, got in zip(*results):
+            assert ref.shape == got.shape and ref.tobytes() == got.tobytes()
+        if not edges:
+            assert all((g == 0.0).all() for g in results[1][4:])
+
+    def test_attention_weights_shapes_checked(self):
+        h, w = np.zeros((3, 4)), np.zeros((2, 4))
+        edge = (np.zeros((2, 5)), np.zeros(5), np.zeros((2, 5)))
+        T.attention_weights(h, np.zeros((3, 2)), w, w, edge)
+        bad = [
+            (np.zeros((3, 5)), None, w, w, None),                  # h width
+            (np.zeros(4), None, w, w, None),                        # h without a node axis
+            (h, None, np.zeros(4), np.zeros(4), None),              # w1 not [H, in]
+            (h, None, w, np.zeros((3, 4)), None),                   # w2 vs w1
+            (h, np.zeros((3, 2)), w, w, (np.zeros((3, 5)),) + edge[1:]),       # W_edge
+            (h, np.zeros((3, 2)), w, w, edge[:2] + (np.zeros((3, 5)),)),       # a_e heads
+            (h, np.zeros((3, 2)), w, w, (edge[0], np.zeros((5, 1)), edge[2])),  # b_edge
+            (h, np.zeros((2, 2)), w, w, edge),                      # positions
+            (h, None, w, w, edge),                                  # no positions
+        ]
+        for args in bad:
+            with pytest.raises(ShapeError):
+                T.attention_weights(*args)
+
+    @pytest.mark.parametrize("groups,per_node", [(1, True), (1, False), (3, True), (3, False)])
+    def test_draw_affine_equals_unfused_chain(self, groups, per_node):
+        # The chain the op replaces: two weight reshapes, two affines, the
+        # tiles of both parts over [M, N] and an add, on row views of one
+        # stored weight. Values and every input gradient, bit for bit.
+        rng = np.random.default_rng(groups + 2 * per_node)
+        m, n, s_dim, d_dim, width = 4, 5, 3, 2, 6
+        x_shared = rng.normal(size=(n, groups * s_dim))
+        x_draw = rng.normal(size=(m, n, groups * d_dim) if per_node else (m, groups * d_dim))
+        W = rng.normal(size=(groups * (s_dim + d_dim), width))
+        b = rng.normal(size=width)
+        w = rng.normal(size=(m, n, width))
+
+        def tile(x, axis, times):
+            shape = x.data.shape
+            return T.repeat_axis(T.reshape(x, shape[:axis] + (1,) + shape[axis:]), axis, times)
+
+        def chain(shared, per_draw, W_s, W_d, b):
+            draw = T.affine(per_draw, T.reshape(W_d, (-1, width)))
+            if not per_node:
+                draw = tile(draw, 1, n)
+            return T.add(tile(T.affine(shared, T.reshape(W_s, (-1, width)), b), 0, m), draw)
+
+        results = []
+        for op in (chain, T.draw_affine):
+            store = T.ParameterStore()
+            ps, pd = store.add("shared", x_shared), store.add("draw", x_draw)
+            pW, pb = store.add("W", W), store.add("b", b)
+            W_s = store.view(pW, lambda a: a.reshape(groups, -1, width)[:, :s_dim])
+            W_d = store.view(pW, lambda a: a.reshape(groups, -1, width)[:, s_dim:])
+            with T.Tape() as tape:
+                out = op(T.reshape(ps, ps.shape), T.reshape(pd, pd.shape), W_s, W_d, pb)
+                T.backward(T.reduce_sum(T.mul(out, T.Tensor(w))), tape)
+            results.append([out.data] + [t.grad.copy() for t in (ps, pd, pW, pb)])
+        assert results[1][0].shape == (m, n, width)
+        for ref, got in zip(*results):
+            assert ref.shape == got.shape and ref.tobytes() == got.tobytes()
+
+    def test_draw_affine_shapes_checked(self):
+        args = [np.zeros((3, 4)), np.zeros((2, 5)), np.zeros((4, 6)), np.zeros((5, 6)), np.zeros(6)]
+        assert T.draw_affine(*args).shape == (2, 3, 6)
+        assert T.draw_affine(args[0], np.zeros((2, 3, 5)), *args[2:]).shape == (2, 3, 6)
+        bad = {0: [np.zeros((3, 3)), np.zeros((1, 3, 4))],        # shared rows or rank
+               1: [np.zeros((2, 4)), np.zeros((2, 4, 5)), np.zeros(5), np.zeros((1, 2, 3, 5))],
+               2: [np.zeros((4, 7)), np.zeros(4)],                # W_shared width or rank
+               3: [np.zeros((5, 7))],                             # W_draw width
+               4: [np.zeros((1, 6))]}                             # bias rank
+        for i, cases in bad.items():
+            for value in cases:
+                with pytest.raises(ShapeError):
+                    T.draw_affine(*(args[:i] + [value] + args[i + 1:]))
+
+    def test_tanh_gate_equals_unfused_chain(self):
+        rng = np.random.default_rng(23)
+        x = np.concatenate([rng.normal(size=20) * 3.0, [0.0, -0.0, 50.0, -50.0]])
+        w = rng.normal(size=x.shape)
+        results = []
+        for op in (lambda t: T.mul(T.tanh(t), t), T.tanh_gate):
+            store = T.ParameterStore()
+            p = store.add("x", x)
+            with T.Tape() as tape:
+                out = op(T.reshape(p, x.shape))
+                T.backward(T.reduce_sum(T.mul(out, T.Tensor(w))), tape)
+            results.append((out.data, p.grad.copy()))
+        (ref, ref_grad), (out, grad) = results
+        assert out.tobytes() == ref.tobytes() and grad.tobytes() == ref_grad.tobytes()
+
     def test_conv_identity_tap(self):
         # Kernel [0,0,1]: only the current-step tap fires.
         x = np.array([[3.0, 1.0, 4.0, 1.0, 5.0]])
@@ -367,6 +507,18 @@ class TestBackward:
         T.backward(out, tape)
         np.testing.assert_array_equal(x.grad, [12.0])
 
+    def test_repeated_backward_over_scalar_ops(self):
+        # Ops on 0-d tensors produce numpy scalars as gradients; the second
+        # sweep must still be able to reset every intermediate in place.
+        x = T.Tensor(np.array(0.5), requires_grad=True)
+        with T.Tape() as tape:
+            y = T.mul(T.exp(T.mul(x, 3.0)), T.tanh(x))
+            T.backward(y, tape)
+            once = x.grad.copy()
+            T.backward(y, tape)
+        assert x.grad == 2.0 * once
+        assert all(isinstance(n.out.grad, np.ndarray) for n in tape.nodes)
+
     def test_grad_accumulates_across_tapes_until_zeroed(self):
         x = T.Tensor([2.0], requires_grad=True)
         for _ in range(2):
@@ -447,9 +599,18 @@ OP_CASES = {
     "mul.scalar": (T.mul, [(2, 3), ()], 1),
     "affine": (T.affine, [(2, 3), (3, 4), (4,)], 1),
     "head_affine": (T.head_affine, [(2, 3), (2, 3, 4), (2, 4)], 1),
+    "draw_affine": (T.draw_affine, [(3, 4), (2, 5), (4, 6), (5, 6), (6,)], 1),
+    "draw_affine.per_node": (T.draw_affine, [(3, 4), (2, 3, 5), (2, 2, 6), (5, 6), (6,)], 1),
+    "attention_weights": (lambda h, w1, w2: T.attention_weights(h, None, w1, w2),
+                          [(2, 3, 4), (2, 4), (2, 4)], 1),
+    "attention_weights.edge": (
+        lambda h, w1, w2, W_e, b_e, a_e: T.attention_weights(
+            h, np.arange(6.0).reshape(3, 2), w1, w2, (W_e, b_e, a_e)),
+        [(3, 4), (2, 4), (2, 4), (2, 5), (5,), (2, 5)], 1),
     "matmul": (T.matmul, [(2, 3), (3, 4)], 1),
     "leaky_relu": (T.leaky_relu, [(2, 3)], 1),
     "tanh": (T.tanh, [(2, 3)], 1),
+    "tanh_gate": (T.tanh_gate, [(2, 3)], 1),
     "sigmoid": (T.sigmoid, [(2, 3)], 1),
     "gated_activation": (T.gated_activation, [(2, 4)], 1),
     "exp": (T.exp, [(2, 3)], 1),
@@ -565,6 +726,7 @@ class TestFiniteDifference:
         [
             ("leaky_relu", lambda p: T.reduce_sum(T.leaky_relu(p["p0"]))),
             ("tanh", lambda p: T.reduce_sum(T.tanh(p["p0"]))),
+            ("tanh_gate", lambda p: T.reduce_sum(T.tanh_gate(p["p0"]))),
             ("sigmoid", lambda p: T.reduce_sum(T.sigmoid(p["p0"]))),
             ("exp", lambda p: T.reduce_sum(T.exp(p["p0"]))),
             ("mul", lambda p: T.reduce_sum(T.mul(p["p0"], p["p0"]))),

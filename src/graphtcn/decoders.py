@@ -14,9 +14,10 @@ coordinates in one step at the end:
 
 Both heads decode all M draws at once: the draws are a leading axis of
 the noise, and every output carries it as [M, N, T_pred, 2]. Neither
-builds the concatenation: its first affine map is the sum of an
-embedding part, computed once per pedestrian, and a noise or latent
-part, computed once per draw, on two views of the stored weight's rows.
+builds the concatenation: its first affine map is one draw_affine op,
+the sum of an embedding part, computed once per pedestrian, and a noise
+or latent part, computed once per draw, on two views of the stored
+weight's rows.
 """
 
 from __future__ import annotations
@@ -85,9 +86,9 @@ class _Head:
     weight come in ``groups`` blocks of ``shared_dim`` shared rows followed
     by the draw rows, so the first affine runs as
     shared @ W_shared + per_draw @ W_draw on the two row sets, added over
-    [M, N, .], and the concatenated [M, N, .] input is never built.
-    W_shared and W_draw are views of the stored weight, [groups, rows,
-    width] cut on the row axis, so each forward only flattens them.
+    [M, N, .] (one draw_affine op), and the concatenated [M, N, .] input
+    is never built. W_shared and W_draw are views of the stored weight,
+    [groups, rows, width] cut on the row axis.
     """
 
     def __init__(self, store, prefix: str, groups: int, shared_dim: int, draw_dim: int,

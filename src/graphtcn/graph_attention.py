@@ -14,7 +14,11 @@ integer shift the centred positions, and so the output, are reproduced
 bit for bit.
 
 Each per-head parameter lives in one head-major block for all heads, so
-the heads run at once without rebuilding their weights on every pass.
+the heads run at once without rebuilding their weights on every pass. A
+layer is a handful of tensor ops: head_affine and tanh_gate for the
+values, attention_weights for both per-node scores of every head and
+their softmax (the blocks are its operands as stored), then the weighted
+sum, the heads' merge and the residual.
 """
 
 from __future__ import annotations
@@ -31,8 +35,9 @@ class GraphAttentionLayer:
 
     Per head, the scalar attention logit between pedestrians i and j is
         leaky_relu(w1 . h_i + w2 . h_j + a_e . edge_ij)
-    followed by a softmax over j, computed from per-node scores. Values
-    pass through a gated transform u * tanh(u) before aggregation, and
+    followed by a softmax over j, computed from per-node scores by one
+    attention_weights op. Values pass through the gate u * tanh(u)
+    (tanh_gate) before aggregation, and
     each head's weighted sum gets a final leaky_relu. Heads are
     concatenated and an affine projection of the input is added as the
     graph residual.

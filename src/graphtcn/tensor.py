@@ -5,13 +5,26 @@ float64 numpy array (row-major, except the read-only views repeat_axis
 returns); each operation pairs a numpy forward pass with a backward
 rule. The op set is deliberately closed: only what the model needs, no
 implicit broadcasting (a 0-d scalar operand is the single exception in
-add/sub/mul). Three ops are fused chains, each equal bit for bit to the
-chain it replaces: pair_softmax takes per-node scores and returns the
-row-softmaxed [..., N, N] attention, so attention logits never exist as
-separate N x N operands; head_affine runs every attention head's affine
-map from a head-major weight block; and gated_activation is the TCN's
-tanh(gate) * sigmoid(filter) over the two halves of one convolution
-output.
+add/sub/mul). At the model's sizes an op costs more in Python dispatch
+than in arithmetic, so six ops are fused chains, each equal bit for bit
+to the chain it replaces, gradients included:
+  attention_weights  every head's per-node attention scores (node
+                     features, and the edge term folded in) and their
+                     row softmax, [H, ..., N, N], in one op per layer;
+  pair_softmax       the row-softmaxed [..., N, N] attention from given
+                     per-node scores, so logits never exist as separate
+                     N x N operands (attention_weights shares its kernel);
+  head_affine        every attention head's affine map from a head-major
+                     weight block;
+  tanh_gate          the attention value gate x * tanh(x) (its gradient
+                     equals the chain's when x feeds nothing else, as
+                     there);
+  gated_activation   the TCN's tanh(gate) * sigmoid(filter) over the two
+                     halves of one convolution output;
+  draw_affine        the decoder's first affine map over [M draws, N
+                     nodes], from a per-node and a per-draw part.
+A fused op replays the numpy expressions of its chain, and its backward
+adds into each input in the order the chain's tape sweep did.
 
 No kernel the model calls makes a data-dependent select (numpy's where,
 or a ufunc masked by a where argument): numpy runs those several times
@@ -34,15 +47,18 @@ on the current thread if, and only if, one of its inputs requires
 gradients. A single-input op states only its result and its input
 gradient as a function of the output gradient (``_unary``); add, sub and
 mul state their forward ufunc and one gradient function per operand
-(``_binary``). affine, head_affine, matmul, conv1d_causal, pair_softmax,
-concat and slice_axis keep hand-written backward rules: each shares one
-intermediate across several inputs or writes into a slice of a gradient.
+(``_binary``). affine, head_affine, draw_affine, matmul, conv1d_causal,
+pair_softmax, attention_weights, concat and slice_axis keep hand-written
+backward rules: each shares one intermediate across several inputs or
+writes into a slice of a gradient.
 
 Gradients accumulate into ``Tensor.grad`` buffers; callers zero them
 explicitly between optimizer steps. Running ``backward`` twice on the same
 tape without zeroing doubles every leaf gradient. An intermediate's first
-gradient is stored as a copy, not added into zeros. add, sub, mul,
-affine, matmul and conv1d_causal skip the gradient of an operand that
+gradient is stored, not added into zeros: as it is when the backward rule
+built it fresh (a new C-ordered array nothing else holds), else as a
+C-ordered copy. add, sub, mul, affine, draw_affine, matmul,
+conv1d_causal and attention_weights skip the gradient of an operand that
 needs none.
 
 ParameterStore keeps every parameter's data and gradient as views into
@@ -325,12 +341,11 @@ def draw_affine(shared, per_draw, W_shared, W_draw, b) -> Tensor:
         gd = g.reshape(-1, width) if per_node else g.sum(axis=1)
         if shared.requires_grad:
             _accumulate(shared, gs @ Ws.T, fresh=True)
-        gWs = s2.T @ gs
+        _accumulate(W_shared, (s2.T @ gs).reshape(W_shared.data.shape))
         _accumulate(b, gs.sum(axis=0), fresh=True)
         if per_draw.requires_grad:
             _accumulate(per_draw, (gd @ Wd.T).reshape(p.shape), fresh=True)
         _accumulate(W_draw, (p2.T @ gd).reshape(W_draw.data.shape))
-        _accumulate(W_shared, gWs.reshape(W_shared.data.shape))
 
     _record(out, [shared, per_draw, W_shared, W_draw, b], bwd)
     return out

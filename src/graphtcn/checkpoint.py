@@ -22,6 +22,7 @@ CheckpointCorruptError.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -109,7 +110,7 @@ def load_checkpoint(path) -> Checkpoint:
         name = r.text(r.u16(), "parameter name")
         rank = r.u8()
         dims = struct.unpack(f"<{rank}I", r.take(4 * rank)) if rank else ()
-        count = int(np.prod(dims, dtype=np.int64)) if rank else 1
+        count = math.prod(dims)
         data = np.frombuffer(r.take(8 * count), dtype="<f8").reshape(dims)
         if name in arrays:
             raise CheckpointCorruptError(f"duplicate parameter {name!r}")

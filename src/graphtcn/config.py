@@ -11,9 +11,8 @@ from __future__ import annotations
 import numbers
 from collections.abc import Iterable
 from dataclasses import dataclass, field, fields
-from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, read_utf8
 
 VARIANTS = ("graphtcn", "graphtcn_g", "no_efgat", "vanilla_gat")
 # Keys whose code is gone, with the one value each still accepts. They
@@ -137,7 +136,7 @@ class ModelConfig:
 
     @classmethod
     def from_file(cls, path) -> "ModelConfig":
-        return cls.from_text(Path(path).read_text(encoding="utf-8"))
+        return cls.from_text(read_utf8(path, ConfigError))
 
 
 # Field types are annotation strings (postponed annotations), one of

@@ -9,6 +9,7 @@ containing only pedestrians present at every step.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,6 +22,7 @@ from .errors import (
     DataError,
     DuplicateRecordError,
     ParseError,
+    read_utf8,
 )
 from .tensor import Tensor
 
@@ -84,7 +86,8 @@ def parse_trajectory_file(path) -> list[RawRecord]:
     """Read one scene file into records, preserving line order."""
     records = []
     seen = set()
-    with open(path, "r", encoding="utf-8") as fh:
+    # Lines split as a text-mode file splits them (universal newlines).
+    with io.StringIO(read_utf8(path, ParseError), newline=None) as fh:
         for line_no, line in enumerate(fh, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):

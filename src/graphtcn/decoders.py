@@ -16,8 +16,8 @@ Both heads decode all M draws at once: the draws are a leading axis of
 the noise, and every output carries it as [M, N, T_pred, 2]. Neither
 builds the concatenation: its first affine map is one draw_affine op,
 the sum of an embedding part, computed once per pedestrian, and a noise
-or latent part, computed once per draw, on two views of the stored
-weight's rows.
+or latent part, computed once per draw, on two row sets of the stored
+weight.
 """
 
 from __future__ import annotations
@@ -84,11 +84,9 @@ class _Head:
     The head reads concat(shared, per_draw): a part that varies only over
     pedestrians and a part that varies over draws. The rows of its first
     weight come in ``groups`` blocks of ``shared_dim`` shared rows followed
-    by the draw rows, so the first affine runs as
-    shared @ W_shared + per_draw @ W_draw on the two row sets, added over
-    [M, N, .] (one draw_affine op), and the concatenated [M, N, .] input
-    is never built. W_shared and W_draw are views of the stored weight,
-    [groups, rows, width] cut on the row axis.
+    by the draw rows, so the first affine runs on the two row sets, added
+    over [M, N, .] (one draw_affine op), and the concatenated [M, N, .]
+    input is never built.
     """
 
     def __init__(self, store, prefix: str, groups: int, shared_dim: int, draw_dim: int,
@@ -100,21 +98,14 @@ class _Head:
         else:
             self.h_W = None
         self.W, self.b = add_affine(store, prefix, in_dim, out_dim, rng)
-        W = self.W if self.h_W is None else self.h_W
-        width = self.width = W.data.shape[1]
-
-        def rows(start, stop):
-            return store.view(W, lambda a: a.reshape(groups, -1, width)[:, start:stop])
-
-        self.W_shared = rows(0, shared_dim)
-        self.W_draw = rows(shared_dim, shared_dim + draw_dim)
+        self.groups = groups
 
     def forward(self, shared: T.Tensor, per_draw: T.Tensor) -> T.Tensor:
         """shared [N, groups*shared_dim], per_draw [M, groups*draw_dim]
         (the same for every pedestrian) or [M, N, groups*draw_dim]
         -> [M, N, out_dim]."""
-        b = self.b if self.h_W is None else self.h_b
-        x = T.draw_affine(shared, per_draw, self.W_shared, self.W_draw, b)
+        W, b = (self.W, self.b) if self.h_W is None else (self.h_W, self.h_b)
+        x = T.draw_affine(shared, per_draw, W, b, self.groups)
         if self.h_W is not None:
             x = T.affine(T.leaky_relu(x), self.W, self.b)
         return x

@@ -16,6 +16,7 @@ resampled timeline of the window (observation starts at 0).
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +49,22 @@ def format_attention_dump(window: SequenceWindow, attn_record: list, t_obs: int)
     return "\n".join(lines) + "\n"
 
 
+def _fields(parts: list, n_index: int, line_no: int) -> list:
+    """A row's fields after its kind: ``n_index`` integer indices, then
+    finite numbers (coordinates or a weight)."""
+    out = []
+    for k, token in enumerate(parts[1:]):
+        try:
+            value = int(token) if k < n_index else float(token)
+        except ValueError:
+            what = "an integer index" if k < n_index else "a number"
+            raise ParseError(f"line {line_no}: {token!r} is not {what}") from None
+        if not math.isfinite(value):
+            raise ParseError(f"line {line_no}: non-finite value {token!r}")
+        out.append(value)
+    return out
+
+
 def parse_attention_dump(text: str):
     """Returns (positions {step: {ped: (x, y)}}, entries list of tuples)."""
     positions: dict = {}
@@ -58,11 +75,10 @@ def parse_attention_dump(text: str):
             continue
         parts = line.split("\t")
         if parts[0] == "P" and len(parts) == 5:
-            _, t, ped, x, y = parts
-            positions.setdefault(int(t), {})[int(ped)] = (float(x), float(y))
+            t, ped, x, y = _fields(parts, 2, line_no)
+            positions.setdefault(t, {})[ped] = (x, y)
         elif parts[0] == "A" and len(parts) == 7:
-            _, layer, head, t, i, j, w = parts
-            entries.append((int(layer), int(head), int(t), int(i), int(j), float(w)))
+            entries.append(tuple(_fields(parts, 5, line_no)))
         else:
             raise ParseError(f"line {line_no}: unrecognized dump row {raw!r}")
     return positions, entries
@@ -109,14 +125,12 @@ def parse_trajectory_dump(text: str):
         parts = line.split("\t")
         kind = parts[0]
         if kind in ("O", "G") and len(parts) == 5:
-            _, ped, t, x, y = parts
+            ped, t, x, y = _fields(parts, 2, line_no)
             target = observed if kind == "O" else gt
-            target.setdefault(int(ped), []).append((int(t), float(x), float(y)))
+            target.setdefault(ped, []).append((t, x, y))
         elif kind == "S" and len(parts) == 6:
-            _, m, ped, t, x, y = parts
-            samples.setdefault(int(m), {}).setdefault(int(ped), []).append(
-                (int(t), float(x), float(y))
-            )
+            m, ped, t, x, y = _fields(parts, 3, line_no)
+            samples.setdefault(m, {}).setdefault(ped, []).append((t, x, y))
         else:
             raise ParseError(f"line {line_no}: unrecognized dump row {raw!r}")
     for d in (observed, gt):

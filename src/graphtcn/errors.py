@@ -1,4 +1,16 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the text reader that
+turns undecodable input into one of them."""
+
+from pathlib import Path
+
+
+def read_utf8(path, error: type) -> str:
+    """``path``'s text; bytes that are not UTF-8 raise ``error``, naming the
+    file and the byte offset."""
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise error(f"{path}: invalid UTF-8 at byte offset {e.start}") from None
 
 
 class GraphTCNError(Exception):

@@ -18,9 +18,8 @@ def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape=No
     return rng.uniform(-limit, limit, size=shape)
 
 
-def add_affine(store, prefix: str, fan_in: int, fan_out: int,
-               rng: np.random.Generator, bias: bool = True):
-    """Register W (and optionally b) under ``prefix``; returns the tensors."""
+def add_affine(store, prefix: str, fan_in: int, fan_out: int, rng: np.random.Generator):
+    """Register W and b under ``prefix``; returns the tensors."""
     W = store.add(f"{prefix}.W", xavier_uniform(rng, fan_in, fan_out))
-    b = store.add(f"{prefix}.b", np.zeros(fan_out)) if bias else None
+    b = store.add(f"{prefix}.b", np.zeros(fan_out))
     return W, b

@@ -6,14 +6,12 @@ returns); each operation pairs a numpy forward pass with a backward
 rule. The op set is deliberately closed: only what the model needs, no
 implicit broadcasting (a 0-d scalar operand is the single exception in
 add/sub/mul). At the model's sizes an op costs more in Python dispatch
-than in arithmetic, so six ops are fused chains, each equal bit for bit
+than in arithmetic, so five ops are fused chains, each equal bit for bit
 to the chain it replaces, gradients included:
   attention_weights  every head's per-node attention scores (node
                      features, and the edge term folded in) and their
-                     row softmax, [H, ..., N, N], in one op per layer;
-  pair_softmax       the row-softmaxed [..., N, N] attention from given
-                     per-node scores, so logits never exist as separate
-                     N x N operands (attention_weights shares its kernel);
+                     row softmax, [H, ..., N, N], in one op per layer,
+                     so logits never exist as separate N x N operands;
   head_affine        every attention head's affine map from a head-major
                      weight block;
   tanh_gate          the attention value gate x * tanh(x) (its gradient
@@ -30,17 +28,15 @@ No kernel the model calls makes a data-dependent select (numpy's where,
 or a ufunc masked by a where argument): numpy runs those several times
 slower than plain arithmetic, and each select-free form below equals the
 select form bit for bit, signed zeros, infinities and NaN included.
-leaky_relu is max(x, slope * x) and its gradient factor
-max(x >= 0, slope), which holds for a slope in (0, 1]; at slope 0,
-leaky(+inf) would be NaN, so both leaky ops reject any slope outside
-(0, 1]. The logistic numerator is max(exp(-|d|), d >= 0). pair_softmax
-takes each row's maximum from the per-node scores as
-leaky(src_i + max_j dst_j) instead of reducing the N x N logits:
-rounding the sum and leaky are both monotone non-decreasing, so that is
-exactly the row's largest logit. (With a non-finite score, its rows are
-NaN in both forms, with NaN bits that may differ.) masked_softmax keeps
-its select: nothing in the model calls it, and the acceptance gates
-test_01 and test_02 pin it.
+Every leaky step uses GAT's slope 0.2: leaky_relu is max(x, 0.2 * x)
+and its gradient factor max(x >= 0, 0.2). The logistic numerator is
+max(exp(-|d|), d >= 0). attention_weights' softmax kernel takes each
+row's maximum from the per-node scores as leaky(src_i + max_j dst_j)
+instead of reducing the N x N logits: rounding the sum and leaky are
+both monotone non-decreasing, so that is exactly the row's largest
+logit. (With a non-finite score, its rows are NaN in both forms, with
+NaN bits that may differ.) masked_softmax keeps its select: nothing in
+the model calls it, and the acceptance gates test_01 and test_02 pin it.
 
 Recording follows one rule: an op pushes one node onto the tape active
 on the current thread if, and only if, one of its inputs requires
@@ -48,9 +44,9 @@ gradients. A single-input op states only its result and its input
 gradient as a function of the output gradient (``_unary``); add, sub and
 mul state their forward ufunc and one gradient function per operand
 (``_binary``). affine, head_affine, draw_affine, matmul, conv1d_causal,
-pair_softmax, attention_weights, concat and slice_axis keep hand-written
-backward rules: each shares one intermediate across several inputs or
-writes into a slice of a gradient.
+attention_weights, concat and slice_axis keep hand-written backward
+rules: each shares one intermediate across several inputs or writes into
+a slice of a gradient.
 
 Gradients accumulate into ``Tensor.grad`` buffers; callers zero them
 explicitly between optimizer steps. Running ``backward`` twice on the same
@@ -299,37 +295,36 @@ def head_affine(x, W, b) -> Tensor:
     return out
 
 
-def draw_affine(shared, per_draw, W_shared, W_draw, b) -> Tensor:
-    """shared @ W_shared + b + per_draw @ W_draw for every draw and node:
-    [M, N, width].
+def draw_affine(shared, per_draw, W, b, groups: int) -> Tensor:
+    """concat(shared, per_draw) @ W + b for every draw and node, without
+    the concatenation: [M, N, width].
 
-    ``shared`` [N, S] varies over nodes only. ``per_draw`` is [M, D], the
-    same for every node of a draw, or [M, N, D]. ``W_shared`` and
-    ``W_draw`` are [..., width] weights whose rows flatten to S and D (a
-    strided view of a larger weight is fine); ``b`` is [width]. This is an
-    affine map of the never-built concatenation of the two inputs.
+    ``shared`` [N, groups * S] varies over nodes only. ``per_draw`` is
+    [M, groups * D], the same for every node of a draw, or [M, N, groups
+    * D]. The rows of ``W`` [groups * (S + D), width] come in ``groups``
+    blocks of S shared rows followed by D draw rows; ``b`` is [width].
 
     One op for the chain affine, reshape, repeat_axis and add ops it
     replaces, equal to that chain bit for bit: the forward runs the
-    chain's numpy expressions, and backward adds into each input as the
-    chain's tape sweep did.
+    chain's numpy expressions on the two row sets of W, and backward adds
+    into each input as the chain's tape sweep did.
     """
-    shared, per_draw = _as_tensor(shared), _as_tensor(per_draw)
-    W_shared, W_draw, b = _as_tensor(W_shared), _as_tensor(W_draw), _as_tensor(b)
-    if b.data.ndim != 1 or W_shared.data.ndim < 2 or W_draw.data.ndim < 2:
-        raise ShapeError(f"draw_affine weights {W_shared.shape}, {W_draw.shape}, bias {b.shape}")
-    width = b.data.shape[0]
-    if W_shared.data.shape[-1] != width or W_draw.data.shape[-1] != width:
-        raise ShapeError(f"draw_affine weights {W_shared.shape}, {W_draw.shape}, bias {b.shape}")
-    Ws, Wd = W_shared.data.reshape(-1, width), W_draw.data.reshape(-1, width)
+    shared, per_draw, W, b = (_as_tensor(t) for t in (shared, per_draw, W, b))
     s2, p = shared.data, per_draw.data
-    if s2.ndim != 2 or s2.shape[1] != Ws.shape[0]:
-        raise ShapeError(f"draw_affine shared input {shared.shape} vs W_shared {W_shared.shape}")
+    if b.data.ndim != 1 or W.data.shape[1:] != b.data.shape or groups < 1:
+        raise ShapeError(f"draw_affine weight {W.shape}, bias {b.shape}, {groups} groups")
+    width = b.data.shape[0]
+    if s2.ndim != 2 or s2.shape[1] % groups:
+        raise ShapeError(f"draw_affine shared input {shared.shape} for {groups} groups")
     n, m = s2.shape[0], p.shape[0] if p.ndim else 0
-    if p.ndim not in (2, 3) or p.shape[-1] != Wd.shape[0] or p.shape[1:-1] not in ((), (n,)):
-        raise ShapeError(f"draw_affine per-draw input {per_draw.shape} vs W_draw "
-                         f"{W_draw.shape} for {n} nodes")
+    if (p.ndim not in (2, 3) or p.shape[-1] % groups or p.shape[1:-1] not in ((), (n,))
+            or W.data.shape[0] != s2.shape[1] + p.shape[-1]):
+        raise ShapeError(f"draw_affine per-draw input {per_draw.shape} vs weight {W.shape} "
+                         f"for {n} nodes of {shared.shape[1]} shared values")
     per_node = p.ndim == 3
+    S = s2.shape[1] // groups
+    rows = W.data.reshape(groups, -1, width)
+    Ws, Wd = rows[:, :S].reshape(-1, width), rows[:, S:].reshape(-1, width)
     p2 = p.reshape(-1, Wd.shape[0])
     s = s2 @ Ws
     s = s + b.data
@@ -341,13 +336,16 @@ def draw_affine(shared, per_draw, W_shared, W_draw, b) -> Tensor:
         gd = g.reshape(-1, width) if per_node else g.sum(axis=1)
         if shared.requires_grad:
             _accumulate(shared, gs @ Ws.T, fresh=True)
-        _accumulate(W_shared, (s2.T @ gs).reshape(W_shared.data.shape))
+        if W.requires_grad:
+            gW = np.empty(rows.shape)
+            gW[:, :S] = (s2.T @ gs).reshape(groups, S, width)
+            gW[:, S:] = (p2.T @ gd).reshape(groups, -1, width)
+            _accumulate(W, gW.reshape(W.data.shape), fresh=True)
         _accumulate(b, gs.sum(axis=0), fresh=True)
         if per_draw.requires_grad:
             _accumulate(per_draw, (gd @ Wd.T).reshape(p.shape), fresh=True)
-        _accumulate(W_draw, (p2.T @ gd).reshape(W_draw.data.shape))
 
-    _record(out, [shared, per_draw, W_shared, W_draw, b], bwd)
+    _record(out, [shared, per_draw, W, b], bwd)
     return out
 
 
@@ -410,23 +408,17 @@ def mul(a, b) -> Tensor:
 _SLOPE = 0.2
 
 
-def _check_slope(slope: float):
-    if not 0.0 < slope <= 1.0:
-        raise ContractError(f"leaky slope must lie in (0, 1], got {slope}")
-
-
-def _leaky(v: np.ndarray, slope: float) -> np.ndarray:
-    """A new array max(v, slope * v): v where v >= 0, else slope * v."""
-    out = np.multiply(v, slope)
+def _leaky(v: np.ndarray) -> np.ndarray:
+    """A new array max(v, _SLOPE * v): v where v >= 0, else _SLOPE * v."""
+    out = np.multiply(v, _SLOPE)
     return np.maximum(v, out, out=out)
 
 
-def leaky_relu(x, slope: float = _SLOPE) -> Tensor:
+def leaky_relu(x) -> Tensor:
     x = _as_tensor(x)
-    _check_slope(slope)
-    # max(x >= 0, slope) is 1 where x >= 0, else slope.
-    return _unary(x, _leaky(x.data, slope),
-                  lambda g, x=x, slope=slope: g * np.maximum(x.data >= 0.0, slope), fresh=True)
+    # max(x >= 0, _SLOPE) is 1 where x >= 0, else _SLOPE.
+    return _unary(x, _leaky(x.data),
+                  lambda g, x=x: g * np.maximum(x.data >= 0.0, _SLOPE), fresh=True)
 
 
 def tanh(x) -> Tensor:
@@ -631,52 +623,27 @@ def masked_softmax(logits, mask) -> Tensor:
                   fresh=True)
 
 
-def pair_softmax(src, dst, slope: float = _SLOPE) -> Tensor:
-    """Row softmax of leaky_relu(src[..., i] + dst[..., j]) over j.
-
-    ``src`` and ``dst`` are [..., N] per-node scores; the result is
-    [..., N, N]. Equals masked_softmax(leaky_relu(src_i + dst_j)) with
-    nothing masked, without the N x N operands of that chain: the logits
-    are built once and normalized in place. Backward folds the softmax
-    and leaky_relu rules into one logit gradient, whose row sums go to
-    ``src`` and column sums to ``dst``.
-    """
-    src, dst = _as_tensor(src), _as_tensor(dst)
-    if src.data.ndim < 1 or src.data.shape != dst.data.shape:
-        raise ShapeError(f"pair_softmax operands {src.shape} vs {dst.shape}")
-    _check_slope(slope)
-    y, grads = _pair_softmax(src.data, dst.data, slope, _recording((src, dst)))
-    out = Tensor(y)
-
-    def bwd(g, src=src, dst=dst, grads=grads):
-        gs, gd = grads(g)
-        _accumulate(src, gs, fresh=True)
-        _accumulate(dst, gd, fresh=True)
-
-    _record(out, [src, dst], bwd)
-    return out
-
-
-def _pair_softmax(s: np.ndarray, d: np.ndarray, slope: float, record: bool):
-    """The kernel of pair_softmax and attention_weights: the [..., N, N]
-    row softmax of leaky(s_i + d_j) for [..., N] scores, and, if
-    ``record``, its backward, which maps the attention gradient to the
-    (s, d) gradients (else None)."""
+def _pair_softmax(s: np.ndarray, d: np.ndarray, record: bool):
+    """The kernel of attention_weights: the [..., N, N] row softmax of
+    leaky(s_i + d_j) for [..., N] scores, and, if ``record``, its
+    backward, which maps the attention gradient to the (s, d) gradients
+    (else None). Backward folds the softmax and leaky rules into one
+    logit gradient, whose row sums go to s and column sums to d."""
     y = s[..., :, None] + d[..., None, :]
     pos = y >= 0.0 if record else None
-    y = _leaky(y, slope)
+    y = _leaky(y)
     # Row i's maximum without an N x N reduction: rounding and leaky are
     # both monotone non-decreasing, so it is leaky(s_i + max_j d_j).
-    y -= _leaky(s + d.max(axis=-1, keepdims=True), slope)[..., None]
+    y -= _leaky(s + d.max(axis=-1, keepdims=True))[..., None]
     np.exp(y, out=y)
     y /= y.sum(axis=-1, keepdims=True)
     if not record:
         return y, None
 
-    def grads(g, y=y, pos=pos, slope=slope):
+    def grads(g, y=y, pos=pos):
         gl = g * y
         gl -= y * gl.sum(axis=-1, keepdims=True)
-        gl *= np.maximum(pos, slope)
+        gl *= np.maximum(pos, _SLOPE)
         return gl.sum(axis=-1), gl.sum(axis=-2)
 
     return y, grads
@@ -694,8 +661,9 @@ def attention_weights(h, centred, w1, w2, edge=None) -> Tensor:
     with v = W_edge @ a_e, so every logit is the sum of two per-node scores
     and the N x N edges are never built.
 
-    One op for the chain affine, add, sub, transpose and pair_softmax ops
-    it replaces, equal to that chain bit for bit: the forward runs the
+    One op for the chain of affine, add, sub and transpose ops that builds
+    the per-node scores, followed by their pair softmax (``_pair_softmax``
+    run as an op), equal to that chain bit for bit: the forward runs the
     chain's numpy expressions, and backward adds into each input in the
     order the chain's tape sweep did (h takes the w2 term, then the w1
     term; the shared c . v score takes -g_dst, then +g_src).
@@ -734,7 +702,7 @@ def attention_weights(h, centred, w1, w2, edge=None) -> Tensor:
     record = _recording(inputs)
     y, grads = _pair_softmax(np.ascontiguousarray(src.reshape(lead + (heads,)).transpose(to_heads)),
                              np.ascontiguousarray(dst.reshape(lead + (heads,)).transpose(to_heads)),
-                             _SLOPE, record)
+                             record)
     out = Tensor(y)
     if not record:
         return out
@@ -891,12 +859,11 @@ class ParameterStore:
     ``reserve`` one block per weight in the layout it computes on (all
     heads together, or gate and filter together) and ``add`` its names at
     offsets inside that block: the layer then computes on the block, while
-    every named entry stays a C-contiguous view that sees each update.
-    ``view`` derives one more view (a transpose, a subset of rows) of a
-    block or a named entry, for an op that wants another layout. The
-    buffers double in capacity while space is taken; every tensor already
-    handed out (name, block or view) is re-pointed at the new buffers, so
-    it stays valid.
+    every named entry stays a C-contiguous view that sees each update. An
+    op that wants another layout of a weight (a transpose, a subset of
+    rows) cuts it from the tensor it is given. The buffers double in
+    capacity while space is taken; every tensor already handed out (name
+    or block) is re-pointed at the new buffers, so it stays valid.
 
     The view contract: write ``data`` in place (never rebind it). A caller
     may rebind a named entry's ``grad``; ``zero_grads`` points it back at
@@ -908,10 +875,9 @@ class ParameterStore:
     def __init__(self):
         self._params: dict[str, Tensor] = {}
         self._grad_views: list[np.ndarray] = []
-        # id(tensor) -> the function that cuts its view from a buffer, for
-        # every tensor handed out; blocks and views also keep a list.
-        self._makes: dict[int, object] = {}
-        self._other_makes: list = []
+        # (tensor, the function that cuts its view from a buffer, its index
+        # in _grad_views or None for a block), for every tensor handed out.
+        self._handed: list[tuple] = []
         # id(block) -> (start, stop, [(start, stop, name) placed inside]).
         self._blocks: dict[int, tuple] = {}
         self._size = 0
@@ -934,11 +900,9 @@ class ParameterStore:
             start = self._take(values.size)
         else:
             start = self._place(name, block, offset, values.size)
-        make = _region(start, values.shape)
-        t = self._hand_out(make)
+        t = self._hand_out(_region(start, values.shape), named=True)
         t.data[...] = values
         self._params[name] = t
-        self._grad_views.append(t.grad)
         return t
 
     def reserve(self, shape) -> Tensor:
@@ -946,27 +910,8 @@ class ParameterStore:
         shape = tuple(shape)
         size = math.prod(shape)
         start = self._take(size)
-        make = _region(start, shape)
-        t = self._hand_out(make)
-        self._other_makes.append((t, make))
+        t = self._hand_out(_region(start, shape), named=False)
         self._blocks[id(t)] = (start, start + size, [])
-        return t
-
-    def view(self, base: Tensor, fn) -> Tensor:
-        """A tensor whose data and grad are ``fn`` of ``base``'s, where
-        ``base`` is a name, block or view of this store and ``fn`` returns
-        a view (not a copy) of the array it is given."""
-        base_make = self._makes.get(id(base))
-        if base_make is None:
-            raise ContractError("view of a tensor this store did not hand out")
-
-        def make(buf, base_make=base_make, fn=fn):
-            return fn(base_make(buf))
-
-        if base.size and not np.may_share_memory(make(self._data), self._data):
-            raise ContractError("view function returned a copy, not a view")
-        t = self._hand_out(make)
-        self._other_makes.append((t, make))
         return t
 
     def _take(self, size: int) -> int:
@@ -991,11 +936,13 @@ class ParameterStore:
         placed.append((lo, hi, name))
         return lo
 
-    def _hand_out(self, make) -> Tensor:
+    def _hand_out(self, make, named: bool) -> Tensor:
         t = Tensor(make(self._data))
         t.requires_grad = True
         t.grad = make(self._grad)
-        self._makes[id(t)] = make
+        self._handed.append((t, make, len(self._grad_views) if named else None))
+        if named:
+            self._grad_views.append(t.grad)
         return t
 
     def _grow(self, capacity: int):
@@ -1003,15 +950,13 @@ class ParameterStore:
         data[:self._size] = self._data[:self._size]
         grad[:self._size] = self._grad[:self._size]
         self._data, self._grad = data, grad
-        for i, t in enumerate(self._params.values()):
-            make = self._makes[id(t)]
-            t.data = make(data)
-            view = make(grad)
-            if t.grad is self._grad_views[i]:
+        for t, make, i in self._handed:
+            t.data, view = make(data), make(grad)
+            # A name's grad that the caller rebound stays (see zero_grads).
+            if i is None or t.grad is self._grad_views[i]:
                 t.grad = view
-            self._grad_views[i] = view
-        for t, make in self._other_makes:
-            t.data, t.grad = make(data), make(grad)
+            if i is not None:
+                self._grad_views[i] = view
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]

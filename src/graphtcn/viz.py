@@ -14,7 +14,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from .dumps import parse_attention_dump, parse_trajectory_dump
-from .errors import ContractError, ParseError
+from .errors import ContractError, ParseError, read_utf8
 
 WIDTH, HEIGHT, MARGIN = 800.0, 600.0, 40.0
 
@@ -139,7 +139,7 @@ def render_attention(text: str, layer: int = -1, head: int = 0,
 
 def emit_plot(kind: str, in_path, out_path) -> Path:
     """Render a dump file to SVG. kind: trajectories, samples, attention."""
-    text = Path(in_path).read_text(encoding="utf-8")
+    text = read_utf8(in_path, ParseError)
     if kind == "trajectories":
         svg = render_trajectories(text, include_samples=False)
     elif kind == "samples":

@@ -8,18 +8,22 @@ the two is meaningful.
 import numpy as np
 
 
-def leaky(v, slope=0.2):
-    return leaky_select(v, slope)[0]
+# GAT's LeakyReLU slope, the one the whole model uses.
+SLOPE = 0.2
 
 
-# Select forms (np.where and masked ufuncs) of leaky_relu, sigmoid and
-# pair_softmax: graphtcn.tensor's select-free kernels must match them byte
+def leaky(v):
+    return leaky_select(v)[0]
+
+
+# Select forms (np.where and masked ufuncs) of leaky_relu, sigmoid and the
+# pair softmax: graphtcn.tensor's select-free kernels must match them byte
 # for byte.
 
 
-def leaky_select(v, slope=0.2):
-    """leaky_relu's value and its input-gradient factor (1 or slope)."""
-    return np.where(v >= 0.0, v, slope * v), np.where(v >= 0.0, 1.0, slope)
+def leaky_select(v):
+    """leaky_relu's value and its input-gradient factor (1 or SLOPE)."""
+    return np.where(v >= 0.0, v, SLOPE * v), np.where(v >= 0.0, 1.0, SLOPE)
 
 
 def sigmoid_select(d):
@@ -28,7 +32,7 @@ def sigmoid_select(d):
     return np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def pair_softmax_select(src, dst, slope=0.2):
+def pair_softmax_select(src, dst):
     """Row softmax of leaky(src_i + dst_j) over j, and its backward.
 
     Returns (attention [..., N, N], backward), where backward maps the
@@ -36,7 +40,7 @@ def pair_softmax_select(src, dst, slope=0.2):
     """
     y = src[..., :, None] + dst[..., None, :]
     neg = y < 0.0
-    np.multiply(y, slope, out=y, where=neg)
+    np.multiply(y, SLOPE, out=y, where=neg)
     y -= y.max(axis=-1, keepdims=True)
     np.exp(y, out=y)
     y /= y.sum(axis=-1, keepdims=True)
@@ -44,7 +48,7 @@ def pair_softmax_select(src, dst, slope=0.2):
     def backward(g):
         gl = g * y
         gl -= y * gl.sum(axis=-1, keepdims=True)
-        np.multiply(gl, slope, out=gl, where=neg)
+        np.multiply(gl, SLOPE, out=gl, where=neg)
         return gl.sum(axis=-1), gl.sum(axis=-2)
 
     return y, backward

@@ -113,6 +113,21 @@ def test_duplicate_parameter_detected(tmp_path):
         load_checkpoint(path)
 
 
+def test_dims_whose_product_overflows_int64_detected(tmp_path):
+    # (2**32 - 1)**2 values wrap an int64 element count; the exact count
+    # asks for far more bytes than the file holds.
+    cfg_bytes = small_cfg().to_text().encode()
+    name = b"w"
+    entry = (struct.pack("<H", len(name)) + name + struct.pack("<B", 2)
+             + struct.pack("<2I", 2**32 - 1, 2**32 - 1) + np.zeros(4).tobytes())
+    blob = (MAGIC + struct.pack("<I", 1) + struct.pack("<I", len(cfg_bytes))
+            + cfg_bytes + struct.pack("<I", 1) + entry)
+    path = tmp_path / "huge.ckpt"
+    path.write_bytes(blob)
+    with pytest.raises(CheckpointCorruptError, match="truncated"):
+        load_checkpoint(path)
+
+
 def test_non_utf8_text_detected(tmp_path):
     path = tmp_path / "m.ckpt"
     cfg = small_cfg()

@@ -194,6 +194,41 @@ def test_plot_rejects_unknown_kind(workdir):
         main(["plot", "--kind", "heatmap", "--in", "x", "--out", "y"])
 
 
+@pytest.mark.parametrize("kind,row", [
+    ("attention", "P\tx\t0\t1.0\t2.0"),
+    ("trajectories", "O\t0\t0\tnan\t2.0"),
+    ("samples", b"O\t0\t0\t1.0\t\xff"),
+])
+def test_plot_bad_dump_exits_2(workdir, capsys, kind, row):
+    root, _, _ = workdir
+    dump = root / f"bad_{kind}.txt"
+    if isinstance(row, bytes):
+        dump.write_bytes(row + b"\n")
+    else:
+        dump.write_text(row + "\n")
+    rc = main(["plot", "--kind", kind, "--in", str(dump), "--out", str(root / "bad.svg")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "line 1: " in err or "byte offset 10" in err
+
+
+def test_non_utf8_scene_or_config_exits_2(workdir, capsys):
+    root, data, cfg_path = workdir
+    bad_cfg = root / "latin1.cfg"
+    bad_cfg.write_bytes(cfg_path.read_bytes() + b"# caf\xe9\n")
+    bad_data = root / "latin1_data"
+    shutil.copytree(data, bad_data)
+    (bad_data / "linear.txt").write_bytes(b"# caf\xe9\n")
+    for d, cfg in ((data, bad_cfg), (bad_data, cfg_path)):
+        rc = main(["train", "--data", str(d), "--leave-out", "crossing",
+                   "--config", str(cfg), "--out", str(root / "u.ckpt")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "invalid UTF-8 at byte offset" in err
+        assert ("latin1.cfg" in err) == (cfg is bad_cfg) and ("linear.txt" in err) == (d is bad_data)
+
+
 def test_bad_config_key_reported(workdir, capsys):
     root, data, _ = workdir
     bad = root / "bad.cfg"

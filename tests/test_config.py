@@ -150,6 +150,12 @@ class TestTextForm:
         cfg = ModelConfig.from_file(p)
         assert cfg.samples == 4 and cfg.variant == "vanilla_gat"
 
+    def test_from_file_rejects_non_utf8_bytes(self, tmp_path):
+        p = tmp_path / "run.cfg"
+        p.write_bytes(b"samples = 4\nvariant = \xffx\n")
+        with pytest.raises(ConfigError, match=r"run\.cfg: invalid UTF-8 at byte offset 22"):
+            ModelConfig.from_file(p)
+
     def test_int_given_to_float_field_is_canonical(self):
         cfg = ModelConfig(lr=1, kl_weight_late=0)
         text = cfg.to_text()

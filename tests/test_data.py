@@ -53,6 +53,17 @@ class TestParse:
         with pytest.raises(ParseError, match="line 1"):
             D.parse_trajectory_file(p)
 
+    def test_universal_newlines(self, tmp_path):
+        p = tmp_path / "s.txt"
+        p.write_bytes(b"0 1 1.0 2.0\r\n1 1 1.5 2.0\r2 1 2.0 2.0\n")
+        assert [r.frame for r in D.parse_trajectory_file(p)] == [0, 1, 2]
+
+    def test_non_utf8_bytes_name_the_file_and_offset(self, tmp_path):
+        p = tmp_path / "s.txt"
+        p.write_bytes(b"0 1 1.0 2.0\n1 1 \xff 2.0\n")
+        with pytest.raises(ParseError, match=r"s\.txt: invalid UTF-8 at byte offset 16"):
+            D.parse_trajectory_file(p)
+
     def test_too_few_fields(self, tmp_path):
         p = tmp_path / "s.txt"
         p.write_text("0 1 2.0\n")

@@ -85,6 +85,19 @@ def test_attention_dump_rejects_garbage():
     assert "line 2" in str(err.value)
 
 
+@pytest.mark.parametrize("row", [
+    "P\tx\t0\t1.0\t2.0",          # step not an integer
+    "P\t0\t1.5\t1.0\t2.0",        # ped index not an integer
+    "P\t0\t0\tabc\t2.0",          # coordinate not a number
+    "P\t0\t0\t1.0\tnan",          # coordinate not finite
+    "A\t0\t0\t0\t0\tj\t0.5",      # column index not an integer
+    "A\t0\t0\t0\t0\t1\tinf",      # weight not finite
+])
+def test_attention_dump_bad_field_names_the_line(row):
+    with pytest.raises(ParseError, match="line 2: "):
+        parse_attention_dump("P\t0\t0\t1.0\t2.0\n" + row + "\n")
+
+
 def test_attention_dump_skips_comments_and_blanks():
     positions, entries = parse_attention_dump("# hi\n\nP\t0\t1\t3.5\t-1.25\n")
     assert positions == {0: {1: (3.5, -1.25)}}
@@ -122,6 +135,25 @@ def test_trajectory_dump_without_predictions(crossing_setup):
 def test_trajectory_dump_rejects_bad_row():
     with pytest.raises(ParseError):
         parse_trajectory_dump("O\t0\t0\t1.0\n")
+
+
+@pytest.mark.parametrize("row", [
+    "O\t0\tt\t1.0\t2.0",          # step not an integer
+    "G\t0\t3\t1.0\t-inf",         # coordinate not finite
+    "S\t0\t0\t3\tnan\t2.0",        # sample coordinate not finite
+    "S\tm\t0\t3\t1.0\t2.0",        # sample index not an integer
+])
+def test_trajectory_dump_bad_field_names_the_line(row):
+    with pytest.raises(ParseError, match="line 2: "):
+        parse_trajectory_dump("O\t0\t0\t1.0\t2.0\n" + row + "\n")
+
+
+def test_emit_plot_rejects_non_utf8_dump(tmp_path):
+    dump = tmp_path / "d.txt"
+    dump.write_bytes(b"O\t0\t0\t1.0\t2.0\n\xfe\n")
+    with pytest.raises(ParseError, match=r"d\.txt: invalid UTF-8 at byte offset 14"):
+        emit_plot("trajectories", dump, tmp_path / "out.svg")
+    assert not (tmp_path / "out.svg").exists()
 
 
 def test_dump_writers(tmp_path, crossing_setup):

@@ -1,16 +1,19 @@
 """Exception types shared across the package, and the text reader that
 turns undecodable input into one of them."""
 
+import codecs
 from pathlib import Path
 
 
 def read_utf8(path, error: type) -> str:
-    """``path``'s text; bytes that are not UTF-8 raise ``error``, naming the
-    file and the byte offset."""
+    """``path``'s text without one leading byte-order mark; bytes that are
+    not UTF-8 raise ``error``, naming the file and the byte offset."""
+    raw = Path(path).read_bytes()
+    skip = len(codecs.BOM_UTF8) if raw.startswith(codecs.BOM_UTF8) else 0
     try:
-        return Path(path).read_bytes().decode("utf-8")
+        return raw[skip:].decode("utf-8")
     except UnicodeDecodeError as e:
-        raise error(f"{path}: invalid UTF-8 at byte offset {e.start}") from None
+        raise error(f"{path}: invalid UTF-8 at byte offset {skip + e.start}") from None
 
 
 class GraphTCNError(Exception):

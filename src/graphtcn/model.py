@@ -31,12 +31,11 @@ from .temporal_conv import TemporalConvNet
 
 
 class GraphTCN:
-    def __init__(self, cfg: ModelConfig, rng: np.random.Generator = None):
+    def __init__(self, cfg: ModelConfig):
         cfg.validate()
         self.cfg = cfg
         self.params = T.ParameterStore()
-        if rng is None:
-            rng = np.random.default_rng(cfg.seed)
+        rng = np.random.default_rng(cfg.seed)
 
         if cfg.variant == "no_efgat":
             self.spatial = None

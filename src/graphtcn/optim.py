@@ -3,9 +3,9 @@
 The store keeps every parameter's values and gradient as views into two
 flat buffers (see ParameterStore); the moments are two flat vectors with
 the same layout, so a step is one in-place pass over every parameter
-value at once. A gradient a caller rebound instead of writing into its
-view is copied into the buffer first. The store must not take more
-space (a name or a block) once an Adam holds it.
+value at once. It reads gradients only from the store's gradient buffer,
+so a caller writes a gradient into its view and never rebinds it. The
+store must not take more space (a name or a block) once an Adam holds it.
 """
 
 from __future__ import annotations
@@ -14,6 +14,9 @@ import numpy as np
 
 from .errors import ContractError
 from .tensor import ParameterStore
+
+# Adam's published defaults (Kingma and Ba, arXiv 1412.6980).
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 class Adam:
@@ -30,15 +33,11 @@ class Adam:
     g and g*g there.
     """
 
-    def __init__(self, params: ParameterStore, lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: ParameterStore, lr: float):
         if lr <= 0:
             raise ContractError(f"lr must be positive, got {lr}")
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         n = params.n_values()
         self.m = np.zeros(n)
@@ -51,17 +50,8 @@ class Adam:
             raise ContractError(
                 f"store holds {params.n_values()} values, Adam was built for {self.m.size}"
             )
-        for (name, p), view in zip(params.items(), params.grad_views()):
-            g = p.grad
-            if g is view:
-                continue
-            if g is None:
-                raise ContractError(f"parameter {name!r} has no gradient buffer")
-            if g.shape != view.shape:
-                raise ContractError(f"gradient shape {g.shape} vs parameter {view.shape}")
-            view[...] = g
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = BETA1, BETA2
         bc1 = 1.0 - b1**self.t
         bc2 = 1.0 - b2**self.t
         data, g = params.flat()
@@ -80,6 +70,6 @@ class Adam:
         u *= self.lr
         np.divide(v, bc2, out=s)
         np.sqrt(s, out=s)
-        s += self.eps
+        s += EPS
         u /= s
         data -= u

@@ -48,14 +48,16 @@ attention_weights, concat and slice_axis keep hand-written backward
 rules: each shares one intermediate across several inputs or writes into
 a slice of a gradient.
 
-Gradients accumulate into ``Tensor.grad`` buffers; callers zero them
-explicitly between optimizer steps. Running ``backward`` twice on the same
-tape without zeroing doubles every leaf gradient. An intermediate's first
-gradient is stored, not added into zeros: as it is when the backward rule
-built it fresh (a new C-ordered array nothing else holds), else as a
-C-ordered copy. add, sub, mul, affine, draw_affine, matmul,
-conv1d_causal and attention_weights skip the gradient of an operand that
-needs none.
+Gradients accumulate into ``Tensor.grad`` buffers. Only leaves keep
+theirs after a sweep: ``backward`` hands each intermediate's gradient to
+its rule and then drops it. Callers zero leaf gradients explicitly
+between optimizer steps; running ``backward`` twice on the same tape
+without zeroing adds one more full gradient to every leaf. An
+intermediate's first gradient is stored, not added into zeros: as it is
+when the backward rule built it fresh (a new C-ordered array nothing
+else holds), else as a C-ordered copy. add, sub, mul, affine,
+draw_affine, matmul, conv1d_causal and attention_weights skip the
+gradient of an operand that needs none.
 
 ParameterStore keeps every parameter's data and gradient as views into
 two flat buffers, so zeroing all gradients is one fill and an optimizer
@@ -81,7 +83,7 @@ class Tensor:
     Leaf tensors created with ``requires_grad=True`` get a zero gradient
     buffer immediately, so an untouched leaf reads as zero gradient after
     any backward pass. Tensors produced by operations start without a
-    buffer; backward allocates one on demand.
+    buffer; backward allocates one on demand and drops it once used.
     """
 
     __slots__ = ("data", "requires_grad", "grad")
@@ -103,12 +105,6 @@ class Tensor:
         if self.data.size != 1:
             raise ContractError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(()))
-
-    def zero_grad(self):
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        else:
-            self.grad[...] = 0.0
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -169,14 +165,12 @@ def _accumulate(t: Tensor, g: np.ndarray, fresh: bool = False):
     bit-identical to adding g into zeros; a copy in g's own layout changed
     their last bits). A caller passes ``fresh`` for a g it has just built
     and holds nowhere else; a fresh g that is a C-ordered array is then
-    stored as it is. (A ufunc on 0-d arrays returns a numpy scalar, which
-    is copied into an array, so that backward can zero it in place.)
+    stored as it is.
     """
     if not t.requires_grad:
         return
     if t.grad is None:
-        handover = fresh and isinstance(g, np.ndarray) and g.flags.c_contiguous
-        t.grad = g if handover else np.array(g, order="C")
+        t.grad = g if fresh and g.flags.c_contiguous else np.array(g, order="C")
     else:
         t.grad += g
 
@@ -207,23 +201,20 @@ def _unary(x: Tensor, y, grad, fresh: bool = False) -> Tensor:
 def backward(root: Tensor, tape: Tape):
     """Reverse sweep over ``tape``, seeding d(root)/d(root) = 1.
 
-    Leaf gradients accumulate across calls; intermediate gradients are
-    reset at the start of each sweep so a second call over the same tape
-    adds one more full gradient to every leaf.
+    Each intermediate's gradient goes to its node's rule and is then
+    dropped, so afterwards only leaves hold gradients. Leaf gradients
+    accumulate across calls: a second call over the same tape adds one more
+    full gradient to every leaf.
     """
     if root.data.size != 1:
         raise ContractError(f"backward root must be scalar, got shape {root.shape}")
-    for node in tape.nodes:
-        if node.out.grad is not None:
-            node.out.grad[...] = 0.0
     if root.grad is None:
         root.grad = np.zeros_like(root.data)
     root.grad += 1.0
     for node in reversed(tape.nodes):
-        g = node.out.grad
-        if g is None:
-            continue
-        node.backward(g)
+        g, node.out.grad = node.out.grad, None
+        if g is not None:
+            node.backward(g)
 
 
 # ---------------------------------------------------------------------------
@@ -865,18 +856,17 @@ class ParameterStore:
     capacity while space is taken; every tensor already handed out (name
     or block) is re-pointed at the new buffers, so it stays valid.
 
-    The view contract: write ``data`` in place (never rebind it). A caller
-    may rebind a named entry's ``grad``; ``zero_grads`` points it back at
-    its view, and ``Adam.step`` copies it into the buffer. An ``Adam``
-    sizes its moments from the store when it is built, so the store must
-    not take more space after that.
+    The view contract: write ``data`` and ``grad`` in place; never rebind
+    either. The gradient buffer is then a parameter's only gradient, which
+    ``zero_grads`` clears and ``Adam.step`` reads. An ``Adam`` sizes its
+    moments from the store when it is built, so the store must not take
+    more space after that.
     """
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
-        self._grad_views: list[np.ndarray] = []
-        # (tensor, the function that cuts its view from a buffer, its index
-        # in _grad_views or None for a block), for every tensor handed out.
+        # (tensor, the function that cuts its views from a buffer), for
+        # every tensor handed out.
         self._handed: list[tuple] = []
         # id(block) -> (start, stop, [(start, stop, name) placed inside]).
         self._blocks: dict[int, tuple] = {}
@@ -900,7 +890,7 @@ class ParameterStore:
             start = self._take(values.size)
         else:
             start = self._place(name, block, offset, values.size)
-        t = self._hand_out(_region(start, values.shape), named=True)
+        t = self._hand_out(_region(start, values.shape))
         t.data[...] = values
         self._params[name] = t
         return t
@@ -910,7 +900,7 @@ class ParameterStore:
         shape = tuple(shape)
         size = math.prod(shape)
         start = self._take(size)
-        t = self._hand_out(_region(start, shape), named=False)
+        t = self._hand_out(_region(start, shape))
         self._blocks[id(t)] = (start, start + size, [])
         return t
 
@@ -936,13 +926,11 @@ class ParameterStore:
         placed.append((lo, hi, name))
         return lo
 
-    def _hand_out(self, make, named: bool) -> Tensor:
+    def _hand_out(self, make) -> Tensor:
         t = Tensor(make(self._data))
         t.requires_grad = True
         t.grad = make(self._grad)
-        self._handed.append((t, make, len(self._grad_views) if named else None))
-        if named:
-            self._grad_views.append(t.grad)
+        self._handed.append((t, make))
         return t
 
     def _grow(self, capacity: int):
@@ -950,13 +938,8 @@ class ParameterStore:
         data[:self._size] = self._data[:self._size]
         grad[:self._size] = self._grad[:self._size]
         self._data, self._grad = data, grad
-        for t, make, i in self._handed:
-            t.data, view = make(data), make(grad)
-            # A name's grad that the caller rebound stays (see zero_grads).
-            if i is None or t.grad is self._grad_views[i]:
-                t.grad = view
-            if i is not None:
-                self._grad_views[i] = view
+        for t, make in self._handed:
+            t.data, t.grad = make(data), make(grad)
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
@@ -980,13 +963,7 @@ class ParameterStore:
         """The data and gradient buffers as two vectors, in buffer order."""
         return self._data[:self._size], self._grad[:self._size]
 
-    def grad_views(self) -> list[np.ndarray]:
-        """Each parameter's view into the gradient buffer, in name order."""
-        return self._grad_views
-
     def zero_grads(self):
-        for t, view in zip(self._params.values(), self._grad_views):
-            t.grad = view
         self._grad[:self._size] = 0.0
 
     def n_values(self) -> int:

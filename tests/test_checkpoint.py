@@ -1,17 +1,27 @@
 """Checkpoint binary format: round trips, corruption detection."""
 
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import golden
 from graphtcn.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from graphtcn.config import ModelConfig
-from graphtcn.data import SequenceWindow
+from graphtcn.data import SequenceWindow, discover_scenes, hold_out
 from graphtcn.errors import CheckpointCorruptError, CheckpointFormatError
 from graphtcn.model import GraphTCN
 from graphtcn.tensor import ParameterStore
-from graphtcn.training import model_from_checkpoint
+from graphtcn.training import model_from_checkpoint, train
+
+# A pinned version-1 file (4.6 KB), made from the repository root with
+#   PYTHONPATH=src python -m graphtcn.cli train --data data/synthetic \
+#       --leave-out zara1_like --config tests/frozen_v1.cfg \
+#       --out tests/frozen_v1.ckpt --log /dev/null
+# Regenerating it is a numerics or format change, like golden.json's.
+FROZEN_V1 = Path(__file__).resolve().parent / "frozen_v1.ckpt"
+FROZEN_MODE = "exact" if golden.load_fixture()["fingerprint"] == golden.fingerprint() else "values"
 
 
 def small_cfg():
@@ -176,3 +186,21 @@ def test_model_round_trip_all_params_exact(tmp_path):
     assert set(ckpt.arrays) == set(model.params.names())
     for name in model.params.names():
         assert np.array_equal(ckpt.arrays[name], model.params[name].data), name
+
+
+def test_frozen_v1_checkpoint_saves_back_to_its_bytes(tmp_path):
+    ckpt = load_checkpoint(FROZEN_V1)
+    save_checkpoint(tmp_path / "again.ckpt", model_from_checkpoint(ckpt).params, ckpt.config)
+    assert (tmp_path / "again.ckpt").read_bytes() == FROZEN_V1.read_bytes()
+
+
+@pytest.mark.parametrize("mode", [FROZEN_MODE])
+def test_frozen_v1_checkpoint_equals_a_fresh_train(mode):
+    # Exact where golden.json's platform fingerprint matches, else 1e-9
+    # relative, as in test_golden.py.
+    ckpt = load_checkpoint(FROZEN_V1)
+    split = hold_out(discover_scenes(golden.DATA_DIR), "zara1_like")
+    fresh = train(ckpt.config, split, golden.DATA_DIR).model.params.state_arrays()
+    assert list(fresh) == list(ckpt.arrays)
+    bad = golden.mismatches(ckpt.arrays, fresh, mode == "exact")
+    assert not bad, f"{mode} mode:\n" + "\n".join(bad)

@@ -1,5 +1,6 @@
 """Configuration defaults, validation, and the key=value text round trip."""
 
+import codecs
 from dataclasses import fields
 
 import numpy as np
@@ -155,6 +156,13 @@ class TestTextForm:
         p.write_bytes(b"samples = 4\nvariant = \xffx\n")
         with pytest.raises(ConfigError, match=r"run\.cfg: invalid UTF-8 at byte offset 22"):
             ModelConfig.from_file(p)
+
+    def test_from_file_skips_a_byte_order_mark(self, tmp_path):
+        text = b"samples = 4\nvariant = vanilla_gat\n"
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        plain.write_bytes(text)
+        marked.write_bytes(codecs.BOM_UTF8 + text)
+        assert ModelConfig.from_file(marked) == ModelConfig.from_file(plain)
 
     def test_int_given_to_float_field_is_canonical(self):
         cfg = ModelConfig(lr=1, kl_weight_late=0)

@@ -1,5 +1,7 @@
 """Parsing, resampling, windowing, splits, and feature construction."""
 
+import codecs
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -62,6 +64,19 @@ class TestParse:
         p = tmp_path / "s.txt"
         p.write_bytes(b"0 1 1.0 2.0\n1 1 \xff 2.0\n")
         with pytest.raises(ParseError, match=r"s\.txt: invalid UTF-8 at byte offset 16"):
+            D.parse_trajectory_file(p)
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        body = b"0 1 1.0 2.0\n10 1 1.5 2.5\n10 2 3.0 4.0\n"
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_bytes(body)
+        marked.write_bytes(codecs.BOM_UTF8 + body)
+        assert D.parse_trajectory_file(marked) == D.parse_trajectory_file(plain)
+
+    def test_bad_byte_after_a_byte_order_mark_names_its_file_offset(self, tmp_path):
+        p = tmp_path / "s.txt"
+        p.write_bytes(codecs.BOM_UTF8 + b"0 1 \xff 2.0\n")
+        with pytest.raises(ParseError, match=r"s\.txt: invalid UTF-8 at byte offset 7"):
             D.parse_trajectory_file(p)
 
     def test_too_few_fields(self, tmp_path):

@@ -250,6 +250,21 @@ def test_backward_fills_all_grads(variant):
         assert g is not None and np.all(np.isfinite(g)), name
 
 
+@pytest.mark.parametrize("variant", ["graphtcn", "graphtcn_g", "no_efgat", "vanilla_gat"])
+def test_backward_leaves_gradients_only_in_the_store_buffer(variant):
+    model = GraphTCN(tiny_cfg(variant=variant))
+    noise = model.draw_noise(np.random.default_rng(2), 3)
+    model.params.zero_grads()
+    with Tape() as tape:
+        loss, _ = model.window_loss(make_window(), 1, noise)
+        backward(loss, tape)
+    assert tape.nodes and all(node.out.grad is None for node in tape.nodes)
+    grad = model.params.flat()[1]
+    assert grad.any()
+    for name, p in model.params.items():
+        assert np.shares_memory(p.grad, grad), name
+
+
 # Prediction -------------------------------------------------------------------
 
 def test_predict_shapes_and_origin():

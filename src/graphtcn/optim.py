@@ -29,7 +29,7 @@ class Adam:
     the store's size would map new pages on every step.
 
     The very first step with gradient g moves each weight by
-    -lr * g / (|g| + eps), since the bias-corrected moments are exactly
+    -lr * g / (|g| + EPS), since the bias-corrected moments are exactly
     g and g*g there.
     """
 

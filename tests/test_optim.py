@@ -8,9 +8,9 @@ from graphtcn.optim import Adam
 from graphtcn.tensor import ParameterStore
 
 
-def store_with(name="w", data=None, grad=None):
+def store_with(data, grad):
     s = ParameterStore()
-    t = s.add(name, np.array(data, dtype=float))
+    t = s.add("w", np.array(data, dtype=float))
     t.grad[...] = grad
     return s, t
 

@@ -1055,7 +1055,7 @@ class TestParameterStore:
             handed_out.append((t, t.data.copy(), t.grad.copy()))
             data, grad = store.flat()
             assert data.size == grad.size == store.n_values()
-            assert all(t is named for (t, _, _), named in zip(handed_out, store.tensors()))
+            assert store.tensors() == [t for t, _, _ in handed_out]
             for t, values, grads in handed_out:
                 assert np.shares_memory(t.data, data) or t.data.size == 0
                 assert np.shares_memory(t.grad, grad) or t.grad.size == 0

@@ -10,7 +10,7 @@ swings fall on both alike. Each checkout runs its own ``perfbench/`` and
 
     python3 bench_history/record.py --parent ../parent --change . \\
         --seeds 1001 1002 1003 1004 1005 --seconds 8 \\
-        --out bench_history/BENCH_my-change.json
+        --out bench_history/BENCH_my-change.json 2> record.log
 
 The file holds, per workload and side, the median and quartiles of every
 end-to-end metric of ``BENCHMARK.json`` plus the values of each run; per
@@ -61,7 +61,12 @@ def summary(values: list) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
-def record(spec: dict, parent: Path, change: Path, seeds, seconds: float, log=print) -> dict:
+def progress(line: str):
+    """Print one progress line to stderr at once, even when stderr is a file."""
+    print(line, file=sys.stderr, flush=True)
+
+
+def record(spec: dict, parent: Path, change: Path, seeds, seconds: float, log=progress) -> dict:
     metrics = spec["end_to_end"]
     sides = {"parent": parent, "change": change}
     workloads = {}
@@ -117,7 +122,7 @@ def main(argv=None) -> int:
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     try:
         result = record(spec, args.parent.resolve(), args.change.resolve(), args.seeds,
-                        args.seconds, log=lambda line: print(line, file=sys.stderr, flush=True))
+                        args.seconds)
     except RuntimeError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

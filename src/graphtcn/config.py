@@ -8,6 +8,7 @@ default.
 
 from __future__ import annotations
 
+import math
 import numbers
 from collections.abc import Iterable
 from dataclasses import dataclass, field, fields
@@ -88,8 +89,11 @@ class ModelConfig:
             )
         if any(d < 1 for d in self.tcn_dilations):
             raise ConfigError(f"dilations must be >= 1, got {self.tcn_dilations}")
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
+        if not 0 < self.lr < math.inf:
+            raise ConfigError(f"lr must be finite and positive, got {self.lr}")
+        for name in ("kl_weight_early", "kl_weight_late"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         if self.decoder_hidden < 0:
             raise ConfigError(f"decoder_hidden must be >= 0, got {self.decoder_hidden}")
         for name, value in RETIRED.items():
@@ -105,6 +109,10 @@ class ModelConfig:
         if self.variant == "no_efgat":
             return self.embed_dim
         return self.gal2_heads * self.gal2_out
+
+    def kl_weight(self, epoch: int) -> float:
+        """Weight of the latent variant's KL term: early through the switch epoch, then late."""
+        return self.kl_weight_early if epoch <= self.kl_switch_epoch else self.kl_weight_late
 
     # Text form -----------------------------------------------------------
 

@@ -12,6 +12,10 @@ coordinates in one step at the end:
   concatenated with the flattened embedding. At inference the latent
   comes from the standard normal prior.
 
+Each head owns its variant behind one interface: ``noise`` draws the
+M-sample block it decodes, ``forward`` decodes it from the prior, and
+``fit`` is the training decode, returning (offsets, KL term or None).
+
 Both heads decode all M draws at once: the draws are a leading axis of
 the noise, and every output carries it as [M, N, T_pred, 2]. Neither
 builds the concatenation: its first affine map is one draw_affine op,
@@ -29,6 +33,7 @@ import numpy as np
 from . import tensor as T
 from .errors import ContractError, ShapeError
 from .init import add_affine
+from .metrics import kl_diag_gaussian
 
 
 @dataclass
@@ -37,17 +42,18 @@ class PredictionSet:
 
     trajectories: np.ndarray  # [M, N, T_pred, 2]
     origin: np.ndarray        # [N, 2], last observed position
-    sample_count: int
 
     def __post_init__(self):
         self.trajectories = np.asarray(self.trajectories, dtype=np.float64)
         self.origin = np.asarray(self.origin, dtype=np.float64)
-        if self.sample_count < 1 or self.trajectories.shape[0] != self.sample_count:
-            raise ContractError(
-                f"{self.trajectories.shape[0]} trajectories for sample_count {self.sample_count}"
-            )
+        if self.trajectories.ndim != 4 or self.trajectories.shape[0] < 1:
+            raise ContractError(f"trajectories {self.trajectories.shape}, expected [M >= 1, N, T, 2]")
         if not np.isfinite(self.trajectories).all():
             raise ContractError("non-finite prediction")
+
+    @property
+    def sample_count(self) -> int:
+        return self.trajectories.shape[0]
 
 
 def reparameterize(mu: T.Tensor, sigma: T.Tensor, eps: np.ndarray) -> T.Tensor:
@@ -125,6 +131,10 @@ class MlpDecoder:
         self.head = _Head(store, f"{prefix}.out", t_obs, feat_dim, noise_dim,
                           t_pred * 2, hidden, rng)
 
+    def noise(self, rng: np.random.Generator, m: int, n_peds: int) -> np.ndarray:
+        """M draws [M, T_obs, noise_dim], each shared by all pedestrians."""
+        return rng.standard_normal((m, self.t_obs, self.noise_dim))
+
     def forward(self, h: T.Tensor, noise: np.ndarray) -> T.Tensor:
         """h [N, T_obs, F2], noise [M, T_obs, F3] -> offsets [M, N, T_pred, 2]."""
         n = h.data.shape[0]
@@ -135,6 +145,10 @@ class MlpDecoder:
         m = noise.shape[0]
         out = self.head.forward(T.reshape(h, (n, -1)), T.Tensor(noise.reshape(m, -1)))
         return T.reshape(out, (m, n, self.t_pred, 2))
+
+    def fit(self, h: T.Tensor, noise: np.ndarray, future: np.ndarray):
+        """Training decode: the prior path, with no KL term."""
+        return self.forward(h, noise), None
 
 
 class CvaeDecoder:
@@ -154,6 +168,21 @@ class CvaeDecoder:
         )
         self.head = _Head(store, f"{prefix}.out", 1, self.flat_dim, latent_dim,
                           t_pred * 2, hidden, rng)
+
+    def noise(self, rng: np.random.Generator, m: int, n_peds: int) -> np.ndarray:
+        """M latent draws [M, N, latent_dim], one per pedestrian."""
+        return rng.standard_normal((m, n_peds, self.latent_dim))
+
+    def forward(self, h: T.Tensor, noise: np.ndarray) -> T.Tensor:
+        """Prior decoding: h [N, T_obs, F2], latents [M, N, L] -> offsets."""
+        return self.decode(self.flatten_embedding(h), T.Tensor(noise))
+
+    def fit(self, h: T.Tensor, noise: np.ndarray, future: np.ndarray):
+        """Decodes posterior draws of future [N, T_pred, 2]; returns (offsets, KL)."""
+        h_flat = self.flatten_embedding(h)
+        mu, sigma, logvar = self.encode_posterior(h_flat, T.Tensor(future))
+        delta = self.decode(h_flat, reparameterize(mu, sigma, noise))
+        return delta, kl_diag_gaussian(mu, sigma, logvar)
 
     def flatten_embedding(self, h: T.Tensor) -> T.Tensor:
         n = h.data.shape[0]

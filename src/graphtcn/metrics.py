@@ -1,35 +1,21 @@
-"""Displacement metrics and training objectives.
+"""Displacement metrics and the two training loss terms.
 
-Differentiable paths (used in the loss) run on the autodiff ops; the
-plain-number best-of-M evaluation at the bottom works on numpy arrays
-and is what the reporting code calls.
+The differentiable terms (variety and KL, which GraphTCN.window_loss
+combines) run on the autodiff ops; the plain-number best-of-M evaluation
+at the bottom works on numpy arrays and is what the reporting code calls.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import tensor as T
-from .decoders import PredictionSet
 from .errors import ContractError, DomainError, ShapeError
 
-
-@dataclass(frozen=True)
-class LossWeights:
-    """KL weights of the latent variant; the term decays after the switch epoch."""
-
-    kl_early: float = 0.5
-    kl_late: float = 0.2
-    switch_epoch: int = 15
-
-    def kl_at(self, epoch: int) -> float:
-        return self.kl_early if epoch <= self.switch_epoch else self.kl_late
-
-    def __post_init__(self):
-        if self.kl_early < 0 or self.kl_late < 0:
-            raise ContractError("loss weights must be nonnegative")
+if TYPE_CHECKING:  # decoders imports this module
+    from .decoders import PredictionSet
 
 
 def _check_pair(pred: T.Tensor, gt: T.Tensor):
@@ -101,15 +87,6 @@ def kl_diag_gaussian(mu: T.Tensor, sigma: T.Tensor, logvar: T.Tensor = None) -> 
     return T.mul(T.reduce_mean(per_ped), 0.5)
 
 
-def combined_loss(variety: T.Tensor, kl: T.Tensor, weights: LossWeights, epoch: int) -> T.Tensor:
-    """Variety loss plus the epoch-scheduled KL term (none without a latent)."""
-    if epoch < 1:
-        raise ContractError(f"epoch must be >= 1, got {epoch}")
-    if kl is None:
-        return variety
-    return T.add(variety, T.mul(kl, weights.kl_at(epoch)))
-
-
 # ---------------------------------------------------------------------------
 # Plain-number evaluation (no tape)
 
@@ -121,8 +98,6 @@ def evaluate_min_of_m(pred_set: PredictionSet, gt: np.ndarray) -> tuple:
     sample's ADE (mean over pedestrians and steps) and FDE (mean over
     pedestrians at the last step).
     """
-    if pred_set.sample_count < 1:
-        raise ContractError("need at least one sample")
     if np.shape(gt) != pred_set.trajectories.shape[1:]:
         raise ShapeError(f"ground truth {np.shape(gt)} vs samples {pred_set.trajectories.shape}")
     d = np.linalg.norm(pred_set.trajectories - gt, axis=-1)

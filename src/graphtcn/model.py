@@ -1,7 +1,7 @@
 """Full predictor: spatial attention encoder, temporal convolution stack,
 and a sampling decoder, composed per scene window.
 
-Variant switchboard:
+Variant switchboard, whose stages __init__ picks once:
   graphtcn     shared-noise decoder, variety loss only
   graphtcn_g   latent decoder with future posterior, variety + KL
   no_efgat     attention bypassed entirely; the input embedding feeds
@@ -16,17 +16,11 @@ import numpy as np
 from . import tensor as T
 from .config import ModelConfig
 from .data import SequenceWindow, build_features
-from .decoders import (
-    CvaeDecoder,
-    MlpDecoder,
-    PredictionSet,
-    relative_to_absolute,
-    reparameterize,
-)
+from .decoders import CvaeDecoder, MlpDecoder, PredictionSet, relative_to_absolute
 from .errors import ContractError
 from .graph_attention import SpatialEncoder
 from .init import add_affine
-from .metrics import LossWeights, combined_loss, kl_diag_gaussian, variety_loss
+from .metrics import variety_loss
 from .temporal_conv import TemporalConvNet
 
 
@@ -59,11 +53,6 @@ class GraphTCN:
                 cfg.noise_dim, rng, hidden=cfg.decoder_hidden,
             )
 
-        self.loss_weights = LossWeights(
-            kl_early=cfg.kl_weight_early, kl_late=cfg.kl_weight_late,
-            switch_epoch=cfg.kl_switch_epoch,
-        )
-
     # Forward pieces ------------------------------------------------------
 
     def encode(self, window: SequenceWindow):
@@ -94,24 +83,7 @@ class GraphTCN:
         Pre-drawn noise keeps gradient checks deterministic: the same
         block can be replayed through window_loss any number of times.
         """
-        return self._noise(rng, self.cfg.samples, n_peds)
-
-    def _noise(self, rng: np.random.Generator, m: int, n_peds: int) -> np.ndarray:
-        """M draws in one block: shared noise [M, T_obs, noise_dim], or
-        latents [M, N, future_embed_dim] for the latent variant. The block
-        holds the same numbers as M consecutive single draws."""
-        cfg = self.cfg
-        if cfg.variant == "graphtcn_g":
-            return rng.standard_normal((m, n_peds, cfg.future_embed_dim))
-        return rng.standard_normal((m, cfg.t_obs, cfg.noise_dim))
-
-    def decode_samples(self, h: T.Tensor, origin: np.ndarray, noise: np.ndarray) -> T.Tensor:
-        """Prior-noise decoding: absolute trajectories [M, N, T_pred, 2]."""
-        if self.cfg.variant == "graphtcn_g":
-            delta = self.decoder.decode(self.decoder.flatten_embedding(h), T.Tensor(noise))
-        else:
-            delta = self.decoder.forward(h, noise)
-        return relative_to_absolute(delta, origin)
+        return self.decoder.noise(rng, self.cfg.samples, n_peds)
 
     # Training objective ---------------------------------------------------
 
@@ -123,24 +95,16 @@ class GraphTCN:
         the reparameterization draws.
         """
         cfg = self.cfg
+        if epoch < 1:
+            raise ContractError(f"epoch must be >= 1, got {epoch}")
         if len(noise) != cfg.samples:
             raise ContractError(f"{len(noise)} noise draws for {cfg.samples} samples")
         gt = self._ground_truth(window)
         origin = self._origin(window)
         h, _ = self.encode(window)
-
-        kl = None
-        if cfg.variant == "graphtcn_g":
-            h_flat = self.decoder.flatten_embedding(h)
-            gt_delta = gt - origin[:, None, :]
-            mu, sigma, logvar = self.decoder.encode_posterior(h_flat, T.Tensor(gt_delta))
-            delta = self.decoder.decode(h_flat, reparameterize(mu, sigma, noise))
-            samples = relative_to_absolute(delta, origin)
-            kl = kl_diag_gaussian(mu, sigma, logvar)
-        else:
-            samples = self.decode_samples(h, origin, noise)
-        variety = variety_loss(samples, T.Tensor(gt))
-        loss = combined_loss(variety, kl, self.loss_weights, epoch)
+        delta, kl = self.decoder.fit(h, noise, gt - origin[:, None])
+        variety = variety_loss(relative_to_absolute(delta, origin), T.Tensor(gt))
+        loss = variety if kl is None else T.add(variety, T.mul(kl, cfg.kl_weight(epoch)))
         parts = {"variety": variety.item(), "kl": 0.0 if kl is None else kl.item()}
         return loss, parts
 
@@ -152,5 +116,5 @@ class GraphTCN:
             raise ContractError(f"need m >= 1, got {m}")
         h, attn = self.encode(window)
         origin = self._origin(window)
-        samples = self.decode_samples(h, origin, self._noise(rng, m, window.n_peds))
-        return PredictionSet(samples.data, origin.copy(), m), attn
+        delta = self.decoder.forward(h, self.decoder.noise(rng, m, window.n_peds))
+        return PredictionSet(relative_to_absolute(delta, origin).data, origin.copy()), attn

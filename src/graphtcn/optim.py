@@ -34,8 +34,8 @@ class Adam:
     """
 
     def __init__(self, params: ParameterStore, lr: float):
-        if lr <= 0:
-            raise ContractError(f"lr must be positive, got {lr}")
+        if not 0 < lr < np.inf:
+            raise ContractError(f"lr must be finite and positive, got {lr}")
         self.params = params
         self.lr = lr
         self.t = 0

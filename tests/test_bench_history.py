@@ -73,3 +73,16 @@ def test_recorder_alternates_sides_and_counts_won_pairs(monkeypatch, tmp_path):
     assert won["call_ms_p50"] == 2 and won["peak_rss_mb"] == 0
     assert won["calls_per_s"] == 0     # higher is better; the fake halves it where it is faster
     assert rec["workloads"][first]["parent"]["call_ms_p50"]["median"] == 2.0
+
+
+def test_recorder_reports_progress_on_stderr(monkeypatch, capsys, tmp_path):
+    record = load_record_module()
+    metrics = {m["name"]: {"value": 1.0, "unit": m["unit"]} for m in SPEC["end_to_end"]}
+    monkeypatch.setattr(record, "run_once",
+                        lambda *_: {"correct": True, "failed": 0, "metrics": metrics})
+    record.record(SPEC, tmp_path / "p", tmp_path / "c", [1, 2], 8.0)
+    out, err = capsys.readouterr()
+    lines = err.splitlines()
+    assert out == ""
+    assert len(lines) == 2 * 2 * len(SPEC["workloads"])
+    assert lines[0] == f"{SPEC['workloads'][0]['name']} seed 1 parent: correct True, call_ms_p50 1"

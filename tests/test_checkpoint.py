@@ -10,7 +10,7 @@ import golden
 from graphtcn.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from graphtcn.config import ModelConfig
 from graphtcn.data import SequenceWindow, discover_scenes, hold_out
-from graphtcn.errors import CheckpointCorruptError, CheckpointFormatError
+from graphtcn.errors import CheckpointCorruptError, CheckpointFormatError, ConfigError
 from graphtcn.model import GraphTCN
 from graphtcn.tensor import ParameterStore
 from graphtcn.training import model_from_checkpoint, train
@@ -150,6 +150,19 @@ def test_non_utf8_text_detected(tmp_path):
         path.write_bytes(blob[:offset] + b"\xff" + blob[offset + 1:])
         with pytest.raises(CheckpointCorruptError, match=what):
             load_checkpoint(path)
+
+
+def test_config_text_with_nan_lr_rejected_by_name(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, toy_store(), small_cfg())
+    blob = path.read_bytes()
+    cfg_len = struct.unpack("<I", blob[8:12])[0]
+    text = blob[12:12 + cfg_len]
+    assert b"lr = 0.0001\n" in text
+    text = text.replace(b"lr = 0.0001\n", b"lr = nan\n")
+    path.write_bytes(blob[:8] + struct.pack("<I", len(text)) + text + blob[12 + cfg_len:])
+    with pytest.raises(ConfigError, match="lr must be finite"):
+        load_checkpoint(path)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -1,6 +1,7 @@
 """Configuration defaults, validation, and the key=value text round trip."""
 
 import codecs
+import math
 from dataclasses import fields
 
 import numpy as np
@@ -8,7 +9,6 @@ import pytest
 
 from graphtcn.config import ModelConfig, VARIANTS
 from graphtcn.errors import ConfigError
-from graphtcn.model import GraphTCN
 from graphtcn.temporal_conv import receptive_field
 
 
@@ -44,11 +44,8 @@ class TestDefaults:
         assert field >= cfg.t_obs
 
     def test_kl_schedule(self):
-        weights = GraphTCN(ModelConfig(variant="graphtcn_g")).loss_weights
-        assert weights.kl_at(1) == 0.5
-        assert weights.kl_at(15) == 0.5
-        assert weights.kl_at(16) == 0.2
-        assert weights.kl_at(50) == 0.2
+        cfg = ModelConfig(variant="graphtcn_g")
+        assert [cfg.kl_weight(epoch) for epoch in (1, 15, 16, 50)] == [0.5, 0.5, 0.2, 0.2]
 
     def test_spatial_out_dim_by_variant(self):
         assert ModelConfig().spatial_out_dim() == 32
@@ -80,6 +77,23 @@ class TestValidation:
     def test_negative_lr(self):
         with pytest.raises(ConfigError):
             ModelConfig(lr=-1.0)
+
+    BAD_FLOATS = [
+        ("lr", 0.0), ("lr", math.nan), ("lr", math.inf), ("lr", -math.inf),
+        ("kl_weight_early", -0.5), ("kl_weight_early", math.nan), ("kl_weight_early", math.inf),
+        ("kl_weight_late", -0.5), ("kl_weight_late", math.nan), ("kl_weight_late", math.inf),
+    ]
+
+    @pytest.mark.parametrize("key,value", BAD_FLOATS, ids=[f"{k}={v!r}" for k, v in BAD_FLOATS])
+    def test_bad_float_rejected_by_name(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            ModelConfig(**{key: value})
+        with pytest.raises(ConfigError, match=key):
+            ModelConfig.from_text(f"{key} = {value!r}\n")
+
+    def test_zero_kl_weights_accepted(self):
+        cfg = ModelConfig(kl_weight_early=0.0, kl_weight_late=0.0)
+        assert cfg.kl_weight(1) == cfg.kl_weight(50) == 0.0
 
 
 class TestFieldTypes:

@@ -13,6 +13,7 @@ from graphtcn.decoders import (
 )
 from graphtcn.config import ModelConfig
 from graphtcn.errors import ContractError, ShapeError
+from graphtcn.metrics import kl_diag_gaussian
 from graphtcn.model import GraphTCN
 from graphtcn.tensor import ParameterStore, Tensor
 
@@ -222,6 +223,51 @@ class TestCvaeDecode:
         assert T.finite_difference_check(f, store) < 1e-6
 
 
+class TestInterface:
+    """noise, forward and fit: the one interface GraphTCN calls on either head."""
+
+    def heads(self):
+        rng = np.random.default_rng(41)
+        return (MlpDecoder(ParameterStore(), "dec", 2, 2, 3, 1, rng),
+                CvaeDecoder(ParameterStore(), "dec", 2, 2, 3, 4, rng))
+
+    def test_noise_blocks(self):
+        mlp, cvae = self.heads()
+        assert mlp.noise(np.random.default_rng(0), 5, 3).shape == (5, 2, 1)
+        block = cvae.noise(np.random.default_rng(0), 5, 3)
+        rng = np.random.default_rng(0)
+        assert np.array_equal(block, np.stack([rng.standard_normal((3, 4)) for _ in range(5)]))
+
+    def test_mlp_fit_is_the_prior_path_without_kl(self):
+        mlp, _ = self.heads()
+        rng = np.random.default_rng(42)
+        h = Tensor(rng.normal(size=(3, 2, 3)))
+        noise = mlp.noise(rng, 4, 3)
+        delta, kl = mlp.fit(h, noise, rng.normal(size=(3, 2, 2)))
+        assert kl is None
+        assert np.array_equal(delta.data, mlp.forward(h, noise).data)
+
+    def test_cvae_forward_decodes_the_prior_latent(self):
+        _, cvae = self.heads()
+        rng = np.random.default_rng(43)
+        h = Tensor(rng.normal(size=(3, 2, 3)))
+        z = cvae.noise(rng, 4, 3)
+        want = cvae.decode(cvae.flatten_embedding(h), Tensor(z))
+        assert np.array_equal(cvae.forward(h, z).data, want.data)
+
+    def test_cvae_fit_decodes_the_posterior_and_returns_its_kl(self):
+        _, cvae = self.heads()
+        rng = np.random.default_rng(44)
+        h = Tensor(rng.normal(size=(3, 2, 3)))
+        future = rng.normal(size=(3, 2, 2))
+        eps = cvae.noise(rng, 4, 3)
+        delta, kl = cvae.fit(h, eps, future)
+        h_flat = cvae.flatten_embedding(h)
+        mu, sigma, logvar = cvae.encode_posterior(h_flat, Tensor(future))
+        assert np.array_equal(delta.data, cvae.decode(h_flat, reparameterize(mu, sigma, eps)).data)
+        assert kl.item() == kl_diag_gaussian(mu, sigma, logvar).item() > 0.0
+
+
 class TestSplitHead:
     """Both heads against the concat-form loop oracle, with and without
     the hidden layer, and gradients through both blocks of the split
@@ -315,12 +361,16 @@ class TestAbsoluteConversion:
 
 
 class TestPredictionSet:
-    def test_count_must_match(self):
-        with pytest.raises(ContractError):
-            PredictionSet(np.zeros((2, 1, 3, 2)), np.zeros((1, 2)), 3)
+    @pytest.mark.parametrize("shape", [(0, 1, 3, 2), (1, 3, 2)])
+    def test_needs_a_4d_block_with_a_sample(self, shape):
+        with pytest.raises(ContractError, match="expected"):
+            PredictionSet(np.zeros(shape), np.zeros((1, 2)))
+
+    def test_sample_count_is_the_leading_axis(self):
+        assert PredictionSet(np.zeros((3, 1, 2, 2)), np.zeros((1, 2))).sample_count == 3
 
     def test_rejects_non_finite(self):
         bad = np.zeros((1, 1, 3, 2))
         bad[0, 0, 0, 0] = np.nan
         with pytest.raises(ContractError):
-            PredictionSet(bad, np.zeros((1, 2)), 1)
+            PredictionSet(bad, np.zeros((1, 2)))

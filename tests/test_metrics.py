@@ -5,17 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphtcn import tensor as T
+from graphtcn.config import VARIANTS, ModelConfig
+from graphtcn.data import SequenceWindow
 from graphtcn.decoders import PredictionSet
-from graphtcn.errors import ContractError, DomainError, ShapeError
-from graphtcn.metrics import (
-    LossWeights,
-    ade,
-    combined_loss,
-    evaluate_min_of_m,
-    fde,
-    kl_diag_gaussian,
-    variety_loss,
-)
+from graphtcn.errors import ConfigError, ContractError, DomainError, ShapeError
+from graphtcn.metrics import ade, evaluate_min_of_m, fde, kl_diag_gaussian, variety_loss
+from graphtcn.model import GraphTCN
 from graphtcn.tensor import Tensor
 
 from oracles import ade_oracle, fde_oracle, kl_mc_oracle, min_of_m_oracle
@@ -197,45 +192,69 @@ class TestKl:
         assert T.finite_difference_check(f, store) < 1e-6
 
 
+def small_window_loss(variant: str, epoch: int, **over):
+    """window_loss of a small untrained model on one random 3-pedestrian window."""
+    cfg = ModelConfig(t_obs=4, t_pred=3, embed_dim=8, gal1_heads=1, gal1_out=4, gal2_heads=1,
+                      gal2_out=4, tcn_channels=4, tcn_layers=2, tcn_kernel=2, noise_dim=2,
+                      future_embed_dim=3, samples=2, variant=variant, **over)
+    model = GraphTCN(cfg)
+    rng = np.random.default_rng(5)
+    window = SequenceWindow("synth", 0, rng.normal(size=(3, 7, 2)), (1, 2, 3))
+    return model.window_loss(window, epoch, model.draw_noise(rng, 3))
+
+
 class TestCombined:
+    """The objective window_loss builds: the variety loss, plus for the
+    latent variant the KL term weighted by the config's schedule."""
+
     def test_early_epoch_weight(self):
-        out = combined_loss(Tensor(1.0), Tensor(0.5), LossWeights(), epoch=10)
-        assert out.item() == 1.25
+        cfg = ModelConfig()
+        assert cfg.kl_weight(1) == cfg.kl_weight(10) == 0.5
+        loss, parts = small_window_loss("graphtcn_g", 10)
+        assert loss.item() == parts["variety"] + 0.5 * parts["kl"]
 
     def test_late_epoch_weight(self):
-        out = combined_loss(Tensor(1.0), Tensor(0.5), LossWeights(), epoch=20)
-        assert out.item() == pytest.approx(1.10, abs=1e-15)
+        assert ModelConfig().kl_weight(20) == ModelConfig().kl_weight(50) == 0.2
+        loss, parts = small_window_loss("graphtcn_g", 20)
+        assert loss.item() == parts["variety"] + 0.2 * parts["kl"]
 
     def test_switch_boundary(self):
-        w = LossWeights()
-        assert combined_loss(Tensor(1.0), Tensor(1.0), w, 15).item() == 1.5
-        assert combined_loss(Tensor(1.0), Tensor(1.0), w, 16).item() == 1.2
+        cfg = ModelConfig()
+        assert (cfg.kl_weight(15), cfg.kl_weight(16)) == (0.5, 0.2)
+        cfg = ModelConfig(kl_weight_early=0.75, kl_weight_late=0.125, kl_switch_epoch=3)
+        assert (cfg.kl_weight(3), cfg.kl_weight(4)) == (0.75, 0.125)
 
     def test_no_kl_term(self):
-        out = combined_loss(Tensor(0.75), None, LossWeights(), epoch=3)
-        assert out.item() == 0.75
+        for variant in ("graphtcn", "no_efgat", "vanilla_gat"):
+            loss, parts = small_window_loss(variant, 3)
+            assert parts["kl"] == 0.0 and loss.item() == parts["variety"], variant
 
     def test_zero_kl_equals_variety(self):
-        out = combined_loss(Tensor(0.75), Tensor(0.0), LossWeights(), epoch=3)
-        assert out.item() == 0.75
+        loss, parts = small_window_loss("graphtcn_g", 3, kl_weight_early=0.0)
+        assert parts["kl"] > 0.0
+        assert loss.item() == parts["variety"]
 
-    @given(st.floats(0, 10), st.floats(0, 10), st.floats(0, 10), st.integers(1, 50))
-    @settings(max_examples=40, deadline=None)
-    def test_monotone_in_both_inputs(self, v, k, bump, epoch):
-        w = LossWeights()
-        base = combined_loss(Tensor(v), Tensor(k), w, epoch).item()
-        assert combined_loss(Tensor(v + bump), Tensor(k), w, epoch).item() >= base
-        assert combined_loss(Tensor(v), Tensor(k + bump), w, epoch).item() >= base
+    @given(st.floats(0, 10), st.floats(0, 10), st.integers(1, 30))
+    @settings(max_examples=20, deadline=None)
+    def test_monotone_in_both_inputs(self, weight, bump, epoch):
+        # The KL term is nonnegative, so the loss never falls below the
+        # variety term and never falls as the weight of the KL term rises.
+        low, parts = small_window_loss("graphtcn_g", epoch, kl_weight_early=weight,
+                                       kl_weight_late=weight)
+        high, _ = small_window_loss("graphtcn_g", epoch, kl_weight_early=weight + bump,
+                                    kl_weight_late=weight + bump)
+        assert parts["variety"] <= low.item() <= high.item()
 
     def test_negative_weights_rejected(self):
-        with pytest.raises(ContractError):
-            LossWeights(kl_early=-1.0)
-        with pytest.raises(ContractError):
-            LossWeights(kl_late=-1.0)
+        with pytest.raises(ConfigError, match="kl_weight_early"):
+            ModelConfig(kl_weight_early=-1.0)
+        with pytest.raises(ConfigError, match="kl_weight_late"):
+            ModelConfig(kl_weight_late=-1.0)
 
     def test_bad_epoch(self):
-        with pytest.raises(ContractError):
-            combined_loss(Tensor(1.0), Tensor(1.0), LossWeights(), epoch=0)
+        for variant in VARIANTS:
+            with pytest.raises(ContractError, match="epoch"):
+                small_window_loss(variant, 0)
 
 
 class TestEvaluateMinOfM:
@@ -243,7 +262,7 @@ class TestEvaluateMinOfM:
         rng = np.random.default_rng(13)
         gt = rng.normal(size=(2, 3, 2))
         trajs = np.stack([rng.normal(size=(2, 3, 2)), gt])
-        ps = PredictionSet(trajs, gt[:, 0], 2)
+        ps = PredictionSet(trajs, gt[:, 0])
         a, f = evaluate_min_of_m(ps, gt)
         assert a == 0.0 and f == 0.0
 
@@ -251,12 +270,12 @@ class TestEvaluateMinOfM:
         rng = np.random.default_rng(14)
         gt = rng.normal(size=(3, 4, 2))
         pred = rng.normal(size=(3, 4, 2))
-        ps = PredictionSet(pred[None], gt[:, 0], 1)
+        ps = PredictionSet(pred[None], gt[:, 0])
         a, f = evaluate_min_of_m(ps, gt)
         assert abs(a - ade_oracle(pred, gt)) <= 1e-12 and abs(f - fde_oracle(pred, gt)) <= 1e-12
 
     def test_ground_truth_shape_must_match(self):
-        ps = PredictionSet(np.zeros((4, 3, 12, 2)), np.zeros((3, 2)), 4)
+        ps = PredictionSet(np.zeros((4, 3, 12, 2)), np.zeros((3, 2)))
         with pytest.raises(ShapeError):
             evaluate_min_of_m(ps, np.ones((1, 12, 2)))
 
@@ -266,7 +285,7 @@ class TestEvaluateMinOfM:
         rng = np.random.default_rng(100 * m + n)
         gt = rng.normal(size=(n, 12, 2)) * 5.0
         trajs = gt + rng.normal(size=(m, n, 12, 2))
-        a, f = evaluate_min_of_m(PredictionSet(trajs, gt[:, 0], m), gt)
+        a, f = evaluate_min_of_m(PredictionSet(trajs, gt[:, 0]), gt)
         ref_a, ref_f = min_of_m_oracle(trajs, gt)
         assert abs(a - ref_a) <= 1e-12 and abs(f - ref_f) <= 1e-12
 
@@ -275,6 +294,6 @@ class TestEvaluateMinOfM:
         gt = np.zeros((1, 2, 2))
         a = np.array([[[0.0, 0.0], [0.0, 2.0]]])   # ADE 1.0, FDE 2.0
         b = np.array([[[0.0, 4.0], [0.0, 1.0]]])   # ADE 2.5, FDE 1.0
-        ps = PredictionSet(np.stack([a, b]), gt[:, 0], 2)
+        ps = PredictionSet(np.stack([a, b]), gt[:, 0])
         best_a, best_f = evaluate_min_of_m(ps, gt)
         assert best_a == 1.0 and best_f == 1.0

@@ -81,6 +81,13 @@ def test_rejects_nonpositive_lr():
         Adam(s, lr=0.0)
 
 
+@pytest.mark.parametrize("lr", [np.nan, np.inf])
+def test_rejects_non_finite_lr(lr):
+    s, _ = store_with(data=[1.0], grad=[1.0])
+    with pytest.raises(ContractError, match="finite"):
+        Adam(s, lr=lr)
+
+
 def test_step_magnitude_bounded_by_lr():
     # Adam's per-coordinate step is ~lr regardless of gradient scale.
     s, t = store_with(data=[0.0], grad=[1e12])

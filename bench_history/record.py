@@ -16,7 +16,10 @@ The file holds, per workload and side, the median and quartiles of every
 end-to-end metric of ``BENCHMARK.json`` plus the values of each run; per
 metric, the number of seed pairs the change won; each run's ``correct``
 flag and failure count; the seeds, the run length, both commits and the
-Python, numpy, platform and CPU-count versions of the host.
+Python, numpy, platform and CPU-count versions of the host. Per workload
+and side it also summarises the raw (unscaled) call p50 and the
+calibration kernel p50 that each run prints: perfbench divides call times
+by that kernel, so a scaled metric can move with the kernel alone.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -45,20 +49,37 @@ def commit(checkout: Path) -> str:
     return head + ("+dirty" if dirty else "")
 
 
+# The line perfbench/run.py prints before its metrics.
+CALIBRATION = re.compile(r"raw \(unscaled\) call p50 (\S+) ms, calibration kernel p50 (\S+) ms")
+
+
 def run_once(checkout: Path, command, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run; returns the JSON of its last output line."""
+    """One benchmark run; returns the JSON of its last output line, plus
+    ``raw_ms_p50`` and ``kernel_ms_p50`` from its calibration line (None
+    without one)."""
     cmd = list(command) + ["--workload", workload, "--seed", str(seed),
                            "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited {proc.returncode}:\n"
                            f"{proc.stderr}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    lines = proc.stdout.strip().splitlines()
+    res = json.loads(lines[-1])
+    found = [m for m in map(CALIBRATION.match, lines) if m]
+    res["raw_ms_p50"], res["kernel_ms_p50"] = (map(float, found[-1].groups()) if found
+                                               else (None, None))
+    return res
 
 
 def summary(values: list) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
+
+
+def calibration(values: list) -> dict:
+    """``summary`` in ms of one calibration value over the runs, or only
+    the runs when some printed none."""
+    return dict(summary(values) if None not in values else {"runs": values}, unit="ms")
 
 
 def progress(line: str):
@@ -90,6 +111,9 @@ def record(spec: dict, parent: Path, change: Path, seeds, seconds: float, log=pr
             sign = 1.0 if m["better"] == "lower" else -1.0
             pairs = zip(entry["parent"][m["name"]]["runs"], entry["change"][m["name"]]["runs"])
             entry["change_won_pairs"][m["name"]] = sum(sign * (c - p) < 0 for p, c in pairs)
+        entry["calibration"] = {side: {key: calibration([r.get(key) for r in runs[side]])
+                                       for key in ("raw_ms_p50", "kernel_ms_p50")}
+                                for side in sides}
         entry["correct"] = {side: [r["correct"] for r in runs[side]] for side in sides}
         entry["failed"] = {side: [r["failed"] for r in runs[side]] for side in sides}
         workloads[name] = entry

@@ -41,11 +41,9 @@ class PredictionSet:
     """M sampled future trajectories in absolute world coordinates."""
 
     trajectories: np.ndarray  # [M, N, T_pred, 2]
-    origin: np.ndarray        # [N, 2], last observed position
 
     def __post_init__(self):
         self.trajectories = np.asarray(self.trajectories, dtype=np.float64)
-        self.origin = np.asarray(self.origin, dtype=np.float64)
         if self.trajectories.ndim != 4 or self.trajectories.shape[0] < 1:
             raise ContractError(f"trajectories {self.trajectories.shape}, expected [M >= 1, N, T, 2]")
         if not np.isfinite(self.trajectories).all():

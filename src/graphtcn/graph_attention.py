@@ -17,8 +17,8 @@ Each per-head parameter lives in one head-major block for all heads, so
 the heads run at once without rebuilding their weights on every pass. A
 layer is a handful of tensor ops: head_affine and tanh_gate for the
 values, attention_weights for both per-node scores of every head and
-their softmax (the blocks are its operands as stored), then the weighted
-sum, the heads' merge and the residual.
+their softmax (the blocks are its operands as stored), aggregate_heads
+for every head's weighted sum and the heads' merge, then the residual.
 """
 
 from __future__ import annotations
@@ -37,9 +37,9 @@ class GraphAttentionLayer:
         leaky_relu(w1 . h_i + w2 . h_j + a_e . edge_ij)
     followed by a softmax over j, computed from per-node scores by one
     attention_weights op. Values pass through the gate u * tanh(u)
-    (tanh_gate) before aggregation, and
-    each head's weighted sum gets a final leaky_relu. Heads are
-    concatenated and an affine projection of the input is added as the
+    (tanh_gate) before aggregation, and each head's weighted sum gets a
+    final leaky_relu; the heads, concatenated, come from one
+    aggregate_heads op. An affine projection of the input is added as the
     graph residual.
 
     All heads run at once on head-major parameter blocks: [heads, in, out]
@@ -91,7 +91,7 @@ class GraphAttentionLayer:
         lead, n = h.data.shape[:-2], h.data.shape[-2]
         if positions.shape != lead + (n, 2):
             raise ShapeError(f"positions {positions.shape} for node features {h.shape}")
-        blocks, r = self.blocks, len(lead)
+        blocks = self.blocks
 
         # g is [heads, ..., N, width].
         g = T.tanh_gate(T.head_affine(h, blocks["val.W"], blocks["val.b"]))
@@ -103,10 +103,7 @@ class GraphAttentionLayer:
         else:
             alpha = T.attention_weights(h, None, blocks["w1"], blocks["w2"])
 
-        per_head = T.leaky_relu(T.matmul(alpha, g))
-        merged = T.reshape(T.transpose(per_head, tuple(range(1, r + 2)) + (0, r + 2)),
-                           lead + (n, self.out_dim))
-        out = T.add(merged, T.affine(h, self.res_W, self.res_b))
+        out = T.add(T.aggregate_heads(alpha, g), T.affine(h, self.res_W, self.res_b))
         return out, alpha.data
 
 

@@ -1,8 +1,9 @@
 """Displacement metrics and the two training loss terms.
 
 The differentiable terms (variety and KL, which GraphTCN.window_loss
-combines) run on the autodiff ops; the plain-number best-of-M evaluation
-at the bottom works on numpy arrays and is what the reporting code calls.
+combines) run on the autodiff ops, the variety loss as one fused
+best_of_m_ade op; the plain-number best-of-M evaluation at the bottom
+works on numpy arrays and is what the reporting code calls.
 """
 
 from __future__ import annotations
@@ -51,18 +52,14 @@ def variety_loss(samples, gt: T.Tensor) -> T.Tensor:
 
     ``samples`` is [M, N, T, 2] (a list of [N, T, 2] tensors is stacked
     first); ``gt`` is the constant target [N, T, 2]. Ties resolve to the
-    lowest sample index via the min reduction's deterministic arg-min
-    routing.
+    lowest sample index. A step where a sample meets the target takes
+    gradient 0 (see ``best_of_m_ade``).
     """
     if isinstance(samples, (list, tuple)):
         if not samples:
             raise ContractError("variety loss needs at least one sample")
         samples = T.stack(samples)
-    if samples.data.ndim != 4 or samples.data.shape[1:] != gt.data.shape or gt.data.shape[-1] != 2:
-        raise ShapeError(f"samples {samples.shape} vs ground truth {gt.shape}, expected [M, N, T, 2]")
-    m = samples.data.shape[0]
-    dist = _step_distances(samples, T.Tensor(np.broadcast_to(gt.data, samples.data.shape)))
-    return T.reduce_min(T.reduce_mean(T.reshape(dist, (m, -1)), axis=1))
+    return T.best_of_m_ade(samples, gt.data)
 
 
 def kl_diag_gaussian(mu: T.Tensor, sigma: T.Tensor, logvar: T.Tensor = None) -> T.Tensor:

@@ -117,4 +117,4 @@ class GraphTCN:
         h, attn = self.encode(window)
         origin = self._origin(window)
         delta = self.decoder.forward(h, self.decoder.noise(rng, m, window.n_peds))
-        return PredictionSet(relative_to_absolute(delta, origin).data, origin.copy()), attn
+        return PredictionSet(relative_to_absolute(delta, origin).data), attn

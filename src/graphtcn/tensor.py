@@ -6,8 +6,9 @@ returns); each operation pairs a numpy forward pass with a backward
 rule. The op set is deliberately closed: only what the model needs, no
 implicit broadcasting (a 0-d scalar operand is the single exception in
 add/sub/mul). At the model's sizes an op costs more in Python dispatch
-than in arithmetic, so five ops are fused chains, each equal bit for bit
-to the chain it replaces, gradients included:
+than in arithmetic, so seven ops are fused chains, each equal bit for bit
+to the chain it replaces, gradients included (best_of_m_ade's only where
+the chain's gradient is finite):
   attention_weights  every head's per-node attention scores (node
                      features, and the edge term folded in) and their
                      row softmax, [H, ..., N, N], in one op per layer,
@@ -20,7 +21,11 @@ to the chain it replaces, gradients included:
   gated_activation   the TCN's tanh(gate) * sigmoid(filter) over the two
                      halves of one convolution output;
   draw_affine        the decoder's first affine map over [M draws, N
-                     nodes], from a per-node and a per-draw part.
+                     nodes], from a per-node and a per-draw part;
+  aggregate_heads    every head's attention-weighted sum of its values,
+                     through leaky, with the heads merged side by side;
+  best_of_m_ade      the variety loss: the least, over M draws, of the
+                     mean step distance to the target.
 A fused op replays the numpy expressions of its chain, and its backward
 adds into each input in the order the chain's tape sweep did.
 
@@ -37,6 +42,9 @@ both monotone non-decreasing, so that is exactly the row's largest
 logit. (With a non-finite score, its rows are NaN in both forms, with
 NaN bits that may differ.) masked_softmax keeps its select: nothing in
 the model calls it, and the acceptance gates test_01 and test_02 pin it.
+best_of_m_ade's backward divides under a where mask, once per training
+step over one draw's [N, T] distances, so that a step at distance 0
+takes gradient 0 where the chain's 0 / 0 gave NaN.
 
 Recording follows one rule: an op pushes one node onto the tape active
 on the current thread if, and only if, one of its inputs requires
@@ -44,9 +52,9 @@ gradients. A single-input op states only its result and its input
 gradient as a function of the output gradient (``_unary``); add, sub and
 mul state their forward ufunc and one gradient function per operand
 (``_binary``). affine, head_affine, draw_affine, matmul, conv1d_causal,
-attention_weights, concat and slice_axis keep hand-written backward
-rules: each shares one intermediate across several inputs or writes into
-a slice of a gradient.
+attention_weights, aggregate_heads, concat and slice_axis keep
+hand-written backward rules: each shares one intermediate across several
+inputs or writes into a slice of a gradient.
 
 Gradients accumulate into ``Tensor.grad`` buffers. Only leaves keep
 theirs after a sweep: ``backward`` hands each intermediate's gradient to
@@ -56,8 +64,8 @@ without zeroing adds one more full gradient to every leaf. An
 intermediate's first gradient is stored, not added into zeros: as it is
 when the backward rule built it fresh (a new C-ordered array nothing
 else holds), else as a C-ordered copy. add, sub, mul, affine,
-draw_affine, matmul, conv1d_causal and attention_weights skip the
-gradient of an operand that needs none.
+draw_affine, matmul, conv1d_causal, attention_weights and aggregate_heads
+skip the gradient of an operand that needs none.
 
 ParameterStore keeps every parameter's data and gradient as views into
 two flat buffers, so zeroing all gradients is one fill and an optimizer
@@ -721,6 +729,40 @@ def attention_weights(h, centred, w1, w2, edge=None) -> Tensor:
     return out
 
 
+def aggregate_heads(alpha, g) -> Tensor:
+    """Every head's attention-weighted sum of its values, through leaky, with
+    the heads merged side by side: alpha [H, ..., N, N] and g [H, ..., N, w]
+    -> [..., N, H * w], head k in columns k * w to (k + 1) * w.
+
+    One op for the chain matmul, leaky_relu, transpose and reshape, equal
+    to it bit for bit: the forward runs the chain's numpy expressions, and
+    backward takes the C-ordered copy of the un-merged gradient the
+    transpose made, its leaky factor, then alpha's and g's matmul terms.
+    """
+    alpha, g = _as_tensor(alpha), _as_tensor(g)
+    a, v = alpha.data, g.data
+    if (a.ndim < 3 or v.ndim != a.ndim or a.shape[:-1] != v.shape[:-1]
+            or a.shape[-1] != a.shape[-2]):
+        raise ShapeError(f"aggregate_heads alpha {alpha.shape} vs values {g.shape}")
+    r = a.ndim - 3
+    to_last = tuple(range(1, r + 2)) + (0, r + 2)
+    to_first = (r + 1,) + tuple(range(r + 1)) + (r + 2,)
+    pre = a @ v
+    heads_last = np.ascontiguousarray(_leaky(pre).transpose(to_last))
+    out = Tensor(heads_last.reshape(heads_last.shape[:-2] + (-1,)))
+
+    def bwd(gm):
+        gl = np.array(gm.reshape(heads_last.shape).transpose(to_first), order="C")
+        gl *= np.maximum(pre >= 0.0, _SLOPE)
+        if alpha.requires_grad:
+            _accumulate(alpha, gl @ np.swapaxes(v, -1, -2), fresh=True)
+        if g.requires_grad:
+            _accumulate(g, np.swapaxes(a, -1, -2) @ gl, fresh=True)
+
+    _record(out, [alpha, g], bwd)
+    return out
+
+
 def conv1d_causal(x, W, b=None, dilation: int = 1) -> Tensor:
     """Causal 1-d convolution with left zero padding of (k-1)*dilation.
 
@@ -810,6 +852,43 @@ def reduce_min(x, axis=None) -> Tensor:
         return gx
 
     return _unary(x, x.data.min(axis=axis), grad, fresh=True)
+
+
+def best_of_m_ade(samples, gt) -> Tensor:
+    """The best-of-M average displacement error, 0-d: the least, over the
+    draws of ``samples`` [M, N, T, 2], of the mean Euclidean distance to
+    the constant target ``gt`` [N, T, 2] over every node and step. Its
+    gradient reaches only the winning draw, the lowest index on ties.
+
+    One op for the chain sub, mul, reduce_sum, sqrt, reshape, reduce_mean
+    and reduce_min, equal to it bit for bit where the chain's gradient is
+    finite: the forward repeats the chain's arithmetic, and backward
+    repeats it on the winner's row (a losing draw gets +0, the
+    chain's +-0). Where the chain divides 0 by 0, at a step on which a draw
+    meets the target, the gradient is 0, not NaN, as PyTorch's norm gives.
+    """
+    samples = _as_tensor(samples)
+    x, gt = samples.data, np.asarray(gt, dtype=np.float64)
+    if x.ndim != 4 or x.shape[1:] != gt.shape or gt.shape[-1] != 2 or not x.size:
+        raise ShapeError(f"samples {samples.shape} vs ground truth {gt.shape}, expected [M, N, T, 2]")
+    m = x.shape[0]
+    diff = x - gt
+    sq = diff * diff
+    # The chain's sum over the two coordinates, as one add: the same single
+    # rounding, without numpy's slow reduction over a length-2 axis.
+    dist = np.sqrt(sq[..., 0] + sq[..., 1])
+    per_draw = dist.reshape(m, -1).mean(axis=1)
+    k = int(np.argmin(per_draw))
+
+    def grad(g):
+        gk = float(g) * (1.0 / (dist.size // m))
+        gd = np.divide(gk * 0.5, dist[k], out=np.zeros(dist.shape[1:]), where=dist[k] > 0.0)
+        step = gd[..., None] * diff[k]
+        gx = np.zeros(x.shape)
+        gx[k] = step + step
+        return gx
+
+    return _unary(samples, per_draw.min(), grad, fresh=True)
 
 
 def _reduction_input(x, axis):

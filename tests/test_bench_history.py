@@ -6,6 +6,7 @@ Nothing here checks a timing; test_09 stays the only timing gate.
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -86,3 +87,34 @@ def test_recorder_reports_progress_on_stderr(monkeypatch, capsys, tmp_path):
     assert out == ""
     assert len(lines) == 2 * 2 * len(SPEC["workloads"])
     assert lines[0] == f"{SPEC['workloads'][0]['name']} seed 1 parent: correct True, call_ms_p50 1"
+
+
+def test_recorder_summarises_the_calibration_line(monkeypatch, tmp_path):
+    # A fake runner prints what perfbench/run.py prints: the calibration
+    # line among the metric lines, then the JSON result.
+    record = load_record_module()
+    metrics = {m["name"]: {"value": 1.0, "unit": m["unit"]} for m in SPEC["end_to_end"]}
+
+    def fake_subprocess_run(cmd, cwd, **_):
+        seed = int(cmd[cmd.index("--seed") + 1])
+        kernel = 20.0 + seed + (5.0 if cwd == tmp_path / "c" else 0.0)
+        stdout = (f"env {{}}\nraw (unscaled) call p50 {seed / 4:.4f} ms, calibration kernel p50 "
+                  f"{kernel:.4f} ms (reference 25.0 ms)\ncall_ms_p50 1 ms\n"
+                  + json.dumps({"correct": True, "attempted": 9, "failed": 0, "metrics": metrics}))
+        return subprocess.CompletedProcess(cmd, 0, stdout, "")
+
+    monkeypatch.setattr(record.subprocess, "run", fake_subprocess_run)
+    monkeypatch.setattr(record, "commit", lambda checkout: "unknown")
+    rec = record.record(SPEC, tmp_path / "p", tmp_path / "c", [1, 2, 3], 8.0, log=lambda _: None)
+    for entry in rec["workloads"].values():
+        cal = entry["calibration"]
+        assert cal["parent"]["kernel_ms_p50"] == {"median": 22.0, "q1": 21.5, "q3": 22.5,
+                                                  "runs": [21.0, 22.0, 23.0], "unit": "ms"}
+        assert cal["change"]["kernel_ms_p50"]["runs"] == [26.0, 27.0, 28.0]
+        assert cal["change"]["raw_ms_p50"]["runs"] == [0.25, 0.5, 0.75]
+    # A run that printed no calibration line keeps its place as None.
+    monkeypatch.setattr(record, "run_once",
+                        lambda *_: {"correct": True, "failed": 0, "metrics": metrics})
+    rec = record.record(SPEC, tmp_path / "p", tmp_path / "c", [1, 2], 8.0, log=lambda _: None)
+    first = rec["workloads"][SPEC["workloads"][0]["name"]]
+    assert first["calibration"]["parent"]["raw_ms_p50"] == {"runs": [None, None], "unit": "ms"}

@@ -364,13 +364,13 @@ class TestPredictionSet:
     @pytest.mark.parametrize("shape", [(0, 1, 3, 2), (1, 3, 2)])
     def test_needs_a_4d_block_with_a_sample(self, shape):
         with pytest.raises(ContractError, match="expected"):
-            PredictionSet(np.zeros(shape), np.zeros((1, 2)))
+            PredictionSet(np.zeros(shape))
 
     def test_sample_count_is_the_leading_axis(self):
-        assert PredictionSet(np.zeros((3, 1, 2, 2)), np.zeros((1, 2))).sample_count == 3
+        assert PredictionSet(np.zeros((3, 1, 2, 2))).sample_count == 3
 
     def test_rejects_non_finite(self):
         bad = np.zeros((1, 1, 3, 2))
         bad[0, 0, 0, 0] = np.nan
         with pytest.raises(ContractError):
-            PredictionSet(bad, np.zeros((1, 2)))
+            PredictionSet(bad)

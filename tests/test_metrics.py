@@ -127,6 +127,19 @@ class TestVariety:
         assert (p_near.grad != 0).any()
         assert (p_far.grad == 0).all()
 
+    def test_gradient_is_finite_where_a_draw_meets_the_target(self):
+        # Draw 0 wins (ADE 0.125) and meets the target at step 0; the losing
+        # draw 1 meets it at step 1. The unfused chain's sqrt gradient was
+        # 0 * 0.5 / 0 = NaN at both steps, and Adam spread that NaN to every
+        # decoder weight. A step at distance 0 now takes gradient 0.
+        store = T.ParameterStore()
+        p = store.add("x", [[[[0.0, 0.0], [0.0, 0.25]]], [[[0.0, 5.0], [0.0, 0.0]]]])
+        with T.Tape() as tape:
+            loss = variety_loss(T.reshape(p, p.shape), Tensor(np.zeros((1, 2, 2))))
+        T.backward(loss, tape)
+        assert loss.item() == 0.125
+        assert p.grad.tolist() == [[[[0.0, 0.0], [0.0, 0.5]]], [[[0.0, 0.0], [0.0, 0.0]]]]
+
     def test_empty_rejected(self):
         with pytest.raises(ContractError):
             variety_loss([], Tensor(np.zeros((1, 2, 2))))
@@ -262,7 +275,7 @@ class TestEvaluateMinOfM:
         rng = np.random.default_rng(13)
         gt = rng.normal(size=(2, 3, 2))
         trajs = np.stack([rng.normal(size=(2, 3, 2)), gt])
-        ps = PredictionSet(trajs, gt[:, 0])
+        ps = PredictionSet(trajs)
         a, f = evaluate_min_of_m(ps, gt)
         assert a == 0.0 and f == 0.0
 
@@ -270,12 +283,12 @@ class TestEvaluateMinOfM:
         rng = np.random.default_rng(14)
         gt = rng.normal(size=(3, 4, 2))
         pred = rng.normal(size=(3, 4, 2))
-        ps = PredictionSet(pred[None], gt[:, 0])
+        ps = PredictionSet(pred[None])
         a, f = evaluate_min_of_m(ps, gt)
         assert abs(a - ade_oracle(pred, gt)) <= 1e-12 and abs(f - fde_oracle(pred, gt)) <= 1e-12
 
     def test_ground_truth_shape_must_match(self):
-        ps = PredictionSet(np.zeros((4, 3, 12, 2)), np.zeros((3, 2)))
+        ps = PredictionSet(np.zeros((4, 3, 12, 2)))
         with pytest.raises(ShapeError):
             evaluate_min_of_m(ps, np.ones((1, 12, 2)))
 
@@ -285,7 +298,7 @@ class TestEvaluateMinOfM:
         rng = np.random.default_rng(100 * m + n)
         gt = rng.normal(size=(n, 12, 2)) * 5.0
         trajs = gt + rng.normal(size=(m, n, 12, 2))
-        a, f = evaluate_min_of_m(PredictionSet(trajs, gt[:, 0]), gt)
+        a, f = evaluate_min_of_m(PredictionSet(trajs), gt)
         ref_a, ref_f = min_of_m_oracle(trajs, gt)
         assert abs(a - ref_a) <= 1e-12 and abs(f - ref_f) <= 1e-12
 
@@ -294,6 +307,6 @@ class TestEvaluateMinOfM:
         gt = np.zeros((1, 2, 2))
         a = np.array([[[0.0, 0.0], [0.0, 2.0]]])   # ADE 1.0, FDE 2.0
         b = np.array([[[0.0, 4.0], [0.0, 1.0]]])   # ADE 2.5, FDE 1.0
-        ps = PredictionSet(np.stack([a, b]), gt[:, 0])
+        ps = PredictionSet(np.stack([a, b]))
         best_a, best_f = evaluate_min_of_m(ps, gt)
         assert best_a == 1.0 and best_f == 1.0

@@ -274,7 +274,11 @@ def test_predict_shapes_and_origin():
     ps, attn = model.predict(w, 5, np.random.default_rng(0))
     assert ps.trajectories.shape == (5, 3, cfg.t_pred, 2)
     assert ps.sample_count == 5
-    assert np.array_equal(ps.origin, w.positions[:, cfg.t_obs - 1, :])
+    # Offsets are decoded from each pedestrian's last observed position.
+    origin = w.positions[:, cfg.t_obs - 1, :]
+    h, _ = model.encode(w)
+    delta = model.decoder.forward(h, model.decoder.noise(np.random.default_rng(0), 5, w.n_peds))
+    assert np.array_equal(ps.trajectories, delta.data + origin[:, None, :])
     assert attn is not None
 
 
@@ -298,7 +302,8 @@ def test_zero_model_predicts_origin():
     zero_params(model)
     w = make_window()
     ps, _ = model.predict(w, 2, np.random.default_rng(0))
-    expected = np.broadcast_to(ps.origin[None, :, None, :], ps.trajectories.shape)
+    origin = w.positions[:, cfg.t_obs - 1, :]
+    expected = np.broadcast_to(origin[None, :, None, :], ps.trajectories.shape)
     assert np.array_equal(ps.trajectories, expected)
 
 

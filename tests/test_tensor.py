@@ -404,6 +404,89 @@ class TestForwardValues:
         (ref, ref_grad), (out, grad) = results
         assert out.tobytes() == ref.tobytes() and grad.tobytes() == ref_grad.tobytes()
 
+    @pytest.mark.parametrize("heads,lead", [(1, ()), (2, (3,)), (3, (2, 3))])
+    def test_aggregate_heads_equals_unfused_chain(self, heads, lead):
+        # The chain the op replaces: each head's weighted sum, leaky, heads
+        # moved last and merged. The values come from head_affine, whose
+        # output is not C-ordered, as in the layer. Values and every input
+        # gradient, bit for bit.
+        rng = np.random.default_rng(40 + heads)
+        n, d_in, width = 5, 3, 4
+        r = len(lead)
+        alpha = rng.uniform(size=(heads,) + lead + (n, n))
+        x, W, b = (rng.normal(size=s) for s in (lead + (n, d_in), (heads, d_in, width),
+                                                 (heads, width)))
+        w = rng.normal(size=lead + (n, heads * width))
+
+        def chain(alpha, g):
+            per_head = T.leaky_relu(T.matmul(alpha, g))
+            return T.reshape(T.transpose(per_head, tuple(range(1, r + 2)) + (0, r + 2)),
+                             lead + (n, heads * width))
+
+        results = []
+        for op in (chain, T.aggregate_heads):
+            store = T.ParameterStore()
+            pa, px, pW, pb = (store.add(k, v) for k, v in
+                              (("alpha", alpha), ("x", x), ("W", W), ("b", b)))
+            with T.Tape() as tape:
+                out = op(T.reshape(pa, pa.shape), T.head_affine(px, pW, pb))
+                T.backward(T.reduce_sum(T.mul(out, T.Tensor(w))), tape)
+            results.append([out.data] + [t.grad.copy() for t in (pa, px, pW, pb)])
+        assert results[1][0].shape == lead + (n, heads * width)
+        for ref, got in zip(*results):
+            assert ref.shape == got.shape and ref.tobytes() == got.tobytes()
+
+    def test_aggregate_heads_shapes_checked(self):
+        assert T.aggregate_heads(np.zeros((2, 3, 3)), np.zeros((2, 3, 4))).shape == (3, 8)
+        for alpha, g in [(np.zeros((3, 3)), np.zeros((3, 4))),          # no head axis
+                         (np.zeros((2, 3, 3)), np.zeros((1, 3, 4))),    # heads
+                         (np.zeros((2, 3, 3)), np.zeros((2, 4, 4))),    # nodes
+                         (np.zeros((2, 3, 4)), np.zeros((2, 3, 4))),    # alpha not N x N
+                         (np.zeros((2, 3, 3)), np.zeros((2, 1, 3, 4)))]:  # rank
+            with pytest.raises(ShapeError):
+                T.aggregate_heads(alpha, g)
+
+    @pytest.mark.parametrize("m,n,t", [(1, 1, 1), (4, 3, 5), (20, 2, 12)])
+    def test_best_of_m_ade_equals_unfused_chain(self, m, n, t):
+        # The chain the op replaces, as variety_loss ran it. The samples are
+        # an op output that feeds one more term, so they hold a gradient
+        # before the op's arrives, and the output gradient is not 1. The
+        # last draw ties the winner, which keeps the lowest index. Values
+        # and the input gradient, bit for bit.
+        rng = np.random.default_rng(m + n + t)
+        gt = rng.normal(size=(n, t, 2))
+        x = gt + rng.normal(size=(m, n, t, 2))
+        x[-1] = x[np.argmin(np.linalg.norm(x - gt, axis=-1).mean(axis=(1, 2)))]
+        w = rng.normal(size=x.shape)
+
+        def chain(samples, gt):
+            diff = T.sub(samples, T.Tensor(np.broadcast_to(gt, samples.shape)))
+            dist = T.sqrt(T.reduce_sum(T.mul(diff, diff), axis=-1))
+            return T.reduce_min(T.reduce_mean(T.reshape(dist, (m, -1)), axis=1))
+
+        results = []
+        for op in (chain, T.best_of_m_ade):
+            store = T.ParameterStore()
+            p = store.add("x", x)
+            with T.Tape() as tape:
+                samples = T.reshape(p, x.shape)
+                out = op(samples, gt)
+                loss = T.add(T.mul(out, 3.0), T.reduce_sum(T.mul(samples, T.Tensor(w))))
+                T.backward(loss, tape)
+            results.append((out.data, p.grad.copy()))
+        (ref, ref_grad), (got, grad) = results
+        assert got.shape == () and got.tobytes() == ref.tobytes()
+        assert grad.tobytes() == ref_grad.tobytes()
+
+    def test_best_of_m_ade_shapes_checked(self):
+        for x, gt in [(np.zeros((2, 3, 4)), np.zeros((3, 4))),            # no draw axis
+                      (np.zeros((2, 3, 4, 2)), np.zeros((3, 5, 2))),      # steps
+                      (np.zeros((2, 3, 4, 3)), np.zeros((3, 4, 3))),      # not 2-d points
+                      (np.zeros((0, 3, 4, 2)), np.zeros((3, 4, 2))),      # no draws
+                      (np.zeros((2, 0, 4, 2)), np.zeros((0, 4, 2)))]:     # no nodes
+            with pytest.raises(ShapeError):
+                T.best_of_m_ade(x, gt)
+
     def test_conv_identity_tap(self):
         # Kernel [0,0,1]: only the current-step tap fires.
         x = np.array([[3.0, 1.0, 4.0, 1.0, 5.0]])
@@ -633,6 +716,7 @@ OP_CASES = {
             h, np.arange(6.0).reshape(3, 2), w1, w2, (W_e, b_e, a_e)),
         [(3, 4), (2, 4), (2, 4), (2, 5), (5,), (2, 5)], 1),
     "matmul": (T.matmul, [(2, 3), (3, 4)], 1),
+    "aggregate_heads": (T.aggregate_heads, [(2, 3, 3), (2, 3, 4)], 1),
     "leaky_relu": (T.leaky_relu, [(2, 3)], 1),
     "tanh": (T.tanh, [(2, 3)], 1),
     "tanh_gate": (T.tanh_gate, [(2, 3)], 1),
@@ -656,6 +740,7 @@ OP_CASES = {
     "reduce_mean.axis": (lambda x: T.reduce_mean(x, axis=0), [(2, 3)], 1),
     "reduce_min": (T.reduce_min, [(2, 3)], 1),
     "reduce_min.axis": (lambda x: T.reduce_min(x, axis=-1), [(2, 3)], 1),
+    "best_of_m_ade": (lambda x: T.best_of_m_ade(x, np.zeros((2, 3, 2))), [(4, 2, 3, 2)], 1),
 }
 
 
@@ -924,6 +1009,24 @@ class TestFiniteDifference:
             return T.reduce_sum(T.reduce_min(T.mul(p["x"], p["x"]), axis=1))
 
         assert T.finite_difference_check(f, store) < 1e-6
+
+    def test_aggregate_heads_gradient(self):
+        w = np.random.default_rng(34).normal(size=(3, 4, 10))
+
+        def f(p):
+            return T.reduce_sum(T.mul(T.aggregate_heads(p["p0"], p["p1"]), T.Tensor(w)))
+
+        err = fd_scalar(f, 2, [(2, 3, 4, 4), (2, 3, 4, 5)], seed=35)
+        assert err < 1e-6
+
+    def test_best_of_m_ade_gradient(self):
+        # Draws scaled 1x to 5x away from the target, so a step of h never
+        # changes the winner.
+        rng = np.random.default_rng(36)
+        gt = rng.normal(size=(3, 4, 2))
+        store = T.ParameterStore()
+        store.add("x", gt + rng.normal(size=(5, 3, 4, 2)) * np.arange(1.0, 6.0)[:, None, None, None])
+        assert T.finite_difference_check(lambda p: T.best_of_m_ade(p["x"], gt), store) < 1e-6
 
     def test_affine_no_bias(self):
         def f(p):

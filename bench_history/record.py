@@ -50,7 +50,7 @@ def commit(checkout: Path) -> str:
 
 
 # The line perfbench/run.py prints before its metrics.
-CALIBRATION = re.compile(r"raw \(unscaled\) call p50 (\S+) ms, calibration kernel p50 (\S+) ms")
+CALIBRATION_LINE = re.compile(r"raw \(unscaled\) call p50 (\S+) ms, calibration kernel p50 (\S+) ms")
 
 
 def run_once(checkout: Path, command, workload: str, seed: int, seconds: float) -> dict:
@@ -65,7 +65,7 @@ def run_once(checkout: Path, command, workload: str, seed: int, seconds: float) 
                            f"{proc.stderr}")
     lines = proc.stdout.strip().splitlines()
     res = json.loads(lines[-1])
-    found = [m for m in map(CALIBRATION.match, lines) if m]
+    found = [m for m in map(CALIBRATION_LINE.match, lines) if m]
     res["raw_ms_p50"], res["kernel_ms_p50"] = (map(float, found[-1].groups()) if found
                                                else (None, None))
     return res

@@ -408,14 +408,16 @@ class TestForwardValues:
     def test_aggregate_heads_equals_unfused_chain(self, heads, lead):
         # The chain the op replaces: each head's weighted sum, leaky, heads
         # moved last and merged. The values come from head_affine, whose
-        # output is not C-ordered, as in the layer. Values and every input
-        # gradient, bit for bit.
+        # output is not C-ordered, as in the layer; their column 0 is
+        # exactly 0, so every sum in it sits on the leaky kink. Values and
+        # every input gradient, bit for bit.
         rng = np.random.default_rng(40 + heads)
         n, d_in, width = 5, 3, 4
         r = len(lead)
         alpha = rng.uniform(size=(heads,) + lead + (n, n))
         x, W, b = (rng.normal(size=s) for s in (lead + (n, d_in), (heads, d_in, width),
                                                  (heads, width)))
+        W[..., 0] = b[..., 0] = 0.0
         w = rng.normal(size=lead + (n, heads * width))
 
         def chain(alpha, g):
@@ -446,13 +448,15 @@ class TestForwardValues:
             with pytest.raises(ShapeError):
                 T.aggregate_heads(alpha, g)
 
-    @pytest.mark.parametrize("m,n,t", [(1, 1, 1), (4, 3, 5), (20, 2, 12)])
+    @pytest.mark.parametrize("m,n,t", [(1, 1, 1), (4, 3, 5), (20, 2, 12), (20, 7, 12)])
     def test_best_of_m_ade_equals_unfused_chain(self, m, n, t):
         # The chain the op replaces, as variety_loss ran it. The samples are
         # an op output that feeds one more term, so they hold a gradient
-        # before the op's arrives, and the output gradient is not 1. The
-        # last draw ties the winner, which keeps the lowest index. Values
-        # and the input gradient, bit for bit.
+        # before the op's arrives, and the output gradient is not 1: two
+        # scales, each of which rounds differently through g * (1 / (N T))
+        # than through g / (N T) at some N T here. The last draw ties the
+        # winner, which keeps the lowest index. Values and the input
+        # gradient, bit for bit.
         rng = np.random.default_rng(m + n + t)
         gt = rng.normal(size=(n, t, 2))
         x = gt + rng.normal(size=(m, n, t, 2))
@@ -464,19 +468,20 @@ class TestForwardValues:
             dist = T.sqrt(T.reduce_sum(T.mul(diff, diff), axis=-1))
             return T.reduce_min(T.reduce_mean(T.reshape(dist, (m, -1)), axis=1))
 
-        results = []
-        for op in (chain, T.best_of_m_ade):
-            store = T.ParameterStore()
-            p = store.add("x", x)
-            with T.Tape() as tape:
-                samples = T.reshape(p, x.shape)
-                out = op(samples, gt)
-                loss = T.add(T.mul(out, 3.0), T.reduce_sum(T.mul(samples, T.Tensor(w))))
-                T.backward(loss, tape)
-            results.append((out.data, p.grad.copy()))
-        (ref, ref_grad), (got, grad) = results
-        assert got.shape == () and got.tobytes() == ref.tobytes()
-        assert grad.tobytes() == ref_grad.tobytes()
+        for scale in (0.9, 0.61):
+            results = []
+            for op in (chain, T.best_of_m_ade):
+                store = T.ParameterStore()
+                p = store.add("x", x)
+                with T.Tape() as tape:
+                    samples = T.reshape(p, x.shape)
+                    out = op(samples, gt)
+                    loss = T.add(T.mul(out, scale), T.reduce_sum(T.mul(samples, T.Tensor(w))))
+                    T.backward(loss, tape)
+                results.append((out.data, p.grad.copy()))
+            (ref, ref_grad), (got, grad) = results
+            assert got.shape == () and got.tobytes() == ref.tobytes()
+            assert grad.tobytes() == ref_grad.tobytes()
 
     def test_best_of_m_ade_shapes_checked(self):
         for x, gt in [(np.zeros((2, 3, 4)), np.zeros((3, 4))),            # no draw axis

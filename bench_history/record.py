@@ -15,7 +15,7 @@ swings fall on both alike. Each checkout runs its own ``perfbench/`` and
 The file holds, per workload and side, the median and quartiles of every
 end-to-end metric of ``BENCHMARK.json`` plus the values of each run; per
 metric, the number of seed pairs the change won; each run's ``correct``
-flag and failure count; the seeds, the run length, both commits and the
+flag, failure count and ``FAIL:`` lines; the seeds, the run length, both commits and the
 Python, numpy, platform and CPU-count versions of the host. Per workload
 and side it also summarises the raw (unscaled) call p50 and the
 calibration kernel p50 that each run prints: perfbench divides call times
@@ -56,7 +56,7 @@ CALIBRATION_LINE = re.compile(r"raw \(unscaled\) call p50 (\S+) ms, calibration 
 def run_once(checkout: Path, command, workload: str, seed: int, seconds: float) -> dict:
     """One benchmark run; returns the JSON of its last output line, plus
     ``raw_ms_p50`` and ``kernel_ms_p50`` from its calibration line (None
-    without one)."""
+    without one) and ``fail_lines``, the lines that say which check failed."""
     cmd = list(command) + ["--workload", workload, "--seed", str(seed),
                            "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
@@ -68,6 +68,7 @@ def run_once(checkout: Path, command, workload: str, seed: int, seconds: float) 
     found = [m for m in map(CALIBRATION_LINE.match, lines) if m]
     res["raw_ms_p50"], res["kernel_ms_p50"] = (map(float, found[-1].groups()) if found
                                                else (None, None))
+    res["fail_lines"] = [line for line in lines if line.startswith("FAIL: ")]
     return res
 
 
@@ -116,6 +117,8 @@ def record(spec: dict, parent: Path, change: Path, seeds, seconds: float, log=pr
                                 for side in sides}
         entry["correct"] = {side: [r["correct"] for r in runs[side]] for side in sides}
         entry["failed"] = {side: [r["failed"] for r in runs[side]] for side in sides}
+        entry["fail_lines"] = {side: [r.get("fail_lines", []) for r in runs[side]]
+                               for side in sides}
         workloads[name] = entry
     import numpy as np
 

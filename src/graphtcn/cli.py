@@ -159,7 +159,7 @@ def _cmd_dump_attn(args) -> int:
               file=sys.stderr)
         return 2
     window = matches[0]
-    if model.spatial is None:
+    if model.spatial.gal1 is None:
         print("error: this checkpoint's variant has no attention to dump", file=sys.stderr)
         return 2
     _, attn = model.encode(window)

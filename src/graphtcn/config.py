@@ -104,12 +104,6 @@ class ModelConfig:
 
     # Derived quantities -------------------------------------------------
 
-    def spatial_out_dim(self) -> int:
-        """Width of the per-step spatial encoding fed to the TCN."""
-        if self.variant == "no_efgat":
-            return self.embed_dim
-        return self.gal2_heads * self.gal2_out
-
     def kl_weight(self, epoch: int) -> float:
         """Weight of the latent variant's KL term: early through the switch epoch, then late."""
         return self.kl_weight_early if epoch <= self.kl_switch_epoch else self.kl_weight_late

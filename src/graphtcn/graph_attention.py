@@ -1,6 +1,7 @@
-"""Spatial encoder: attention over pedestrians with displacement-derived
-edge features, gated value transform, multi-head aggregation, and an
-affine graph residual, run for every observed step in one batched pass.
+"""Spatial encoder: the input embedding, then two attention layers or
+none. Each layer attends over pedestrians with displacement-derived edge
+features, a gated value transform, multi-head aggregation, and an affine
+graph residual, run for every observed step in one batched pass.
 
 The scene graph is fully connected including the self-loop, so a lone
 pedestrian attends to itself with weight 1. Edge features embed the
@@ -108,26 +109,37 @@ class GraphAttentionLayer:
 
 
 class SpatialEncoder:
-    """Input embedding plus two attention layers over every observed step.
+    """Input embedding, then two attention layers or none.
 
-    Steps are independent: layer weights are shared across time but no
-    state crosses step boundaries, so all steps run as one batch with time
-    as the leading axis. Returns the encodings as [N, T_obs, width] and,
-    per layer, the attention tensor [heads, T_obs, N, N] for inspection
-    dumps.
+    The variant decides: ``no_efgat`` keeps only the embedding, so its
+    width is embed_dim and there is no attention to return;
+    ``vanilla_gat`` builds both layers without edge features. With
+    attention, steps are independent: layer weights are shared across
+    time but no state crosses step boundaries, so all steps run as one
+    batch with time as the leading axis. Returns the encodings as
+    [N, T_obs, out_dim] and, per layer, the attention tensor
+    [heads, T_obs, N, N] for inspection dumps (None without layers).
     """
 
     def __init__(self, store, cfg, rng: np.random.Generator):
-        use_edges = cfg.variant != "vanilla_gat"
         self.embed_W, self.embed_b = add_affine(store, "embed", 4, cfg.embed_dim, rng)
-        self.gal1 = GraphAttentionLayer(store, "gal1", cfg.embed_dim, cfg.gal1_heads,
-                                        cfg.gal1_out, rng, use_edges=use_edges)
-        self.gal2 = GraphAttentionLayer(store, "gal2", self.gal1.out_dim, cfg.gal2_heads,
-                                        cfg.gal2_out, rng, use_edges=use_edges)
-        self.out_dim = self.gal2.out_dim
+        self.gal1 = self.gal2 = None
+        self.out_dim = cfg.embed_dim
+        if cfg.variant != "no_efgat":
+            use_edges = cfg.variant != "vanilla_gat"
+            self.gal1 = GraphAttentionLayer(store, "gal1", cfg.embed_dim, cfg.gal1_heads,
+                                            cfg.gal1_out, rng, use_edges=use_edges)
+            self.gal2 = GraphAttentionLayer(store, "gal2", self.gal1.out_dim, cfg.gal2_heads,
+                                            cfg.gal2_out, rng, use_edges=use_edges)
+            self.out_dim = self.gal2.out_dim
 
     def forward(self, features: T.Tensor, positions: np.ndarray):
         """features [N, T, 4], positions [N, T, 2] -> [N, T, out_dim]."""
+        if self.gal1 is None:
+            # Pedestrian-major as given, not time-major then transposed:
+            # the embedding's weight gradient sums its rows in this order,
+            # which the golden checkpoints pin bit for bit.
+            return T.affine(features, self.embed_W, self.embed_b), None
         # The features are constants, so they turn time-major in numpy.
         steps = T.Tensor(np.ascontiguousarray(features.data.transpose(1, 0, 2)))
         h = T.affine(steps, self.embed_W, self.embed_b)

@@ -1,12 +1,14 @@
-"""Full predictor: spatial attention encoder, temporal convolution stack,
-and a sampling decoder, composed per scene window.
+"""Full predictor: spatial encoder, temporal convolution stack, and a
+sampling decoder, composed per scene window.
 
-Variant switchboard, whose stages __init__ picks once:
+The variants and the stage that owns each:
   graphtcn     shared-noise decoder, variety loss only
   graphtcn_g   latent decoder with future posterior, variety + KL
-  no_efgat     attention bypassed entirely; the input embedding feeds
-               the temporal stack directly
-  vanilla_gat  attention without edge features (positions unused)
+  no_efgat     spatial stage is the input embedding alone, feeding the
+               temporal stack directly
+  vanilla_gat  spatial attention without edge features (positions unused)
+__init__ picks only the decoder class; the spatial stage decides
+no_efgat and vanilla_gat and reports its own output width.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from .data import SequenceWindow, build_features
 from .decoders import CvaeDecoder, MlpDecoder, PredictionSet, relative_to_absolute
 from .errors import ContractError
 from .graph_attention import SpatialEncoder
-from .init import add_affine
 from .metrics import variety_loss
 from .temporal_conv import TemporalConvNet
 
@@ -31,27 +32,15 @@ class GraphTCN:
         self.params = T.ParameterStore()
         rng = np.random.default_rng(cfg.seed)
 
-        if cfg.variant == "no_efgat":
-            self.spatial = None
-            self.embed_W, self.embed_b = add_affine(self.params, "embed", 4, cfg.embed_dim, rng)
-        else:
-            self.spatial = SpatialEncoder(self.params, cfg, rng)
-
+        self.spatial = SpatialEncoder(self.params, cfg, rng)
         self.tcn = TemporalConvNet(
-            self.params, "tcn", cfg.spatial_out_dim(), cfg.tcn_channels,
+            self.params, "tcn", self.spatial.out_dim, cfg.tcn_channels,
             cfg.tcn_layers, cfg.tcn_kernel, cfg.tcn_dilations, rng,
         )
-
-        if cfg.variant == "graphtcn_g":
-            self.decoder = CvaeDecoder(
-                self.params, "dec", cfg.t_obs, cfg.t_pred, cfg.tcn_channels,
-                cfg.future_embed_dim, rng, hidden=cfg.decoder_hidden,
-            )
-        else:
-            self.decoder = MlpDecoder(
-                self.params, "dec", cfg.t_obs, cfg.t_pred, cfg.tcn_channels,
-                cfg.noise_dim, rng, hidden=cfg.decoder_hidden,
-            )
+        decoder, draw_dim = ((CvaeDecoder, cfg.future_embed_dim) if cfg.variant == "graphtcn_g"
+                             else (MlpDecoder, cfg.noise_dim))
+        self.decoder = decoder(self.params, "dec", cfg.t_obs, cfg.t_pred, cfg.tcn_channels,
+                               draw_dim, rng, hidden=cfg.decoder_hidden)
 
     # Forward pieces ------------------------------------------------------
 
@@ -63,12 +52,7 @@ class GraphTCN:
                 f"window has {window.t_total} steps, config needs {cfg.t_obs + cfg.t_pred}"
             )
         feats = build_features(window, cfg.t_obs)
-        if self.spatial is not None:
-            positions = window.positions[:, :cfg.t_obs, :]
-            h, attn = self.spatial.forward(feats, positions)
-        else:
-            h = T.affine(feats, self.embed_W, self.embed_b)
-            attn = None
+        h, attn = self.spatial.forward(feats, window.positions[:, :cfg.t_obs, :])
         return self.tcn.forward(h), attn
 
     def _origin(self, window: SequenceWindow) -> np.ndarray:

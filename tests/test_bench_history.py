@@ -46,6 +46,11 @@ def test_record_matches_benchmark_spec(path):
                 assert len(s["runs"]) == len(seeds), (name, side, metric)
                 assert s["q1"] <= s["median"] <= s["q3"], (name, side, metric)
             assert len(entry["correct"][side]) == len(entry["failed"][side]) == len(seeds)
+            # Records made before the recorder kept the FAIL: lines lack the key.
+            if "fail_lines" in entry:
+                runs = entry["fail_lines"][side]
+                assert len(runs) == len(seeds), (name, side)
+                assert all(line.startswith("FAIL: ") for run in runs for line in run)
         assert set(entry["change_won_pairs"]) == set(units)
         assert all(0 <= n <= len(seeds) for n in entry["change_won_pairs"].values())
 
@@ -118,3 +123,28 @@ def test_recorder_summarises_the_calibration_line(monkeypatch, tmp_path):
     rec = record.record(SPEC, tmp_path / "p", tmp_path / "c", [1, 2], 8.0, log=lambda _: None)
     first = rec["workloads"][SPEC["workloads"][0]["name"]]
     assert first["calibration"]["parent"]["raw_ms_p50"] == {"runs": [None, None], "unit": "ms"}
+
+
+def test_recorder_keeps_each_runs_fail_lines(monkeypatch, tmp_path):
+    # A fake runner prints what perfbench/run.py prints for a failed run:
+    # its FAIL: lines after the metric lines, then the JSON result.
+    record = load_record_module()
+    metrics = {m["name"]: {"value": 1.0, "unit": m["unit"]} for m in SPEC["end_to_end"]}
+
+    def fake_subprocess_run(cmd, cwd, **_):
+        seed = int(cmd[cmd.index("--seed") + 1])
+        failing = cwd == tmp_path / "p" and seed == 2
+        fails = "FAIL: gradient check off\nFAIL: loss log differs\n" if failing else ""
+        stdout = ("env {}\ncall_ms_p50 1 ms\nnot a FAIL: line\n" + fails
+                  + json.dumps({"correct": not failing, "attempted": 9,
+                                "failed": 2 if failing else 0, "metrics": metrics}))
+        return subprocess.CompletedProcess(cmd, 0, stdout, "")
+
+    monkeypatch.setattr(record.subprocess, "run", fake_subprocess_run)
+    monkeypatch.setattr(record, "commit", lambda checkout: "unknown")
+    rec = record.record(SPEC, tmp_path / "p", tmp_path / "c", [1, 2, 3], 8.0, log=lambda _: None)
+    for entry in rec["workloads"].values():
+        assert entry["fail_lines"] == {
+            "parent": [[], ["FAIL: gradient check off", "FAIL: loss log differs"], []],
+            "change": [[], [], []]}
+        assert entry["failed"]["parent"] == [0, 2, 0]

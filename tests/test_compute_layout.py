@@ -43,7 +43,7 @@ def same_memory(a, b):
 def block_slices(model):
     """name -> (data, grad) slice of the block each placed name lives in."""
     out = {}
-    layers = [model.spatial.gal1, model.spatial.gal2] if model.spatial else []
+    layers = [model.spatial.gal1, model.spatial.gal2] if model.spatial.gal1 is not None else []
     for layer in layers:
         for key, blk in layer.blocks.items():
             for k in range(layer.heads):
@@ -78,7 +78,7 @@ def test_named_entries_are_contiguous_views_of_their_blocks(over):
         store.add(f"after_{phase}", np.zeros(store.n_values() + 1))   # moves the buffers
     assert len(slices) == (
         sum(len(layer.blocks) * layer.heads for layer in (model.spatial.gal1, model.spatial.gal2))
-        if model.spatial else 0) + 4 * len(model.tcn.layers)
+        if model.spatial.gal1 is not None else 0) + 4 * len(model.tcn.layers)
 
 
 @pytest.mark.parametrize("over", CONFIGS, ids=IDS)
@@ -92,7 +92,7 @@ def test_block_gradients_equal_stacked_named_gradients(over):
         loss, _ = model.window_loss(window, 1, noise)
         store.zero_grads()
         T.backward(loss, tape)
-    layers = [model.spatial.gal1, model.spatial.gal2] if model.spatial else []
+    layers = [model.spatial.gal1, model.spatial.gal2] if model.spatial.gal1 is not None else []
     for layer in layers:
         for key, blk in layer.blocks.items():
             named = [store[f"{layer.prefix}.h{k}.{key}"] for k in range(layer.heads)]

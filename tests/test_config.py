@@ -47,10 +47,6 @@ class TestDefaults:
         cfg = ModelConfig(variant="graphtcn_g")
         assert [cfg.kl_weight(epoch) for epoch in (1, 15, 16, 50)] == [0.5, 0.5, 0.2, 0.2]
 
-    def test_spatial_out_dim_by_variant(self):
-        assert ModelConfig().spatial_out_dim() == 32
-        assert ModelConfig(variant="no_efgat").spatial_out_dim() == 64
-
 
 class TestValidation:
     def test_nonpositive_extent(self):

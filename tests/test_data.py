@@ -1,6 +1,7 @@
 """Parsing, resampling, windowing, splits, and feature construction."""
 
 import codecs
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from graphtcn.errors import (
     ParseError,
 )
 from graphtcn.fixtures import write_synthetic_scenes
+
+COMMITTED_SCENES = Path(__file__).resolve().parent.parent / "data" / "synthetic"
 
 
 @pytest.fixture(scope="module")
@@ -285,9 +288,9 @@ class TestSceneLoading:
         assert {w.scene_name for w in wins} == {"linear", "groupmerge"}
 
     def test_committed_fixtures_match_generator(self, scene_dir):
-        committed = sorted((p.name, p.read_bytes()) for p in
-                           __import__("pathlib").Path("data/synthetic").glob("*.txt"))
+        committed = sorted((p.name, p.read_bytes()) for p in COMMITTED_SCENES.glob("*.txt"))
         fresh = sorted((p.name, p.read_bytes()) for p in scene_dir.glob("*.txt"))
+        assert len(committed) == 5
         assert committed == fresh
 
 

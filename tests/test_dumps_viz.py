@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from graphtcn.config import ModelConfig
-from graphtcn.data import load_scene_windows
+from graphtcn.data import SequenceWindow, load_scene_windows
+from graphtcn.decoders import PredictionSet
 from graphtcn.dumps import (
     format_attention_dump,
     format_trajectory_dump,
@@ -154,6 +155,44 @@ def test_emit_plot_rejects_non_utf8_dump(tmp_path):
     with pytest.raises(ParseError, match=r"d\.txt: invalid UTF-8 at byte offset 14"):
         emit_plot("trajectories", dump, tmp_path / "out.svg")
     assert not (tmp_path / "out.svg").exists()
+
+
+def tiny_dump_window():
+    """2 pedestrians over 2 observed steps and 1 future step."""
+    pos = np.array([[[0.5, -1.0], [0.1, 2.0], [3.0, 4.25]],
+                    [[1.0, 0.0], [1.5, 1 / 3], [-2.0, 7.0]]])
+    return SequenceWindow("tiny", 40, pos, (7, 9))
+
+
+def test_attention_dump_text_is_pinned():
+    attn = [np.arange(8.0).reshape(1, 2, 2, 2) / 8, np.full((1, 2, 2, 2), 0.1)]
+    expected = "\n".join([
+        "# attention dump",
+        "# window tiny:40 peds 2 steps 2",
+        "# P step ped x y / A layer head step i j weight",
+        "P\t0\t0\t0.5\t-1.0", "P\t0\t1\t1.0\t0.0",
+        "P\t1\t0\t0.1\t2.0", "P\t1\t1\t1.5\t0.3333333333333333",
+        "A\t0\t0\t0\t0\t0\t0.0", "A\t0\t0\t0\t0\t1\t0.125",
+        "A\t0\t0\t0\t1\t0\t0.25", "A\t0\t0\t0\t1\t1\t0.375",
+        "A\t0\t0\t1\t0\t0\t0.5", "A\t0\t0\t1\t0\t1\t0.625",
+        "A\t0\t0\t1\t1\t0\t0.75", "A\t0\t0\t1\t1\t1\t0.875",
+    ] + [f"A\t1\t0\t{t}\t{i}\t{j}\t0.1" for t in range(2) for i in range(2)
+         for j in range(2)]) + "\n"
+    assert format_attention_dump(tiny_dump_window(), attn, 2) == expected
+
+
+def test_trajectory_dump_text_is_pinned():
+    pred = PredictionSet(np.array([[[[0.25, -0.5]], [[1e-17, 12.0]]]]))
+    expected = "\n".join([
+        "# trajectory dump",
+        "# window tiny:40 peds 2",
+        "# O ped step x y / G ped step x y / S sample ped step x y",
+        "O\t0\t0\t0.5\t-1.0", "O\t0\t1\t0.1\t2.0",
+        "O\t1\t0\t1.0\t0.0", "O\t1\t1\t1.5\t0.3333333333333333",
+        "G\t0\t2\t3.0\t4.25", "G\t1\t2\t-2.0\t7.0",
+        "S\t0\t0\t2\t0.25\t-0.5", "S\t0\t1\t2\t1e-17\t12.0",
+    ]) + "\n"
+    assert format_trajectory_dump(tiny_dump_window(), pred, 2) == expected
 
 
 def test_dump_writers(tmp_path, crossing_setup):

@@ -57,7 +57,7 @@ def test_latent_variant_params():
 def test_no_efgat_variant_skips_attention():
     model = GraphTCN(tiny_cfg(variant="no_efgat"))
     names = model.params.names()
-    assert model.spatial is None
+    assert model.spatial.gal1 is None and model.spatial.gal2 is None
     assert "embed.W" in names
     assert not any(n.startswith("gal") for n in names)
 
@@ -67,6 +67,15 @@ def test_vanilla_gat_has_no_edge_params():
     for name in model.params.names():
         assert ".edge." not in name
         assert not name.endswith(".ae")
+
+
+@pytest.mark.parametrize("variant", ["graphtcn", "graphtcn_g", "no_efgat", "vanilla_gat"])
+def test_spatial_out_dim_feeds_the_first_tcn_layer(variant):
+    model = GraphTCN(tiny_cfg(variant=variant))
+    assert model.spatial.out_dim == model.tcn.layers[0].W.shape[1]
+    default = GraphTCN(ModelConfig(variant=variant))
+    assert default.spatial.out_dim == default.tcn.layers[0].W.shape[1]
+    assert default.spatial.out_dim == (64 if variant == "no_efgat" else 32)
 
 
 def test_same_seed_same_init():

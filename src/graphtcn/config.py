@@ -3,7 +3,9 @@
 The text form is canonical: serialize → parse → serialize is the identity
 on bytes, which the checkpoint format relies on. Unknown keys are
 rejected rather than ignored so a typo cannot silently fall back to a
-default.
+default. One table, ``_FIELD_TYPES``, gives each field type its value
+class, writer and reader, and the words of its one error form:
+``KEY needs WORDS, got VALUE``, prefixed with the line number when parsing.
 """
 
 from __future__ import annotations
@@ -16,11 +18,11 @@ from dataclasses import dataclass, field, fields
 from .errors import ConfigError, read_utf8
 
 VARIANTS = ("graphtcn", "graphtcn_g", "no_efgat", "vanilla_gat")
-# Keys whose code is gone, with the one value each still accepts. They
+# Keys whose code is gone; each still accepts only its field default. They
 # stay fields because every v1 checkpoint's config text names them. The
 # variety loss is unweighted, attention gates each value by itself, and
 # every leaky_relu uses the GAT slope 0.2.
-RETIRED = {"variety_weight": 1.0, "leaky_slope": 0.2, "separate_gate": False}
+RETIRED = ("variety_weight", "leaky_slope", "separate_gate")
 
 
 @dataclass
@@ -72,6 +74,8 @@ class ModelConfig:
             value = getattr(self, f.name)
             if not _has_type(f.type, value):
                 raise ConfigError(f"{f.name} needs {_FIELD_TYPES[f.type][1]}, got {value!r}")
+            if f.name in RETIRED and value != f.default:
+                raise ConfigError(f"{f.name} is retired and accepts only {f.default!r}, got {value!r}")
         positive = (
             "t_obs", "t_pred", "frame_step", "stride", "embed_dim",
             "gal1_heads", "gal1_out", "gal2_heads", "gal2_out",
@@ -96,11 +100,6 @@ class ModelConfig:
                 raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         if self.decoder_hidden < 0:
             raise ConfigError(f"decoder_hidden must be >= 0, got {self.decoder_hidden}")
-        for name, value in RETIRED.items():
-            if getattr(self, name) != value:
-                raise ConfigError(
-                    f"{name} is retired and accepts only {value!r}, got {getattr(self, name)!r}"
-                )
 
     # Derived quantities -------------------------------------------------
 
@@ -143,15 +142,18 @@ class ModelConfig:
 
 # Field types are annotation strings (postponed annotations), one of
 # "int", "float", "bool", "str" and "tuple"; validation and the text form
-# follow them. Each maps to the class its values must have and the words
-# an error names it by. A bool is no number here, though Python counts it
-# as an int; numpy integers and floats are numbers.
+# follow them. Each maps to the class its values must have, the words an
+# error names it by, its writer and its reader; a reader rejects a bad
+# value with ValueError or KeyError. A bool is no number here, though
+# Python counts it as an int; numpy integers and floats are numbers.
 _FIELD_TYPES = {
-    "int": (numbers.Integral, "an integer"),
-    "float": (numbers.Real, "a number"),
-    "bool": (bool, "true or false"),
-    "str": (str, "a string"),
-    "tuple": (tuple, "a tuple of integers"),
+    "int": (numbers.Integral, "an integer", str, int),
+    "float": (numbers.Real, "a number", lambda v: repr(float(v)), float),
+    "bool": (bool, "true/false", lambda v: "true" if v else "false",
+             {"true": True, "false": False}.__getitem__),
+    "str": (str, "a string", str, str),
+    "tuple": (tuple, "a tuple of integers", lambda v: ",".join(str(d) for d in v),
+              lambda val: tuple(int(p) for p in val.split(",")) if val else ()),
 }
 
 
@@ -164,36 +166,12 @@ def _has_type(type_name: str, v) -> bool:
 
 
 def _format_value(f, v) -> str:
-    if f.type == "tuple":
-        return ",".join(str(d) for d in v)
-    if f.type == "bool":
-        return "true" if v else "false"
-    if f.type == "float":
-        return repr(float(v))
-    return str(v)
+    return _FIELD_TYPES[f.type][2](v)
 
 
 def _parse_value(f, val: str, line_no: int):
-    key = f.name
-    if f.type == "int":
-        try:
-            return int(val)
-        except ValueError:
-            raise ConfigError(f"line {line_no}: {key} needs an integer, got {val!r}") from None
-    if f.type == "float":
-        try:
-            return float(val)
-        except ValueError:
-            raise ConfigError(f"line {line_no}: {key} needs a number, got {val!r}") from None
-    if f.type == "bool":
-        if val not in ("true", "false"):
-            raise ConfigError(f"line {line_no}: {key} needs true/false, got {val!r}")
-        return val == "true"
-    if f.type == "tuple":
-        if not val:
-            return ()
-        try:
-            return tuple(int(p) for p in val.split(","))
-        except ValueError:
-            raise ConfigError(f"line {line_no}: bad dilation list {val!r}") from None
-    return val
+    _, words, _, read = _FIELD_TYPES[f.type]
+    try:
+        return read(val)
+    except (ValueError, KeyError):
+        raise ConfigError(f"line {line_no}: {f.name} needs {words}, got {val!r}") from None

@@ -4,7 +4,8 @@ Input files are whitespace-separated ``frame ped_id x y`` rows in world
 meters, one file per scene, '#' starting a comment line.
 ``extract_windows`` alone decides the frame grid from ``frame_step`` and
 the recorded frames, then slices it into observation+prediction windows
-containing only pedestrians present at every step.
+whose pedestrians are the intersection of the pedestrian sets of the
+window's frames.
 """
 
 from __future__ import annotations
@@ -128,9 +129,10 @@ def extract_windows(
     between kept frames that hold a record: on data stored every 10th
     frame, ``frame_step`` 1 or 10 gives rows 10 frames apart, and
     ``frame_step=15`` gives rows 30 frames apart. A pedestrian joins a
-    window only if recorded at every one of its frames; windows where
-    nobody qualifies are dropped, so gaps where the scene is empty
-    produce no windows.
+    window only if recorded at every one of its frames, and ids are sorted;
+    windows where nobody qualifies are dropped, so gaps where the scene is
+    empty produce no windows. Memory stays linear in the records: no
+    frames x pedestrians table is built.
     """
     if t_obs < 1 or t_pred < 1 or stride < 1:
         raise ContractError(f"t_obs={t_obs}, t_pred={t_pred}, stride={stride} must all be >= 1")
@@ -151,19 +153,11 @@ def extract_windows(
     windows = []
     for start in range(0, len(grid) - t_total + 1, stride):
         win_frames = grid[start : start + t_total]
-        present = None
-        for f in win_frames:
-            here = set(by_frame.get(f, ()))
-            present = here if present is None else (present & here)
-            if not present:
-                break
-        if not present:
+        ped_ids = sorted(set.intersection(*(set(by_frame.get(f, ())) for f in win_frames)))
+        if not ped_ids:
             continue
-        ped_ids = sorted(present)
-        positions = np.empty((len(ped_ids), t_total, 2), dtype=np.float64)
-        for i, pid in enumerate(ped_ids):
-            for t, f in enumerate(win_frames):
-                positions[i, t] = by_frame[f][pid]
+        positions = np.array([[by_frame[f][pid] for f in win_frames] for pid in ped_ids],
+                             dtype=np.float64)
         windows.append(
             SequenceWindow(
                 scene_name=scene_name,

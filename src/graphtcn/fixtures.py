@@ -15,11 +15,6 @@ import numpy as np
 GRID = 1024  # positions are k/GRID meters, k integer
 FRAME_STEP = 10
 
-# Scene name -> number of 8+12-step windows at stride 1 (for reference in
-# tests; the zara1_like walkers span the whole timeline on purpose so the
-# window count is pinned by the frame count alone).
-SCENES = ("linear", "crossing", "groupmerge", "zara1_like", "bench8")
-
 
 def _u(meters: float) -> int:
     """Meters to grid units; the argument must sit on the grid."""
@@ -157,6 +152,7 @@ _BUILDERS = {
     "zara1_like": scene_zara1_like,
     "bench8": scene_bench8,
 }
+SCENES = tuple(_BUILDERS)
 
 
 def _emit(path: Path, rows: list):

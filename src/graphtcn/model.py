@@ -58,7 +58,8 @@ class GraphTCN:
     def _origin(self, window: SequenceWindow) -> np.ndarray:
         return window.positions[:, self.cfg.t_obs - 1, :]
 
-    def _ground_truth(self, window: SequenceWindow) -> np.ndarray:
+    def ground_truth(self, window: SequenceWindow) -> np.ndarray:
+        """The window's future positions [N, T_pred, 2], target of loss and metrics."""
         return window.positions[:, self.cfg.t_obs : self.cfg.t_obs + self.cfg.t_pred, :]
 
     def draw_noise(self, rng: np.random.Generator, n_peds: int) -> np.ndarray:
@@ -83,7 +84,7 @@ class GraphTCN:
             raise ContractError(f"epoch must be >= 1, got {epoch}")
         if len(noise) != cfg.samples:
             raise ContractError(f"{len(noise)} noise draws for {cfg.samples} samples")
-        gt = self._ground_truth(window)
+        gt = self.ground_truth(window)
         origin = self._origin(window)
         h, _ = self.encode(window)
         delta, kl = self.decoder.fit(h, noise, gt - origin[:, None])

@@ -666,6 +666,12 @@ def attention_weights(h, centred, w1, w2, edge=None) -> Tensor:
     chain's numpy expressions, and backward adds into each input in the
     order the chain's tape sweep did (h takes the w2 term, then the w1
     term; the shared c . v score takes -g_dst, then +g_src).
+
+    Scores are computed head-major, [H, L] for the L nodes of ``lead``, so
+    no transpose moves the heads. b_edge's gradient alone sums g_src over
+    nodes from a C-ordered [L, H] copy: that adds the node rows one by one
+    as the chain did, where a sum along the contiguous head-major rows
+    would take numpy's pairwise order and round differently.
     """
     h, w1, w2 = _as_tensor(h), _as_tensor(w1), _as_tensor(w2)
     if w1.data.ndim != 2 or w2.data.shape != w1.data.shape:
@@ -675,11 +681,9 @@ def attention_weights(h, centred, w1, w2, edge=None) -> Tensor:
         raise ShapeError(f"attention_weights h {h.shape} vs w1 {w1.shape}")
     inputs = [h, w1, w2]
     lead = h.data.shape[:-1]
-    r = len(lead)
-    to_heads, from_heads = (r,) + tuple(range(r)), tuple(range(1, r + 1)) + (0,)
     x2 = h.data.reshape(-1, d_in)
-    src = x2 @ w1.data.T
-    dst = x2 @ w2.data.T
+    src = w1.data @ x2.T
+    dst = w2.data @ x2.T
     if edge is not None:
         W_e, b_e, a_e = (_as_tensor(t) for t in edge)
         inputs += [W_e, b_e, a_e]
@@ -694,33 +698,29 @@ def attention_weights(h, centred, w1, w2, edge=None) -> Tensor:
         ae = np.ascontiguousarray(a_e.data.T)   # [width, H]
         b2 = b_e.data.reshape(1, width)
         c2 = centred.reshape(-1, 2)
-        qv = c2 @ (W_e.data @ ae)
-        src = src + (b2 @ ae).reshape(heads)
+        qv = (c2 @ (W_e.data @ ae)).T
+        src = src + (b2 @ ae).reshape(heads, 1)
         src = src + qv
         dst = dst - qv
     record = _recording(inputs)
-    y, grads = _pair_softmax(np.ascontiguousarray(src.reshape(lead + (heads,)).transpose(to_heads)),
-                             np.ascontiguousarray(dst.reshape(lead + (heads,)).transpose(to_heads)),
-                             record)
+    y, grads = _pair_softmax(src.reshape((heads,) + lead), dst.reshape((heads,) + lead), record)
     out = Tensor(y)
     if not record:
         return out
 
     def bwd(g):
-        gs, gd = grads(g)
-        gd = np.ascontiguousarray(gd.transpose(from_heads)).reshape(-1, heads)
-        gs = np.ascontiguousarray(gs.transpose(from_heads)).reshape(-1, heads)
+        gs, gd = (a.reshape(heads, -1) for a in grads(g))
         if h.requires_grad:
-            _accumulate(h, (gd @ w2.data).reshape(h.data.shape), fresh=True)
-        _accumulate(w2, (x2.T @ gd).T)
+            _accumulate(h, (gd.T @ w2.data).reshape(h.data.shape), fresh=True)
+        _accumulate(w2, gd @ x2)
         if h.requires_grad:
-            _accumulate(h, (gs @ w1.data).reshape(h.data.shape), fresh=True)
-        _accumulate(w1, (x2.T @ gs).T)
+            _accumulate(h, (gs.T @ w1.data).reshape(h.data.shape), fresh=True)
+        _accumulate(w1, gs @ x2)
         if edge is not None:
-            gb = gs.sum(axis=0).reshape(1, heads)
+            gb = np.ascontiguousarray(gs.T).sum(axis=0).reshape(1, heads)
             _accumulate(b_e, (gb @ ae.T).reshape(width), fresh=True)
             gae = b2.T @ gb
-            gv = c2.T @ (gs - gd)
+            gv = c2.T @ (gs - gd).T
             _accumulate(W_e, gv @ ae.T, fresh=True)
             gae += W_e.data.T @ gv
             _accumulate(a_e, gae.T)

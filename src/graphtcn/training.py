@@ -125,8 +125,7 @@ def evaluate_dataset(model: GraphTCN, split: Split, data_dir, m: int,
     ades, fdes = [], []
     for window in windows:
         pred_set, _ = model.predict(window, m, rng)
-        gt = window.positions[:, cfg.t_obs : cfg.t_obs + cfg.t_pred, :]
-        a, f = evaluate_min_of_m(pred_set, gt)
+        a, f = evaluate_min_of_m(pred_set, model.ground_truth(window))
         ades.append(a)
         fdes.append(f)
     row = (split.test_scene, sum(ades) / len(ades), sum(fdes) / len(fdes), len(windows))

@@ -227,3 +227,38 @@ def adam_oracle(values, grad_steps, lr, beta1=0.9, beta2=0.999, eps=1e-8):
             v[name] += (1.0 - beta2) * g * g
             x[name] -= lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + eps)
     return x
+
+
+def windows_oracle(records, t_obs, t_pred, stride, frame_step):
+    """extract_windows as (start_frame, ped_ids, positions) triples, built
+    with a running set intersection that stops at the first empty frame
+    and a per-element fill loop."""
+    if not records:
+        return []
+    base = min(r.frame for r in records)
+    by_frame = {}
+    for r in records:
+        if (r.frame - base) % frame_step == 0:
+            by_frame.setdefault(r.frame, {})[r.ped_id] = (r.x, r.y)
+    frames = sorted(by_frame)
+    step = min((b - a for a, b in zip(frames, frames[1:])), default=1)
+    grid = range(frames[0], frames[-1] + 1, step)
+    t_total = t_obs + t_pred
+    out = []
+    for start in range(0, len(grid) - t_total + 1, stride):
+        win_frames = grid[start : start + t_total]
+        present = None
+        for f in win_frames:
+            here = set(by_frame.get(f, ()))
+            present = here if present is None else (present & here)
+            if not present:
+                break
+        if not present:
+            continue
+        ped_ids = sorted(present)
+        positions = np.empty((len(ped_ids), t_total, 2), dtype=np.float64)
+        for i, pid in enumerate(ped_ids):
+            for t, f in enumerate(win_frames):
+                positions[i, t] = by_frame[f][pid]
+        out.append((win_frames[0], ped_ids, positions))
+    return out

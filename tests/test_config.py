@@ -2,12 +2,13 @@
 
 import codecs
 import math
+import re
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from graphtcn.config import ModelConfig, VARIANTS
+from graphtcn.config import RETIRED, ModelConfig, VARIANTS
 from graphtcn.errors import ConfigError
 from graphtcn.temporal_conv import receptive_field
 
@@ -151,6 +152,18 @@ class TestTextForm:
         with pytest.raises(ConfigError, match="true/false"):
             ModelConfig.from_text("separate_gate = yes\n")
 
+    # One unparsable value per field type that has one; any text is a str.
+    PARSE_ERRORS = [
+        ("epochs", "2.5", "an integer"), ("lr", "fast", "a number"),
+        ("separate_gate", "yes", "true/false"), ("tcn_dilations", "1,x,1,1", "a tuple of integers"),
+    ]
+
+    @pytest.mark.parametrize("key,val,words", PARSE_ERRORS, ids=[k for k, _, _ in PARSE_ERRORS])
+    def test_one_parse_error_form_per_type(self, key, val, words):
+        with pytest.raises(ConfigError) as err:
+            ModelConfig.from_text(f"# run\n{key} = {val}\n")
+        assert str(err.value) == f"line 2: {key} needs {words}, got '{val}'"
+
     def test_missing_equals(self):
         with pytest.raises(ConfigError):
             ModelConfig.from_text("seed 3\n")
@@ -216,6 +229,17 @@ class TestRetiredKeys:
         key = line.split(" = ")[0]
         with pytest.raises(ConfigError, match=key):
             ModelConfig.from_text(line + "\n")
+
+    @pytest.mark.parametrize("name", RETIRED)
+    def test_accepts_exactly_its_field_default(self, name):
+        default = next(f.default for f in fields(ModelConfig) if f.name == name)
+        line = next(ln for ln in V1_DEFAULT_TEXT.splitlines() if ln.startswith(f"{name} = "))
+        assert getattr(ModelConfig.from_text(line), name) == default
+        assert getattr(ModelConfig(**{name: default}), name) == default
+        other = not default if isinstance(default, bool) else default + 0.5
+        message = f"{name} is retired and accepts only {default!r}, got {other!r}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            ModelConfig(**{name: other})
 
     def test_v1_default_text_round_trips_on_bytes(self):
         cfg = ModelConfig.from_text(V1_DEFAULT_TEXT)

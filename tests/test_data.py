@@ -16,6 +16,7 @@ from graphtcn.errors import (
     ParseError,
 )
 from graphtcn.fixtures import write_synthetic_scenes
+from oracles import windows_oracle
 
 COMMITTED_SCENES = Path(__file__).resolve().parent.parent / "data" / "synthetic"
 
@@ -111,6 +112,11 @@ def _rec(frame, ped=1, x=0.0, y=0.0):
     return D.RawRecord(frame, ped, x, y)
 
 
+def _oracle_key(records, t_obs, t_pred, stride, frame_step):
+    return [(start, ids, pos.tobytes())
+            for start, ids, pos in windows_oracle(records, t_obs, t_pred, stride, frame_step)]
+
+
 class TestResample:
     """The frame_step lattice extract_windows keeps records on."""
 
@@ -198,6 +204,26 @@ class TestWindows:
 
     def test_empty_records(self):
         assert D.extract_windows([], 8, 12, 1) == []
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 20), st.integers(1, 80), st.integers(0, 3),
+           st.integers(1, 40), st.integers(1, 3), st.integers(1, 3), st.integers(1, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_oracle_on_sparse_scenes(self, seed, stored_step, n_frames, n_stray,
+                                                 frame_step, stride, t_obs, t_pred):
+        # Up to 6 pedestrians with ids far apart (so a set's own order is
+        # not sorted), each kept at about 4 in 5 stored frames, plus stray
+        # rows at any frame, on the stored lattice or off it.
+        rng = np.random.default_rng(seed)
+        base = int(rng.integers(0, 50))
+        peds = rng.choice(10**6, size=int(rng.integers(1, 7)), replace=False)
+        keys = {(base + k * stored_step, int(p)) for k in range(n_frames) for p in peds
+                if rng.random() < 0.8}
+        keys |= {(int(f), int(rng.choice(peds)))
+                 for f in rng.integers(0, base + n_frames * stored_step + 1, size=n_stray)}
+        recs = [D.RawRecord(f, p, *rng.normal(size=2)) for f, p in sorted(keys)]
+        rng.shuffle(recs)
+        wins = D.extract_windows(recs, t_obs, t_pred, stride, frame_step=frame_step)
+        assert TestFrameGrid._key(wins) == _oracle_key(recs, t_obs, t_pred, stride, frame_step)
 
 
 class TestSplits:
@@ -321,6 +347,14 @@ class TestFrameGrid:
         wins = D.load_scene_windows(scene_dir, "zara1_like", 8, 12, frame_step=20)
         assert len(wins) == 41
         self._assert_on_grid(wins, scene_dir / "zara1_like.txt", 20)
+
+    @pytest.mark.parametrize("stride", [1, 3])
+    @pytest.mark.parametrize("frame_step", [1, 5, 10, 15, 20])
+    def test_bundled_scenes_match_the_oracle(self, scene_dir, frame_step, stride):
+        for name in D.discover_scenes(scene_dir):
+            recs = D.parse_trajectory_file(scene_dir / f"{name}.txt")
+            wins = D.extract_windows(recs, 8, 12, stride, frame_step=frame_step)
+            assert self._key(wins) == _oracle_key(recs, 8, 12, stride, frame_step), name
 
     @pytest.mark.parametrize("frame_step", [1, 10])
     def test_no_window_bridges_a_gap(self, scene_dir, tmp_path, frame_step):

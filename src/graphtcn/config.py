@@ -98,8 +98,9 @@ class ModelConfig:
         for name in ("kl_weight_early", "kl_weight_late"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
-        if self.decoder_hidden < 0:
-            raise ConfigError(f"decoder_hidden must be >= 0, got {self.decoder_hidden}")
+        for name in ("decoder_hidden", "seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
 
     # Derived quantities -------------------------------------------------
 

@@ -116,6 +116,8 @@ def evaluate_dataset(model: GraphTCN, split: Split, data_dir, m: int,
     """Best-of-M ADE/FDE on the held-out scene, averaged over windows."""
     from .metrics import evaluate_min_of_m
 
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     cfg = model.cfg
     windows = load_windows(data_dir, [split.test_scene], cfg.t_obs, cfg.t_pred,
                            stride=cfg.stride, frame_step=cfg.frame_step)
@@ -139,9 +141,12 @@ class BenchReport:
     per_run_seconds: list
     n_peds: int
     samples: int
-    repeats: int
     warmup: int
     platform_note: str = field(default="")
+
+    @property
+    def repeats(self) -> int:
+        return len(self.per_run_seconds)
 
     @property
     def total_seconds(self) -> float:
@@ -192,4 +197,4 @@ def benchmark_inference(model: GraphTCN, window, repeats: int, m: int = 4,
     note = (f"python {sys.version.split()[0]}, numpy {np.__version__}, "
             f"single-thread requested")
     return BenchReport(per_run_seconds=per_run, n_peds=window.n_peds, samples=m,
-                       repeats=repeats, warmup=warmup, platform_note=note)
+                       warmup=warmup, platform_note=note)

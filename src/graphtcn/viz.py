@@ -2,8 +2,8 @@
 
 Styling convention: observed polylines solid red, ground-truth future
 solid blue, predicted samples dashed yellow-orange. Attention plots mark
-pedestrians at one step with circles whose radius scales with the
-attention weight assigned by a target pedestrian.
+pedestrians at the last step with circles whose radius scales with the
+attention weight pedestrian 0 assigns them in head 0 of the last layer.
 
 The emitter is plain string assembly with fixed-precision coordinates,
 so identical inputs give byte-identical files.
@@ -105,24 +105,17 @@ def render_trajectories(text: str, include_samples: bool) -> str:
     return canvas.render()
 
 
-def render_attention(text: str, layer: int = -1, head: int = 0,
-                     step: int = -1, target: int = 0) -> str:
-    """Circles sized by the target pedestrian's attention row at one step."""
+def render_attention(text: str) -> str:
+    """Circles sized by pedestrian 0's attention row in head 0 of the
+    last layer, at the last step."""
     positions, entries = parse_attention_dump(text)
     if not entries:
         raise ParseError("attention dump has no attention rows")
-    layers = sorted({e[0] for e in entries})
-    steps = sorted({e[2] for e in entries})
-    layer = layers[-1] if layer < 0 else layer
-    step = steps[-1] if step < 0 else step
-    weights = {
-        j: w for (l, k, t, i, j, w) in entries
-        if l == layer and k == head and t == step and i == target
-    }
+    layer = max(e[0] for e in entries)
+    step = max(e[2] for e in entries)
+    weights = {j: w for (l, k, t, i, j, w) in entries if (l, k, t, i) == (layer, 0, step, 0)}
     if not weights:
-        raise ContractError(
-            f"no attention entries for layer {layer}, head {head}, step {step}, target {target}"
-        )
+        raise ContractError(f"no attention entries for layer {layer}, head 0, step {step}, target 0")
     pos_t = positions.get(step, {})
     xs = [p[0] for p in pos_t.values()]
     ys = [p[1] for p in pos_t.values()]
@@ -131,7 +124,7 @@ def render_attention(text: str, layer: int = -1, head: int = 0,
     for j in sorted(pos_t):
         x, y = pos_t[j]
         r = 3.0 + max_r * weights.get(j, 0.0)
-        fill = "#d62728" if j == target else "#1f77b4"
+        fill = "#d62728" if j == 0 else "#1f77b4"
         canvas.circle(x, y, r, f'fill="{fill}" fill-opacity="0.45" stroke="{fill}"')
         canvas.text(x, y, f"{j}:{weights.get(j, 0.0):.3f}")
     return canvas.render()

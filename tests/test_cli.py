@@ -74,6 +74,15 @@ def test_unknown_leave_out_scene_same_error(workdir, trained, capsys):
     assert rc == 2 and capsys.readouterr().err == line
 
 
+def test_negative_seed_exits_2(workdir, trained, capsys):
+    root, data, cfg_path = workdir
+    for argv in (["train", "--config", str(cfg_path), "--out", str(root / "neg.ckpt")],
+                 ["eval", "--ckpt", str(trained), "--samples", "2"]):
+        rc = main(argv + ["--data", str(data), "--leave-out", "crossing", "--seed", "-1"])
+        assert rc == 2 and capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    assert not (root / "neg.ckpt").exists()
+
+
 def test_eval_prints_table(workdir, trained, capsys):
     _, data, _ = workdir
     rc = main(["eval", "--ckpt", str(trained), "--data", str(data),

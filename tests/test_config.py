@@ -88,6 +88,12 @@ class TestValidation:
         with pytest.raises(ConfigError, match=key):
             ModelConfig.from_text(f"{key} = {value!r}\n")
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match=r"^seed must be >= 0, got -1$"):
+            ModelConfig(seed=-1)
+        with pytest.raises(ConfigError, match=r"^seed must be >= 0, got -1$"):
+            ModelConfig.from_text("seed = -1\n")
+
     def test_zero_kl_weights_accepted(self):
         cfg = ModelConfig(kl_weight_early=0.0, kl_weight_late=0.0)
         assert cfg.kl_weight(1) == cfg.kl_weight(50) == 0.0

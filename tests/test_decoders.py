@@ -110,7 +110,7 @@ class TestPosterior:
         store["dec.posterior.W"].data[...] = 0.0
         store["dec.posterior.b"].data[...] = np.array([1.0, 2.0, 3.0, 0.0, -2.0, 4.0])
         h = Tensor(np.random.default_rng(23).normal(size=(2, 2, 2)))
-        mu, sigma, logvar = dec.encode_posterior(dec.flatten_embedding(h),
+        mu, sigma, logvar = dec.encode_posterior(dec.head.flatten(h),
                                                  Tensor(np.zeros((2, 2, 2))))
         np.testing.assert_array_equal(mu.data, [[1.0, 2.0, 3.0]] * 2)
         np.testing.assert_allclose(sigma.data, np.exp([[0.0, -1.0, 2.0]] * 2), rtol=0, atol=1e-15)
@@ -120,7 +120,7 @@ class TestPosterior:
         # the weights produce; with zero inputs it is exactly sigma = 1.
         dec, _ = self.build()
         h = Tensor(np.zeros((1, 2, 2)))
-        _, sigma, logvar = dec.encode_posterior(dec.flatten_embedding(h), Tensor(np.zeros((1, 2, 2))))
+        _, sigma, logvar = dec.encode_posterior(dec.head.flatten(h), Tensor(np.zeros((1, 2, 2))))
         np.testing.assert_array_equal(logvar.data, np.zeros((1, 3)))
         np.testing.assert_array_equal(sigma.data, np.ones((1, 3)))
 
@@ -131,7 +131,7 @@ class TestPosterior:
             t.data[...] = rng.normal(scale=3.0, size=t.data.shape)
         h = Tensor(rng.normal(size=(3, 2, 2)))
         fut = Tensor(rng.normal(size=(3, 2, 2)))
-        _, sigma, _ = dec.encode_posterior(dec.flatten_embedding(h), fut)
+        _, sigma, _ = dec.encode_posterior(dec.head.flatten(h), fut)
         assert (sigma.data > 0).all()
 
     def test_hand_evaluation_tiny_dims(self):
@@ -144,7 +144,7 @@ class TestPosterior:
         store["dec.posterior.b"].data[...] = [0.0, 0.1]
         h = Tensor(np.array([[[3.0]]]))
         fut = Tensor(np.array([[[1.0, 0.25]]]))
-        mu, sigma, logvar = dec.encode_posterior(dec.flatten_embedding(h), fut)
+        mu, sigma, logvar = dec.encode_posterior(dec.head.flatten(h), fut)
         enc = 1.0 * 2.0 + 0.25 * (-3.0) + 0.5
         moments = np.array([3.0, enc]) @ store["dec.posterior.W"].data + [0.0, 0.1]
         np.testing.assert_allclose(mu.data, [[moments[0]]], rtol=0, atol=1e-15)
@@ -185,7 +185,7 @@ class TestCvaeDecode:
         store["dec.out.W"].data[...] = 0.0
         store["dec.out.b"].data[...] = np.arange(4.0)
         h = Tensor(np.random.default_rng(33).normal(size=(2, 2, 2)))
-        out = dec.decode(dec.flatten_embedding(h), Tensor(np.zeros((1, 2, 3))))
+        out = dec.decode(dec.head.flatten(h), Tensor(np.zeros((1, 2, 3))))
         np.testing.assert_array_equal(out.data, np.tile(np.arange(4.0).reshape(2, 2), (1, 2, 1, 1)))
 
     def test_same_latent_same_output(self):
@@ -194,15 +194,15 @@ class TestCvaeDecode:
         rng = np.random.default_rng(35)
         h = Tensor(rng.normal(size=(1, 2, 2)))
         z = Tensor(rng.normal(size=(1, 1, 3)))
-        out1 = dec.decode(dec.flatten_embedding(h), z)
-        out2 = dec.decode(dec.flatten_embedding(h), z)
+        out1 = dec.decode(dec.head.flatten(h), z)
+        out2 = dec.decode(dec.head.flatten(h), z)
         assert (out1.data == out2.data).all()
 
     def test_latent_shape_checked(self):
         store = ParameterStore()
         dec = CvaeDecoder(store, "dec", 2, 2, 2, 3, np.random.default_rng(36))
         with pytest.raises(ShapeError):
-            dec.decode(dec.flatten_embedding(Tensor(np.zeros((1, 2, 2)))),
+            dec.decode(dec.head.flatten(Tensor(np.zeros((1, 2, 2)))),
                        Tensor(np.zeros((1, 1, 4))))
 
     def test_full_posterior_path_gradients(self):
@@ -214,7 +214,7 @@ class TestCvaeDecode:
         eps = rng.standard_normal((3, 2, 3))
 
         def f(p):
-            h_flat = dec.flatten_embedding(Tensor(h))
+            h_flat = dec.head.flatten(Tensor(h))
             mu, sigma, _ = dec.encode_posterior(h_flat, Tensor(fut))
             z = reparameterize(mu, sigma, eps)
             out = dec.decode(h_flat, z)
@@ -252,7 +252,7 @@ class TestInterface:
         rng = np.random.default_rng(43)
         h = Tensor(rng.normal(size=(3, 2, 3)))
         z = cvae.noise(rng, 4, 3)
-        want = cvae.decode(cvae.flatten_embedding(h), Tensor(z))
+        want = cvae.decode(cvae.head.flatten(h), Tensor(z))
         assert np.array_equal(cvae.forward(h, z).data, want.data)
 
     def test_cvae_fit_decodes_the_posterior_and_returns_its_kl(self):
@@ -262,10 +262,24 @@ class TestInterface:
         future = rng.normal(size=(3, 2, 2))
         eps = cvae.noise(rng, 4, 3)
         delta, kl = cvae.fit(h, eps, future)
-        h_flat = cvae.flatten_embedding(h)
+        h_flat = cvae.head.flatten(h)
         mu, sigma, logvar = cvae.encode_posterior(h_flat, Tensor(future))
         assert np.array_equal(delta.data, cvae.decode(h_flat, reparameterize(mu, sigma, eps)).data)
         assert kl.item() == kl_diag_gaussian(mu, sigma, logvar).item() > 0.0
+
+
+@pytest.mark.parametrize("decoder", [MlpDecoder, CvaeDecoder])
+def test_head_rejects_a_transposed_embedding(decoder):
+    # [N, F, T_obs] holds as many values as [N, T_obs, F]; without the
+    # head's check draw_affine would take the flat rows silently.
+    rng = np.random.default_rng(45)
+    dec = decoder(ParameterStore(), "dec", 2, 2, 3, 4, rng)
+    h = Tensor(rng.normal(size=(3, 3, 2)))
+    noise = dec.noise(rng, 2, 3)
+    with pytest.raises(ShapeError, match="embedding"):
+        dec.forward(h, noise)
+    with pytest.raises(ShapeError, match="embedding"):
+        dec.fit(h, noise, rng.normal(size=(3, 2, 2)))
 
 
 class TestSplitHead:
@@ -365,9 +379,6 @@ class TestPredictionSet:
     def test_needs_a_4d_block_with_a_sample(self, shape):
         with pytest.raises(ContractError, match="expected"):
             PredictionSet(np.zeros(shape))
-
-    def test_sample_count_is_the_leading_axis(self):
-        assert PredictionSet(np.zeros((3, 1, 2, 2))).sample_count == 3
 
     def test_rejects_non_finite(self):
         bad = np.zeros((1, 1, 3, 2))

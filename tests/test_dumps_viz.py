@@ -1,5 +1,6 @@
 """Dump text formats and the SVG emitter."""
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -242,11 +243,23 @@ def test_attention_svg_marks_all_peds(crossing_setup):
     assert "#d62728" in svg  # target pedestrian highlighted
 
 
+def test_attention_svg_labels_row_0_of_head_0_in_the_last_layer(crossing_setup):
+    cfg, _, window, attn, _ = crossing_setup
+    svg = render_attention(format_attention_dump(window, attn, cfg.t_obs))
+    labels = re.findall(r">(\d+):([-0-9.]+)</text>", svg)
+    assert labels == [(str(j), f"{w:.3f}") for j, w in enumerate(attn[-1][0, -1, 0])]
+
+
 def test_attention_svg_bad_selection(crossing_setup):
+    # Without the rows it draws (row 0 of head 0 in the last layer at the
+    # last step) the dump has nothing to plot.
     cfg, _, window, attn, _ = crossing_setup
     text = format_attention_dump(window, attn, cfg.t_obs)
+    drawn = f"A\t{len(attn) - 1}\t0\t{cfg.t_obs - 1}\t0\t"
+    kept = "".join(line for line in text.splitlines(keepends=True) if not line.startswith(drawn))
+    assert len(kept) < len(text)
     with pytest.raises(ContractError):
-        render_attention(text, head=7)
+        render_attention(kept)
 
 
 def test_render_empty_dump_rejected():

@@ -282,7 +282,6 @@ def test_predict_shapes_and_origin():
     w = make_window()
     ps, attn = model.predict(w, 5, np.random.default_rng(0))
     assert ps.trajectories.shape == (5, 3, cfg.t_pred, 2)
-    assert ps.sample_count == 5
     # Offsets are decoded from each pedestrian's last observed position.
     origin = w.positions[:, cfg.t_obs - 1, :]
     h, _ = model.encode(w)

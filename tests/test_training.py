@@ -158,7 +158,7 @@ def test_eval_seed_reproducible():
 
 def test_bench_report_identities():
     runs = [0.004, 0.002, 0.003, 0.001, 0.005]
-    rep = BenchReport(per_run_seconds=runs, n_peds=8, samples=4, repeats=5, warmup=2)
+    rep = BenchReport(per_run_seconds=runs, n_peds=8, samples=4, warmup=2)
     assert rep.total_seconds == sum(runs)
     assert rep.per_ped_mean == rep.total_seconds / (5 * 8)
     assert rep.per_ped_median == 0.003 / 8

@@ -73,6 +73,7 @@ def _load_config(args):
     cfg = ModelConfig.from_file(args.config) if args.config else ModelConfig()
     if getattr(args, "seed", None) is not None:
         cfg.seed = args.seed
+        cfg.validate()
     return cfg
 
 

@@ -40,14 +40,14 @@ def _line(ped: int, start_frame_idx: int, n_frames: int, x0: int, y0: int,
 
 
 def _pacing_walk(rng, ped: int, n_frames: int, x0: int, y0: int, vx: int, vy: int,
-                 x_lo: int, x_hi: int, y_lo: int, y_hi: int,
-                 jitter_units: int = 16) -> list:
-    """Bounded walk that reverses at the box edges, with mild grid jitter."""
+                 x_lo: int, x_hi: int, y_lo: int, y_hi: int) -> list:
+    """Bounded walk that reverses at the box edges, with mild grid jitter
+    of up to two 16-unit (1/64 m) steps per axis and frame."""
     rows = [(0, ped, x0, y0)]
     x, y = x0, y0
     for t in range(1, n_frames):
-        jx = int(rng.integers(-2, 3)) * jitter_units
-        jy = int(rng.integers(-2, 3)) * jitter_units
+        jx = int(rng.integers(-2, 3)) * 16
+        jy = int(rng.integers(-2, 3)) * 16
         if not (x_lo <= x + vx + jx <= x_hi):
             vx = -vx
         if not (y_lo <= y + vy + jy <= y_hi):

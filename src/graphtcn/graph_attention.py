@@ -68,8 +68,7 @@ class GraphAttentionLayer:
         # checkpoint in their per-head order; head k's entry is slice k.
         for k in range(heads):
             def put(key, values, k=k):
-                store.add(f"{prefix}.h{k}.{key}", values, block=self.blocks[key],
-                          offset=k * values.size)
+                store.add(f"{prefix}.h{k}.{key}", values, block=self.blocks[key])
 
             put("w1", xavier_uniform(rng, in_dim, 1))
             put("w2", xavier_uniform(rng, in_dim, 1))

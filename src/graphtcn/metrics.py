@@ -62,21 +62,17 @@ def variety_loss(samples, gt: T.Tensor) -> T.Tensor:
     return T.best_of_m_ade(samples, gt.data)
 
 
-def kl_diag_gaussian(mu: T.Tensor, sigma: T.Tensor, logvar: T.Tensor = None) -> T.Tensor:
+def kl_diag_gaussian(mu: T.Tensor, sigma: T.Tensor, logvar: T.Tensor) -> T.Tensor:
     """KL from N(mu, diag sigma^2) to the standard normal, closed form.
 
     Inputs are [N, D]; the per-pedestrian divergences are averaged so the
     weight in the combined objective does not scale with crowd size.
-    ``logvar`` may be passed to reuse the tape node that produced sigma;
-    otherwise it is recomputed as 2*log(sigma).
+    ``logvar`` is log(sigma^2), the tape node that sigma was computed from.
     """
     if (sigma.data <= 0).any():
         raise DomainError("sigma must be strictly positive")
     if mu.data.shape != sigma.data.shape or mu.data.ndim != 2:
         raise ShapeError(f"mu {mu.shape} vs sigma {sigma.shape}, expected [N, D]")
-    if logvar is None:
-        logvar = T.mul(T.log(sigma), 2.0)
-    n = mu.data.shape[0]
     mu2 = T.mul(mu, mu)
     sig2 = T.mul(sigma, sigma)
     inner = T.sub(T.sub(T.add(mu2, sig2), T.Tensor(np.ones_like(mu.data))), logvar)

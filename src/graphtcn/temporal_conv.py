@@ -43,10 +43,10 @@ class GatedConvLayer:
         fan_in, fan_out = c_in * kernel, c_out * kernel
         self.W = store.reserve((2 * c_out, c_in, kernel))
         self.b = store.reserve((2 * c_out,))
-        for half, name in enumerate(("gate", "filt")):
+        for name in ("gate", "filt"):
             W = xavier_uniform(rng, fan_in, fan_out, (c_out, c_in, kernel))
-            store.add(f"{prefix}.{name}.W", W, block=self.W, offset=half * W.size)
-            store.add(f"{prefix}.{name}.b", np.zeros(c_out), block=self.b, offset=half * c_out)
+            store.add(f"{prefix}.{name}.W", W, block=self.W)
+            store.add(f"{prefix}.{name}.b", np.zeros(c_out), block=self.b)
 
     def forward(self, h: T.Tensor) -> T.Tensor:
         """h is [N, T, C_in] -> [N, T, C_out]."""

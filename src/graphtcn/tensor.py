@@ -70,9 +70,9 @@ skip the gradient of an operand that needs none.
 ParameterStore keeps every parameter's data and gradient as views into
 two flat buffers, so zeroing all gradients is one fill and an optimizer
 step is a few whole-vector operations. Layers reserve blocks there in the
-layout they compute on and place their named parameters inside them, so
-no forward pass rebuilds a weight layout (see ParameterStore for the view
-contract).
+layout they compute on and add their named parameters in order, each
+taking the block's next free values, so no forward pass rebuilds a weight
+layout (see ParameterStore for the view contract).
 """
 
 from __future__ import annotations
@@ -88,18 +88,19 @@ from .errors import ContractError, DomainError, NeighborhoodError, ShapeError
 class Tensor:
     """A dense float64 array plus optional gradient buffer.
 
-    Leaf tensors created with ``requires_grad=True`` get a zero gradient
-    buffer immediately, so an untouched leaf reads as zero gradient after
-    any backward pass. Tensors produced by operations start without a
-    buffer; backward allocates one on demand and drops it once used.
+    A tensor built here is a constant. Gradient leaves come only from a
+    ParameterStore, whose tensors hold a gradient view from the start, so
+    an untouched leaf reads as zero gradient after any backward pass.
+    Tensors produced by operations start without a buffer; backward
+    allocates one on demand and drops it once used.
     """
 
     __slots__ = ("data", "requires_grad", "grad")
 
-    def __init__(self, data, requires_grad: bool = False):
+    def __init__(self, data):
         self.data = np.asarray(data, dtype=np.float64)
-        self.requires_grad = bool(requires_grad)
-        self.grad = np.zeros_like(self.data) if self.requires_grad else None
+        self.requires_grad = False
+        self.grad = None
 
     @property
     def shape(self) -> tuple:
@@ -229,22 +230,18 @@ def backward(root: Tensor, tape: Tape):
 # Core operations
 
 
-def affine(x, W, b=None) -> Tensor:
+def affine(x, W, b) -> Tensor:
     """x @ W + b over the last axis of x; leading axes pass through."""
-    x, W = _as_tensor(x), _as_tensor(W)
+    x, W, b = _as_tensor(x), _as_tensor(W), _as_tensor(b)
     if W.data.ndim != 2:
         raise ShapeError(f"affine weight must be 2-d, got {W.shape}")
     if x.data.ndim < 1 or x.data.shape[-1] != W.data.shape[0]:
         raise ShapeError(f"affine mismatch: x {x.shape} vs W {W.shape}")
-    if b is not None:
-        b = _as_tensor(b)
-        if b.data.shape != (W.data.shape[1],):
-            raise ShapeError(f"affine bias {b.shape} vs W {W.shape}")
+    if b.data.shape != (W.data.shape[1],):
+        raise ShapeError(f"affine bias {b.shape} vs W {W.shape}")
     lead = x.data.shape[:-1]
     x2 = x.data.reshape(-1, x.data.shape[-1])
-    out_data = x2 @ W.data
-    if b is not None:
-        out_data = out_data + b.data
+    out_data = x2 @ W.data + b.data
     out = Tensor(out_data.reshape(lead + (W.data.shape[1],)))
 
     def bwd(g, x=x, W=W, b=b, x2=x2, lead=lead):
@@ -252,10 +249,9 @@ def affine(x, W, b=None) -> Tensor:
         if x.requires_grad:
             _accumulate(x, (g2 @ W.data.T).reshape(x.data.shape), fresh=True)
         _accumulate(W, x2.T @ g2, fresh=True)
-        if b is not None:
-            _accumulate(b, g2.sum(axis=0), fresh=True)
+        _accumulate(b, g2.sum(axis=0), fresh=True)
 
-    _record(out, [x, W] + ([b] if b is not None else []), bwd)
+    _record(out, [x, W, b], bwd)
     return out
 
 
@@ -763,7 +759,7 @@ def aggregate_heads(alpha, g) -> Tensor:
     return out
 
 
-def conv1d_causal(x, W, b=None, dilation: int = 1) -> Tensor:
+def conv1d_causal(x, W, b, dilation: int = 1) -> Tensor:
     """Causal 1-d convolution with left zero padding of (k-1)*dilation.
 
     ``x`` is channels-last [B, T, C_in] and the result is [B, T, C_out];
@@ -778,7 +774,7 @@ def conv1d_causal(x, W, b=None, dilation: int = 1) -> Tensor:
     slices of the column gradient are added back onto the input steps
     they read.
     """
-    x, W = _as_tensor(x), _as_tensor(W)
+    x, W, b = _as_tensor(x), _as_tensor(W), _as_tensor(b)
     if dilation < 1:
         raise ShapeError(f"dilation must be >= 1, got {dilation}")
     if W.data.ndim != 3:
@@ -790,10 +786,8 @@ def conv1d_causal(x, W, b=None, dilation: int = 1) -> Tensor:
     xb = x.data if batched else x.data.T[None]
     if xb.shape[-1] != c_in:
         raise ShapeError(f"conv channel mismatch: x {x.shape} vs W {W.shape}")
-    if b is not None:
-        b = _as_tensor(b)
-        if b.data.shape != (c_out,):
-            raise ShapeError(f"conv bias {b.shape} vs W {W.shape}")
+    if b.data.shape != (c_out,):
+        raise ShapeError(f"conv bias {b.shape} vs W {W.shape}")
     n, t_len = xb.shape[:2]
     # Tap j reads step t - shift[j]; the first shift[j] steps read padding.
     shifts = [(k - 1 - j) * dilation for j in range(k)]
@@ -804,15 +798,13 @@ def conv1d_causal(x, W, b=None, dilation: int = 1) -> Tensor:
     cols = cols4.reshape(n * t_len, c_in * k)
     W2 = W.data.reshape(c_out, c_in * k)
     out2 = cols @ W2.T
-    if b is not None:
-        out2 += b.data
+    out2 += b.data
     out = Tensor(out2.reshape(n, t_len, c_out) if batched else out2.T.copy())
 
     def bwd(g, x=x, W=W, b=b, cols=cols, W2=W2, batched=batched):
         g2 = g.reshape(n * t_len, c_out) if batched else g.T
         _accumulate(W, (g2.T @ cols).reshape(W.data.shape), fresh=True)
-        if b is not None:
-            _accumulate(b, g2.sum(axis=0), fresh=True)
+        _accumulate(b, g2.sum(axis=0), fresh=True)
         if x.requires_grad:
             gcols = (g2 @ W2).reshape(n, t_len, c_in, k)
             gx = np.zeros((n, t_len, c_in))
@@ -821,7 +813,7 @@ def conv1d_causal(x, W, b=None, dilation: int = 1) -> Tensor:
                     gx[:, : t_len - s] += gcols[:, s:, :, j]
             _accumulate(x, gx if batched else gx[0].T, fresh=True)
 
-    _record(out, [x, W] + ([b] if b is not None else []), bwd)
+    _record(out, [x, W, b], bwd)
     return out
 
 
@@ -831,24 +823,23 @@ def reduce_sum(x, axis=None) -> Tensor:
                   lambda g, x=x, axis=axis: _spread(g, x, axis, 1.0), fresh=True)
 
 
-def reduce_mean(x, axis=None) -> Tensor:
-    x, axis = _reduction_input(x, axis)
-    scale = 1.0 / (x.data.size if axis is None else x.data.shape[axis])
-    return _unary(x, x.data.mean(axis=axis),
-                  lambda g, x=x, axis=axis, scale=scale: _spread(g, x, axis, scale), fresh=True)
+def reduce_mean(x) -> Tensor:
+    """Mean over every element, 0-d."""
+    x, _ = _reduction_input(x, None)
+    scale = 1.0 / x.data.size
+    return _unary(x, x.data.mean(),
+                  lambda g, x=x, scale=scale: _spread(g, x, None, scale), fresh=True)
 
 
-def reduce_min(x, axis=None) -> Tensor:
-    """Minimum reduction; backward routes to the arg-min (lowest index on ties)."""
+def reduce_min(x, axis: int) -> Tensor:
+    """Minimum along ``axis``; backward routes to the arg-min (lowest index
+    on ties)."""
     x, axis = _reduction_input(x, axis)
 
     def grad(g, x=x, axis=axis):
         gx = np.zeros_like(x.data)
-        if axis is None:
-            gx.reshape(-1)[int(np.argmin(x.data.reshape(-1)))] = float(g)
-        else:
-            idx = np.argmin(x.data, axis=axis)
-            np.put_along_axis(gx, np.expand_dims(idx, axis), np.expand_dims(g, axis), axis)
+        idx = np.argmin(x.data, axis=axis)
+        np.put_along_axis(gx, np.expand_dims(idx, axis), np.expand_dims(g, axis), axis)
         return gx
 
     return _unary(x, x.data.min(axis=axis), grad, fresh=True)
@@ -927,13 +918,14 @@ class ParameterStore:
     of whole-vector operations. Names keep the order they were added in,
     which is the checkpoint order; the buffer order can differ. A layer may
     ``reserve`` one block per weight in the layout it computes on (all
-    heads together, or gate and filter together) and ``add`` its names at
-    offsets inside that block: the layer then computes on the block, while
-    every named entry stays a C-contiguous view that sees each update. An
-    op that wants another layout of a weight (a transpose, a subset of
-    rows) cuts it from the tensor it is given. The buffers double in
-    capacity while space is taken; every tensor already handed out (name
-    or block) is re-pointed at the new buffers, so it stays valid.
+    heads together, or gate and filter together) and ``add`` its names to
+    that block in order, each taking the block's next free values: the
+    layer then computes on the block, while every named entry stays a
+    C-contiguous view that sees each update. An op that wants another
+    layout of a weight (a transpose, a subset of rows) cuts it from the
+    tensor it is given. The buffers double in capacity while space is
+    taken; every tensor already handed out (name or block) is re-pointed at
+    the new buffers, so it stays valid.
 
     The view contract: write ``data`` and ``grad`` in place; never rebind
     either. The gradient buffer is then a parameter's only gradient, which
@@ -944,72 +936,52 @@ class ParameterStore:
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
-        # (tensor, the function that cuts its views from a buffer), for
-        # every tensor handed out.
+        # (tensor, its start in the buffers), for every tensor handed out.
         self._handed: list[tuple] = []
-        # id(block) -> (start, stop, [(start, stop, name) placed inside]).
-        self._blocks: dict[int, tuple] = {}
+        # id(block) -> [its next free value, its stop].
+        self._blocks: dict[int, list] = {}
         self._size = 0
         self._data = np.zeros(0)
         self._grad = np.zeros(0)
 
-    def add(self, name: str, values: np.ndarray, block: Tensor = None,
-            offset: int = 0) -> Tensor:
-        """Register ``name`` with initial ``values``.
-
-        Without ``block`` the values take fresh space at the end of the
-        buffers. With ``block`` (a tensor from ``reserve``) they are placed
-        ``offset`` values into it; the placement must lie inside the block
-        and must not overlap a name placed there before.
-        """
+    def add(self, name: str, values: np.ndarray, block: Tensor = None) -> Tensor:
+        """Register ``name`` with initial ``values``, which take the next
+        free values of ``block`` (a tensor from ``reserve``) and must fit in
+        the rest of it. Without ``block`` they fill a block of their own."""
         if name in self._params:
             raise ContractError(f"duplicate parameter name {name!r}")
         values = np.asarray(values, dtype=np.float64)
         if block is None:
-            start = self._take(values.size)
-        else:
-            start = self._place(name, block, offset, values.size)
-        t = self._hand_out(_region(start, values.shape))
+            block = self.reserve(values.shape)
+        cursor = self._blocks.get(id(block))
+        if cursor is None:
+            raise ContractError(f"{name!r}: block was not reserved in this store")
+        start, stop = cursor
+        if values.size > stop - start:
+            raise ContractError(
+                f"{name!r}: {values.size} values overflow the {stop - start} left in its block")
+        cursor[0] = start + values.size
+        t = self._hand_out(start, values.shape)
         t.data[...] = values
         self._params[name] = t
         return t
 
     def reserve(self, shape) -> Tensor:
-        """Take one zeroed block of ``shape`` for names to be placed into."""
+        """Take one zeroed block of ``shape`` for names to be added into."""
         shape = tuple(shape)
-        size = math.prod(shape)
-        start = self._take(size)
-        t = self._hand_out(_region(start, shape))
-        self._blocks[id(t)] = (start, start + size, [])
-        return t
-
-    def _take(self, size: int) -> int:
-        start, stop = self._size, self._size + size
+        start, stop = self._size, self._size + math.prod(shape)
         if stop > self._data.size:
             self._grow(max(stop, 2 * self._data.size))
         self._size = stop
-        return start
+        t = self._hand_out(start, shape)
+        self._blocks[id(t)] = [start, stop]
+        return t
 
-    def _place(self, name: str, block: Tensor, offset: int, size: int) -> int:
-        entry = self._blocks.get(id(block))
-        if entry is None:
-            raise ContractError(f"{name!r}: block was not reserved in this store")
-        start, stop, placed = entry
-        lo, hi = start + offset, start + offset + size
-        if offset < 0 or hi > stop:
-            raise ContractError(
-                f"{name!r}: values [{offset}, {offset + size}) outside a block of {stop - start}")
-        for a, b, other in placed:
-            if lo < b and a < hi:
-                raise ContractError(f"{name!r} overlaps {other!r} in its block")
-        placed.append((lo, hi, name))
-        return lo
-
-    def _hand_out(self, make) -> Tensor:
-        t = Tensor(make(self._data))
+    def _hand_out(self, start: int, shape: tuple) -> Tensor:
+        t = Tensor(_view(self._data, start, shape))
         t.requires_grad = True
-        t.grad = make(self._grad)
-        self._handed.append((t, make))
+        t.grad = _view(self._grad, start, shape)
+        self._handed.append((t, start))
         return t
 
     def _grow(self, capacity: int):
@@ -1017,14 +989,11 @@ class ParameterStore:
         data[:self._size] = self._data[:self._size]
         grad[:self._size] = self._grad[:self._size]
         self._data, self._grad = data, grad
-        for t, make in self._handed:
-            t.data, t.grad = make(data), make(grad)
+        for t, start in self._handed:
+            t.data, t.grad = _view(data, start, t.shape), _view(grad, start, t.shape)
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
 
     def __len__(self) -> int:
         return len(self._params)
@@ -1067,26 +1036,21 @@ class ParameterStore:
             t.data[...] = arr
 
 
-def _region(start: int, shape: tuple):
-    """The view of ``shape`` that starts ``start`` values into a buffer."""
-    stop = start + math.prod(shape)
-
-    def make(buf):
-        return buf[start:stop].reshape(shape)
-
-    return make
+def _view(buf: np.ndarray, start: int, shape: tuple) -> np.ndarray:
+    """The view of ``shape`` that starts ``start`` values into ``buf``."""
+    return buf[start:start + math.prod(shape)].reshape(shape)
 
 
-def finite_difference_check(f, params: ParameterStore, h: float = 1e-5) -> float:
-    """Compare tape gradients of a scalar function against central differences.
+def finite_difference_check(f, params: ParameterStore) -> float:
+    """Compare tape gradients of a scalar function against central
+    differences of step 1e-5.
 
     ``f`` maps the store to a scalar Tensor and must be deterministic (any
     randomness drawn ahead of time and frozen). Returns the worst relative
     error |analytic - numeric| / max(1e-12, |analytic| + |numeric|) over
     every parameter element.
     """
-    if h <= 0:
-        raise ContractError(f"h must be positive, got {h}")
+    h = 1e-5
     with Tape() as tape:
         out = f(params)
         if out.data.size != 1:

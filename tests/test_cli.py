@@ -83,6 +83,14 @@ def test_negative_seed_exits_2(workdir, trained, capsys):
     assert not (root / "neg.ckpt").exists()
 
 
+def test_negative_seed_rejected_before_the_data_is_read(tmp_path, capsys):
+    # A missing data directory would be reported if the seed were checked
+    # only after the training scenes are read.
+    rc = main(["train", "--data", str(tmp_path / "no_such_dir"), "--leave-out", "x",
+               "--seed", "-1", "--out", str(tmp_path / "m.ckpt")])
+    assert rc == 2 and capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+
+
 def test_eval_prints_table(workdir, trained, capsys):
     _, data, _ = workdir
     rc = main(["eval", "--ckpt", str(trained), "--data", str(data),

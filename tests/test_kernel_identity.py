@@ -20,6 +20,7 @@ from graphtcn.data import SequenceWindow
 from graphtcn.model import GraphTCN
 
 from oracles import leaky_select, pair_softmax_select, sigmoid_select
+from test_tensor import leaf
 
 SPECIAL = [0.0, -0.0, 1.0, -1.0, 745.0, -745.0, 5e-324, -5e-324, 1e300, -1e300]
 
@@ -39,7 +40,7 @@ def op_with_grads(op, inputs, g):
     output gradient ``g``. The inputs start without a gradient buffer, so
     each gradient is stored as written, not added into zeros (which would
     turn -0.0 into 0.0)."""
-    ts = [T.Tensor(a, requires_grad=True) for a in inputs]
+    ts = [leaf(a) for a in inputs]
     for t in ts:
         t.grad = None
     with T.Tape() as tape:

@@ -1208,19 +1208,27 @@ class TestParameterStore:
             np.testing.assert_array_equal(
                 np.stack([store[f"{key}0"].grad, store[f"{key}1"].grad]), blk.grad)
 
-    @pytest.mark.parametrize("sizes", [(4, 2, 1), (7,)],
-                             ids=["after_an_exact_fit", "oversized_first"])
-    def test_add_rejects_a_name_that_overflows_its_block(self, sizes):
-        # The last size overflows the rest of a 6-value block: after an
-        # exact fit, one more value; alone, an oversized first name.
+    @pytest.mark.parametrize("offset,size", [(0, 7), (5, 2), (6, 1), (1, 2), (2, 3)])
+    def test_add_rejects_placement_outside_or_overlapping(self, offset, size):
+        # Names "a" and "b" take the first ``offset`` values of a 6-value
+        # block; "c" of ``size`` values comes next. Past the block's end it
+        # is refused and nothing changes; inside, it is the block's values
+        # [offset, offset + size), clear of "a" and "b".
         store = T.ParameterStore()
         blk = store.reserve((6,))
-        for i, size in enumerate(sizes[:-1]):
-            store.add(f"p{i}", np.ones(size), block=blk)
+        a = store.add("a", np.ones(offset // 2), block=blk)
+        b = store.add("b", np.ones(offset - offset // 2), block=blk)
         names, n_values = store.names(), store.n_values()
-        with pytest.raises(ContractError, match="'last'"):
-            store.add("last", np.ones(sizes[-1]), block=blk)
-        assert store.names() == names and store.n_values() == n_values
+        if offset + size > 6:
+            with pytest.raises(ContractError, match="'c'"):
+                store.add("c", np.ones(size), block=blk)
+            assert store.names() == names and store.n_values() == n_values
+            return
+        c = store.add("c", np.full(size, 2.0), block=blk)
+        assert same_memory(c.data, blk.data[offset:offset + size])
+        assert not np.shares_memory(c.data, a.data) and not np.shares_memory(c.data, b.data)
+        np.testing.assert_array_equal(blk.data, [1.0] * offset + [2.0] * size
+                                      + [0.0] * (6 - offset - size))
 
     def test_add_rejects_a_block_from_elsewhere(self):
         store, other = T.ParameterStore(), T.ParameterStore()

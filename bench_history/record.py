@@ -20,6 +20,8 @@ Python, numpy, platform and CPU-count versions of the host. Per workload
 and side it also summarises the raw (unscaled) call p50 and the
 calibration kernel p50 that each run prints: perfbench divides call times
 by that kernel, so a scaled metric can move with the kernel alone.
+``change_won_raw_pairs`` counts the seed pairs in which the change's raw
+call p50 was lower; it is null when a run printed no calibration line.
 """
 
 from __future__ import annotations
@@ -115,6 +117,9 @@ def record(spec: dict, parent: Path, change: Path, seeds, seconds: float, log=pr
         entry["calibration"] = {side: {key: calibration([r.get(key) for r in runs[side]])
                                        for key in ("raw_ms_p50", "kernel_ms_p50")}
                                 for side in sides}
+        raw = [entry["calibration"][side]["raw_ms_p50"]["runs"] for side in sides]
+        entry["change_won_raw_pairs"] = (None if None in raw[0] + raw[1]
+                                         else sum(c < p for p, c in zip(*raw)))
         entry["correct"] = {side: [r["correct"] for r in runs[side]] for side in sides}
         entry["failed"] = {side: [r["failed"] for r in runs[side]] for side in sides}
         entry["fail_lines"] = {side: [r.get("fail_lines", []) for r in runs[side]]

@@ -93,7 +93,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     from .checkpoint import load_checkpoint
-    from .data import discover_scenes, hold_out, load_windows
+    from .data import discover_scenes, hold_out
     from .training import evaluate_dataset, model_from_checkpoint
 
     ckpt = load_checkpoint(args.ckpt)
@@ -102,15 +102,10 @@ def _cmd_eval(args) -> int:
     report = evaluate_dataset(model, split, args.data, args.samples, seed=args.seed)
     print(report.format_table(), end="")
     if args.dump_traj:
-        import numpy as np
-
         from .dumps import write_trajectory_dump
 
-        cfg = model.cfg
-        windows = load_windows(args.data, [split.test_scene], cfg.t_obs, cfg.t_pred,
-                               stride=cfg.stride, frame_step=cfg.frame_step)
-        pred_set, _ = model.predict(windows[0], args.samples, np.random.default_rng(args.seed))
-        write_trajectory_dump(args.dump_traj, windows[0], pred_set, cfg.t_obs)
+        window, pred_set = report.first
+        write_trajectory_dump(args.dump_traj, window, pred_set, model.cfg.t_obs)
         print(f"trajectory dump written to {args.dump_traj}")
     return 0
 
@@ -119,6 +114,7 @@ def _cmd_bench(args) -> int:
     _pin_single_thread()
     from .checkpoint import load_checkpoint
     from .data import discover_scenes, load_scene_windows
+    from .errors import DataError
     from .training import benchmark_inference, model_from_checkpoint
 
     model = model_from_checkpoint(load_checkpoint(args.ckpt))
@@ -127,9 +123,7 @@ def _cmd_bench(args) -> int:
     windows = load_scene_windows(args.data, scene, cfg.t_obs, cfg.t_pred,
                                  stride=cfg.stride, frame_step=cfg.frame_step)
     if not windows:
-        print(f"error: scene {scene!r} has no window of {cfg.t_obs + cfg.t_pred} steps",
-              file=sys.stderr)
-        return 2
+        raise DataError(f"scene {scene!r} has no window of {cfg.t_obs + cfg.t_pred} steps")
     report = benchmark_inference(model, windows[0], args.repeats, m=args.samples,
                                  warmup=args.warmup)
     print(f"scene\t{scene} (window {windows[0].start_frame})")
@@ -141,14 +135,14 @@ def _cmd_dump_attn(args) -> int:
     from .checkpoint import load_checkpoint
     from .dumps import write_attention_dump
     from .data import load_scene_windows
+    from .errors import ConfigError, ContractError, DataError
     from .training import model_from_checkpoint
 
     scene, _, start = args.window_id.partition(":")
     try:
         start = int(start)
     except ValueError:
-        print("error: --window-id must be SCENE:START_FRAME", file=sys.stderr)
-        return 2
+        raise ConfigError("--window-id must be SCENE:START_FRAME") from None
     model = model_from_checkpoint(load_checkpoint(args.ckpt))
     cfg = model.cfg
     windows = load_scene_windows(args.data, scene, cfg.t_obs, cfg.t_pred,
@@ -156,13 +150,10 @@ def _cmd_dump_attn(args) -> int:
     matches = [w for w in windows if w.start_frame == start]
     if not matches:
         starts = [w.start_frame for w in windows]
-        print(f"error: no window starting at {start} in {scene}; have {starts}",
-              file=sys.stderr)
-        return 2
+        raise DataError(f"no window starting at {start} in {scene}; have {starts}")
     window = matches[0]
     if model.spatial.gal1 is None:
-        print("error: this checkpoint's variant has no attention to dump", file=sys.stderr)
-        return 2
+        raise ContractError("this checkpoint's variant has no attention to dump")
     _, attn = model.encode(window)
     write_attention_dump(args.out, window, attn, cfg.t_obs)
     print(f"attention dump written to {args.out}")

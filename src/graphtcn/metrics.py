@@ -1,9 +1,9 @@
 """Displacement metrics and the two training loss terms.
 
 The differentiable terms (variety and KL, which GraphTCN.window_loss
-combines) run on the autodiff ops, the variety loss as one fused
-best_of_m_ade op; the plain-number best-of-M evaluation at the bottom
-works on numpy arrays and is what the reporting code calls.
+combines) run on the autodiff ops. Every displacement error here, ADE,
+FDE, the variety loss and the plain-number best-of-M evaluation at the
+bottom that the reporting code calls, is one fused best_of_m_ade op.
 """
 
 from __future__ import annotations
@@ -26,25 +26,19 @@ def _check_pair(pred: T.Tensor, gt: T.Tensor):
         raise ShapeError(f"trajectories must be [N, T, 2], got {pred.shape}")
 
 
-def _step_distances(pred: T.Tensor, gt: T.Tensor) -> T.Tensor:
-    """Euclidean distance per step over the last axis: [..., T, 2] -> [..., T]."""
-    diff = T.sub(pred, gt)
-    return T.sqrt(T.reduce_sum(T.mul(diff, diff), axis=-1))
-
-
 def ade(pred: T.Tensor, gt: T.Tensor) -> T.Tensor:
-    """Mean Euclidean displacement error over all pedestrians and steps."""
+    """Mean Euclidean displacement error over all pedestrians and steps:
+    ``best_of_m_ade`` of the one-draw stack. A step where ``pred`` meets
+    ``gt`` takes gradient 0."""
     _check_pair(pred, gt)
-    return T.reduce_mean(_step_distances(pred, gt))
+    return T.best_of_m_ade(T.reshape(pred, (1,) + pred.data.shape), gt.data)
 
 
 def fde(pred: T.Tensor, gt: T.Tensor) -> T.Tensor:
     """Mean Euclidean error at the final predicted step."""
     _check_pair(pred, gt)
     t = pred.data.shape[1]
-    last_p = T.slice_axis(pred, 1, t - 1, t)
-    last_g = T.slice_axis(gt, 1, t - 1, t)
-    return T.reduce_mean(_step_distances(last_p, last_g))
+    return ade(T.slice_axis(pred, 1, t - 1, t), T.Tensor(gt.data[:, -1:]))
 
 
 def variety_loss(samples, gt: T.Tensor) -> T.Tensor:
@@ -81,19 +75,12 @@ def kl_diag_gaussian(mu: T.Tensor, sigma: T.Tensor, logvar: T.Tensor) -> T.Tenso
 
 
 # ---------------------------------------------------------------------------
-# Plain-number evaluation (no tape)
+# Plain-number evaluation
 
 
 def evaluate_min_of_m(pred_set: PredictionSet, gt: np.ndarray) -> tuple:
-    """Best-of-M ADE and FDE, minima taken independently per metric.
-
-    One pass over all M samples: the [M, N, T] step distances give each
-    sample's ADE (mean over pedestrians and steps) and FDE (mean over
-    pedestrians at the last step).
-    """
-    if np.shape(gt) != pred_set.trajectories.shape[1:]:
-        raise ShapeError(f"ground truth {np.shape(gt)} vs samples {pred_set.trajectories.shape}")
-    d = np.linalg.norm(pred_set.trajectories - gt, axis=-1)
-    ades = d.reshape(d.shape[0], -1).mean(axis=1)
-    fdes = d[:, :, -1].mean(axis=1)
-    return float(ades.min()), float(fdes.min())
+    """Best-of-M ADE and FDE, minima taken independently per metric: one
+    ``best_of_m_ade`` over all steps, one over the last step."""
+    trajs, gt = pred_set.trajectories, np.asarray(gt)
+    return (T.best_of_m_ade(trajs, gt).item(),
+            T.best_of_m_ade(trajs[:, :, -1:], gt[:, -1:]).item())

@@ -24,8 +24,9 @@ the chain's gradient is finite):
                      nodes], from a per-node and a per-draw part;
   aggregate_heads    every head's attention-weighted sum of its values,
                      through leaky, with the heads merged side by side;
-  best_of_m_ade      the variety loss: the least, over M draws, of the
-                     mean step distance to the target.
+  best_of_m_ade      the variety loss and every displacement metric: the
+                     least, over M draws, of the mean step distance to
+                     the target.
 A fused op replays the numpy expressions of its chain, and its backward
 adds into each input in the order the chain's tape sweep did.
 
@@ -834,6 +835,8 @@ def reduce_mean(x) -> Tensor:
 def reduce_min(x, axis: int) -> Tensor:
     """Minimum along ``axis``; backward routes to the arg-min (lowest index
     on ties)."""
+    if axis is None:
+        raise ShapeError("reduce_min takes one axis, got axis=None")
     x, axis = _reduction_input(x, axis)
 
     def grad(g, x=x, axis=axis):

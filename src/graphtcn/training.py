@@ -20,6 +20,7 @@ from .checkpoint import Checkpoint, save_checkpoint
 from .config import ModelConfig
 from .data import Split, load_windows
 from .errors import ConfigError, DataError, TrainingDivergedError
+from .metrics import evaluate_min_of_m
 from .model import GraphTCN
 from .optim import Adam
 from .tensor import Tape, backward
@@ -89,10 +90,12 @@ def train(cfg: ModelConfig, split: Split, data_dir, out_path=None, log_path=None
 
 @dataclass
 class MetricsReport:
-    """Per-scene best-of-M displacement errors plus their average."""
+    """Per-scene best-of-M displacement errors plus their average, and the
+    first evaluated window with its PredictionSet."""
 
     rows: list  # (scene, ade, fde, n_windows)
     samples: int
+    first: tuple = None  # (window, PredictionSet)
 
     @property
     def avg_ade(self) -> float:
@@ -114,8 +117,6 @@ class MetricsReport:
 def evaluate_dataset(model: GraphTCN, split: Split, data_dir, m: int,
                      seed: int = 0) -> MetricsReport:
     """Best-of-M ADE/FDE on the held-out scene, averaged over windows."""
-    from .metrics import evaluate_min_of_m
-
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     cfg = model.cfg
@@ -125,13 +126,16 @@ def evaluate_dataset(model: GraphTCN, split: Split, data_dir, m: int,
         raise DataError(f"no evaluation windows for scene {split.test_scene!r}")
     rng = np.random.default_rng(seed)
     ades, fdes = [], []
+    first = None
     for window in windows:
         pred_set, _ = model.predict(window, m, rng)
+        if first is None:
+            first = (window, pred_set)
         a, f = evaluate_min_of_m(pred_set, model.ground_truth(window))
         ades.append(a)
         fdes.append(f)
     row = (split.test_scene, sum(ades) / len(ades), sum(fdes) / len(fdes), len(windows))
-    return MetricsReport(rows=[row], samples=m)
+    return MetricsReport(rows=[row], samples=m, first=first)
 
 
 @dataclass

@@ -53,6 +53,9 @@ def test_record_matches_benchmark_spec(path):
                 assert all(line.startswith("FAIL: ") for run in runs for line in run)
         assert set(entry["change_won_pairs"]) == set(units)
         assert all(0 <= n <= len(seeds) for n in entry["change_won_pairs"].values())
+        # Records made before the recorder counted raw p50 wins lack the key.
+        raw_won = entry.get("change_won_raw_pairs")
+        assert raw_won is None or 0 <= raw_won <= len(seeds)
 
 
 def test_recorder_alternates_sides_and_counts_won_pairs(monkeypatch, tmp_path):
@@ -123,6 +126,41 @@ def test_recorder_summarises_the_calibration_line(monkeypatch, tmp_path):
     rec = record.record(SPEC, tmp_path / "p", tmp_path / "c", [1, 2], 8.0, log=lambda _: None)
     first = rec["workloads"][SPEC["workloads"][0]["name"]]
     assert first["calibration"]["parent"]["raw_ms_p50"] == {"runs": [None, None], "unit": "ms"}
+
+
+def test_recorder_counts_raw_p50_wins_apart_from_scaled_ones(monkeypatch, tmp_path):
+    # The change's scaled call p50 is lower on every seed, but only because
+    # its calibration kernel is slower: its raw call p50 is higher on all
+    # seeds but the first.
+    record = load_record_module()
+
+    def fake_run(checkout, command, workload, seed, seconds):
+        change = checkout == tmp_path / "c"
+        metrics = {m["name"]: {"value": 1.0, "unit": m["unit"]} for m in SPEC["end_to_end"]}
+        metrics["call_ms_p50"]["value"] = 0.9 if change else 1.0
+        raw = 1.0 + (0.1 if change and seed != 1 else -0.1 if change else 0.0)
+        return {"correct": True, "failed": 0, "metrics": metrics,
+                "raw_ms_p50": raw, "kernel_ms_p50": 30.0 if change else 25.0}
+
+    monkeypatch.setattr(record, "run_once", fake_run)
+    rec = record.record(SPEC, tmp_path / "p", tmp_path / "c", [1, 2, 3], 8.0, log=lambda _: None)
+    for entry in rec["workloads"].values():
+        assert entry["change_won_pairs"]["call_ms_p50"] == 3
+        assert entry["change_won_raw_pairs"] == 1
+        assert "raw_ms_p50" not in entry["change_won_pairs"]
+
+    # One run without a calibration line leaves nothing to count.
+    def one_missing(checkout, command, workload, seed, seconds):
+        res = fake_run(checkout, command, workload, seed, seconds)
+        if checkout == tmp_path / "p" and seed == 2:
+            res["raw_ms_p50"] = res["kernel_ms_p50"] = None
+        return res
+
+    monkeypatch.setattr(record, "run_once", one_missing)
+    rec = record.record(SPEC, tmp_path / "p", tmp_path / "c", [1, 2, 3], 8.0, log=lambda _: None)
+    for entry in rec["workloads"].values():
+        assert entry["change_won_raw_pairs"] is None
+        assert entry["change_won_pairs"]["call_ms_p50"] == 3
 
 
 def test_recorder_keeps_each_runs_fail_lines(monkeypatch, tmp_path):

@@ -3,11 +3,15 @@
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import graphtcn.data
 from graphtcn.checkpoint import load_checkpoint
 from graphtcn.cli import main
 from graphtcn.config import ModelConfig
+from graphtcn.dumps import format_trajectory_dump
+from graphtcn.training import model_from_checkpoint
 
 SOURCE = Path(__file__).resolve().parent.parent / "data" / "synthetic"
 
@@ -102,16 +106,28 @@ def test_eval_prints_table(workdir, trained, capsys):
     assert "AVG" in out
 
 
-def test_eval_dump_traj(workdir, trained, capsys):
+def test_eval_dump_traj(workdir, trained, capsys, monkeypatch):
+    # The dump is the evaluated first window with its own draws: the
+    # held-out scene is read once, and window 0 is predicted once, on a
+    # fresh generator seeded with --seed.
     root, data, _ = workdir
     dump = root / "traj.txt"
+    parsed = []
+    parse = graphtcn.data.parse_trajectory_file
+    monkeypatch.setattr(graphtcn.data, "parse_trajectory_file",
+                        lambda path: parsed.append(Path(path).name) or parse(path))
     rc = main(["eval", "--ckpt", str(trained), "--data", str(data),
-               "--leave-out", "crossing", "--samples", "2",
+               "--leave-out", "crossing", "--samples", "2", "--seed", "5",
                "--dump-traj", str(dump)])
     assert rc == 0
+    assert parsed == ["crossing.txt"]
     text = dump.read_text()
     assert text.startswith("# trajectory dump")
     assert "\nS\t" in text
+    model = model_from_checkpoint(load_checkpoint(trained))
+    w0 = graphtcn.data.load_scene_windows(data, "crossing", model.cfg.t_obs, model.cfg.t_pred)[0]
+    pred_set, _ = model.predict(w0, 2, np.random.default_rng(5))
+    assert dump.read_bytes() == format_trajectory_dump(w0, pred_set, model.cfg.t_obs).encode()
 
 
 def test_eval_missing_ckpt(workdir, capsys):
@@ -148,7 +164,7 @@ def test_bench_scene_without_a_window(trained, tmp_path, capsys):
     rc = main(["bench", "--ckpt", str(trained), "--data", str(tmp_path),
                "--repeats", "2", "--scene", "short"])
     assert rc == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err == "error: scene 'short' has no window of 20 steps\n"
 
 
 def test_dump_attn_and_plots(workdir, trained, capsys):
@@ -176,10 +192,12 @@ def test_dump_attn_bad_window_id(workdir, trained, capsys):
     rc = main(["dump-attn", "--ckpt", str(trained), "--data", str(data),
                "--window-id", "crossing", "--out", str(root / "y.txt")])
     assert rc == 2
+    assert capsys.readouterr().err == "error: --window-id must be SCENE:START_FRAME\n"
     rc = main(["dump-attn", "--ckpt", str(trained), "--data", str(data),
                "--window-id", "crossing:999", "--out", str(root / "y.txt")])
     assert rc == 2
-    assert "999" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: no window starting at 999 in crossing; have [0]\n"
+    assert not (root / "y.txt").exists()
 
 
 def test_dump_attn_non_integer_start_frame(workdir, trained, capsys):
@@ -187,7 +205,7 @@ def test_dump_attn_non_integer_start_frame(workdir, trained, capsys):
     rc = main(["dump-attn", "--ckpt", str(trained), "--data", str(data),
                "--window-id", "crossing:x", "--out", str(root / "y.txt")])
     assert rc == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err == "error: --window-id must be SCENE:START_FRAME\n"
 
 
 def test_dump_attn_refuses_attention_free_variant(workdir, capsys):
@@ -202,7 +220,7 @@ def test_dump_attn_refuses_attention_free_variant(workdir, capsys):
     rc = main(["dump-attn", "--ckpt", str(ckpt), "--data", str(data),
                "--window-id", "crossing:0", "--out", str(root / "z.txt")])
     assert rc == 2
-    assert "attention" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: this checkpoint's variant has no attention to dump\n"
 
 
 def test_plot_rejects_unknown_kind(workdir):

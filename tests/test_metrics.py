@@ -56,6 +56,25 @@ class TestAde:
         assert T.finite_difference_check(f, store) < 1e-6
 
 
+@pytest.mark.parametrize("metric,value,grad", [
+    (ade, 3.75, [[[0.15, 0.2], [0.0, 0.0]], [[0.0, 0.0], [0.15, 0.2]]]),
+    (fde, 5.0, [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.3, 0.4]]]),
+], ids=["ade", "fde"])
+def test_gradient_is_zero_where_the_prediction_meets_the_target(metric, value, grad):
+    # Pedestrian 0 meets the target at its last step, pedestrian 1 at its
+    # first. A distance has no derivative at 0; as in the variety loss,
+    # such a step takes gradient 0, not 0 / 0.
+    store = T.ParameterStore()
+    p = store.add("p", [[[3.0, 4.0], [0.0, 0.0]], [[0.0, 0.0], [6.0, 8.0]]])
+    with T.Tape() as tape:
+        loss = metric(p, Tensor(np.zeros((2, 2, 2))))
+    T.backward(loss, tape)
+    assert loss.item() == value
+    assert np.isfinite(p.grad).all()
+    assert (p.grad[0, 1] == 0.0).all() and (p.grad[1, 0] == 0.0).all()
+    np.testing.assert_allclose(p.grad, grad, rtol=1e-15, atol=0)
+
+
 class TestFde:
     def test_exact_match_is_zero(self):
         x = np.random.default_rng(4).normal(size=(2, 5, 2))

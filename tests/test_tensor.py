@@ -665,6 +665,17 @@ class TestBackward:
         T.backward(out, tape)
         np.testing.assert_array_equal(x.grad, [[0.0, 1.0], [1.0, 0.0]])
 
+    def test_min_without_an_axis_raises_before_recording(self):
+        # reduce_min has no whole-array form: its backward rule needs an
+        # axis, so axis=None is refused before a node is pushed.
+        x = leaf([[3.0, 1.0], [2.0, 8.0]])
+        with pytest.raises(ShapeError, match="reduce_min.*axis=None"):
+            T.reduce_min(x, None)
+        with T.Tape() as tape:
+            with pytest.raises(ShapeError, match="reduce_min.*axis=None"):
+                T.reduce_min(x, None)
+        assert tape.nodes == []
+
     def test_slice_gradients_add_into_one_buffer(self):
         # Overlapping slices of a leaf and of an intermediate add their
         # gradients in place, in reverse tape order.

@@ -16,10 +16,9 @@ bit for bit.
 
 Each per-head parameter lives in one head-major block for all heads, so
 the heads run at once without rebuilding their weights on every pass. A
-layer is a handful of tensor ops: head_affine and tanh_gate for the
-values, attention_weights for both per-node scores of every head and
-their softmax (the blocks are its operands as stored), aggregate_heads
-for every head's weighted sum and the heads' merge, then the residual.
+layer is one tensor op, attention_layer, on the blocks as stored: the
+gated values, both per-node scores of every head and their softmax,
+every head's weighted sum with the heads merged, and the residual.
 """
 
 from __future__ import annotations
@@ -36,12 +35,11 @@ class GraphAttentionLayer:
 
     Per head, the scalar attention logit between pedestrians i and j is
         leaky_relu(w1 . h_i + w2 . h_j + a_e . edge_ij)
-    followed by a softmax over j, computed from per-node scores by one
-    attention_weights op. Values pass through the gate u * tanh(u)
-    (tanh_gate) before aggregation, and each head's weighted sum gets a
-    final leaky_relu; the heads, concatenated, come from one
-    aggregate_heads op. An affine projection of the input is added as the
-    graph residual.
+    followed by a softmax over j, computed from per-node scores. Values
+    pass through the gate u * tanh(u) before aggregation, and each head's
+    weighted sum gets a final leaky_relu; the heads are concatenated, and
+    an affine projection of the input is added as the graph residual. The
+    whole layer is one attention_layer op.
 
     All heads run at once on head-major parameter blocks: [heads, in, out]
     for the value weights, [heads, out] for their biases and a_e,
@@ -92,19 +90,14 @@ class GraphAttentionLayer:
         if positions.shape != lead + (n, 2):
             raise ShapeError(f"positions {positions.shape} for node features {h.shape}")
         blocks = self.blocks
-
-        # g is [heads, ..., N, width].
-        g = T.tanh_gate(T.head_affine(h, blocks["val.W"], blocks["val.b"]))
-        # Positions centred on each step's pedestrian 0 keep the edge
-        # scores unchanged under a shift of the scene.
+        centred = edge = None
         if self.use_edges:
-            alpha = T.attention_weights(h, positions - positions[..., :1, :], blocks["w1"],
-                                        blocks["w2"], (self.edge_W, self.edge_b, blocks["ae"]))
-        else:
-            alpha = T.attention_weights(h, None, blocks["w1"], blocks["w2"])
-
-        out = T.add(T.aggregate_heads(alpha, g), T.affine(h, self.res_W, self.res_b))
-        return out, alpha.data
+            # Positions centred on each step's pedestrian 0 keep the edge
+            # scores unchanged under a shift of the scene.
+            centred = positions - positions[..., :1, :]
+            edge = (self.edge_W, self.edge_b, blocks["ae"])
+        return T.attention_layer(h, centred, blocks["w1"], blocks["w2"], blocks["val.W"],
+                                 blocks["val.b"], self.res_W, self.res_b, edge)
 
 
 class SpatialEncoder:

@@ -3,12 +3,12 @@
 Each layer is a tanh gate times a sigmoid filter, both causal
 convolutions over time (WaveNet's gated activation). The two run fused:
 gate and filter weights are the two halves of one parameter block, so a
-layer is one conv1d_causal (one im2col matmul) and one gated_activation
-over the halves of its output channels. Left zero padding keeps output
-length equal to input length and makes step t blind to steps after t.
+layer is one gated_conv op: one im2col matmul, then the gate over the
+halves of its output channels. Left zero padding keeps output length
+equal to input length and makes step t blind to steps after t.
 Activations stay channels-last [N, T, C] from the spatial encoder through
 every layer, so the stack moves no axes. Pedestrians never mix here; the
-batch axis of conv1d_causal carries them.
+batch axis of the convolution carries them.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ class GatedConvLayer:
     The gate and filter weights keep separate checkpoint names
     (``{prefix}.gate.*`` and ``{prefix}.filt.*``) as the two halves of one
     [2 * C_out, C_in, k] weight block and one [2 * C_out] bias block, so
-    the layer is one convolution and one gated_activation.
+    the layer is one gated_conv op.
     """
 
     def __init__(self, store, prefix: str, c_in: int, c_out: int, kernel: int,
@@ -50,7 +50,7 @@ class GatedConvLayer:
 
     def forward(self, h: T.Tensor) -> T.Tensor:
         """h is [N, T, C_in] -> [N, T, C_out]."""
-        return T.gated_activation(T.conv1d_causal(h, self.W, self.b, dilation=self.dilation))
+        return T.gated_conv(h, self.W, self.b, self.dilation)
 
 
 class TemporalConvNet:

@@ -6,29 +6,28 @@ returns); each operation pairs a numpy forward pass with a backward
 rule. The op set is deliberately closed: only what the model needs, no
 implicit broadcasting (a 0-d scalar operand is the single exception in
 add/sub/mul). At the model's sizes an op costs more in Python dispatch
-than in arithmetic, so seven ops are fused chains, each equal bit for bit
+than in arithmetic, so four ops are fused chains, each equal bit for bit
 to the chain it replaces, gradients included (best_of_m_ade's only where
 the chain's gradient is finite):
-  attention_weights  every head's per-node attention scores (node
-                     features, and the edge term folded in) and their
-                     row softmax, [H, ..., N, N], in one op per layer,
-                     so logits never exist as separate N x N operands;
-  head_affine        every attention head's affine map from a head-major
-                     weight block;
-  tanh_gate          the attention value gate x * tanh(x) (its gradient
-                     equals the chain's when x feeds nothing else, as
-                     there);
-  gated_activation   the TCN's tanh(gate) * sigmoid(filter) over the two
-                     halves of one convolution output;
+  attention_layer    a whole graph-attention layer, every head at once:
+                     the values' affine map and x * tanh(x) gate, the
+                     per-node attention scores (node features, and the
+                     edge term folded in) and their row softmax, so
+                     logits never exist as separate N x N operands, each
+                     head's attention-weighted sum through leaky with the
+                     heads side by side, and the residual affine map;
+  gated_conv         a whole gated TCN layer: one causal convolution over
+                     the gate and filter weights, then tanh(gate) *
+                     sigmoid(filter) over the two halves of its output;
   draw_affine        the decoder's first affine map over [M draws, N
                      nodes], from a per-node and a per-draw part;
-  aggregate_heads    every head's attention-weighted sum of its values,
-                     through leaky, with the heads merged side by side;
   best_of_m_ade      the variety loss and every displacement metric: the
                      least, over M draws, of the mean step distance to
                      the target.
 A fused op replays the numpy expressions of its chain, and its backward
-adds into each input in the order the chain's tape sweep did.
+adds into each input in the order the chain's tape sweep did. Off the
+tape, the two layer ops drop each large temporary where the chain
+dropped it, so no more of them are alive at once.
 
 No kernel the model calls makes a data-dependent select (numpy's where,
 or a ufunc masked by a where argument): numpy runs those several times
@@ -36,7 +35,7 @@ slower than plain arithmetic, and each select-free form below equals the
 select form bit for bit, signed zeros, infinities and NaN included.
 Every leaky step uses GAT's slope 0.2: leaky_relu is max(x, 0.2 * x)
 and its gradient factor max(x >= 0, 0.2). The logistic numerator is
-max(exp(-|d|), d >= 0). attention_weights' softmax kernel takes each
+max(exp(-|d|), d >= 0). attention_layer's softmax kernel takes each
 row's maximum from the per-node scores as leaky(src_i + max_j dst_j)
 instead of reducing the N x N logits: rounding the sum and leaky are
 both monotone non-decreasing, so that is exactly the row's largest
@@ -52,10 +51,10 @@ on the current thread if, and only if, one of its inputs requires
 gradients. A single-input op states only its result and its input
 gradient as a function of the output gradient (``_unary``); add, sub and
 mul state their forward ufunc and one gradient function per operand
-(``_binary``). affine, head_affine, draw_affine, matmul, conv1d_causal,
-attention_weights, aggregate_heads, concat and slice_axis keep
-hand-written backward rules: each shares one intermediate across several
-inputs or writes into a slice of a gradient.
+(``_binary``). affine, draw_affine, matmul, conv1d_causal, gated_conv,
+attention_layer, concat and slice_axis keep hand-written backward rules:
+each shares one intermediate across several inputs or writes into a
+slice of a gradient.
 
 Gradients accumulate into ``Tensor.grad`` buffers. Only leaves keep
 theirs after a sweep: ``backward`` hands each intermediate's gradient to
@@ -65,8 +64,8 @@ without zeroing adds one more full gradient to every leaf. An
 intermediate's first gradient is stored, not added into zeros: as it is
 when the backward rule built it fresh (a new C-ordered array nothing
 else holds), else as a C-ordered copy. add, sub, mul, affine,
-draw_affine, matmul, conv1d_causal, attention_weights and aggregate_heads
-skip the gradient of an operand that needs none.
+draw_affine, matmul, conv1d_causal, gated_conv and attention_layer skip
+the gradient of an operand that needs none.
 
 ParameterStore keeps every parameter's data and gradient as views into
 two flat buffers, so zeroing all gradients is one fill and an optimizer
@@ -256,41 +255,6 @@ def affine(x, W, b) -> Tensor:
     return out
 
 
-def head_affine(x, W, b) -> Tensor:
-    """Per-head affine maps: x [..., in], W [H, in, out], b [H, out] ->
-    [H, ..., out], head k being x @ W[k] + b[k].
-
-    Runs as one product over the heads laid side by side ([in, H * out]),
-    and backward takes the input gradient as one product too, so every
-    head sums in the order of an affine over the side-by-side weights.
-    """
-    x, W, b = _as_tensor(x), _as_tensor(W), _as_tensor(b)
-    if W.data.ndim != 3:
-        raise ShapeError(f"head_affine weight must be [H, in, out], got {W.shape}")
-    heads, d_in, d_out = W.data.shape
-    if x.data.ndim < 1 or x.data.shape[-1] != d_in:
-        raise ShapeError(f"head_affine mismatch: x {x.shape} vs W {W.shape}")
-    if b.data.shape != (heads, d_out):
-        raise ShapeError(f"head_affine bias {b.shape} vs W {W.shape}")
-    lead = x.data.shape[:-1]
-    x2 = x.data.reshape(-1, d_in)
-    W2 = W.data.transpose(1, 0, 2).reshape(d_in, heads * d_out)
-    out2 = x2 @ W2
-    out2 += b.data.reshape(-1)
-    out_data = out2.reshape(-1, heads, d_out).transpose(1, 0, 2)
-    out = Tensor(out_data.reshape((heads,) + lead + (d_out,)))
-
-    def bwd(g, x=x, W=W, b=b, x2=x2, W2=W2):
-        g2 = g.reshape(heads, -1, d_out).transpose(1, 0, 2).reshape(-1, heads * d_out)
-        if x.requires_grad:
-            _accumulate(x, (g2 @ W2.T).reshape(x.data.shape), fresh=True)
-        _accumulate(W, (x2.T @ g2).reshape(d_in, heads, d_out).transpose(1, 0, 2))
-        _accumulate(b, g2.sum(axis=0).reshape(heads, d_out), fresh=True)
-
-    _record(out, [x, W, b], bwd)
-    return out
-
-
 def draw_affine(shared, per_draw, W, b, groups: int) -> Tensor:
     """concat(shared, per_draw) @ W + b for every draw and node, without
     the concatenation: [M, N, width].
@@ -423,20 +387,6 @@ def tanh(x) -> Tensor:
     return _unary(x, y, lambda g, y=y: g * (1.0 - y * y), fresh=True)
 
 
-def tanh_gate(x) -> Tensor:
-    """The self-gated value x * tanh(x), as one op.
-
-    Equals mul(tanh(x), x) bit for bit. Its gradient is the chain's mul
-    term plus its tanh term, summed in the chain's order; that is the
-    chain's gradient bit for bit when x feeds nothing else (as the
-    attention values do).
-    """
-    x = _as_tensor(x)
-    t = np.tanh(x.data)
-    return _unary(x, t * x.data,
-                  lambda g, x=x, t=t: g * t + (g * x.data) * (1.0 - t * t), fresh=True)
-
-
 def _sigmoid(d: np.ndarray) -> np.ndarray:
     # 1 / (1 + e) where d >= 0 and e / (1 + e) elsewhere, with e =
     # exp(-|d|) so exp never overflows. As e <= 1, max(e, d >= 0) is that
@@ -454,30 +404,6 @@ def sigmoid(x) -> Tensor:
     x = _as_tensor(x)
     y = _sigmoid(x.data)
     return _unary(x, y, lambda g, y=y: g * y * (1.0 - y), fresh=True)
-
-
-def gated_activation(x) -> Tensor:
-    """tanh(first half) * sigmoid(second half) of ``x``'s last axis.
-
-    WaveNet's gated activation on a stacked gate+filter output. Equals
-    mul(tanh(slice_axis(x, ...)), sigmoid(slice_axis(x, ...))) bit for bit,
-    as one op; backward keeps that chain's order of operations.
-    """
-    x = _as_tensor(x)
-    if x.data.ndim < 1 or x.data.shape[-1] % 2:
-        raise ShapeError(f"gated_activation needs an even last extent, got {x.shape}")
-    c = x.data.shape[-1] // 2
-    # Contiguous copies of the halves, as the unfused chain's slices make.
-    a = np.tanh(x.data[..., :c].copy())
-    s = _sigmoid(x.data[..., c:].copy())
-
-    def grad(g, x=x, a=a, s=s):
-        gx = np.empty(x.data.shape)
-        gx[..., :c] = (g * s) * (1.0 - a * a)
-        gx[..., c:] = ((g * a) * s) * (1.0 - s)
-        return gx
-
-    return _unary(x, a * s, grad, fresh=True)
 
 
 def exp(x) -> Tensor:
@@ -620,7 +546,7 @@ def masked_softmax(logits, mask) -> Tensor:
 
 
 def _pair_softmax(s: np.ndarray, d: np.ndarray, record: bool):
-    """The kernel of attention_weights: the [..., N, N] row softmax of
+    """The kernel of attention_layer's softmax: the [..., N, N] row softmax of
     leaky(s_i + d_j) for [..., N] scores, and, if ``record``, its
     backward, which maps the attention gradient to the (s, d) gradients
     (else None). Backward folds the softmax and leaky rules into one
@@ -645,53 +571,82 @@ def _pair_softmax(s: np.ndarray, d: np.ndarray, record: bool):
     return y, grads
 
 
-def attention_weights(h, centred, w1, w2, edge=None) -> Tensor:
-    """Graph attention of every head: [H, ..., N, N], row i of head k the
-    softmax over j of leaky(w1[k] . h_i + w2[k] . h_j + a_e[k] . edge_ij).
+def attention_layer(h, centred, w1, w2, val_W, val_b, res_W, res_b, edge=None):
+    """One graph-attention layer of H heads over h [..., N, in]: returns
+    the [..., N, H * out] output and the [H, ..., N, N] attention, an
+    array through which no gradient flows.
 
-    ``h`` is [..., N, in] and ``w1``, ``w2`` are [H, in]. With ``edge`` =
-    (W_edge [2, width], b_edge [width], a_e [H, width]), edge_ij is
-    (c_i - c_j) @ W_edge + b_edge for the constant positions ``centred``
-    [..., N, 2]; without it ``centred`` is unused. The edge term is linear
-    in the displacement, a_e . edge_ij = c_i . v - c_j . v + b_edge . a_e
-    with v = W_edge @ a_e, so every logit is the sum of two per-node scores
-    and the N x N edges are never built.
+    Row i of head k is the softmax over j of leaky(w1[k] . h_i + w2[k] .
+    h_j + a_e[k] . edge_ij). It weighs the gated values u * tanh(u), u =
+    h @ val_W[k] + val_b[k], and the head is leaky of that sum, in columns
+    k * out to (k + 1) * out; the residual h @ res_W + res_b is added.
+    ``w1``, ``w2`` are [H, in], ``val_W`` [H, in, out], ``val_b`` [H,
+    out], ``res_W`` [in, H * out], ``res_b`` [H * out]. With ``edge`` =
+    (W_edge [2, width], b_edge [width], a_e [H, width]), edge_ij is (c_i -
+    c_j) @ W_edge + b_edge for the constant positions ``centred`` [..., N,
+    2]; without it ``centred`` is unused. The edge term is linear in the
+    displacement, a_e . edge_ij = c_i . v - c_j . v + b_edge . a_e with v
+    = W_edge @ a_e, so every logit is the sum of two per-node scores and
+    the N x N edges are never built.
 
-    One op for the chain of affine, add, sub and transpose ops that builds
-    the per-node scores, followed by their pair softmax (``_pair_softmax``
-    run as an op), equal to that chain bit for bit: the forward runs the
-    chain's numpy expressions, and backward adds into each input in the
-    order the chain's tape sweep did (h takes the w2 term, then the w1
-    term; the shared c . v score takes -g_dst, then +g_src).
-
-    Scores are computed head-major, [H, L] for the L nodes of ``lead``, so
-    no transpose moves the heads. b_edge's gradient alone sums g_src over
-    nodes from a C-ordered [L, H] copy: that adds the node rows one by one
-    as the chain did, where a sum along the contiguous head-major rows
-    would take numpy's pairwise order and round differently.
+    One op for the layer's chain (an affine over the value weights side by
+    side, heads moved first, and mul(tanh(u), u); the affine, add, sub and
+    transpose ops of the scores and their pair softmax; matmul, leaky_relu,
+    transpose and reshape for the heads' sums; the residual affine and an
+    add), equal to it bit for bit: the forward runs the chain's numpy
+    expressions, and backward adds into each input in the order the
+    chain's tape sweep did. h takes the residual term, then the w2 term,
+    then the w1 term, then the value term; the shared c . v score takes
+    -g_dst, then +g_src. Scores are head-major, [H, L] for the L nodes of
+    ``lead``. b_edge's gradient alone sums g_src over nodes from a
+    C-ordered [L, H] copy: that adds the node rows one by one as the chain
+    did, where a sum along the contiguous head-major rows would take
+    numpy's pairwise order and round differently.
     """
-    h, w1, w2 = _as_tensor(h), _as_tensor(w1), _as_tensor(w2)
+    h, w1, w2, val_W, val_b, res_W, res_b = (
+        _as_tensor(t) for t in (h, w1, w2, val_W, val_b, res_W, res_b))
     if w1.data.ndim != 2 or w2.data.shape != w1.data.shape:
-        raise ShapeError(f"attention_weights w1 {w1.shape} and w2 {w2.shape} must be [H, in]")
+        raise ShapeError(f"attention_layer w1 {w1.shape} and w2 {w2.shape} must be [H, in]")
     heads, d_in = w1.data.shape
     if h.data.ndim < 2 or h.data.shape[-1] != d_in:
-        raise ShapeError(f"attention_weights h {h.shape} vs w1 {w1.shape}")
-    inputs = [h, w1, w2]
+        raise ShapeError(f"attention_layer h {h.shape} vs w1 {w1.shape}")
+    if (val_W.data.ndim != 3 or val_W.data.shape[:2] != (heads, d_in)
+            or val_b.data.shape != (heads, val_W.data.shape[2])):
+        raise ShapeError(f"attention_layer value weights {val_W.shape}, {val_b.shape} "
+                         f"for {heads} heads of {d_in} inputs")
+    d_out = val_W.data.shape[2]
+    if res_W.data.shape != (d_in, heads * d_out) or res_b.data.shape != (heads * d_out,):
+        raise ShapeError(f"attention_layer residual {res_W.shape}, {res_b.shape} "
+                         f"for {heads} heads of {d_in} -> {d_out}")
     lead = h.data.shape[:-1]
-    x2 = h.data.reshape(-1, d_in)
-    src = w1.data @ x2.T
-    dst = w2.data @ x2.T
-    if edge is not None:
-        W_e, b_e, a_e = (_as_tensor(t) for t in edge)
-        inputs += [W_e, b_e, a_e]
+    edge = [] if edge is None else [_as_tensor(p) for p in edge]
+    if edge:
+        W_e, b_e, a_e = edge
         width = b_e.data.size
         if (W_e.data.shape != (2, width) or b_e.data.shape != (width,)
                 or a_e.data.shape != (heads, width)):
-            raise ShapeError(f"attention_weights edge weights {W_e.shape}, {b_e.shape}, "
+            raise ShapeError(f"attention_layer edge weights {W_e.shape}, {b_e.shape}, "
                              f"{a_e.shape} for {heads} heads")
         centred = np.asarray(centred, dtype=np.float64)
         if centred.shape != lead + (2,):
-            raise ShapeError(f"attention_weights positions {centred.shape} for h {h.shape}")
+            raise ShapeError(f"attention_layer positions {centred.shape} for h {h.shape}")
+    inputs = [h, val_W, val_b, w1, w2, *edge, res_W, res_b]
+    record = _recording(inputs)
+    x2 = h.data.reshape(-1, d_in)
+
+    # Every head's values from one product over the heads side by side.
+    W2 = val_W.data.transpose(1, 0, 2).reshape(d_in, heads * d_out)
+    u2 = x2 @ W2
+    u2 += val_b.data.reshape(-1)
+    u = u2.reshape(-1, heads, d_out).transpose(1, 0, 2).reshape((heads,) + lead + (d_out,))
+    t = np.tanh(u)
+    v = t * u
+    if not record:
+        del u2, u, t
+
+    src = w1.data @ x2.T
+    dst = w2.data @ x2.T
+    if edge:
         ae = np.ascontiguousarray(a_e.data.T)   # [width, H]
         b2 = b_e.data.reshape(1, width)
         c2 = centred.reshape(-1, 2)
@@ -699,65 +654,99 @@ def attention_weights(h, centred, w1, w2, edge=None) -> Tensor:
         src = src + (b2 @ ae).reshape(heads, 1)
         src = src + qv
         dst = dst - qv
-    record = _recording(inputs)
-    y, grads = _pair_softmax(src.reshape((heads,) + lead), dst.reshape((heads,) + lead), record)
-    out = Tensor(y)
+    alpha, grads = _pair_softmax(src.reshape((heads,) + lead), dst.reshape((heads,) + lead),
+                                 record)
+
+    # Each head's weighted sum through leaky, the heads moved last.
+    r = len(lead) - 1
+    pre = alpha @ v
+    merged = np.ascontiguousarray(_leaky(pre).transpose(tuple(range(1, r + 2)) + (0, r + 2)))
     if not record:
-        return out
+        del v, pre
+    out = (x2 @ res_W.data).reshape(lead + (-1,))
+    out += res_b.data
+    out = Tensor(np.add(merged.reshape(out.shape), out, out=out))
+    if not record:
+        return out, alpha
+    to_first = (r + 1,) + tuple(range(r + 1)) + (r + 2,)
+    attended = any(p.requires_grad for p in [h, w1, w2, *edge])
+    valued = any(p.requires_grad for p in (h, val_W, val_b))
 
     def bwd(g):
-        gs, gd = (a.reshape(heads, -1) for a in grads(g))
+        # The C-ordered copy of g the add's backward made for both terms.
+        g = np.ascontiguousarray(g)
+        g2 = g.reshape(-1, heads * d_out)
         if h.requires_grad:
-            _accumulate(h, (gd.T @ w2.data).reshape(h.data.shape), fresh=True)
-        _accumulate(w2, gd @ x2)
-        if h.requires_grad:
-            _accumulate(h, (gs.T @ w1.data).reshape(h.data.shape), fresh=True)
-        _accumulate(w1, gs @ x2)
-        if edge is not None:
-            gb = np.ascontiguousarray(gs.T).sum(axis=0).reshape(1, heads)
-            _accumulate(b_e, (gb @ ae.T).reshape(width), fresh=True)
-            gae = b2.T @ gb
-            gv = c2.T @ (gs - gd).T
-            _accumulate(W_e, gv @ ae.T, fresh=True)
-            gae += W_e.data.T @ gv
-            _accumulate(a_e, gae.T)
+            _accumulate(h, (g2 @ res_W.data.T).reshape(h.data.shape), fresh=True)
+        _accumulate(res_W, x2.T @ g2, fresh=True)
+        _accumulate(res_b, g2.sum(axis=0), fresh=True)
+        gl = np.array(g.reshape(lead + (heads, d_out)).transpose(to_first), order="C")
+        gl *= np.maximum(pre >= 0.0, _SLOPE)
+        if attended:
+            gs, gd = (a.reshape(heads, -1) for a in grads(gl @ np.swapaxes(v, -1, -2)))
+            if h.requires_grad:
+                _accumulate(h, (gd.T @ w2.data).reshape(h.data.shape), fresh=True)
+            _accumulate(w2, gd @ x2)
+            if h.requires_grad:
+                _accumulate(h, (gs.T @ w1.data).reshape(h.data.shape), fresh=True)
+            _accumulate(w1, gs @ x2)
+            if edge:
+                gb = np.ascontiguousarray(gs.T).sum(axis=0).reshape(1, heads)
+                _accumulate(b_e, (gb @ ae.T).reshape(width), fresh=True)
+                gae = b2.T @ gb
+                gv = c2.T @ (gs - gd).T
+                _accumulate(W_e, gv @ ae.T, fresh=True)
+                gae += W_e.data.T @ gv
+                _accumulate(a_e, gae.T)
+        if valued:
+            gg = np.swapaxes(alpha, -1, -2) @ gl
+            gu = gg * t + (gg * u) * (1.0 - t * t)
+            gu = gu.reshape(heads, -1, d_out).transpose(1, 0, 2).reshape(-1, heads * d_out)
+            if h.requires_grad:
+                _accumulate(h, (gu @ W2.T).reshape(h.data.shape), fresh=True)
+            _accumulate(val_W, (x2.T @ gu).reshape(d_in, heads, d_out).transpose(1, 0, 2))
+            _accumulate(val_b, gu.sum(axis=0).reshape(heads, d_out), fresh=True)
 
     _record(out, inputs, bwd)
-    return out
+    return out, alpha
 
 
-def aggregate_heads(alpha, g) -> Tensor:
-    """Every head's attention-weighted sum of its values, through leaky, with
-    the heads merged side by side: alpha [H, ..., N, N] and g [H, ..., N, w]
-    -> [..., N, H * w], head k in columns k * w to (k + 1) * w.
+def _im2col(x: Tensor, W: Tensor, b: Tensor, dilation: int):
+    """A causal convolution's operands, checked, in im2col form: x's data
+    as [B, T, C_in] (a 2-d x [C_in, T] is a batch of one), the column block
+    and W as [C_out, C_in * k]. Row (b, t) of the block holds the k dilated
+    taps of every input channel in W's (C_in, k) order, zero before step 0."""
+    if dilation < 1:
+        raise ShapeError(f"dilation must be >= 1, got {dilation}")
+    if W.data.ndim != 3:
+        raise ShapeError(f"conv weight must be [C_out, C_in, k], got {W.shape}")
+    if x.data.ndim not in (2, 3):
+        raise ShapeError(f"conv input must be [C_in, T] or [B, T, C_in], got {x.shape}")
+    c_out, c_in, k = W.data.shape
+    xb = x.data if x.data.ndim == 3 else x.data.T[None]
+    if xb.shape[-1] != c_in:
+        raise ShapeError(f"conv channel mismatch: x {x.shape} vs W {W.shape}")
+    if b.data.shape != (c_out,):
+        raise ShapeError(f"conv bias {b.shape} vs W {W.shape}")
+    n, t_len = xb.shape[:2]
+    cols4 = np.zeros((n, t_len, c_in, k))
+    for j in range(k):
+        if (s := (k - 1 - j) * dilation) < t_len:   # tap j reads step t - s
+            cols4[:, s:, :, j] = xb[:, : t_len - s]
+    return xb, cols4.reshape(n * t_len, c_in * k), W.data.reshape(c_out, c_in * k)
 
-    One op for the chain matmul, leaky_relu, transpose and reshape, equal
-    to it bit for bit: the forward runs the chain's numpy expressions, and
-    backward takes the C-ordered copy of the un-merged gradient the
-    transpose made, its leaky factor, then alpha's and g's matmul terms.
-    """
-    alpha, g = _as_tensor(alpha), _as_tensor(g)
-    a, v = alpha.data, g.data
-    if (a.ndim < 3 or v.ndim != a.ndim or a.shape[:-1] != v.shape[:-1]
-            or a.shape[-1] != a.shape[-2]):
-        raise ShapeError(f"aggregate_heads alpha {alpha.shape} vs values {g.shape}")
-    r = a.ndim - 3
-    to_last = tuple(range(1, r + 2)) + (0, r + 2)
-    to_first = (r + 1,) + tuple(range(r + 1)) + (r + 2,)
-    pre = a @ v
-    heads_last = np.ascontiguousarray(_leaky(pre).transpose(to_last))
-    out = Tensor(heads_last.reshape(heads_last.shape[:-2] + (-1,)))
 
-    def bwd(gm):
-        gl = np.array(gm.reshape(heads_last.shape).transpose(to_first), order="C")
-        gl *= np.maximum(pre >= 0.0, _SLOPE)
-        if alpha.requires_grad:
-            _accumulate(alpha, gl @ np.swapaxes(v, -1, -2), fresh=True)
-        if g.requires_grad:
-            _accumulate(g, np.swapaxes(a, -1, -2) @ gl, fresh=True)
-
-    _record(out, [alpha, g], bwd)
-    return out
+def _col2im(gcols: np.ndarray, shape: tuple, dilation: int) -> np.ndarray:
+    """The [B, T, C_in] input gradient (``shape``) from the column block's
+    gradient: each tap's slice added back onto the input steps it read."""
+    n, t_len, c_in = shape
+    gcols = gcols.reshape(n, t_len, c_in, -1)
+    k = gcols.shape[-1]
+    gx = np.zeros(shape)
+    for j in range(k):
+        if (s := (k - 1 - j) * dilation) < t_len:
+            gx[:, : t_len - s] += gcols[:, s:, :, j]
+    return gx
 
 
 def conv1d_causal(x, W, b, dilation: int = 1) -> Tensor:
@@ -768,51 +757,69 @@ def conv1d_causal(x, W, b, dilation: int = 1) -> Tensor:
     [C_in, T], read through its transpose as a batch of one; its result
     is [C_out, T]. Output keeps the input length, and step t depends only
     on input steps 0..t: tap k-1 reads the current step, lower taps read
-    the past. Runs as one im2col matmul: row (b, t) of the column block
-    holds the k dilated taps of every input channel, in the (C_in, k)
-    order of ``W.reshape(C_out, C_in * k)``, with zeros where a tap reads
-    before step 0. Backward is the transpose: two matmuls, then the k tap
-    slices of the column gradient are added back onto the input steps
-    they read.
+    the past. Runs as one im2col matmul (``_im2col``); backward is two
+    matmuls and ``_col2im``.
     """
     x, W, b = _as_tensor(x), _as_tensor(W), _as_tensor(b)
-    if dilation < 1:
-        raise ShapeError(f"dilation must be >= 1, got {dilation}")
-    if W.data.ndim != 3:
-        raise ShapeError(f"conv weight must be [C_out, C_in, k], got {W.shape}")
+    xb, cols, W2 = _im2col(x, W, b, dilation)
     batched = x.data.ndim == 3
-    if x.data.ndim not in (2, 3):
-        raise ShapeError(f"conv input must be [C_in, T] or [B, T, C_in], got {x.shape}")
-    c_out, c_in, k = W.data.shape
-    xb = x.data if batched else x.data.T[None]
-    if xb.shape[-1] != c_in:
-        raise ShapeError(f"conv channel mismatch: x {x.shape} vs W {W.shape}")
-    if b.data.shape != (c_out,):
-        raise ShapeError(f"conv bias {b.shape} vs W {W.shape}")
     n, t_len = xb.shape[:2]
-    # Tap j reads step t - shift[j]; the first shift[j] steps read padding.
-    shifts = [(k - 1 - j) * dilation for j in range(k)]
-    cols4 = np.zeros((n, t_len, c_in, k))
-    for j, s in enumerate(shifts):
-        if s < t_len:
-            cols4[:, s:, :, j] = xb[:, : t_len - s]
-    cols = cols4.reshape(n * t_len, c_in * k)
-    W2 = W.data.reshape(c_out, c_in * k)
     out2 = cols @ W2.T
     out2 += b.data
-    out = Tensor(out2.reshape(n, t_len, c_out) if batched else out2.T.copy())
+    out = Tensor(out2.reshape(n, t_len, -1) if batched else out2.T.copy())
 
-    def bwd(g, x=x, W=W, b=b, cols=cols, W2=W2, batched=batched):
-        g2 = g.reshape(n * t_len, c_out) if batched else g.T
+    def bwd(g):
+        g2 = g.reshape(n * t_len, -1) if batched else g.T
         _accumulate(W, (g2.T @ cols).reshape(W.data.shape), fresh=True)
         _accumulate(b, g2.sum(axis=0), fresh=True)
         if x.requires_grad:
-            gcols = (g2 @ W2).reshape(n, t_len, c_in, k)
-            gx = np.zeros((n, t_len, c_in))
-            for j, s in enumerate(shifts):
-                if s < t_len:
-                    gx[:, : t_len - s] += gcols[:, s:, :, j]
+            gx = _col2im(g2 @ W2, xb.shape, dilation)
             _accumulate(x, gx if batched else gx[0].T, fresh=True)
+
+    _record(out, [x, W, b], bwd)
+    return out
+
+
+def gated_conv(x, W, b, dilation: int) -> Tensor:
+    """One gated causal convolution layer over channels-last x [B, T,
+    C_in]: tanh(gate) * sigmoid(filter), [B, T, C], for the two halves of
+    the 2 * C output channels of conv1d_causal(x, W, b, dilation).
+
+    One op for the chain conv1d_causal, slice_axis, tanh, sigmoid and mul,
+    equal to it bit for bit: the forward runs the chain's numpy
+    expressions, and backward builds the convolution output's gradient as
+    the chain's sweep did, then applies conv1d_causal's rule to it.
+    """
+    x, W, b = _as_tensor(x), _as_tensor(W), _as_tensor(b)
+    if x.data.ndim != 3:
+        raise ShapeError(f"gated_conv input must be [B, T, C_in], got {x.shape}")
+    _, cols, W2 = _im2col(x, W, b, dilation)
+    if W2.shape[0] % 2:
+        raise ShapeError(f"gated_conv needs an even number of output channels, got W {W.shape}")
+    record = _recording((x, W, b))
+    (n, t_len, _), c = x.data.shape, W2.shape[0] // 2
+    y = cols @ W2.T
+    y += b.data
+    y = y.reshape(n, t_len, 2 * c)
+    if not record:
+        del cols
+    # Contiguous copies of the halves, as the chain's slices made.
+    a = np.tanh(y[..., :c].copy())
+    s = _sigmoid(y[..., c:].copy())
+    del y
+    out = Tensor(a * s)
+    if not record:
+        return out
+
+    def bwd(g):
+        gy = np.empty((n, t_len, 2 * c))
+        gy[..., :c] = (g * s) * (1.0 - a * a)
+        gy[..., c:] = ((g * a) * s) * (1.0 - s)
+        gy = gy.reshape(n * t_len, 2 * c)
+        _accumulate(W, (gy.T @ cols).reshape(W.data.shape), fresh=True)
+        _accumulate(b, gy.sum(axis=0), fresh=True)
+        if x.requires_grad:
+            _accumulate(x, _col2im(gy @ W2, x.data.shape, dilation), fresh=True)
 
     _record(out, [x, W, b], bwd)
     return out

@@ -57,17 +57,28 @@ class TestEdgeFeatures:
 
 
 class TestGatedTransform:
+    """The value gate u * tanh(u), read through a layer that passes it out:
+    one pedestrian attends to itself with weight 1, its value is the bias
+    u, the gated value is non-negative, so leaky keeps it, and the residual
+    is zero."""
+
+    def gated(self, u):
+        layer, store = make_layer(in_dim=2, heads=1, head_out=1)
+        store["gal.h0.val.W"].data[...] = 0.0
+        store["gal.h0.val.b"].data[...] = u
+        store["gal.res.W"].data[...] = 0.0
+        store["gal.res.b"].data[...] = 0.0
+        out, _ = layer.forward(Tensor(np.ones((1, 2))), np.zeros((1, 2)))
+        return out.data.reshape(1)
+
     def test_zero_preactivation(self):
-        g = T.tanh_gate(Tensor([0.0]))
-        np.testing.assert_array_equal(g.data, [0.0])
+        np.testing.assert_array_equal(self.gated(0.0), [0.0])
 
     def test_unit_preactivation(self):
-        g = T.tanh_gate(Tensor([1.0]))
-        np.testing.assert_allclose(g.data, [0.7615941559557649], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(self.gated(1.0), [0.7615941559557649], rtol=0, atol=1e-15)
 
     def test_saturation_passes_value(self):
-        g = T.tanh_gate(Tensor([50.0]))
-        np.testing.assert_allclose(g.data, [50.0], rtol=1e-12)
+        np.testing.assert_allclose(self.gated(50.0), [50.0], rtol=1e-12)
 
 
 class TestAttention:

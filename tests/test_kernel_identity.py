@@ -5,8 +5,10 @@ masked ufuncs. Their forward values and input gradients must equal the
 select forms in ``oracles`` in every byte (so the sign of zero counts),
 and a model whose kernels are swapped for those forms must predict,
 attend and train to the same bytes. The model reaches the pair softmax
-only through attention_weights, so both the kernel tests and the swap
-use its private kernel ``_pair_softmax``.
+only through attention_layer, so both the kernel tests and the swap use
+its private kernel ``_pair_softmax``. The same holds for the layer ops
+themselves: a model whose attention_layer and gated_conv are swapped for
+the op chains they fuse (``chain_ops``) gives the same bytes.
 """
 
 import numpy as np
@@ -19,6 +21,7 @@ from graphtcn.config import ModelConfig
 from graphtcn.data import SequenceWindow
 from graphtcn.model import GraphTCN
 
+import chain_ops
 from oracles import leaky_select, pair_softmax_select, sigmoid_select
 from test_tensor import leaf
 
@@ -193,3 +196,13 @@ def test_model_matches_select_kernels(monkeypatch, variant, hidden, n):
     monkeypatch.setattr(T, "_sigmoid", sigmoid_select)
     monkeypatch.setattr(T, "_pair_softmax", pair_softmax_select_kernel)
     assert model_bytes(variant, hidden, n) == fast
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 64])
+@pytest.mark.parametrize("hidden", [0, 16])
+@pytest.mark.parametrize("variant", ["graphtcn", "graphtcn_g", "no_efgat", "vanilla_gat"])
+def test_model_matches_layer_op_chains(monkeypatch, variant, hidden, n):
+    fused = model_bytes(variant, hidden, n)
+    monkeypatch.setattr(T, "attention_layer", chain_ops.attention_layer)
+    monkeypatch.setattr(T, "gated_conv", chain_ops.gated_conv)
+    assert model_bytes(variant, hidden, n) == fused

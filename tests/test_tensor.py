@@ -20,12 +20,14 @@ from graphtcn.errors import (
 )
 from graphtcn.graph_attention import GraphAttentionLayer
 
+import chain_ops as C
 from oracles import conv_oracle, gal_oracle
 
 
 def pair_softmax_op(src, dst):
     """The attention's pair softmax kernel run as a tape op on [..., N]
-    scores, as the attention chain before attention_weights ran it."""
+    scores, as the attention chain before the attention_weights op (now
+    chain_ops.attention_weights) ran it."""
     y, grads = T._pair_softmax(src.data, dst.data, T._recording((src, dst)))
     out = T.Tensor(y)
 
@@ -217,7 +219,7 @@ class TestForwardValues:
                          T.sigmoid(T.slice_axis(t, -1, c, 2 * c)))
 
         results = []
-        for op in (chain, T.gated_activation):
+        for op in (chain, C.gated_activation):
             store = T.ParameterStore()
             p = store.add("x", x)
             with T.Tape() as tape:
@@ -229,8 +231,22 @@ class TestForwardValues:
         assert (out == ref).all() and (grad == ref_grad).all()
 
     def test_gated_activation_needs_even_extent(self):
-        with pytest.raises(ShapeError):
-            T.gated_activation(np.zeros((2, 3)))
+        # gated_conv's gate, once the gated_activation op, halves an even
+        # number of output channels.
+        with pytest.raises(ShapeError, match="even"):
+            T.gated_conv(np.zeros((2, 4, 2)), np.zeros((3, 2, 2)), np.zeros(3), 1)
+
+    def test_gated_conv_shapes_checked(self):
+        args = [np.zeros((2, 4, 3)), np.zeros((6, 3, 2)), np.zeros(6), 2]
+        assert T.gated_conv(*args).shape == (2, 4, 3)
+        bad = {0: [np.zeros((3, 4)), np.zeros((2, 4, 2)), np.zeros((1, 2, 4, 3))],  # x
+               1: [np.zeros((6, 3)), np.zeros((6, 2, 2))],                          # W
+               2: [np.zeros(4), np.zeros((6, 1))],                                  # b
+               3: [0]}                                                              # dilation
+        for i, cases in bad.items():
+            for value in cases:
+                with pytest.raises(ShapeError):
+                    T.gated_conv(*(args[:i] + [value] + args[i + 1:]))
 
     @pytest.mark.parametrize("heads,lead", [(1, (5,)), (2, (3, 4)), (3, (2, 2, 3))])
     def test_head_affine_equals_affine_over_side_by_side_heads(self, heads, lead):
@@ -258,7 +274,7 @@ class TestForwardValues:
         store2 = T.ParameterStore()
         qx, qW, qb = store2.add("x", x), store2.add("W", W), store2.add("b", b)
         with T.Tape() as tape:
-            out = T.head_affine(qx, qW, qb)
+            out = C.head_affine(qx, qW, qb)
             T.backward(T.reduce_sum(T.mul(out, T.Tensor(w))), tape)
 
         assert out.shape == (heads,) + lead + (d_out,)
@@ -268,12 +284,14 @@ class TestForwardValues:
         assert (qb.grad.reshape(-1) == pb.grad).all()
 
     def test_head_affine_shapes_checked(self):
-        with pytest.raises(ShapeError):
-            T.head_affine(np.zeros((3, 4)), np.zeros((4, 2)), np.zeros(2))
-        with pytest.raises(ShapeError):
-            T.head_affine(np.zeros((3, 4)), np.zeros((2, 5, 2)), np.zeros((2, 2)))
-        with pytest.raises(ShapeError):
-            T.head_affine(np.zeros((3, 4)), np.zeros((2, 4, 2)), np.zeros(4))
+        # attention_layer's value weights, once the head_affine op's.
+        h, w, res = np.zeros((3, 4)), np.zeros((2, 4)), (np.zeros((4, 4)), np.zeros(4))
+        for val_W, val_b in [(np.zeros((4, 2)), np.zeros(2)),           # no head axis
+                             (np.zeros((2, 5, 2)), np.zeros((2, 2))),   # inputs
+                             (np.zeros((1, 4, 4)), np.zeros((1, 4))),   # heads vs w1
+                             (np.zeros((2, 4, 2)), np.zeros(4))]:       # bias
+            with pytest.raises(ShapeError, match="value weights"):
+                T.attention_layer(h, None, w, w, val_W, val_b, *res)
 
     @pytest.mark.parametrize("edges", [True, False])
     @pytest.mark.parametrize("heads,lead", [(1, ()), (2, (3,)), (3, (2, 3))])
@@ -309,7 +327,7 @@ class TestForwardValues:
 
         def fused(p, h):
             edge = (p["W_e"], p["b_e"], p["a_e"]) if edges else None
-            return T.attention_weights(h, centred if edges else None, p["w1"], p["w2"], edge)
+            return C.attention_weights(h, centred if edges else None, p["w1"], p["w2"], edge)
 
         results = []
         for op in (chain, fused):
@@ -330,9 +348,15 @@ class TestForwardValues:
             assert all((g == 0.0).all() for g in results[1][4:])
 
     def test_attention_weights_shapes_checked(self):
+        # attention_layer's scores, once the attention_weights op's.
         h, w = np.zeros((3, 4)), np.zeros((2, 4))
         edge = (np.zeros((2, 5)), np.zeros(5), np.zeros((2, 5)))
-        T.attention_weights(h, np.zeros((3, 2)), w, w, edge)
+        rest = (np.zeros((2, 4, 3)), np.zeros((2, 3)), np.zeros((4, 6)), np.zeros(6))
+
+        def attention(h, centred, w1, w2, edge):
+            return T.attention_layer(h, centred, w1, w2, *rest, edge)
+
+        attention(h, np.zeros((3, 2)), w, w, edge)
         bad = [
             (np.zeros((3, 5)), None, w, w, None),                  # h width
             (np.zeros(4), None, w, w, None),                        # h without a node axis
@@ -346,7 +370,7 @@ class TestForwardValues:
         ]
         for args in bad:
             with pytest.raises(ShapeError):
-                T.attention_weights(*args)
+                attention(*args)
 
     @pytest.mark.parametrize("groups,per_node", [(1, True), (1, False), (3, True), (3, False)])
     def test_draw_affine_equals_unfused_chain(self, groups, per_node):
@@ -408,7 +432,7 @@ class TestForwardValues:
         x = np.concatenate([rng.normal(size=20) * 3.0, [0.0, -0.0, 50.0, -50.0]])
         w = rng.normal(size=x.shape)
         results = []
-        for op in (lambda t: T.mul(T.tanh(t), t), T.tanh_gate):
+        for op in (lambda t: T.mul(T.tanh(t), t), C.tanh_gate):
             store = T.ParameterStore()
             p = store.add("x", x)
             with T.Tape() as tape:
@@ -440,12 +464,12 @@ class TestForwardValues:
                              lead + (n, heads * width))
 
         results = []
-        for op in (chain, T.aggregate_heads):
+        for op in (chain, C.aggregate_heads):
             store = T.ParameterStore()
             pa, px, pW, pb = (store.add(k, v) for k, v in
                               (("alpha", alpha), ("x", x), ("W", W), ("b", b)))
             with T.Tape() as tape:
-                out = op(T.reshape(pa, pa.shape), T.head_affine(px, pW, pb))
+                out = op(T.reshape(pa, pa.shape), C.head_affine(px, pW, pb))
                 T.backward(T.reduce_sum(T.mul(out, T.Tensor(w))), tape)
             results.append([out.data] + [t.grad.copy() for t in (pa, px, pW, pb)])
         assert results[1][0].shape == lead + (n, heads * width)
@@ -453,14 +477,97 @@ class TestForwardValues:
             assert ref.shape == got.shape and ref.tobytes() == got.tobytes()
 
     def test_aggregate_heads_shapes_checked(self):
-        assert T.aggregate_heads(np.zeros((2, 3, 3)), np.zeros((2, 3, 4))).shape == (3, 8)
-        for alpha, g in [(np.zeros((3, 3)), np.zeros((3, 4))),          # no head axis
-                         (np.zeros((2, 3, 3)), np.zeros((1, 3, 4))),    # heads
-                         (np.zeros((2, 3, 3)), np.zeros((2, 4, 4))),    # nodes
-                         (np.zeros((2, 3, 4)), np.zeros((2, 3, 4))),    # alpha not N x N
-                         (np.zeros((2, 3, 3)), np.zeros((2, 1, 3, 4)))]:  # rank
-            with pytest.raises(ShapeError):
-                T.aggregate_heads(alpha, g)
+        # attention_layer merges the heads' sums, once the aggregate_heads
+        # op's output, and adds the residual: [in, heads * out] weights.
+        h, w, val = np.zeros((2, 3, 4)), np.zeros((2, 4)), (np.zeros((2, 4, 5)), np.zeros((2, 5)))
+        out, alpha = T.attention_layer(h, None, w, w, *val, np.zeros((4, 10)), np.zeros(10))
+        assert out.shape == (2, 3, 10) and alpha.shape == (2, 2, 3, 3)
+        for res_W, res_b in [(np.zeros((4, 5)), np.zeros(5)),      # one head's width
+                             (np.zeros((3, 10)), np.zeros(10)),    # inputs
+                             (np.zeros((4, 10)), np.zeros(5)),     # bias
+                             (np.zeros(10), np.zeros(10))]:        # rank
+            with pytest.raises(ShapeError, match="residual"):
+                T.attention_layer(h, None, w, w, *val, res_W, res_b)
+
+    @pytest.mark.parametrize("input_grad", [True, False])
+    @pytest.mark.parametrize("edges", [True, False])
+    @pytest.mark.parametrize("heads,lead", [(1, ()), (2, (3,)), (3, (2, 3))])
+    def test_attention_layer_equals_unfused_chain(self, heads, lead, edges, input_grad):
+        # The layer's six-op chain (chain_ops.attention_layer) against the
+        # op: output, attention and every input gradient, bit for bit.
+        # With input_grad, h is an op output that feeds one more term, so
+        # it holds a gradient before the layer's four terms arrive, and
+        # their order shows; else h is a constant. The output gradient
+        # arrives through a transpose, so it is not C-ordered, as in the
+        # spatial encoder.
+        rng = np.random.default_rng(100 * heads + 10 * len(lead) + 2 * edges + input_grad)
+        n, d_in, d_out, width = 5, 6, 4, 3
+        shapes = {"h": lead + (n, d_in), "w1": (heads, d_in), "w2": (heads, d_in),
+                  "val_W": (heads, d_in, d_out), "val_b": (heads, d_out),
+                  "res_W": (d_in, heads * d_out), "res_b": (heads * d_out,),
+                  "W_e": (2, width), "b_e": (width,), "a_e": (heads, width)}
+        values = {k: rng.normal(size=v) for k, v in shapes.items()}
+        centred = rng.normal(size=lead + (n, 2)) * 3.0
+        out_shape = lead + (n, heads * d_out)
+        w = rng.normal(size=out_shape[::-1])
+        w_h = rng.normal(size=shapes["h"])
+
+        results = []
+        for op in (C.attention_layer, T.attention_layer):
+            store = T.ParameterStore()
+            p = {k: store.add(k, v) for k, v in values.items()}
+            with T.Tape() as tape:
+                h = T.reshape(p["h"], shapes["h"]) if input_grad else T.Tensor(values["h"])
+                edge = (p["W_e"], p["b_e"], p["a_e"]) if edges else None
+                out, alpha = op(h, centred if edges else None, p["w1"], p["w2"], p["val_W"],
+                                p["val_b"], p["res_W"], p["res_b"], edge)
+                loss = T.reduce_sum(T.mul(T.transpose(out, range(len(out_shape))[::-1]),
+                                          T.Tensor(w)))
+                if input_grad:
+                    loss = T.add(loss, T.reduce_sum(T.mul(h, T.Tensor(w_h))))
+                T.backward(loss, tape)
+            results.append([out.data, alpha] + [p[k].grad.copy() for k in shapes])
+        assert results[1][0].shape == out_shape
+        assert results[1][1].shape == (heads,) + lead + (n, n)
+        for ref, got in zip(*results):
+            assert ref.shape == got.shape and ref.tobytes() == got.tobytes()
+        assert (results[1][2] != 0.0).all() == input_grad
+        if not edges:
+            assert all((g == 0.0).all() for g in results[1][-3:])
+
+    @pytest.mark.parametrize("input_grad", [True, False])
+    @pytest.mark.parametrize("shape,k,dilation", [
+        ((2, 5, 3), 3, 1), ((3, 7, 2), 2, 2), ((1, 4, 3), 5, 1), ((2, 1, 2), 2, 3)])
+    def test_gated_conv_equals_unfused_chain(self, shape, k, dilation, input_grad):
+        # conv1d_causal, then the gate (chain_ops.gated_conv), against the
+        # op: output and every input gradient, bit for bit. The last two
+        # cases have taps that reach before step 0. With input_grad, x is
+        # an op output that already holds a gradient when the layer's
+        # arrives; else it is a constant.
+        rng = np.random.default_rng(sum(shape) + 10 * k + dilation + 100 * input_grad)
+        c = 3
+        x = rng.normal(size=shape) * 2.0
+        W = rng.normal(size=(2 * c, shape[-1], k))
+        b = rng.normal(size=2 * c)
+        w = rng.normal(size=shape[:-1] + (c,))
+        w_x = rng.normal(size=shape)
+
+        results = []
+        for op in (C.gated_conv, T.gated_conv):
+            store = T.ParameterStore()
+            px, pW, pb = store.add("x", x), store.add("W", W), store.add("b", b)
+            with T.Tape() as tape:
+                xin = T.reshape(px, shape) if input_grad else T.Tensor(x)
+                out = op(xin, pW, pb, dilation)
+                loss = T.reduce_sum(T.mul(out, T.Tensor(w)))
+                if input_grad:
+                    loss = T.add(loss, T.reduce_sum(T.mul(xin, T.Tensor(w_x))))
+                T.backward(loss, tape)
+            results.append([out.data] + [t.grad.copy() for t in (px, pW, pb)])
+        assert results[1][0].shape == shape[:-1] + (c,)
+        for ref, got in zip(*results):
+            assert ref.shape == got.shape and ref.tobytes() == got.tobytes()
+        assert (results[1][1] != 0.0).any() == input_grad
 
     @pytest.mark.parametrize("m,n,t", [(1, 1, 1), (4, 3, 5), (20, 2, 12), (20, 7, 12)])
     def test_best_of_m_ade_equals_unfused_chain(self, m, n, t):
@@ -699,7 +806,7 @@ class TestBackward:
         x = leaf([1.0])
         out = T.mul(x, x)
         assert out.requires_grad is False
-        for name, (fn, shapes, _) in OP_CASES.items():
+        for name, (fn, shapes, _) in CASES.items():
             inputs = _op_inputs(shapes, grad_at=range(len(shapes)))
             assert fn(*inputs).requires_grad is False, name
 
@@ -734,24 +841,21 @@ OP_CASES = {
     "mul": (T.mul, [(2, 3), (2, 3)], 1),
     "mul.scalar": (T.mul, [(2, 3), ()], 1),
     "affine": (T.affine, [(2, 3), (3, 4), (4,)], 1),
-    "head_affine": (T.head_affine, [(2, 3), (2, 3, 4), (2, 4)], 1),
     "draw_affine": (lambda s, p, W, b: T.draw_affine(s, p, W, b, 1),
                     [(3, 4), (2, 5), (9, 6), (6,)], 1),
     "draw_affine.per_node": (lambda s, p, W, b: T.draw_affine(s, p, W, b, 3),
                              [(3, 6), (2, 3, 3), (9, 6), (6,)], 1),
-    "attention_weights": (lambda h, w1, w2: T.attention_weights(h, None, w1, w2),
-                          [(2, 3, 4), (2, 4), (2, 4)], 1),
-    "attention_weights.edge": (
-        lambda h, w1, w2, W_e, b_e, a_e: T.attention_weights(
-            h, np.arange(6.0).reshape(3, 2), w1, w2, (W_e, b_e, a_e)),
-        [(3, 4), (2, 4), (2, 4), (2, 5), (5,), (2, 5)], 1),
+    "attention_layer": (
+        lambda h, w1, w2, vW, vb, rW, rb: T.attention_layer(h, None, w1, w2, vW, vb, rW, rb)[0],
+        [(2, 3, 4), (2, 4), (2, 4), (2, 4, 5), (2, 5), (4, 10), (10,)], 1),
+    "attention_layer.edge": (
+        lambda h, w1, w2, vW, vb, rW, rb, W_e, b_e, a_e: T.attention_layer(
+            h, np.arange(6.0).reshape(3, 2), w1, w2, vW, vb, rW, rb, (W_e, b_e, a_e))[0],
+        [(3, 4), (2, 4), (2, 4), (2, 4, 5), (2, 5), (4, 10), (10,), (2, 5), (5,), (2, 5)], 1),
     "matmul": (T.matmul, [(2, 3), (3, 4)], 1),
-    "aggregate_heads": (T.aggregate_heads, [(2, 3, 3), (2, 3, 4)], 1),
     "leaky_relu": (T.leaky_relu, [(2, 3)], 1),
     "tanh": (T.tanh, [(2, 3)], 1),
-    "tanh_gate": (T.tanh_gate, [(2, 3)], 1),
     "sigmoid": (T.sigmoid, [(2, 3)], 1),
-    "gated_activation": (T.gated_activation, [(2, 4)], 1),
     "exp": (T.exp, [(2, 3)], 1),
     "log": (T.log, [(2, 3)], 1),
     "sqrt": (T.sqrt, [(2, 3)], 1),
@@ -764,6 +868,7 @@ OP_CASES = {
     "masked_softmax": (lambda x: T.masked_softmax(x, [[True, False, True]] * 2), [(2, 3)], 1),
     "conv1d_causal": (lambda x, W, b: T.conv1d_causal(x, W, b, dilation=2),
                       [(2, 5), (3, 2, 2), (3,)], 1),
+    "gated_conv": (lambda x, W, b: T.gated_conv(x, W, b, 2), [(2, 5, 2), (4, 2, 2), (4,)], 1),
     "reduce_sum": (T.reduce_sum, [(2, 3)], 1),
     "reduce_sum.axis": (lambda x: T.reduce_sum(x, axis=1), [(2, 3)], 1),
     "reduce_mean": (T.reduce_mean, [(2, 3)], 1),
@@ -771,6 +876,23 @@ OP_CASES = {
     "reduce_min.axis": (lambda x: T.reduce_min(x, axis=-1), [(2, 3)], 1),
     "best_of_m_ade": (lambda x: T.best_of_m_ade(x, np.zeros((2, 3, 2))), [(4, 2, 3, 2)], 1),
 }
+
+
+# The ops that attention_layer and gated_conv fused, kept in chain_ops as
+# the chains those ops are checked against, follow the same rule.
+CHAIN_CASES = {
+    "head_affine": (C.head_affine, [(2, 3), (2, 3, 4), (2, 4)], 1),
+    "attention_weights": (lambda h, w1, w2: C.attention_weights(h, None, w1, w2),
+                          [(2, 3, 4), (2, 4), (2, 4)], 1),
+    "attention_weights.edge": (
+        lambda h, w1, w2, W_e, b_e, a_e: C.attention_weights(
+            h, np.arange(6.0).reshape(3, 2), w1, w2, (W_e, b_e, a_e)),
+        [(3, 4), (2, 4), (2, 4), (2, 5), (5,), (2, 5)], 1),
+    "aggregate_heads": (C.aggregate_heads, [(2, 3, 3), (2, 3, 4)], 1),
+    "tanh_gate": (C.tanh_gate, [(2, 3)], 1),
+    "gated_activation": (C.gated_activation, [(2, 4)], 1),
+}
+CASES = {**OP_CASES, **CHAIN_CASES}
 
 
 def _op_inputs(shapes, grad_at=()):
@@ -783,22 +905,23 @@ def _op_inputs(shapes, grad_at=()):
 
 
 class TestRecordingRule:
-    """Every public op records one node exactly when an input needs a gradient."""
+    """Every public op, and every chain op of chain_ops, records one node
+    exactly when an input needs a gradient."""
 
     def test_table_covers_every_public_op(self):
         assert {case.split(".")[0] for case in OP_CASES} == _public_ops()
 
-    @pytest.mark.parametrize("case", sorted(OP_CASES))
+    @pytest.mark.parametrize("case", sorted(CASES))
     def test_constant_inputs_record_nothing(self, case):
-        fn, shapes, _ = OP_CASES[case]
+        fn, shapes, _ = CASES[case]
         with T.Tape() as tape:
             out = fn(*_op_inputs(shapes))
         assert tape.nodes == [] and out.requires_grad is False
 
-    @pytest.mark.parametrize("case,i", [(c, i) for c in sorted(OP_CASES)
-                                        for i in range(len(OP_CASES[c][1]))])
+    @pytest.mark.parametrize("case,i", [(c, i) for c in sorted(CASES)
+                                        for i in range(len(CASES[c][1]))])
     def test_one_grad_input_records_one_node(self, case, i):
-        fn, shapes, nodes = OP_CASES[case]
+        fn, shapes, nodes = CASES[case]
         inputs = _op_inputs(shapes, grad_at=[i])
         # No buffer yet, so the gradient below is one the op wrote.
         inputs[i].grad = None
@@ -864,7 +987,7 @@ class TestFiniteDifference:
         [
             ("leaky_relu", lambda p: T.reduce_sum(T.leaky_relu(p["p0"]))),
             ("tanh", lambda p: T.reduce_sum(T.tanh(p["p0"]))),
-            ("tanh_gate", lambda p: T.reduce_sum(T.tanh_gate(p["p0"]))),
+            ("tanh_gate", lambda p: T.reduce_sum(C.tanh_gate(p["p0"]))),
             ("sigmoid", lambda p: T.reduce_sum(T.sigmoid(p["p0"]))),
             ("exp", lambda p: T.reduce_sum(T.exp(p["p0"]))),
             ("mul", lambda p: T.reduce_sum(T.mul(p["p0"], p["p0"]))),
@@ -1002,7 +1125,7 @@ class TestFiniteDifference:
         w = np.random.default_rng(17).normal(size=(2, 3, 4, 5))
 
         def f(p):
-            y = T.head_affine(p["p0"], p["p1"], p["p2"])
+            y = C.head_affine(p["p0"], p["p1"], p["p2"])
             return T.reduce_sum(T.mul(T.tanh(y), T.Tensor(w)))
 
         err = fd_scalar(f, 3, [(3, 4, 6), (2, 6, 5), (2, 5)], seed=18)
@@ -1013,7 +1136,7 @@ class TestFiniteDifference:
         w = np.random.default_rng(19).normal(size=shape[:-1] + (shape[-1] // 2,))
 
         def f(p):
-            return T.reduce_sum(T.mul(T.gated_activation(p["p0"]), T.Tensor(w)))
+            return T.reduce_sum(T.mul(C.gated_activation(p["p0"]), T.Tensor(w)))
 
         err = fd_scalar(f, 1, [shape], seed=20)
         assert err < 1e-6
@@ -1043,10 +1166,38 @@ class TestFiniteDifference:
         w = np.random.default_rng(34).normal(size=(3, 4, 10))
 
         def f(p):
-            return T.reduce_sum(T.mul(T.aggregate_heads(p["p0"], p["p1"]), T.Tensor(w)))
+            return T.reduce_sum(T.mul(C.aggregate_heads(p["p0"], p["p1"]), T.Tensor(w)))
 
         err = fd_scalar(f, 2, [(2, 3, 4, 4), (2, 3, 4, 5)], seed=35)
         assert err < 1e-6
+
+    @pytest.mark.parametrize("edges", [True, False])
+    def test_attention_layer_gradient(self, edges):
+        # Every input of the op: h, w1, w2, the value and residual weights
+        # and, with edges, the three edge weights.
+        rng = np.random.default_rng(37 + edges)
+        centred = rng.normal(size=(2, 4, 2))
+        w = rng.normal(size=(2, 4, 6))
+        shapes = [(2, 4, 5), (3, 5), (3, 5), (3, 5, 2), (3, 2), (5, 6), (6,)]
+        shapes += [(2, 3), (3,), (3, 3)] if edges else []
+
+        def f(p):
+            args = [p[f"p{i}"] for i in range(len(shapes))]
+            out, _ = T.attention_layer(args[0], centred, *args[1:7],
+                                       tuple(args[7:]) if edges else None)
+            return T.reduce_sum(T.mul(out, T.Tensor(w)))
+
+        assert fd_scalar(f, len(shapes), shapes, seed=38 + edges) < 1e-6
+
+    @pytest.mark.parametrize("dilation", [1, 2])
+    def test_gated_conv_gradient(self, dilation):
+        w = np.random.default_rng(39).normal(size=(2, 6, 3))
+
+        def f(p):
+            return T.reduce_sum(T.mul(T.gated_conv(p["p0"], p["p1"], p["p2"], dilation),
+                                      T.Tensor(w)))
+
+        assert fd_scalar(f, 3, [(2, 6, 2), (6, 2, 3), (6,)], seed=40 + dilation) < 1e-6
 
     def test_best_of_m_ade_gradient(self):
         # Draws scaled 1x to 5x away from the target, so a step of h never

@@ -84,14 +84,8 @@ class _Reader:
                 f"{what} has invalid UTF-8 at offset {start + e.start}"
             ) from None
 
-    def u8(self) -> int:
-        return struct.unpack("<B", self.take(1))[0]
-
-    def u16(self) -> int:
-        return struct.unpack("<H", self.take(2))[0]
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -99,17 +93,17 @@ def load_checkpoint(path) -> Checkpoint:
     r = _Reader(blob)
     if r.take(4) != MAGIC:
         raise CheckpointFormatError(f"bad magic in {path}")
-    version = r.u32()
+    (version,) = r.unpack("<I")
     if version != VERSION:
         raise CheckpointFormatError(f"unsupported checkpoint version {version}")
-    cfg_len = r.u32()
+    (cfg_len,) = r.unpack("<I")
     config = ModelConfig.from_text(r.text(cfg_len, "config text"))
-    n_params = r.u32()
+    (n_params,) = r.unpack("<I")
     arrays = {}
     for _ in range(n_params):
-        name = r.text(r.u16(), "parameter name")
-        rank = r.u8()
-        dims = struct.unpack(f"<{rank}I", r.take(4 * rank)) if rank else ()
+        name = r.text(r.unpack("<H")[0], "parameter name")
+        (rank,) = r.unpack("<B")
+        dims = r.unpack(f"<{rank}I")
         count = math.prod(dims)
         data = np.frombuffer(r.take(8 * count), dtype="<f8").reshape(dims)
         if name in arrays:

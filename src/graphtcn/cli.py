@@ -152,9 +152,9 @@ def _cmd_dump_attn(args) -> int:
         starts = [w.start_frame for w in windows]
         raise DataError(f"no window starting at {start} in {scene}; have {starts}")
     window = matches[0]
-    if model.spatial.gal1 is None:
-        raise ContractError("this checkpoint's variant has no attention to dump")
     _, attn = model.encode(window)
+    if attn is None:
+        raise ContractError("this checkpoint's variant has no attention to dump")
     write_attention_dump(args.out, window, attn, cfg.t_obs)
     print(f"attention dump written to {args.out}")
     return 0

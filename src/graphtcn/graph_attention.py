@@ -9,10 +9,11 @@ displacement p_i - p_j. Because the embedding is affine and scored by a
 dot product, the layer never forms it per pair: each pedestrian's score
 takes its position relative to pedestrian 0 of the same step, and the
 logit of a pair is the sum of two per-node scores. That per-step
-centring, not the pairwise difference, is what makes the spatial
-encoding translation invariant; on a grid of dyadic positions with an
-integer shift the centred positions, and so the output, are reproduced
-bit for bit.
+centring makes the edge term shift invariant, and with it a layer's
+output for given node features: on a grid of dyadic positions with an
+integer shift the centred positions, and so the layer's output and
+attention, are reproduced bit for bit. The encoder is not invariant, as
+the node features carry absolute (x, y).
 
 Each per-head parameter lives in one head-major block for all heads, so
 the heads run at once without rebuilding their weights on every pass. A
@@ -50,7 +51,6 @@ class GraphAttentionLayer:
     def __init__(self, store, prefix: str, in_dim: int, heads: int, head_out: int,
                  rng: np.random.Generator, use_edges: bool = True):
         self.prefix = prefix
-        self.in_dim = in_dim
         self.heads = heads
         self.use_edges = use_edges
         self.out_dim = heads * head_out
@@ -78,16 +78,17 @@ class GraphAttentionLayer:
 
     def edge_features(self, positions: np.ndarray) -> T.Tensor:
         """Embed pairwise displacements: edge[..., i, j, :] = f(p_i - p_j)."""
-        return T.affine(T.Tensor(_displacements(positions)), self.edge_W, self.edge_b)
+        if positions.ndim < 2 or positions.shape[-1] != 2:
+            raise ShapeError(f"positions must be [..., N, 2], got {positions.shape}")
+        disp = positions[..., :, None, :] - positions[..., None, :, :]
+        return T.affine(T.Tensor(disp), self.edge_W, self.edge_b)
 
     def forward(self, h: T.Tensor, positions: np.ndarray):
         """h [..., N, in_dim], positions [..., N, 2] -> ([..., N, heads*head_out]
         output, [heads, ..., N, N] attention). Leading axes are independent
-        graphs (observed steps) and share the weights."""
-        if h.data.ndim < 2 or h.data.shape[-1] != self.in_dim:
-            raise ShapeError(f"node features {h.shape}, expected [..., N, {self.in_dim}]")
-        lead, n = h.data.shape[:-2], h.data.shape[-2]
-        if positions.shape != lead + (n, 2):
+        graphs (observed steps) and share the weights. Checks only that the
+        positions match h's nodes; attention_layer checks h's width."""
+        if h.data.ndim < 2 or positions.shape != h.data.shape[:-1] + (2,):
             raise ShapeError(f"positions {positions.shape} for node features {h.shape}")
         blocks = self.blocks
         centred = edge = None
@@ -139,10 +140,3 @@ class SpatialEncoder:
         h, attn1 = self.gal1.forward(h, pos)
         h, attn2 = self.gal2.forward(h, pos)
         return T.transpose(h, (1, 0, 2)), [attn1, attn2]
-
-
-def _displacements(positions: np.ndarray) -> np.ndarray:
-    """Pairwise p_i - p_j: [..., N, 2] -> [..., N, N, 2]."""
-    if positions.ndim < 2 or positions.shape[-1] != 2:
-        raise ShapeError(f"positions must be [..., N, 2], got {positions.shape}")
-    return positions[..., :, None, :] - positions[..., None, :, :]

@@ -45,12 +45,9 @@ class GraphTCN:
     # Forward pieces ------------------------------------------------------
 
     def encode(self, window: SequenceWindow):
-        """Window -> per-step embeddings [N, T_obs, F2] + attention record."""
+        """Window -> per-step embeddings [N, T_obs, F2] + attention record (None
+        without attention layers). Reads only the t_obs observed steps."""
         cfg = self.cfg
-        if window.t_total < cfg.t_obs + cfg.t_pred:
-            raise ContractError(
-                f"window has {window.t_total} steps, config needs {cfg.t_obs + cfg.t_pred}"
-            )
         feats = build_features(window, cfg.t_obs)
         h, attn = self.spatial.forward(feats, window.positions[:, :cfg.t_obs, :])
         return self.tcn.forward(h), attn
@@ -59,8 +56,14 @@ class GraphTCN:
         return window.positions[:, self.cfg.t_obs - 1, :]
 
     def ground_truth(self, window: SequenceWindow) -> np.ndarray:
-        """The window's future positions [N, T_pred, 2], target of loss and metrics."""
-        return window.positions[:, self.cfg.t_obs : self.cfg.t_obs + self.cfg.t_pred, :]
+        """The window's future positions [N, T_pred, 2], target of loss and metrics.
+        Their only reader, so the one check that the window holds them."""
+        cfg = self.cfg
+        if window.t_total < cfg.t_obs + cfg.t_pred:
+            raise ContractError(
+                f"window has {window.t_total} steps, config needs {cfg.t_obs + cfg.t_pred}"
+            )
+        return window.positions[:, cfg.t_obs : cfg.t_obs + cfg.t_pred, :]
 
     def draw_noise(self, rng: np.random.Generator, n_peds: int) -> np.ndarray:
         """Pre-draw the noise of one window forward, all cfg.samples draws.
@@ -96,7 +99,8 @@ class GraphTCN:
     # Inference -------------------------------------------------------------
 
     def predict(self, window: SequenceWindow, m: int, rng: np.random.Generator):
-        """M prior-noise trajectories; returns (PredictionSet, attention)."""
+        """M prior-noise trajectories from the t_obs observed steps alone;
+        returns (PredictionSet, attention)."""
         if m < 1:
             raise ContractError(f"need m >= 1, got {m}")
         h, attn = self.encode(window)

@@ -69,9 +69,7 @@ class TemporalConvNet:
             )
 
     def forward(self, h: T.Tensor) -> T.Tensor:
-        """h is [N, T, C_in] -> [N, T, channels]."""
-        if h.data.ndim != 3:
-            raise ShapeError(f"expected [N, T, C], got {h.shape}")
+        """h is [N, T, C_in] -> [N, T, channels]; gated_conv checks the rank."""
         for layer in self.layers:
             h = layer.forward(h)
         return h

@@ -94,10 +94,30 @@ def test_truncation_detected(tmp_path):
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, toy_store(), small_cfg())
     blob = path.read_bytes()
-    for cut in (3, len(blob) // 2, len(blob) - 1):
+    # Cuts inside and at the end of each integer field: version [4, 8),
+    # config length [8, 12), then, after the config text, parameter count,
+    # and the first parameter's name length, rank and its two dims.
+    text_end = 12 + struct.unpack("<I", blob[8:12])[0]
+    name_end = text_end + 6 + len("alpha.W")
+    fields = [6, 8, 10, 12, text_end + 2, text_end + 4, text_end + 5, text_end + 6,
+              name_end, name_end + 1, name_end + 5, name_end + 9]
+    for cut in [3, len(blob) // 2, len(blob) - 1] + fields:
         path.write_bytes(blob[:cut])
-        with pytest.raises(CheckpointCorruptError):
+        with pytest.raises(CheckpointCorruptError, match="truncated"):
             load_checkpoint(path)
+
+
+def test_rank_zero_parameter_reads_no_dims(tmp_path):
+    # Handcraft a scalar entry: rank 0, no dims, one value.
+    cfg_bytes = small_cfg().to_text().encode()
+    entry = (struct.pack("<H", 1) + b"s" + struct.pack("<B", 0)
+             + np.array(2.5).tobytes())
+    blob = (MAGIC + struct.pack("<I", 1) + struct.pack("<I", len(cfg_bytes))
+            + cfg_bytes + struct.pack("<I", 1) + entry)
+    path = tmp_path / "scalar.ckpt"
+    path.write_bytes(blob)
+    # The value follows the rank byte directly; no trailing bytes remain.
+    assert load_checkpoint(path).arrays["s"].tolist() == [2.5]
 
 
 def test_trailing_bytes_detected(tmp_path):

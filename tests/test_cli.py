@@ -1,12 +1,17 @@
 """End-to-end CLI flows on a two-scene copy of the synthetic data."""
 
+import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import graphtcn.data
+from graphtcn import cli
 from graphtcn.checkpoint import load_checkpoint
 from graphtcn.cli import main
 from graphtcn.config import ModelConfig
@@ -14,6 +19,7 @@ from graphtcn.dumps import format_trajectory_dump
 from graphtcn.training import model_from_checkpoint
 
 SOURCE = Path(__file__).resolve().parent.parent / "data" / "synthetic"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture(scope="module")
@@ -156,6 +162,46 @@ def test_bench_rejects_negative_warmup(workdir, trained, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and "warmup must be >= 0, got -3" in captured.err
     assert "runs" not in captured.out
+
+
+# Run in a fresh interpreter. A meta-path finder records the thread
+# variables at numpy's first import, before any module of it loads.
+_THREAD_PROBE = """
+import json, os, sys
+
+class Probe:
+    seen = None
+
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and Probe.seen is None:
+            Probe.seen = dict(os.environ)
+        return None
+
+sys.meta_path.insert(0, Probe())
+import graphtcn.cli as cli
+numpy_after_import = "numpy" in sys.modules
+rc = cli.main(sys.argv[1:])
+print(json.dumps({"rc": rc, "numpy_after_import": numpy_after_import,
+                  "seen": {v: (Probe.seen or {}).get(v) for v in cli._THREAD_VARS}}))
+"""
+
+
+def test_bench_pins_threads_before_numpy_loads(workdir, trained):
+    # perfbench imports _THREAD_VARS from graphtcn.cli before numpy for
+    # the same reason: BLAS reads these variables once, at load.
+    _, data, _ = workdir
+    env = {k: v for k, v in os.environ.items() if k not in cli._THREAD_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    argv = ["bench", "--ckpt", str(trained), "--data", str(data),
+            "--repeats", "1", "--warmup", "0"]
+    proc = subprocess.run([sys.executable, "-c", _THREAD_PROBE, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["rc"] == 0
+    assert result["numpy_after_import"] is False
+    assert len(result["seen"]) == 5
+    assert all(value == "1" for value in result["seen"].values()), result["seen"]
 
 
 def test_bench_scene_without_a_window(trained, tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from graphtcn import tensor as T
 from graphtcn.config import ModelConfig
+from graphtcn.errors import ShapeError
 from graphtcn.graph_attention import GraphAttentionLayer, SpatialEncoder
 from graphtcn.tensor import ParameterStore, Tensor
 
@@ -43,17 +44,32 @@ class TestEdgeFeatures:
         disp = pos[:, None, :] - pos[None, :, :]
         np.testing.assert_array_equal(disp, -disp.transpose(1, 0, 2))
 
-    def test_translation_invariance_bit_exact(self):
-        # Grid-aligned positions plus an integer shift: displacements are
-        # reproduced without rounding, so everything downstream matches.
-        layer, _ = make_layer(in_dim=4)
+    @pytest.mark.parametrize("use_edges", [True, False])
+    def test_translation_invariance_bit_exact(self, use_edges):
+        # Grid-aligned positions plus an integer shift: the centred
+        # positions are reproduced without rounding, so for the same node
+        # features the layer's output and attention match in every byte.
+        layer, _ = make_layer(in_dim=4, use_edges=use_edges)
         rng = np.random.default_rng(4)
-        pos = rng.integers(-2048, 2048, size=(4, 2)) / 1024.0
-        h = Tensor(rng.normal(size=(4, 4)))
-        out1, attn1 = layer.forward(h, pos)
-        out2, attn2 = layer.forward(h, pos + np.array([7.0, -3.0]))
-        assert (out1.data == out2.data).all()
-        assert (attn1 == attn2).all()
+        for _ in range(20):
+            shape = (int(rng.integers(1, 4)), int(rng.integers(1, 9)))
+            pos = rng.integers(-2048, 2048, size=shape + (2,)) / 1024.0
+            h = Tensor(rng.normal(size=shape + (4,)))
+            out1, attn1 = layer.forward(h, pos)
+            out2, attn2 = layer.forward(h, pos + np.array([7.0, -3.0]))
+            assert out1.data.tobytes() == out2.data.tobytes()
+            assert attn1.tobytes() == attn2.tobytes()
+
+    @pytest.mark.parametrize("h_shape, pos_shape", [
+        ((4,), (2,)),          # no node axis, positions to match
+        ((3, 5), (3, 2)),      # wrong feature width, left to attention_layer
+        ((3, 4), (2, 2)),      # positions for another node count
+        ((2, 3, 4), (3, 2)),   # positions without the step axis
+    ])
+    def test_bad_shapes_raise_shape_error(self, h_shape, pos_shape):
+        layer, _ = make_layer(in_dim=4)
+        with pytest.raises(ShapeError):
+            layer.forward(Tensor(np.zeros(h_shape)), np.zeros(pos_shape))
 
 
 class TestGatedTransform:

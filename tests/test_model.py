@@ -1,13 +1,17 @@
 """Full-model composition tests: variants, shapes, loss wiring, sampling."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from graphtcn.config import ModelConfig
-from graphtcn.data import SequenceWindow
+from graphtcn.data import SequenceWindow, load_scene_windows
 from graphtcn.errors import ContractError
 from graphtcn.model import GraphTCN
 from graphtcn.tensor import Tape, backward
+
+DATA_DIR = Path(__file__).resolve().parent.parent / "data" / "synthetic"
 
 
 def tiny_cfg(**over):
@@ -97,9 +101,29 @@ def test_encode_shape():
 
 
 def test_encode_rejects_short_window():
+    # encode reads only the observed steps, so only a window shorter than
+    # t_obs is too short for it.
     model = GraphTCN(tiny_cfg())
     with pytest.raises(ContractError):
-        model.encode(make_window(t_total=5))
+        model.encode(make_window(t_total=3))
+
+
+@pytest.mark.parametrize("hidden", [0, 16])
+@pytest.mark.parametrize("variant", ["graphtcn", "graphtcn_g", "no_efgat", "vanilla_gat"])
+def test_predict_needs_only_the_observed_steps(variant, hidden):
+    cfg = ModelConfig(variant=variant, decoder_hidden=hidden)
+    model = GraphTCN(cfg)
+    windows = load_scene_windows(DATA_DIR, "crossing", cfg.t_obs, cfg.t_pred)
+    assert windows
+    for full in windows:
+        observed = SequenceWindow(full.scene_name, full.start_frame,
+                                  full.positions[:, :cfg.t_obs], full.ped_ids)
+        pred_a, attn_a = model.predict(full, 4, np.random.default_rng(5))
+        pred_b, attn_b = model.predict(observed, 4, np.random.default_rng(5))
+        assert pred_a.trajectories.tobytes() == pred_b.trajectories.tobytes()
+        assert (attn_a is None) == (attn_b is None)
+        for a, b in zip(attn_a or [], attn_b or []):
+            assert a.tobytes() == b.tobytes()
 
 
 def test_no_efgat_encode_has_no_attention():
@@ -196,6 +220,14 @@ def test_draw_noise_block_is_consecutive_single_draws(variant):
 
 
 # Loss ------------------------------------------------------------------------
+
+def test_window_loss_rejects_observed_only_window():
+    cfg = tiny_cfg()
+    model = GraphTCN(cfg)
+    noise = model.draw_noise(np.random.default_rng(0), 3)
+    with pytest.raises(ContractError, match="window has 4 steps, config needs 7"):
+        model.window_loss(make_window(t_total=cfg.t_obs), 1, noise)
+
 
 def test_window_loss_rejects_wrong_noise_count():
     model = GraphTCN(tiny_cfg())

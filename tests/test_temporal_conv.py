@@ -203,3 +203,9 @@ class TestStack:
     def test_dilation_length_mismatch(self):
         with pytest.raises(ShapeError):
             make_tcn(layers=2, dilations=(1, 1, 1))
+
+    def test_rejects_input_without_a_pedestrian_axis(self):
+        # gated_conv owns the rank check; the stack adds none of its own.
+        net, _ = make_tcn()
+        with pytest.raises(ShapeError):
+            net.forward(Tensor(np.zeros((5, 3))))

@@ -57,7 +57,7 @@ class GraphTCN:
 
     def ground_truth(self, window: SequenceWindow) -> np.ndarray:
         """The window's future positions [N, T_pred, 2], target of loss and metrics.
-        Their only reader, so the one check that the window holds them."""
+        The only reader of those steps, so the one check that the window has them."""
         cfg = self.cfg
         if window.t_total < cfg.t_obs + cfg.t_pred:
             raise ContractError(

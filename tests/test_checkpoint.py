@@ -117,7 +117,7 @@ def test_rank_zero_parameter_reads_no_dims(tmp_path):
     path = tmp_path / "scalar.ckpt"
     path.write_bytes(blob)
     # The value follows the rank byte directly; no trailing bytes remain.
-    assert load_checkpoint(path).arrays["s"].tolist() == [2.5]
+    assert load_checkpoint(path).arrays["s"].item() == 2.5
 
 
 def test_trailing_bytes_detected(tmp_path):

@@ -44,8 +44,7 @@ class TestEdgeFeatures:
         disp = pos[:, None, :] - pos[None, :, :]
         np.testing.assert_array_equal(disp, -disp.transpose(1, 0, 2))
 
-    @pytest.mark.parametrize("use_edges", [True, False])
-    def test_translation_invariance_bit_exact(self, use_edges):
+    def check_translation_invariance(self, use_edges):
         # Grid-aligned positions plus an integer shift: the centred
         # positions are reproduced without rounding, so for the same node
         # features the layer's output and attention match in every byte.
@@ -59,6 +58,12 @@ class TestEdgeFeatures:
             out2, attn2 = layer.forward(h, pos + np.array([7.0, -3.0]))
             assert out1.data.tobytes() == out2.data.tobytes()
             assert attn1.tobytes() == attn2.tobytes()
+
+    def test_translation_invariance_bit_exact(self):
+        self.check_translation_invariance(use_edges=True)
+
+    def test_translation_invariance_bit_exact_no_edges(self):
+        self.check_translation_invariance(use_edges=False)
 
     @pytest.mark.parametrize("h_shape, pos_shape", [
         ((4,), (2,)),          # no node axis, positions to match

@@ -110,7 +110,7 @@ def load_checkpoint(path) -> Checkpoint:
             raise CheckpointCorruptError(f"duplicate parameter {name!r}")
         if not np.isfinite(data).all():
             raise CheckpointCorruptError(f"parameter {name!r} holds non-finite values")
-        arrays[name] = np.ascontiguousarray(data, dtype=np.float64)
+        arrays[name] = data.astype(np.float64)
     if r.pos != len(blob):
         raise CheckpointCorruptError(f"{len(blob) - r.pos} trailing bytes after parameters")
     return Checkpoint(config=config, arrays=arrays)

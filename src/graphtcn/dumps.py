@@ -81,8 +81,8 @@ def parse_attention_dump(text: str):
     return positions, entries
 
 
-def format_trajectory_dump(window: SequenceWindow, pred_set, t_obs: int) -> str:
-    """Observed + ground truth + optional predicted samples to text."""
+def format_trajectory_dump(window: SequenceWindow, pred_set: PredictionSet, t_obs: int) -> str:
+    """Observed, ground-truth and every predicted sample's points to text."""
     lines = [
         "# trajectory dump",
         f"# window {window.scene_name}:{window.start_frame} peds {window.n_peds}",
@@ -92,15 +92,15 @@ def format_trajectory_dump(window: SequenceWindow, pred_set, t_obs: int) -> str:
         for i, t in np.ndindex(window.n_peds, stop - first):
             x, y = window.positions[i, first + t]
             lines.append(f"{kind}\t{i}\t{first + t}\t{float(x)!r}\t{float(y)!r}")
-    if pred_set is not None:
-        for m, i, t in np.ndindex(pred_set.trajectories.shape[:3]):
-            x, y = pred_set.trajectories[m, i, t]
-            lines.append(f"S\t{m}\t{i}\t{t_obs + t}\t{float(x)!r}\t{float(y)!r}")
+    for m, i, t in np.ndindex(pred_set.trajectories.shape[:3]):
+        x, y = pred_set.trajectories[m, i, t]
+        lines.append(f"S\t{m}\t{i}\t{t_obs + t}\t{float(x)!r}\t{float(y)!r}")
     return "\n".join(lines) + "\n"
 
 
 def parse_trajectory_dump(text: str):
     """Returns (observed, ground_truth, samples) as nested dicts of points.
+    A dump without S rows parses too, with ``samples`` empty.
 
     observed/ground_truth: {ped: [(step, x, y), ...]};
     samples: {sample: {ped: [(step, x, y), ...]}}.
@@ -125,5 +125,5 @@ def write_attention_dump(path, window: SequenceWindow, attn_record: list, t_obs:
     Path(path).write_text(format_attention_dump(window, attn_record, t_obs), encoding="utf-8")
 
 
-def write_trajectory_dump(path, window: SequenceWindow, pred_set, t_obs: int):
+def write_trajectory_dump(path, window: SequenceWindow, pred_set: PredictionSet, t_obs: int):
     Path(path).write_text(format_trajectory_dump(window, pred_set, t_obs), encoding="utf-8")

@@ -63,9 +63,14 @@ between optimizer steps; running ``backward`` twice on the same tape
 without zeroing adds one more full gradient to every leaf. An
 intermediate's first gradient is stored, not added into zeros: as it is
 when the backward rule built it fresh (a new C-ordered array nothing
-else holds), else as a C-ordered copy. add, sub, mul, affine,
-draw_affine, matmul, conv1d_causal, gated_conv and attention_layer skip
-the gradient of an operand that needs none.
+else holds), else as a C-ordered copy. Only these operands skip the
+work of a gradient when they need none, since the model passes them
+constants: affine's input (the features, the future offsets),
+draw_affine's per-draw part (the noise) and either operand of add, sub
+and mul (the origins, the KL's ones). slice_axis checks its input too,
+as it writes the gradient without ``_accumulate``. Every other rule
+computes each input's gradient, and ``_accumulate`` drops any that an
+input does not take.
 
 ParameterStore keeps every parameter's data and gradient as views into
 two flat buffers, so zeroing all gradients is one fill and an optimizer
@@ -294,13 +299,11 @@ def draw_affine(shared, per_draw, W, b, groups: int) -> Tensor:
     def bwd(g):
         gs = g.sum(axis=0)
         gd = g.reshape(-1, width) if per_node else g.sum(axis=1)
-        if shared.requires_grad:
-            _accumulate(shared, gs @ Ws.T, fresh=True)
-        if W.requires_grad:
-            gW = np.empty(rows.shape)
-            gW[:, :S] = (s2.T @ gs).reshape(groups, S, width)
-            gW[:, S:] = (p2.T @ gd).reshape(groups, -1, width)
-            _accumulate(W, gW.reshape(W.data.shape), fresh=True)
+        _accumulate(shared, gs @ Ws.T, fresh=True)
+        gW = np.empty(rows.shape)
+        gW[:, :S] = (s2.T @ gs).reshape(groups, S, width)
+        gW[:, S:] = (p2.T @ gd).reshape(groups, -1, width)
+        _accumulate(W, gW.reshape(W.data.shape), fresh=True)
         _accumulate(b, gs.sum(axis=0), fresh=True)
         if per_draw.requires_grad:
             _accumulate(per_draw, (gd @ Wd.T).reshape(p.shape), fresh=True)
@@ -318,10 +321,8 @@ def matmul(a, b) -> Tensor:
     out = Tensor(a.data @ b.data)
 
     def bwd(g, a=a, b=b):
-        if a.requires_grad:
-            _accumulate(a, g @ np.swapaxes(b.data, -1, -2), fresh=True)
-        if b.requires_grad:
-            _accumulate(b, np.swapaxes(a.data, -1, -2) @ g, fresh=True)
+        _accumulate(a, g @ np.swapaxes(b.data, -1, -2), fresh=True)
+        _accumulate(b, np.swapaxes(a.data, -1, -2) @ g, fresh=True)
 
     _record(out, [a, b], bwd)
     return out
@@ -511,11 +512,10 @@ def repeat_axis(x, axis: int, times: int) -> Tensor:
 
 
 def stack(tensors, axis: int = 0) -> Tensor:
-    """Stack equal-shape tensors along a new axis (reshape + concat)."""
+    """Stack equal-shape tensors along a new axis: a reshape of each, then
+    one concat, also for a single tensor."""
     ts = [_as_tensor(t) for t in tensors]
     expanded = [reshape(t, t.data.shape[:axis] + (1,) + t.data.shape[axis:]) for t in ts]
-    if len(expanded) == 1:
-        return expanded[0]
     return concat(expanded, axis=axis)
 
 
@@ -669,43 +669,35 @@ def attention_layer(h, centred, w1, w2, val_W, val_b, res_W, res_b, edge=None):
     if not record:
         return out, alpha
     to_first = (r + 1,) + tuple(range(r + 1)) + (r + 2,)
-    attended = any(p.requires_grad for p in [h, w1, w2, *edge])
-    valued = any(p.requires_grad for p in (h, val_W, val_b))
 
     def bwd(g):
         # The C-ordered copy of g the add's backward made for both terms.
         g = np.ascontiguousarray(g)
         g2 = g.reshape(-1, heads * d_out)
-        if h.requires_grad:
-            _accumulate(h, (g2 @ res_W.data.T).reshape(h.data.shape), fresh=True)
+        _accumulate(h, (g2 @ res_W.data.T).reshape(h.data.shape), fresh=True)
         _accumulate(res_W, x2.T @ g2, fresh=True)
         _accumulate(res_b, g2.sum(axis=0), fresh=True)
         gl = np.array(g.reshape(lead + (heads, d_out)).transpose(to_first), order="C")
         gl *= np.maximum(pre >= 0.0, _SLOPE)
-        if attended:
-            gs, gd = (a.reshape(heads, -1) for a in grads(gl @ np.swapaxes(v, -1, -2)))
-            if h.requires_grad:
-                _accumulate(h, (gd.T @ w2.data).reshape(h.data.shape), fresh=True)
-            _accumulate(w2, gd @ x2)
-            if h.requires_grad:
-                _accumulate(h, (gs.T @ w1.data).reshape(h.data.shape), fresh=True)
-            _accumulate(w1, gs @ x2)
-            if edge:
-                gb = np.ascontiguousarray(gs.T).sum(axis=0).reshape(1, heads)
-                _accumulate(b_e, (gb @ ae.T).reshape(width), fresh=True)
-                gae = b2.T @ gb
-                gv = c2.T @ (gs - gd).T
-                _accumulate(W_e, gv @ ae.T, fresh=True)
-                gae += W_e.data.T @ gv
-                _accumulate(a_e, gae.T)
-        if valued:
-            gg = np.swapaxes(alpha, -1, -2) @ gl
-            gu = gg * t + (gg * u) * (1.0 - t * t)
-            gu = gu.reshape(heads, -1, d_out).transpose(1, 0, 2).reshape(-1, heads * d_out)
-            if h.requires_grad:
-                _accumulate(h, (gu @ W2.T).reshape(h.data.shape), fresh=True)
-            _accumulate(val_W, (x2.T @ gu).reshape(d_in, heads, d_out).transpose(1, 0, 2))
-            _accumulate(val_b, gu.sum(axis=0).reshape(heads, d_out), fresh=True)
+        gs, gd = (a.reshape(heads, -1) for a in grads(gl @ np.swapaxes(v, -1, -2)))
+        _accumulate(h, (gd.T @ w2.data).reshape(h.data.shape), fresh=True)
+        _accumulate(w2, gd @ x2)
+        _accumulate(h, (gs.T @ w1.data).reshape(h.data.shape), fresh=True)
+        _accumulate(w1, gs @ x2)
+        if edge:
+            gb = np.ascontiguousarray(gs.T).sum(axis=0).reshape(1, heads)
+            _accumulate(b_e, (gb @ ae.T).reshape(width), fresh=True)
+            gae = b2.T @ gb
+            gv = c2.T @ (gs - gd).T
+            _accumulate(W_e, gv @ ae.T, fresh=True)
+            gae += W_e.data.T @ gv
+            _accumulate(a_e, gae.T)
+        gg = np.swapaxes(alpha, -1, -2) @ gl
+        gu = gg * t + (gg * u) * (1.0 - t * t)
+        gu = gu.reshape(heads, -1, d_out).transpose(1, 0, 2).reshape(-1, heads * d_out)
+        _accumulate(h, (gu @ W2.T).reshape(h.data.shape), fresh=True)
+        _accumulate(val_W, (x2.T @ gu).reshape(d_in, heads, d_out).transpose(1, 0, 2))
+        _accumulate(val_b, gu.sum(axis=0).reshape(heads, d_out), fresh=True)
 
     _record(out, inputs, bwd)
     return out, alpha
@@ -772,9 +764,8 @@ def conv1d_causal(x, W, b, dilation: int = 1) -> Tensor:
         g2 = g.reshape(n * t_len, -1) if batched else g.T
         _accumulate(W, (g2.T @ cols).reshape(W.data.shape), fresh=True)
         _accumulate(b, g2.sum(axis=0), fresh=True)
-        if x.requires_grad:
-            gx = _col2im(g2 @ W2, xb.shape, dilation)
-            _accumulate(x, gx if batched else gx[0].T, fresh=True)
+        gx = _col2im(g2 @ W2, xb.shape, dilation)
+        _accumulate(x, gx if batched else gx[0].T, fresh=True)
 
     _record(out, [x, W, b], bwd)
     return out
@@ -818,8 +809,7 @@ def gated_conv(x, W, b, dilation: int) -> Tensor:
         gy = gy.reshape(n * t_len, 2 * c)
         _accumulate(W, (gy.T @ cols).reshape(W.data.shape), fresh=True)
         _accumulate(b, gy.sum(axis=0), fresh=True)
-        if x.requires_grad:
-            _accumulate(x, _col2im(gy @ W2, x.data.shape, dilation), fresh=True)
+        _accumulate(x, _col2im(gy @ W2, x.data.shape, dilation), fresh=True)
 
     _record(out, [x, W, b], bwd)
     return out
@@ -1058,7 +1048,10 @@ def finite_difference_check(f, params: ParameterStore) -> float:
     ``f`` maps the store to a scalar Tensor and must be deterministic (any
     randomness drawn ahead of time and frozen). Returns the worst relative
     error |analytic - numeric| / max(1e-12, |analytic| + |numeric|) over
-    every parameter element.
+    every parameter element. Entries whose gradient is near zero set that
+    worst value, since the differencing error there is not small against
+    the gradient; so a bound on the result depends on the draws as much as
+    on the rule checked.
     """
     h = 1e-5
     with Tape() as tape:

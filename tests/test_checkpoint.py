@@ -117,7 +117,19 @@ def test_rank_zero_parameter_reads_no_dims(tmp_path):
     path = tmp_path / "scalar.ckpt"
     path.write_bytes(blob)
     # The value follows the rank byte directly; no trailing bytes remain.
-    assert load_checkpoint(path).arrays["s"].item() == 2.5
+    s = load_checkpoint(path).arrays["s"]
+    assert s.shape == () and s.item() == 2.5
+
+
+def test_rank_zero_parameter_round_trips(tmp_path):
+    p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+    store = toy_store()
+    store.add("s", np.array(2.5))
+    save_checkpoint(p1, store, small_cfg())
+    ckpt = load_checkpoint(p1)
+    store.load_arrays(ckpt.arrays)
+    save_checkpoint(p2, store, ckpt.config)
+    assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_trailing_bytes_detected(tmp_path):

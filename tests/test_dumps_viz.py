@@ -128,10 +128,15 @@ def test_trajectory_dump_round_trip(crossing_setup):
 
 
 def test_trajectory_dump_without_predictions(crossing_setup):
-    cfg, _, window, _, _ = crossing_setup
-    text = format_trajectory_dump(window, None, cfg.t_obs)
+    # A dump whose S rows were removed still parses its O and G rows.
+    cfg, _, window, _, pred = crossing_setup
+    full = format_trajectory_dump(window, pred, cfg.t_obs)
+    text = "".join(line for line in full.splitlines(keepends=True)
+                   if not line.startswith("S\t"))
+    full_obs, full_gt, _ = parse_trajectory_dump(full)
     obs, gt, samples = parse_trajectory_dump(text)
     assert obs and gt and samples == {}
+    assert obs == full_obs and gt == full_gt
 
 
 def test_trajectory_dump_rejects_bad_row():

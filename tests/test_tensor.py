@@ -931,6 +931,14 @@ class TestRecordingRule:
             loss = T.reduce_sum(out)
         T.backward(loss, tape)
         assert inputs[i].grad is not None and inputs[i].grad.shape == shapes[i]
+        # The constants take no gradient, and input i takes the same bytes as
+        # when every input needs one.
+        assert all(t.grad is None for j, t in enumerate(inputs) if j != i)
+        every = _op_inputs(shapes, grad_at=range(len(shapes)))
+        with T.Tape() as tape:
+            loss = T.reduce_sum(fn(*every))
+        T.backward(loss, tape)
+        assert inputs[i].grad.tobytes() == every[i].grad.tobytes()
 
     def test_other_threads_record_nothing_into_this_tape(self):
         x = leaf([1.0, 2.0])

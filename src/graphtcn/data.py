@@ -131,8 +131,9 @@ def extract_windows(
     ``frame_step=15`` gives rows 30 frames apart. A pedestrian joins a
     window only if recorded at every one of its frames, and ids are sorted;
     windows where nobody qualifies are dropped, so gaps where the scene is
-    empty produce no windows. Memory stays linear in the records: no
-    frames x pedestrians table is built.
+    empty produce no windows. Windows start only at kept frames on the
+    ``step * stride`` lattice (one starting elsewhere holds nobody), so
+    time and memory stay linear in the records, not in the frame span.
     """
     if t_obs < 1 or t_pred < 1 or stride < 1:
         raise ContractError(f"t_obs={t_obs}, t_pred={t_pred}, stride={stride} must all be >= 1")
@@ -147,12 +148,13 @@ def extract_windows(
             by_frame.setdefault(r.frame, {})[r.ped_id] = (r.x, r.y)
     frames = sorted(by_frame)
     step = min((b - a for a, b in zip(frames, frames[1:])), default=1)
-    grid = range(frames[0], frames[-1] + 1, step)
     t_total = t_obs + t_pred
 
     windows = []
-    for start in range(0, len(grid) - t_total + 1, stride):
-        win_frames = grid[start : start + t_total]
+    for first in frames:
+        if (first - frames[0]) % (step * stride):
+            continue
+        win_frames = range(first, first + t_total * step, step)
         ped_ids = sorted(set.intersection(*(set(by_frame.get(f, ())) for f in win_frames)))
         if not ped_ids:
             continue

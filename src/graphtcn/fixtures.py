@@ -152,7 +152,6 @@ _BUILDERS = {
     "zara1_like": scene_zara1_like,
     "bench8": scene_bench8,
 }
-SCENES = tuple(_BUILDERS)
 
 
 def _emit(path: Path, rows: list):
@@ -160,13 +159,13 @@ def _emit(path: Path, rows: list):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def write_synthetic_scenes(out_dir, scenes=SCENES) -> dict:
-    """Write the requested scene files; returns name -> path."""
+def write_synthetic_scenes(out_dir) -> dict:
+    """Write every scene file; returns name -> path."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {}
-    for name in scenes:
+    for name, build in _BUILDERS.items():
         path = out / f"{name}.txt"
-        _emit(path, _BUILDERS[name]())
+        _emit(path, build())
         paths[name] = path
     return paths

@@ -16,10 +16,11 @@ attention, are reproduced bit for bit. The encoder is not invariant, as
 the node features carry absolute (x, y).
 
 Each per-head parameter lives in one head-major block for all heads, so
-the heads run at once without rebuilding their weights on every pass. A
-layer is one tensor op, attention_layer, on the blocks as stored: the
-gated values, both per-node scores of every head and their softmax,
-every head's weighted sum with the heads merged, and the residual.
+the heads run at once. A layer is one tensor op, attention_layer, on the
+blocks: the gated values, both per-node scores of every head and their
+softmax, every head's weighted sum with the heads merged, and the
+residual. On every pass it copies the [heads, in, out] value block into
+[in, heads * out] and a_e into [width, heads].
 """
 
 from __future__ import annotations

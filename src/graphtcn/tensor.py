@@ -76,8 +76,10 @@ ParameterStore keeps every parameter's data and gradient as views into
 two flat buffers, so zeroing all gradients is one fill and an optimizer
 step is a few whole-vector operations. Layers reserve blocks there in the
 layout they compute on and add their named parameters in order, each
-taking the block's next free values, so no forward pass rebuilds a weight
-layout (see ParameterStore for the view contract).
+taking the block's next free values (see ParameterStore for the view
+contract). Only attention_layer copies weights on every call: a
+multi-head [heads, in, out] value block into [in, heads * out], and a_e
+into [width, heads].
 """
 
 from __future__ import annotations
@@ -110,10 +112,6 @@ class Tensor:
     @property
     def shape(self) -> tuple:
         return self.data.shape
-
-    @property
-    def size(self) -> int:
-        return self.data.size
 
     def item(self) -> float:
         if self.data.size != 1:
@@ -998,14 +996,8 @@ class ParameterStore:
     def __len__(self) -> int:
         return len(self._params)
 
-    def names(self) -> list[str]:
-        return list(self._params)
-
     def items(self):
         return self._params.items()
-
-    def tensors(self) -> list[Tensor]:
-        return list(self._params.values())
 
     def flat(self) -> tuple[np.ndarray, np.ndarray]:
         """The data and gradient buffers as two vectors, in buffer order."""

@@ -73,7 +73,7 @@ def test_matches_oracle_on_random_stores(shapes, n_steps, seed, lr, overwrite):
     grad_steps = []
     for _ in range(n_steps):
         store.zero_grads()
-        for p in store.tensors():
+        for _, p in store.items():
             p.grad += rng.normal(scale=10.0 ** rng.integers(-4, 4), size=p.data.shape)
         if overwrite:
             p = store[f"p{rng.integers(len(shapes))}"]

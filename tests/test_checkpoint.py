@@ -228,8 +228,8 @@ def test_model_round_trip_all_params_exact(tmp_path):
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, model.params, cfg)
     ckpt = load_checkpoint(path)
-    assert set(ckpt.arrays) == set(model.params.names())
-    for name in model.params.names():
+    assert set(ckpt.arrays) == set(dict(model.params.items()))
+    for name, _ in model.params.items():
         assert np.array_equal(ckpt.arrays[name], model.params[name].data), name
 
 

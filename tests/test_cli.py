@@ -64,6 +64,21 @@ def test_train_seed_flag_overrides_config(workdir):
     assert load_checkpoint(out).config.seed == 123
 
 
+def test_train_on_a_scene_with_a_far_frame(workdir, trained):
+    # A training scene with one more record at frame 10**20 trains to the
+    # same checkpoint: that record joins no window.
+    root, data, cfg_path = workdir
+    far = root / "far_data"
+    shutil.copytree(data, far)
+    with open(far / "linear.txt", "a", encoding="utf-8") as fh:
+        fh.write("100000000000000000000 1 0.0 0.0\n")
+    out = root / "far.ckpt"
+    rc = main(["train", "--data", str(far), "--leave-out", "crossing",
+               "--config", str(cfg_path), "--out", str(out)])
+    assert rc == 0
+    assert out.read_bytes() == trained.read_bytes()
+
+
 def test_train_unknown_scene(workdir, capsys):
     root, data, cfg_path = workdir
     rc = main(["train", "--data", str(data), "--leave-out", "nope",

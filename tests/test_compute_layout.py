@@ -79,7 +79,7 @@ def test_named_entries_are_contiguous_views_of_their_blocks(over):
             if name in values:
                 np.testing.assert_array_equal(t.data, values[name])
         # Every value of the buffers belongs to exactly one name.
-        assert store.n_values() == sum(t.size for t in store.tensors())
+        assert store.n_values() == sum(t.data.size for _, t in store.items())
         store.add(f"after_{phase}", np.zeros(store.n_values() + 1))   # moves the buffers
     assert len(slices) == (
         sum(len(layer.blocks) * layer.heads for layer in (model.spatial.gal1, model.spatial.gal2))

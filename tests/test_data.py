@@ -370,6 +370,19 @@ class TestFrameGrid:
         assert self._key(gappy) == self._key(clear)
 
 
+    @pytest.mark.parametrize("stride", [1, 3])
+    @pytest.mark.parametrize("frame_step", [1, 10])
+    def test_a_far_frame_adds_no_window(self, scene_dir, frame_step, stride):
+        # One more record at frame 10**20, on the kept lattice, shares no
+        # window: the windows are the scene's own, and the frames between
+        # are never visited.
+        recs = D.parse_trajectory_file(scene_dir / "zara1_like.txt")
+        far = recs + [D.RawRecord(10**20, 1, 0.0, 0.0)]
+        wins = D.extract_windows(far, 8, 12, stride, frame_step=frame_step)
+        assert wins and self._key(wins) == self._key(
+            D.extract_windows(recs, 8, 12, stride, frame_step=frame_step))
+
+
 class TestGridSpacing:
     """Grid spacing on dense, sparse and off-lattice scenes.
 

@@ -80,7 +80,7 @@ class TestMlpDecoder:
     def test_hidden_layer_path(self):
         store = ParameterStore()
         dec = MlpDecoder(store, "dec", 2, 2, 2, 1, np.random.default_rng(17), hidden=5)
-        assert "dec.out.hidden.W" in store.names()
+        assert "dec.out.hidden.W" in dict(store.items())
         out = dec.forward(Tensor(np.random.default_rng(18).normal(size=(3, 2, 2))),
                           np.zeros((1, 2, 1)))
         assert out.shape == (1, 3, 2, 2)

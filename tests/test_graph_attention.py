@@ -270,7 +270,7 @@ class TestSpatialEncoder:
     def test_vanilla_variant_drops_edge_params(self):
         cfg = self.small_cfg(variant="vanilla_gat")
         _, store = self.build(cfg)
-        assert not any("edge" in n or ".ae" in n for n in store.names())
+        assert not any("edge" in n or ".ae" in n for n, _ in store.items())
 
     def test_default_width_is_32(self):
         store = ParameterStore()

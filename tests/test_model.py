@@ -35,7 +35,7 @@ def make_window(n=3, t_total=7, seed=0):
 
 
 def zero_params(model):
-    for t in model.params.tensors():
+    for _, t in model.params.items():
         t.data[:] = 0.0
 
 
@@ -43,7 +43,7 @@ def zero_params(model):
 
 def test_plain_variant_params():
     model = GraphTCN(tiny_cfg())
-    names = model.params.names()
+    names = dict(model.params.items())
     assert any(n.startswith("gal1.") for n in names)
     assert any(n.startswith("gal2.") for n in names)
     assert any(n.startswith("tcn.") for n in names)
@@ -53,14 +53,14 @@ def test_plain_variant_params():
 
 def test_latent_variant_params():
     model = GraphTCN(tiny_cfg(variant="graphtcn_g"))
-    names = model.params.names()
+    names = dict(model.params.items())
     assert "dec.posterior.W" in names
     assert "dec.future.W" in names
 
 
 def test_no_efgat_variant_skips_attention():
     model = GraphTCN(tiny_cfg(variant="no_efgat"))
-    names = model.params.names()
+    names = dict(model.params.items())
     assert model.spatial.gal1 is None and model.spatial.gal2 is None
     assert "embed.W" in names
     assert not any(n.startswith("gal") for n in names)
@@ -68,7 +68,7 @@ def test_no_efgat_variant_skips_attention():
 
 def test_vanilla_gat_has_no_edge_params():
     model = GraphTCN(tiny_cfg(variant="vanilla_gat"))
-    for name in model.params.names():
+    for name, _ in model.params.items():
         assert ".edge." not in name
         assert not name.endswith(".ae")
 
@@ -85,7 +85,7 @@ def test_spatial_out_dim_feeds_the_first_tcn_layer(variant):
 def test_same_seed_same_init():
     a = GraphTCN(tiny_cfg())
     b = GraphTCN(tiny_cfg())
-    for name in a.params.names():
+    for name, _ in a.params.items():
         assert np.array_equal(a.params[name].data, b.params[name].data)
 
 
@@ -286,7 +286,7 @@ def test_backward_fills_all_grads(variant):
     with Tape() as tape:
         loss, _ = model.window_loss(w, 1, noise)
         backward(loss, tape)
-    for name in model.params.names():
+    for name, _ in model.params.items():
         g = model.params[name].grad
         assert g is not None and np.all(np.isfinite(g)), name
 

@@ -1,9 +1,11 @@
 """Autodiff core: frozen forward values, gradient oracles, tape semantics."""
 
+import ast
 import inspect
 import re
 import threading
 import zlib
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -831,6 +833,67 @@ def test_every_public_op_has_a_caller():
     assert sorted(op for op in _public_ops() if not re.search(rf"\bT\.{op}\(", text)) == []
 
 
+# The program callers besides the package: what runs when the package is
+# used (the benchmark, its recorder and the fixed gates), and the commands
+# README and CI give. Unit tests are not among them.
+ROOT = Path(__file__).resolve().parent.parent
+PROGRAM_CODE = [*sorted((ROOT / "perfbench").glob("*.py")), ROOT / "bench_history" / "record.py",
+                ROOT / "tests" / "test_acceptance.py", ROOT / "tests" / "golden.py"]
+PROGRAM_TEXT = [ROOT / "README.md", ROOT / ".github" / "workflows" / "tier1.yml"]
+
+
+def _reads(tree) -> tuple:
+    """How often the code in ``tree`` names each identifier: as an
+    attribute (``x.name``), and as an attribute, a bare name or an import."""
+    attrs, any_kind = Counter(), Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            attrs[node.attr] += 1
+            any_kind[node.attr] += 1
+        elif isinstance(node, ast.Name):
+            any_kind[node.id] += 1
+        elif isinstance(node, ast.alias):
+            any_kind[node.name.rpartition(".")[2]] += 1
+    return attrs, any_kind
+
+
+def _public_defs(body) -> list:
+    return [node for node in body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+def test_every_public_name_has_a_program_caller():
+    # Each public function and class at module level in the package, and
+    # each public method and property of a public class, is named by a
+    # program caller: the package outside the definition itself, or a
+    # PROGRAM_CODE or PROGRAM_TEXT file. A member counts as named only as
+    # an attribute, ``x.member``; one that shares its name with an
+    # attribute of another type (ndarray.size) passes unseen. A name left
+    # without a program caller is deleted, with the tests that read it.
+    package = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+               for path in sorted(Path(T.__file__).parent.glob("*.py"))}
+    program = [ast.parse(p.read_text(encoding="utf-8")) for p in PROGRAM_CODE]
+    attrs, any_kind = Counter(), Counter()
+    for tree in [*package.values(), *program]:
+        a, n = _reads(tree)
+        attrs += a
+        any_kind += n
+    text = "".join(p.read_text(encoding="utf-8") for p in PROGRAM_TEXT)
+    orphans = []
+    for module, tree in package.items():
+        for node in _public_defs(tree.body):
+            members = _public_defs(node.body) if isinstance(node, ast.ClassDef) else []
+            for d, member in [(node, False)] + [(m, True) for m in members]:
+                inside_attrs, inside_any = _reads(d)
+                outside = (attrs[d.name] - inside_attrs[d.name] if member
+                           else any_kind[d.name] - inside_any[d.name])
+                pattern = rf"\.{d.name}\b" if member else rf"\b{d.name}\b"
+                if outside <= 0 and not re.search(pattern, text):
+                    orphans.append(f"{module}.{node.name}.{d.name}" if member
+                                   else f"{module}.{d.name}")
+    assert orphans == []
+
+
 # "op" or "op.variant" -> (call on the input tensors, input shapes, tape
 # nodes one call records). stack is reshape + concat: two nodes.
 OP_CASES = {
@@ -1318,7 +1381,7 @@ class TestParameterStore:
         store = T.ParameterStore()
         store.add("b", np.zeros(2))
         store.add("a", np.zeros(3))
-        assert store.names() == ["b", "a"]
+        assert [name for name, _ in store.items()] == ["b", "a"]
         with pytest.raises(ContractError):
             store.add("a", np.zeros(1))
 
@@ -1339,7 +1402,7 @@ class TestParameterStore:
             handed_out.append((t, t.data.copy(), t.grad.copy()))
             data, grad = store.flat()
             assert data.size == grad.size == store.n_values()
-            assert store.tensors() == [t for t, _, _ in handed_out]
+            assert [t for _, t in store.items()] == [t for t, _, _ in handed_out]
             for t, values, grads in handed_out:
                 assert np.shares_memory(t.data, data) or t.data.size == 0
                 assert np.shares_memory(t.grad, grad) or t.grad.size == 0
@@ -1362,7 +1425,7 @@ class TestParameterStore:
                   for k in range(2) for key, blk in blocks.items()}
         for name, v in values.items():
             store.add(name, v, block=blocks[name[0]])
-        assert store.names() == ["before", "a0", "b0", "a1", "b1"]
+        assert [name for name, _ in store.items()] == ["before", "a0", "b0", "a1", "b1"]
         assert store.n_values() == 23
         in_buffer_order = [values[n].ravel() for n in ("a0", "a1", "b0", "b1")]
         np.testing.assert_array_equal(store.flat()[0][3:], np.concatenate(in_buffer_order))
@@ -1388,11 +1451,11 @@ class TestParameterStore:
         blk = store.reserve((6,))
         a = store.add("a", np.ones(offset // 2), block=blk)
         b = store.add("b", np.ones(offset - offset // 2), block=blk)
-        names, n_values = store.names(), store.n_values()
+        names, n_values = [name for name, _ in store.items()], store.n_values()
         if offset + size > 6:
             with pytest.raises(ContractError, match="'c'"):
                 store.add("c", np.ones(size), block=blk)
-            assert store.names() == names and store.n_values() == n_values
+            assert [name for name, _ in store.items()] == names and store.n_values() == n_values
             return
         c = store.add("c", np.full(size, 2.0), block=blk)
         assert same_memory(c.data, blk.data[offset:offset + size])

@@ -53,7 +53,7 @@ def test_training_moves_parameters():
     res = train(cfg, SPLIT, DATA_DIR)
     fresh = GraphTCN(fast_cfg())
     moved = [
-        name for name in fresh.params.names()
+        name for name, _ in fresh.params.items()
         if not np.array_equal(res.model.params[name].data, fresh.params[name].data)
     ]
     assert moved  # at least some parameters updated
@@ -117,7 +117,7 @@ def write_freeze_scene(dir_path):
 def test_origin_predictor_scores_zero_on_frozen_future(tmp_path):
     write_freeze_scene(tmp_path)
     model = GraphTCN(fast_cfg())
-    for t in model.params.tensors():
+    for _, t in model.params.items():
         t.data[:] = 0.0
     split = Split(train_scenes=("linear",), test_scene="freeze")
     report = evaluate_dataset(model, split, tmp_path, m=2)

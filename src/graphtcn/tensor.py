@@ -77,7 +77,7 @@ two flat buffers, so zeroing all gradients is one fill and an optimizer
 step is a few whole-vector operations. Layers reserve blocks there in the
 layout they compute on and add their named parameters in order, each
 taking the block's next free values (see ParameterStore for the view
-contract). Only attention_layer copies weights on every call: a
+contract). attention_layer still copies two weights on every call: a
 multi-head [heads, in, out] value block into [in, heads * out], and a_e
 into [width, heads].
 """

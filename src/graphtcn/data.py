@@ -13,6 +13,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
+from decimal import Context, Decimal
 from pathlib import Path
 
 import numpy as np
@@ -70,17 +71,23 @@ class Split:
 
 
 def _parse_int_field(token: str, what: str, line_no: int):
-    # Public ETH/UCY dumps write frame/ped ids as floats ("840.0"); accept
-    # those only when they carry an integral value.
+    # An id is the integer its text denotes. Public ETH/UCY dumps write ids
+    # as floats ("840.0"): Decimal reads those without rounding, and only
+    # float's range is accepted, so no text builds a huge integer.
     try:
-        value = float(token)
+        value = int(token)
     except ValueError:
-        raise ParseError(f"line {line_no}: {what} {token!r} is not numeric") from None
-    if not value.is_integer():
-        raise ParseError(f"line {line_no}: {what} {token!r} is not an integer")
+        try:
+            finite = math.isfinite(float(token))
+        except ValueError:
+            raise ParseError(f"line {line_no}: {what} {token!r} is not numeric") from None
+        exact = Decimal(token, Context(traps=[]))   # NaN past Decimal's exponent range
+        if not (finite and exact == exact.to_integral_value()):
+            raise ParseError(f"line {line_no}: {what} {token!r} is not an integer")
+        value = int(exact)
     if value < 0:
         raise ParseError(f"line {line_no}: {what} must be non-negative, got {token}")
-    return int(value)
+    return value
 
 
 def parse_trajectory_file(path) -> list[RawRecord]:

@@ -54,7 +54,8 @@ mul state their forward ufunc and one gradient function per operand
 (``_binary``). affine, draw_affine, matmul, conv1d_causal, gated_conv,
 attention_layer, concat and slice_axis keep hand-written backward rules:
 each shares one intermediate across several inputs or writes into a
-slice of a gradient.
+slice of a gradient. conv1d_causal and gated_conv share ``_conv``'s
+convolution rule.
 
 Gradients accumulate into ``Tensor.grad`` buffers. Only leaves keep
 theirs after a sweep: ``backward`` hands each intermediate's gradient to
@@ -701,11 +702,13 @@ def attention_layer(h, centred, w1, w2, val_W, val_b, res_W, res_b, edge=None):
     return out, alpha
 
 
-def _im2col(x: Tensor, W: Tensor, b: Tensor, dilation: int):
-    """A causal convolution's operands, checked, in im2col form: x's data
-    as [B, T, C_in] (a 2-d x [C_in, T] is a batch of one), the column block
-    and W as [C_out, C_in * k]. Row (b, t) of the block holds the k dilated
-    taps of every input channel in W's (C_in, k) order, zero before step 0."""
+def _conv(x: Tensor, W: Tensor, b: Tensor, dilation: int, record: bool):
+    """A causal convolution, checked, as one im2col matmul: the output rows
+    [B * T, C_out] for x's data as [B, T, C_in] (a 2-d x [C_in, T] is a
+    batch of one). Row (b, t) of the column block holds the k dilated taps
+    of every input channel in W's (C_in, k) order, zero before step 0.
+    With ``record``, also the rule (else None) that takes the rows'
+    gradient, adds into W and b and returns x's [B, T, C_in] gradient."""
     if dilation < 1:
         raise ShapeError(f"dilation must be >= 1, got {dilation}")
     if W.data.ndim != 3:
@@ -719,24 +722,26 @@ def _im2col(x: Tensor, W: Tensor, b: Tensor, dilation: int):
     if b.data.shape != (c_out,):
         raise ShapeError(f"conv bias {b.shape} vs W {W.shape}")
     n, t_len = xb.shape[:2]
+    shifts = [(j, s) for j in range(k) if (s := (k - 1 - j) * dilation) < t_len]
     cols4 = np.zeros((n, t_len, c_in, k))
-    for j in range(k):
-        if (s := (k - 1 - j) * dilation) < t_len:   # tap j reads step t - s
-            cols4[:, s:, :, j] = xb[:, : t_len - s]
-    return xb, cols4.reshape(n * t_len, c_in * k), W.data.reshape(c_out, c_in * k)
+    for j, s in shifts:   # tap j reads step t - s
+        cols4[:, s:, :, j] = xb[:, : t_len - s]
+    cols, W2 = cols4.reshape(n * t_len, c_in * k), W.data.reshape(c_out, c_in * k)
+    y = cols @ W2.T
+    y += b.data
+    if not record:
+        return y, None
 
-
-def _col2im(gcols: np.ndarray, shape: tuple, dilation: int) -> np.ndarray:
-    """The [B, T, C_in] input gradient (``shape``) from the column block's
-    gradient: each tap's slice added back onto the input steps it read."""
-    n, t_len, c_in = shape
-    gcols = gcols.reshape(n, t_len, c_in, -1)
-    k = gcols.shape[-1]
-    gx = np.zeros(shape)
-    for j in range(k):
-        if (s := (k - 1 - j) * dilation) < t_len:
+    def rule(g2):
+        _accumulate(W, (g2.T @ cols).reshape(W.data.shape), fresh=True)
+        _accumulate(b, g2.sum(axis=0), fresh=True)
+        gcols = (g2 @ W2).reshape(n, t_len, c_in, k)
+        gx = np.zeros(xb.shape)
+        for j, s in shifts:
             gx[:, : t_len - s] += gcols[:, s:, :, j]
-    return gx
+        return gx
+
+    return y, rule
 
 
 def conv1d_causal(x, W, b, dilation: int = 1) -> Tensor:
@@ -747,22 +752,15 @@ def conv1d_causal(x, W, b, dilation: int = 1) -> Tensor:
     [C_in, T], read through its transpose as a batch of one; its result
     is [C_out, T]. Output keeps the input length, and step t depends only
     on input steps 0..t: tap k-1 reads the current step, lower taps read
-    the past. Runs as one im2col matmul (``_im2col``); backward is two
-    matmuls and ``_col2im``.
+    the past. Runs as ``_conv``'s im2col matmul, with its backward rule.
     """
     x, W, b = _as_tensor(x), _as_tensor(W), _as_tensor(b)
-    xb, cols, W2 = _im2col(x, W, b, dilation)
+    y, rule = _conv(x, W, b, dilation, _recording((x, W, b)))
     batched = x.data.ndim == 3
-    n, t_len = xb.shape[:2]
-    out2 = cols @ W2.T
-    out2 += b.data
-    out = Tensor(out2.reshape(n, t_len, -1) if batched else out2.T.copy())
+    out = Tensor(y.reshape(x.data.shape[:2] + (-1,)) if batched else y.T.copy())
 
     def bwd(g):
-        g2 = g.reshape(n * t_len, -1) if batched else g.T
-        _accumulate(W, (g2.T @ cols).reshape(W.data.shape), fresh=True)
-        _accumulate(b, g2.sum(axis=0), fresh=True)
-        gx = _col2im(g2 @ W2, xb.shape, dilation)
+        gx = rule(g.reshape(y.shape) if batched else g.T)
         _accumulate(x, gx if batched else gx[0].T, fresh=True)
 
     _record(out, [x, W, b], bwd)
@@ -777,37 +775,29 @@ def gated_conv(x, W, b, dilation: int) -> Tensor:
     One op for the chain conv1d_causal, slice_axis, tanh, sigmoid and mul,
     equal to it bit for bit: the forward runs the chain's numpy
     expressions, and backward builds the convolution output's gradient as
-    the chain's sweep did, then applies conv1d_causal's rule to it.
+    the chain's sweep did, then hands it to the rule conv1d_causal uses.
     """
     x, W, b = _as_tensor(x), _as_tensor(W), _as_tensor(b)
     if x.data.ndim != 3:
         raise ShapeError(f"gated_conv input must be [B, T, C_in], got {x.shape}")
-    _, cols, W2 = _im2col(x, W, b, dilation)
-    if W2.shape[0] % 2:
+    y, rule = _conv(x, W, b, dilation, _recording((x, W, b)))
+    if y.shape[1] % 2:
         raise ShapeError(f"gated_conv needs an even number of output channels, got W {W.shape}")
-    record = _recording((x, W, b))
-    (n, t_len, _), c = x.data.shape, W2.shape[0] // 2
-    y = cols @ W2.T
-    y += b.data
+    (n, t_len, _), c = x.data.shape, y.shape[1] // 2
     y = y.reshape(n, t_len, 2 * c)
-    if not record:
-        del cols
     # Contiguous copies of the halves, as the chain's slices made.
     a = np.tanh(y[..., :c].copy())
     s = _sigmoid(y[..., c:].copy())
     del y
     out = Tensor(a * s)
-    if not record:
+    if rule is None:
         return out
 
     def bwd(g):
         gy = np.empty((n, t_len, 2 * c))
         gy[..., :c] = (g * s) * (1.0 - a * a)
         gy[..., c:] = ((g * a) * s) * (1.0 - s)
-        gy = gy.reshape(n * t_len, 2 * c)
-        _accumulate(W, (gy.T @ cols).reshape(W.data.shape), fresh=True)
-        _accumulate(b, gy.sum(axis=0), fresh=True)
-        _accumulate(x, _col2im(gy @ W2, x.data.shape, dilation), fresh=True)
+        _accumulate(x, rule(gy.reshape(n * t_len, 2 * c)), fresh=True)
 
     _record(out, [x, W, b], bwd)
     return out

@@ -53,12 +53,12 @@ def block_slices(model):
         for key, blk in layer.blocks.items():
             for k in range(layer.heads):
                 out[f"{layer.prefix}.h{k}.{key}"] = blk.data[k], blk.grad[k]
-    for i, layer in enumerate(model.tcn.layers):
-        c = layer.b.shape[0] // 2
+    for i, (W, b, _) in enumerate(model.tcn.layers):
+        c = b.shape[0] // 2
         for half, part in enumerate(("gate", "filt")):
             rows = slice(half * c, (half + 1) * c)
-            out[f"tcn.l{i}.{part}.W"] = layer.W.data[rows], layer.W.grad[rows]
-            out[f"tcn.l{i}.{part}.b"] = layer.b.data[rows], layer.b.grad[rows]
+            out[f"tcn.l{i}.{part}.W"] = W.data[rows], W.grad[rows]
+            out[f"tcn.l{i}.{part}.b"] = b.data[rows], b.grad[rows]
     return out
 
 
@@ -104,8 +104,8 @@ def test_block_gradients_equal_stacked_named_gradients(over):
             assert np.array_equal(blk.grad, np.stack([t.grad.reshape(blk.shape[1:]) for t in named]))
             assert np.array_equal(blk.data, np.stack([t.data.reshape(blk.shape[1:]) for t in named]))
             assert np.any(blk.grad != 0.0), (layer.prefix, key)
-    for i, layer in enumerate(model.tcn.layers):
-        for part, blk in (("W", layer.W), ("b", layer.b)):
+    for i, (W, b, _) in enumerate(model.tcn.layers):
+        for part, blk in (("W", W), ("b", b)):
             named = [store[f"tcn.l{i}.{half}.{part}"] for half in ("gate", "filt")]
             assert np.array_equal(blk.grad, np.concatenate([t.grad for t in named]))
             assert np.array_equal(blk.data, np.concatenate([t.data for t in named]))

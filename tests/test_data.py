@@ -53,6 +53,43 @@ class TestParse:
         recs = D.parse_trajectory_file(p)
         assert recs[0].frame == 840 and recs[0].ped_id == 1
 
+    def test_frames_past_two_to_the_53_stay_apart(self, tmp_path):
+        # float reads both as 2**53, which made them one duplicate record.
+        p = tmp_path / "s.txt"
+        p.write_text("9007199254740992 1 0.0 0.0\n9007199254740993 1 1.0 0.0\n")
+        recs = D.parse_trajectory_file(p)
+        assert [r.frame for r in recs] == [9007199254740992, 9007199254740993]
+
+    def test_lone_frame_past_two_to_the_53_keeps_its_frame(self, tmp_path):
+        p = tmp_path / "s.txt"
+        p.write_text("9007199254740993 1 0.0 0.0\n")
+        assert D.parse_trajectory_file(p)[0].frame == 9007199254740993
+
+    def test_float_formatted_id_past_two_to_the_53_is_exact(self, tmp_path):
+        p = tmp_path / "s.txt"
+        p.write_text("9007199254740993.0 9007199254740995.0 0.0 0.0\n")
+        recs = D.parse_trajectory_file(p)
+        assert (recs[0].frame, recs[0].ped_id) == (9007199254740993, 9007199254740995)
+
+    @pytest.mark.parametrize("token,value", [
+        ("1e3", 1000), ("8.4e2", 840), ("-0", 0), ("100000000000000000000", 10**20)])
+    def test_id_is_the_integer_its_text_denotes(self, tmp_path, token, value):
+        p = tmp_path / "s.txt"
+        p.write_text(f"{token} {token} 0.0 0.0\n")
+        rec = D.parse_trajectory_file(p)[0]
+        assert (rec.frame, rec.ped_id) == (value, value)
+
+    @pytest.mark.parametrize("token,message", [
+        ("abc", "is not numeric"), ("840.0000000000000001", "is not an integer"),
+        ("nan", "is not an integer"), ("inf", "is not an integer"),
+        ("1e999999999", "is not an integer"), ("1e-99999999999999999999", "is not an integer"),
+        ("-1", "must be non-negative"), ("-1.0", "must be non-negative")])
+    def test_id_that_is_not_an_integer_is_refused(self, tmp_path, token, message):
+        p = tmp_path / "s.txt"
+        p.write_text(f"{token} 1 0.0 0.0\n")
+        with pytest.raises(ParseError, match=f"line 1: frame .*{message}"):
+            D.parse_trajectory_file(p)
+
     def test_malformed_coordinate(self, tmp_path):
         p = tmp_path / "s.txt"
         p.write_text("0 1 abc 4\n")

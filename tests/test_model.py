@@ -76,9 +76,9 @@ def test_vanilla_gat_has_no_edge_params():
 @pytest.mark.parametrize("variant", ["graphtcn", "graphtcn_g", "no_efgat", "vanilla_gat"])
 def test_spatial_out_dim_feeds_the_first_tcn_layer(variant):
     model = GraphTCN(tiny_cfg(variant=variant))
-    assert model.spatial.out_dim == model.tcn.layers[0].W.shape[1]
+    assert model.spatial.out_dim == model.tcn.layers[0][0].shape[1]
     default = GraphTCN(ModelConfig(variant=variant))
-    assert default.spatial.out_dim == default.tcn.layers[0].W.shape[1]
+    assert default.spatial.out_dim == default.tcn.layers[0][0].shape[1]
     assert default.spatial.out_dim == (64 if variant == "no_efgat" else 32)
 
 

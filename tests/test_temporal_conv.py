@@ -5,7 +5,7 @@ import pytest
 
 from graphtcn import tensor as T
 from graphtcn.errors import ShapeError
-from graphtcn.temporal_conv import GatedConvLayer, TemporalConvNet, receptive_field
+from graphtcn.temporal_conv import TemporalConvNet, receptive_field
 from graphtcn.tensor import ParameterStore, Tensor
 
 from oracles import conv_stack_oracle
@@ -43,15 +43,15 @@ class TestReceptiveField:
 class TestGatedLayer:
     def test_zero_input_zero_bias_gives_zero(self):
         store = ParameterStore()
-        layer = GatedConvLayer(store, "l", 2, 3, 3, 1, np.random.default_rng(1))
+        layer = TemporalConvNet(store, "l", 2, 3, 1, 3, (1,), np.random.default_rng(1))
         out = layer.forward(Tensor(np.zeros((2, 5, 2))))
         np.testing.assert_array_equal(out.data, np.zeros((2, 5, 3)))
 
     def test_closed_filter_suppresses_output(self):
         store = ParameterStore()
-        layer = GatedConvLayer(store, "l", 1, 1, 2, 1, np.random.default_rng(2))
-        store["l.filt.W"].data[...] = 0.0
-        store["l.filt.b"].data[...] = -200.0
+        layer = TemporalConvNet(store, "l", 1, 1, 1, 2, (1,), np.random.default_rng(2))
+        store["l.l0.filt.W"].data[...] = 0.0
+        store["l.l0.filt.b"].data[...] = -200.0
         out = layer.forward(Tensor(np.ones((1, 4, 1))))
         np.testing.assert_allclose(out.data, 0.0, atol=1e-80)
 
@@ -59,11 +59,11 @@ class TestGatedLayer:
         # Single channel, T=2, k=2: out[t] = tanh(g) * sigmoid(f) with
         # g = 0.5*x[t-1] + 1.0*x[t] + 0.1, f = -0.25*x[t-1] + 2.0*x[t].
         store = ParameterStore()
-        layer = GatedConvLayer(store, "l", 1, 1, 2, 1, np.random.default_rng(3))
-        store["l.gate.W"].data[...] = np.array([[[0.5, 1.0]]])
-        store["l.gate.b"].data[...] = 0.1
-        store["l.filt.W"].data[...] = np.array([[[-0.25, 2.0]]])
-        store["l.filt.b"].data[...] = 0.0
+        layer = TemporalConvNet(store, "l", 1, 1, 1, 2, (1,), np.random.default_rng(3))
+        store["l.l0.gate.W"].data[...] = np.array([[[0.5, 1.0]]])
+        store["l.l0.gate.b"].data[...] = 0.1
+        store["l.l0.filt.W"].data[...] = np.array([[[-0.25, 2.0]]])
+        store["l.l0.filt.b"].data[...] = 0.0
         x = np.array([0.3, -0.7])
         out = layer.forward(Tensor(x.reshape(1, 2, 1))).data.reshape(2)
         g = np.array([1.0 * 0.3 + 0.1, 0.5 * 0.3 + 1.0 * (-0.7) + 0.1])
@@ -77,9 +77,9 @@ class TestFusedLayer:
 
     def make_layer(self, dilation=2, seed=30):
         store = ParameterStore()
-        layer = GatedConvLayer(store, "l", 3, 4, 3, dilation, np.random.default_rng(seed))
+        layer = TemporalConvNet(store, "l", 3, 4, 1, 3, (dilation,), np.random.default_rng(seed))
         rng = np.random.default_rng(seed + 1)
-        for name in ("l.gate.b", "l.filt.b"):
+        for name in ("l.l0.gate.b", "l.l0.filt.b"):
             store[name].data[...] = rng.normal(size=4)
         return layer, store
 
@@ -87,8 +87,8 @@ class TestFusedLayer:
     def test_equals_two_separate_convs(self, dilation):
         layer, store = self.make_layer(dilation)
         x = np.random.default_rng(31).normal(size=(5, 9, 3))
-        gate = T.conv1d_causal(x, store["l.gate.W"], store["l.gate.b"], dilation=dilation)
-        filt = T.conv1d_causal(x, store["l.filt.W"], store["l.filt.b"], dilation=dilation)
+        gate = T.conv1d_causal(x, store["l.l0.gate.W"], store["l.l0.gate.b"], dilation=dilation)
+        filt = T.conv1d_causal(x, store["l.l0.filt.W"], store["l.l0.filt.b"], dilation=dilation)
         expected = np.tanh(gate.data) / (1.0 + np.exp(-filt.data))
         out = layer.forward(Tensor(x)).data
         np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)

@@ -209,7 +209,7 @@ class TestForwardValues:
         ((2, 5, 6), True), ((2, 5, 6), False), ((3, 4), False), ((3, 2, 8), False)])
     def test_gated_activation_equals_unfused_chain(self, shape, via_conv):
         # Values and input gradients, bit for bit. via_conv feeds the
-        # [B, T, C] output of conv1d_causal, as in GatedConvLayer.
+        # [B, T, C] output of conv1d_causal, as in a TCN layer.
         rng = np.random.default_rng(sum(shape))
         x = rng.normal(size=shape) * 3.0
         W = rng.normal(size=(shape[-1], shape[-1], 2))
@@ -669,6 +669,30 @@ class TestForwardValues:
             single = T.conv1d_causal(x[i].T, W, b, dilation=dilation).data
             np.testing.assert_allclose(single, ref, rtol=0, atol=1e-12)
             np.testing.assert_allclose(batched[i], ref.T, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("dilation", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_conv_2d_gradients_equal_batched(self, k, dilation):
+        # The 2-d [C_in, T] form's x, W and b gradients, byte for byte,
+        # against the batched form's on the same sequence. At k=3, d=3
+        # tap 0 reaches before step 0 at every step.
+        rng = np.random.default_rng(10 * k + dilation)
+        seq = rng.normal(size=(6, 2))
+        W = rng.normal(size=(3, 2, k))
+        b = rng.normal(size=3)
+        w = rng.normal(size=(6, 3))
+        grads = []
+        for x, w_out in ((seq.T, w.T), (seq[None], w[None])):
+            store = T.ParameterStore()
+            px, pW, pb = store.add("x", x), store.add("W", W), store.add("b", b)
+            with T.Tape() as tape:
+                out = T.conv1d_causal(px, pW, pb, dilation=dilation)
+                T.backward(T.reduce_sum(T.mul(out, T.Tensor(w_out))), tape)
+            gx = px.grad.T if x.ndim == 2 else px.grad[0]
+            grads.append([np.ascontiguousarray(gx), pW.grad, pb.grad])
+        for single, batched in zip(*grads):
+            assert single.shape == batched.shape and single.tobytes() == batched.tobytes()
+        assert all((g != 0.0).any() for g in grads[0])
 
     def test_reduce_values(self):
         assert T.reduce_mean([2.5, 1.5]).item() == 2.0

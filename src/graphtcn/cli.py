@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from pathlib import Path
 
 _THREAD_VARS = (
     "OMP_NUM_THREADS",
@@ -77,13 +78,29 @@ def _load_config(args):
     return cfg
 
 
+def _check_outputs(*paths):
+    """Refuse, before any input is read, an output path that is a directory
+    or whose parent is not one. An option left unset (None) is skipped."""
+    from .errors import ConfigError
+
+    for path in paths:
+        if path is None:
+            continue
+        if Path(path).is_dir():
+            raise ConfigError(f"cannot write {path!r}: it is a directory")
+        parent = Path(path).parent
+        if not parent.is_dir():
+            raise ConfigError(f"cannot write {path!r}: {str(parent)!r} is not a directory")
+
+
 def _cmd_train(args) -> int:
     from .data import discover_scenes, hold_out
     from .training import train
 
     cfg = _load_config(args)
-    split = hold_out(discover_scenes(args.data), args.leave_out)
     log_path = args.log if args.log else args.out + ".log"
+    _check_outputs(args.out, log_path)
+    split = hold_out(discover_scenes(args.data), args.leave_out)
     train(cfg, split, args.data, out_path=args.out, log_path=log_path,
           progress=lambda line: print(line, flush=True))
     print(f"checkpoint written to {args.out}")
@@ -96,6 +113,7 @@ def _cmd_eval(args) -> int:
     from .data import discover_scenes, hold_out
     from .training import evaluate_dataset, model_from_checkpoint
 
+    _check_outputs(args.dump_traj)
     ckpt = load_checkpoint(args.ckpt)
     model = model_from_checkpoint(ckpt)
     split = hold_out(discover_scenes(args.data), args.leave_out)
@@ -138,6 +156,7 @@ def _cmd_dump_attn(args) -> int:
     from .errors import ConfigError, ContractError, DataError
     from .training import model_from_checkpoint
 
+    _check_outputs(args.out)
     scene, _, start = args.window_id.partition(":")
     try:
         start = int(start)
@@ -163,6 +182,7 @@ def _cmd_dump_attn(args) -> int:
 def _cmd_plot(args) -> int:
     from .viz import emit_plot
 
+    _check_outputs(args.out)
     out = emit_plot(args.kind, args.in_path, args.out)
     print(f"plot written to {out}")
     return 0

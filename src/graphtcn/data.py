@@ -91,7 +91,8 @@ def _parse_int_field(token: str, what: str, line_no: int):
 
 
 def parse_trajectory_file(path) -> list[RawRecord]:
-    """Read one scene file into records, preserving line order."""
+    """Read one scene file of ``frame ped_id x y`` rows, exactly four
+    fields each, into records, preserving line order."""
     records = []
     seen = set()
     # Lines split as a text-mode file splits them (universal newlines).
@@ -101,7 +102,7 @@ def parse_trajectory_file(path) -> list[RawRecord]:
             if not stripped or stripped.startswith("#"):
                 continue
             parts = stripped.split()
-            if len(parts) < 4:
+            if len(parts) != 4:
                 raise ParseError(f"line {line_no}: expected 4 fields, got {len(parts)}")
             frame = _parse_int_field(parts[0], "frame", line_no)
             ped_id = _parse_int_field(parts[1], "ped_id", line_no)

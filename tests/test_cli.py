@@ -2,9 +2,11 @@
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +20,9 @@ from graphtcn.config import ModelConfig
 from graphtcn.dumps import format_trajectory_dump
 from graphtcn.training import model_from_checkpoint
 
-SOURCE = Path(__file__).resolve().parent.parent / "data" / "synthetic"
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SOURCE = ROOT / "data" / "synthetic"
+SRC = ROOT / "src"
 
 
 @pytest.fixture(scope="module")
@@ -114,6 +117,38 @@ def test_negative_seed_rejected_before_the_data_is_read(tmp_path, capsys):
     rc = main(["train", "--data", str(tmp_path / "no_such_dir"), "--leave-out", "x",
                "--seed", "-1", "--out", str(tmp_path / "m.ckpt")])
     assert rc == 2 and capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+
+
+@pytest.mark.parametrize("argv,error", [
+    (["train", "--out", "no_dir/m.ckpt"], "'no_dir/m.ckpt': 'no_dir' is not a directory"),
+    (["train", "--out", "a_dir"], "'a_dir': it is a directory"),
+    (["train", "--out", "m.ckpt", "--log", "no_dir/m.log"],
+     "'no_dir/m.log': 'no_dir' is not a directory"),
+    (["dump-attn", "--window-id", "crossing:0", "--out", "a_dir"], "'a_dir': it is a directory"),
+    (["plot", "--kind", "attention", "--in", "ghost.txt", "--out", "no_dir/a.svg"],
+     "'no_dir/a.svg': 'no_dir' is not a directory"),
+], ids=["train-out-in-missing-dir", "train-out-is-a-dir", "train-log-in-missing-dir",
+        "dump-attn-out-is-a-dir", "plot-out-in-missing-dir"])
+def test_output_path_checked_before_any_input_is_read(tmp_path, monkeypatch, capsys, argv, error):
+    # The inputs (data, checkpoint, dump) are all missing: they would be
+    # reported, or every epoch trained, if outputs were checked at write.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a_dir").mkdir()
+    inputs = {"train": ["--data", "no_data", "--leave-out", "x"],
+              "dump-attn": ["--ckpt", "ghost.ckpt", "--data", "no_data"], "plot": []}
+    assert main(argv + inputs[argv[0]]) == 2
+    assert capsys.readouterr() == ("", f"error: cannot write {error}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["a_dir"]
+
+
+def test_eval_checks_dump_path_before_the_table(workdir, trained, capsys):
+    root, data, _ = workdir
+    dump = root / "no_dir" / "traj.txt"
+    rc = main(["eval", "--ckpt", str(trained), "--data", str(data),
+               "--leave-out", "crossing", "--samples", "2", "--dump-traj", str(dump)])
+    assert rc == 2
+    assert capsys.readouterr() == (
+        "", f"error: cannot write {str(dump)!r}: {str(dump.parent)!r} is not a directory\n")
 
 
 def test_eval_prints_table(workdir, trained, capsys):
@@ -333,3 +368,17 @@ def test_bad_config_key_reported(workdir, capsys):
                "--config", str(bad), "--out", str(root / "w.ckpt")])
     assert rc == 2
     assert "not_a_key" in capsys.readouterr().err
+
+
+def test_ci_runs_the_readme_quick_start_verbatim():
+    # Each graphtcn command in README's Quick start, continuation lines
+    # included, is a whole run of lines in CI's quick-start step once the
+    # step's indentation is removed, so neither side changes alone.
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Quick start\n", 1)[1].split("```console\n", 1)[1].split("```", 1)[0]
+    commands = re.findall(r"^graphtcn (?:.*\\\n)*.*", block, re.M)
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
+    step = workflow.split("- name: README quick start\n", 1)[1].split("run: |\n", 1)[1]
+    step = "\n" + textwrap.dedent(step.split("\n      - ", 1)[0])
+    assert len(commands) == 5
+    assert [c for c in commands if f"\n{c}\n" not in step] == []

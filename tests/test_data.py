@@ -120,10 +120,14 @@ class TestParse:
         with pytest.raises(ParseError, match=r"s\.txt: invalid UTF-8 at byte offset 7"):
             D.parse_trajectory_file(p)
 
-    def test_too_few_fields(self, tmp_path):
+    @pytest.mark.parametrize("row", ["0 1 2.0", "0 1 2.0 3.0 4.0", "10 1 1.5 0.0 2.5 0.1 0 0.1"],
+                             ids=["3", "5", "8"])
+    def test_wrong_field_count(self, tmp_path, row):
+        # Only frame, id, x and y: an extra column (ETH obsmat's height,
+        # here 0.0) would otherwise be dropped or read as a coordinate.
         p = tmp_path / "s.txt"
-        p.write_text("0 1 2.0\n")
-        with pytest.raises(ParseError, match="line 1"):
+        p.write_text(row + "\n")
+        with pytest.raises(ParseError, match=f"^line 1: expected 4 fields, got {len(row.split())}$"):
             D.parse_trajectory_file(p)
 
     def test_fractional_frame_rejected(self, tmp_path):

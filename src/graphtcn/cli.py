@@ -111,8 +111,9 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     from .checkpoint import load_checkpoint
     from .data import discover_scenes, hold_out
-    from .training import evaluate_dataset, model_from_checkpoint
+    from .training import check_eval_args, evaluate_dataset, model_from_checkpoint
 
+    check_eval_args(args.samples, args.seed)
     _check_outputs(args.dump_traj)
     ckpt = load_checkpoint(args.ckpt)
     model = model_from_checkpoint(ckpt)
@@ -133,8 +134,9 @@ def _cmd_bench(args) -> int:
     from .checkpoint import load_checkpoint
     from .data import discover_scenes, load_scene_windows
     from .errors import DataError
-    from .training import benchmark_inference, model_from_checkpoint
+    from .training import benchmark_inference, check_bench_args, model_from_checkpoint
 
+    check_bench_args(args.repeats, args.samples, args.warmup)
     model = model_from_checkpoint(load_checkpoint(args.ckpt))
     cfg = model.cfg
     scene = args.scene if args.scene else discover_scenes(args.data)[0]

@@ -25,6 +25,12 @@ from .metrics import variety_loss
 from .temporal_conv import TemporalConvNet
 
 
+def check_samples(m: int):
+    """Refuse a sample count below 1."""
+    if m < 1:
+        raise ContractError(f"need m >= 1, got {m}")
+
+
 class GraphTCN:
     def __init__(self, cfg: ModelConfig):
         cfg.validate()
@@ -101,8 +107,7 @@ class GraphTCN:
     def predict(self, window: SequenceWindow, m: int, rng: np.random.Generator):
         """M prior-noise trajectories from the t_obs observed steps alone;
         returns (PredictionSet, attention)."""
-        if m < 1:
-            raise ContractError(f"need m >= 1, got {m}")
+        check_samples(m)
         h, attn = self.encode(window)
         origin = self._origin(window)
         delta = self.decoder.forward(h, self.decoder.noise(rng, m, window.n_peds))

@@ -61,17 +61,19 @@ Gradients accumulate into ``Tensor.grad`` buffers. Only leaves keep
 theirs after a sweep: ``backward`` hands each intermediate's gradient to
 its rule and then drops it. Callers zero leaf gradients explicitly
 between optimizer steps; running ``backward`` twice on the same tape
-without zeroing adds one more full gradient to every leaf. An
-intermediate's first gradient is stored, not added into zeros: as it is
-when the backward rule built it fresh (a new C-ordered array nothing
-else holds), else as a C-ordered copy. Only these operands skip the
-work of a gradient when they need none, since the model passes them
-constants: affine's input (the features, the future offsets),
-draw_affine's per-draw part (the noise) and either operand of add, sub
-and mul (the origins, the KL's ones). slice_axis checks its input too,
-as it writes the gradient without ``_accumulate``. Every other rule
-computes each input's gradient, and ``_accumulate`` drops any that an
-input does not take.
+without zeroing adds one more full gradient to every leaf. Every
+gradient, the sweep's seed included, is stored or added by
+``_accumulate``, under one ownership rule: a backward rule hands each
+input the output gradient itself, a view of it that overlaps no other
+input's view, or an array the rule has just built. So an intermediate's
+first gradient is stored, not added into zeros, C-ordered and copied
+only if it is not, and no two tensors share a gradient buffer. Only
+these operands skip the work of a gradient when they need none, since
+the model passes them constants: affine's input (the features, the
+future offsets), draw_affine's per-draw part (the noise) and either
+operand of add, sub and mul (the origins, the KL's ones). Every other
+rule computes each input's gradient, and ``_accumulate`` drops any that
+an input does not take.
 
 ParameterStore keeps every parameter's data and gradient as views into
 two flat buffers, so zeroing all gradients is one fill and an optimizer
@@ -170,20 +172,21 @@ def _as_tensor(x) -> Tensor:
     return Tensor(x)
 
 
-def _accumulate(t: Tensor, g: np.ndarray, fresh: bool = False):
-    """Add ``g`` into ``t``'s gradient, if ``t`` requires one.
+def _accumulate(t: Tensor, g: np.ndarray):
+    """Add ``g`` into ``t``'s gradient, if ``t`` requires one: the only
+    place that stores or adds a gradient.
 
-    A first gradient is stored as a C-ordered copy, because g may be a view
-    of another tensor's gradient (C order keeps trained weights
-    bit-identical to adding g into zeros; a copy in g's own layout changed
-    their last bits). A caller passes ``fresh`` for a g it has just built
-    and holds nowhere else; a fresh g that is a C-ordered array is then
-    stored as it is.
+    A backward rule hands each input the output gradient itself, a view of
+    it that overlaps no other input's view, or an array it has just built,
+    so a stored g is held by ``t`` alone and later gradients add into it in
+    place. A first gradient is stored C-ordered, copied only if g is not
+    (C order keeps trained weights bit-identical to adding g into zeros; a
+    copy in g's own layout changed their last bits).
     """
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = g if fresh and g.flags.c_contiguous else np.array(g, order="C")
+        t.grad = np.asarray(g, order="C")
     else:
         t.grad += g
 
@@ -202,12 +205,11 @@ def _record(out: Tensor, inputs, backward_fn):
     _ACTIVE.stack[-1].nodes.append(_Node(out, backward_fn))
 
 
-def _unary(x: Tensor, y, grad, fresh: bool = False) -> Tensor:
+def _unary(x: Tensor, y, grad) -> Tensor:
     """The result ``y`` of a single-input op on ``x``; backward adds
-    ``grad(g)`` into ``x``. An op whose ``grad`` builds a new array each
-    call passes ``fresh`` (see ``_accumulate``)."""
+    ``grad(g)``, g itself, a view of it or a new array, into ``x``."""
     out = Tensor(y)
-    _record(out, (x,), lambda g, x=x, grad=grad: _accumulate(x, grad(g), fresh))
+    _record(out, (x,), lambda g, x=x, grad=grad: _accumulate(x, grad(g)))
     return out
 
 
@@ -221,9 +223,7 @@ def backward(root: Tensor, tape: Tape):
     """
     if root.data.size != 1:
         raise ContractError(f"backward root must be scalar, got shape {root.shape}")
-    if root.grad is None:
-        root.grad = np.zeros_like(root.data)
-    root.grad += 1.0
+    _accumulate(root, np.ones_like(root.data))
     for node in reversed(tape.nodes):
         g, node.out.grad = node.out.grad, None
         if g is not None:
@@ -251,9 +251,9 @@ def affine(x, W, b) -> Tensor:
     def bwd(g, x=x, W=W, b=b, x2=x2, lead=lead):
         g2 = g.reshape(-1, g.shape[-1])
         if x.requires_grad:
-            _accumulate(x, (g2 @ W.data.T).reshape(x.data.shape), fresh=True)
-        _accumulate(W, x2.T @ g2, fresh=True)
-        _accumulate(b, g2.sum(axis=0), fresh=True)
+            _accumulate(x, (g2 @ W.data.T).reshape(x.data.shape))
+        _accumulate(W, x2.T @ g2)
+        _accumulate(b, g2.sum(axis=0))
 
     _record(out, [x, W, b], bwd)
     return out
@@ -298,14 +298,14 @@ def draw_affine(shared, per_draw, W, b, groups: int) -> Tensor:
     def bwd(g):
         gs = g.sum(axis=0)
         gd = g.reshape(-1, width) if per_node else g.sum(axis=1)
-        _accumulate(shared, gs @ Ws.T, fresh=True)
+        _accumulate(shared, gs @ Ws.T)
         gW = np.empty(rows.shape)
         gW[:, :S] = (s2.T @ gs).reshape(groups, S, width)
         gW[:, S:] = (p2.T @ gd).reshape(groups, -1, width)
-        _accumulate(W, gW.reshape(W.data.shape), fresh=True)
-        _accumulate(b, gs.sum(axis=0), fresh=True)
+        _accumulate(W, gW.reshape(W.data.shape))
+        _accumulate(b, gs.sum(axis=0))
         if per_draw.requires_grad:
-            _accumulate(per_draw, (gd @ Wd.T).reshape(p.shape), fresh=True)
+            _accumulate(per_draw, (gd @ Wd.T).reshape(p.shape))
 
     _record(out, [shared, per_draw, W, b], bwd)
     return out
@@ -320,8 +320,8 @@ def matmul(a, b) -> Tensor:
     out = Tensor(a.data @ b.data)
 
     def bwd(g, a=a, b=b):
-        _accumulate(a, g @ np.swapaxes(b.data, -1, -2), fresh=True)
-        _accumulate(b, np.swapaxes(a.data, -1, -2) @ g, fresh=True)
+        _accumulate(a, g @ np.swapaxes(b.data, -1, -2))
+        _accumulate(b, np.swapaxes(a.data, -1, -2) @ g)
 
     _record(out, [a, b], bwd)
     return out
@@ -332,8 +332,8 @@ def _binary(a, b, forward, grad_a, grad_b) -> Tensor:
     operand and a 0-d scalar. Backward adds ``grad_a(g, a, b)`` into ``a``
     and ``grad_b(g, a, b)`` into ``b``, summed to a scalar for a 0-d
     operand, for each operand that needs a gradient. A gradient function
-    returns g itself (add, and sub's first operand) or a new array, which
-    is handed over fresh."""
+    returns g itself (the first operand of add and sub) or a new array, so
+    the two operands never share one buffer."""
     a, b = _as_tensor(a), _as_tensor(b)
     if a.data.shape != b.data.shape and a.data.ndim and b.data.ndim:
         raise ShapeError(f"{forward.__name__} mismatch: {a.shape} vs {b.shape}")
@@ -345,14 +345,14 @@ def _binary(a, b, forward, grad_a, grad_b) -> Tensor:
                 gt = grad(g, a, b)
                 if t.data.ndim == 0 and g.ndim > 0:
                     gt = gt.sum()
-                _accumulate(t, gt, fresh=gt is not g)
+                _accumulate(t, gt)
 
     _record(out, (a, b), bwd)
     return out
 
 
 def add(a, b) -> Tensor:
-    return _binary(a, b, np.add, lambda g, a, b: g, lambda g, a, b: g)
+    return _binary(a, b, np.add, lambda g, a, b: g, lambda g, a, b: +g)
 
 
 def sub(a, b) -> Tensor:
@@ -378,13 +378,13 @@ def leaky_relu(x) -> Tensor:
     x = _as_tensor(x)
     # max(x >= 0, _SLOPE) is 1 where x >= 0, else _SLOPE.
     return _unary(x, _leaky(x.data),
-                  lambda g, x=x: g * np.maximum(x.data >= 0.0, _SLOPE), fresh=True)
+                  lambda g, x=x: g * np.maximum(x.data >= 0.0, _SLOPE))
 
 
 def tanh(x) -> Tensor:
     x = _as_tensor(x)
     y = np.tanh(x.data)
-    return _unary(x, y, lambda g, y=y: g * (1.0 - y * y), fresh=True)
+    return _unary(x, y, lambda g, y=y: g * (1.0 - y * y))
 
 
 def _sigmoid(d: np.ndarray) -> np.ndarray:
@@ -403,26 +403,26 @@ def _sigmoid(d: np.ndarray) -> np.ndarray:
 def sigmoid(x) -> Tensor:
     x = _as_tensor(x)
     y = _sigmoid(x.data)
-    return _unary(x, y, lambda g, y=y: g * y * (1.0 - y), fresh=True)
+    return _unary(x, y, lambda g, y=y: g * y * (1.0 - y))
 
 
 def exp(x) -> Tensor:
     x = _as_tensor(x)
     y = np.exp(x.data)
-    return _unary(x, y, lambda g, y=y: g * y, fresh=True)
+    return _unary(x, y, lambda g, y=y: g * y)
 
 
 def log(x) -> Tensor:
     x = _as_tensor(x)
     _check_domain(x.data <= 0.0, "log of non-positive")
-    return _unary(x, np.log(x.data), lambda g, x=x: g / x.data, fresh=True)
+    return _unary(x, np.log(x.data), lambda g, x=x: g / x.data)
 
 
 def sqrt(x) -> Tensor:
     x = _as_tensor(x)
     _check_domain(x.data < 0.0, "sqrt of negative")
     y = np.sqrt(x.data)
-    return _unary(x, y, lambda g, y=y: g * 0.5 / y, fresh=True)
+    return _unary(x, y, lambda g, y=y: g * 0.5 / y)
 
 
 def _check_domain(bad: np.ndarray, what: str):
@@ -470,10 +470,9 @@ def slice_axis(x, axis: int, start: int, stop: int) -> Tensor:
     out = Tensor(x.data[tuple(sl)].copy())
 
     def bwd(g, x=x, sl=tuple(sl)):
-        if x.requires_grad:
-            if x.grad is None:
-                x.grad = np.zeros_like(x.data)
-            x.grad[sl] += g
+        gx = np.zeros(x.data.shape)
+        gx[sl] = g
+        _accumulate(x, gx)
 
     _record(out, [x], bwd)
     return out
@@ -507,7 +506,7 @@ def repeat_axis(x, axis: int, times: int) -> Tensor:
         raise ShapeError(f"repeat_axis needs extent 1 at axis {axis}, got {x.shape}")
     shape = x.data.shape[:axis] + (times,) + x.data.shape[axis + 1:]
     return _unary(x, np.broadcast_to(x.data, shape),
-                  lambda g, axis=axis: g.sum(axis=axis, keepdims=True), fresh=True)
+                  lambda g, axis=axis: g.sum(axis=axis, keepdims=True))
 
 
 def stack(tensors, axis: int = 0) -> Tensor:
@@ -540,8 +539,7 @@ def masked_softmax(logits, mask) -> Tensor:
     y -= y.max(axis=-1, keepdims=True)
     np.exp(y, out=y)
     y /= y.sum(axis=-1, keepdims=True)
-    return _unary(x, y, lambda g, y=y: y * (g - (g * y).sum(axis=-1, keepdims=True)),
-                  fresh=True)
+    return _unary(x, y, lambda g, y=y: y * (g - (g * y).sum(axis=-1, keepdims=True)))
 
 
 def _pair_softmax(s: np.ndarray, d: np.ndarray, record: bool):
@@ -673,30 +671,30 @@ def attention_layer(h, centred, w1, w2, val_W, val_b, res_W, res_b, edge=None):
         # The C-ordered copy of g the add's backward made for both terms.
         g = np.ascontiguousarray(g)
         g2 = g.reshape(-1, heads * d_out)
-        _accumulate(h, (g2 @ res_W.data.T).reshape(h.data.shape), fresh=True)
-        _accumulate(res_W, x2.T @ g2, fresh=True)
-        _accumulate(res_b, g2.sum(axis=0), fresh=True)
+        _accumulate(h, (g2 @ res_W.data.T).reshape(h.data.shape))
+        _accumulate(res_W, x2.T @ g2)
+        _accumulate(res_b, g2.sum(axis=0))
         gl = np.array(g.reshape(lead + (heads, d_out)).transpose(to_first), order="C")
         gl *= np.maximum(pre >= 0.0, _SLOPE)
         gs, gd = (a.reshape(heads, -1) for a in grads(gl @ np.swapaxes(v, -1, -2)))
-        _accumulate(h, (gd.T @ w2.data).reshape(h.data.shape), fresh=True)
+        _accumulate(h, (gd.T @ w2.data).reshape(h.data.shape))
         _accumulate(w2, gd @ x2)
-        _accumulate(h, (gs.T @ w1.data).reshape(h.data.shape), fresh=True)
+        _accumulate(h, (gs.T @ w1.data).reshape(h.data.shape))
         _accumulate(w1, gs @ x2)
         if edge:
             gb = np.ascontiguousarray(gs.T).sum(axis=0).reshape(1, heads)
-            _accumulate(b_e, (gb @ ae.T).reshape(width), fresh=True)
+            _accumulate(b_e, (gb @ ae.T).reshape(width))
             gae = b2.T @ gb
             gv = c2.T @ (gs - gd).T
-            _accumulate(W_e, gv @ ae.T, fresh=True)
+            _accumulate(W_e, gv @ ae.T)
             gae += W_e.data.T @ gv
             _accumulate(a_e, gae.T)
         gg = np.swapaxes(alpha, -1, -2) @ gl
         gu = gg * t + (gg * u) * (1.0 - t * t)
         gu = gu.reshape(heads, -1, d_out).transpose(1, 0, 2).reshape(-1, heads * d_out)
-        _accumulate(h, (gu @ W2.T).reshape(h.data.shape), fresh=True)
+        _accumulate(h, (gu @ W2.T).reshape(h.data.shape))
         _accumulate(val_W, (x2.T @ gu).reshape(d_in, heads, d_out).transpose(1, 0, 2))
-        _accumulate(val_b, gu.sum(axis=0).reshape(heads, d_out), fresh=True)
+        _accumulate(val_b, gu.sum(axis=0).reshape(heads, d_out))
 
     _record(out, inputs, bwd)
     return out, alpha
@@ -733,8 +731,8 @@ def _conv(x: Tensor, W: Tensor, b: Tensor, dilation: int, record: bool):
         return y, None
 
     def rule(g2):
-        _accumulate(W, (g2.T @ cols).reshape(W.data.shape), fresh=True)
-        _accumulate(b, g2.sum(axis=0), fresh=True)
+        _accumulate(W, (g2.T @ cols).reshape(W.data.shape))
+        _accumulate(b, g2.sum(axis=0))
         gcols = (g2 @ W2).reshape(n, t_len, c_in, k)
         gx = np.zeros(xb.shape)
         for j, s in shifts:
@@ -761,7 +759,7 @@ def conv1d_causal(x, W, b, dilation: int = 1) -> Tensor:
 
     def bwd(g):
         gx = rule(g.reshape(y.shape) if batched else g.T)
-        _accumulate(x, gx if batched else gx[0].T, fresh=True)
+        _accumulate(x, gx if batched else gx[0].T)
 
     _record(out, [x, W, b], bwd)
     return out
@@ -797,7 +795,7 @@ def gated_conv(x, W, b, dilation: int) -> Tensor:
         gy = np.empty((n, t_len, 2 * c))
         gy[..., :c] = (g * s) * (1.0 - a * a)
         gy[..., c:] = ((g * a) * s) * (1.0 - s)
-        _accumulate(x, rule(gy.reshape(n * t_len, 2 * c)), fresh=True)
+        _accumulate(x, rule(gy.reshape(n * t_len, 2 * c)))
 
     _record(out, [x, W, b], bwd)
     return out
@@ -806,7 +804,7 @@ def gated_conv(x, W, b, dilation: int) -> Tensor:
 def reduce_sum(x, axis=None) -> Tensor:
     x, axis = _reduction_input(x, axis)
     return _unary(x, x.data.sum(axis=axis),
-                  lambda g, x=x, axis=axis: _spread(g, x, axis, 1.0), fresh=True)
+                  lambda g, x=x, axis=axis: _spread(g, x, axis, 1.0))
 
 
 def reduce_mean(x) -> Tensor:
@@ -814,7 +812,7 @@ def reduce_mean(x) -> Tensor:
     x, _ = _reduction_input(x, None)
     scale = 1.0 / x.data.size
     return _unary(x, x.data.mean(),
-                  lambda g, x=x, scale=scale: _spread(g, x, None, scale), fresh=True)
+                  lambda g, x=x, scale=scale: _spread(g, x, None, scale))
 
 
 def reduce_min(x, axis: int) -> Tensor:
@@ -830,7 +828,7 @@ def reduce_min(x, axis: int) -> Tensor:
         np.put_along_axis(gx, np.expand_dims(idx, axis), np.expand_dims(g, axis), axis)
         return gx
 
-    return _unary(x, x.data.min(axis=axis), grad, fresh=True)
+    return _unary(x, x.data.min(axis=axis), grad)
 
 
 def best_of_m_ade(samples, gt) -> Tensor:
@@ -867,7 +865,7 @@ def best_of_m_ade(samples, gt) -> Tensor:
         gx[k] = step + step
         return gx
 
-    return _unary(samples, per_draw.min(), grad, fresh=True)
+    return _unary(samples, per_draw.min(), grad)
 
 
 def _reduction_input(x, axis):

@@ -21,7 +21,7 @@ from .config import ModelConfig
 from .data import Split, load_windows
 from .errors import ConfigError, DataError, TrainingDivergedError
 from .metrics import evaluate_min_of_m
-from .model import GraphTCN
+from .model import GraphTCN, check_samples
 from .optim import Adam
 from .tensor import Tape, backward
 
@@ -114,11 +114,17 @@ class MetricsReport:
         return "\n".join(lines) + "\n"
 
 
+def check_eval_args(m: int, seed: int):
+    """evaluate_dataset's checks of its numbers, which need no input read."""
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    check_samples(m)
+
+
 def evaluate_dataset(model: GraphTCN, split: Split, data_dir, m: int,
                      seed: int = 0) -> MetricsReport:
     """Best-of-M ADE/FDE on the held-out scene, averaged over windows."""
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
+    check_eval_args(m, seed)
     cfg = model.cfg
     windows = load_windows(data_dir, [split.test_scene], cfg.t_obs, cfg.t_pred,
                            stride=cfg.stride, frame_step=cfg.frame_step)
@@ -176,6 +182,15 @@ class BenchReport:
         )
 
 
+def check_bench_args(repeats: int, m: int, warmup: int):
+    """benchmark_inference's checks of its numbers, which need no input read."""
+    if repeats < 1:
+        raise ConfigError(f"repeats must be >= 1, got {repeats}")
+    if warmup < 0:
+        raise ConfigError(f"warmup must be >= 0, got {warmup}")
+    check_samples(m)
+
+
 def benchmark_inference(model: GraphTCN, window, repeats: int, m: int = 4,
                         warmup: int = 10) -> BenchReport:
     """Time the full pipeline (features -> encode -> M decodes) per window.
@@ -186,10 +201,7 @@ def benchmark_inference(model: GraphTCN, window, repeats: int, m: int = 4,
     Caller is responsible for single-threaded numpy (the CLI pins thread
     counts before importing it).
     """
-    if repeats < 1:
-        raise ConfigError(f"repeats must be >= 1, got {repeats}")
-    if warmup < 0:
-        raise ConfigError(f"warmup must be >= 0, got {warmup}")
+    check_bench_args(repeats, m, warmup)
     rng = np.random.default_rng(0)
     for _ in range(warmup):
         model.predict(window, m, rng)

@@ -33,9 +33,9 @@ def head_affine(x, W, b) -> Tensor:
     def bwd(g, x=x, W=W, b=b, x2=x2, W2=W2):
         g2 = g.reshape(heads, -1, d_out).transpose(1, 0, 2).reshape(-1, heads * d_out)
         if x.requires_grad:
-            _accumulate(x, (g2 @ W2.T).reshape(x.data.shape), fresh=True)
+            _accumulate(x, (g2 @ W2.T).reshape(x.data.shape))
         _accumulate(W, (x2.T @ g2).reshape(d_in, heads, d_out).transpose(1, 0, 2))
-        _accumulate(b, g2.sum(axis=0).reshape(heads, d_out), fresh=True)
+        _accumulate(b, g2.sum(axis=0).reshape(heads, d_out))
 
     _record(out, [x, W, b], bwd)
     return out
@@ -47,7 +47,7 @@ def tanh_gate(x) -> Tensor:
     x = _as_tensor(x)
     t = np.tanh(x.data)
     return _unary(x, t * x.data,
-                  lambda g, x=x, t=t: g * t + (g * x.data) * (1.0 - t * t), fresh=True)
+                  lambda g, x=x, t=t: g * t + (g * x.data) * (1.0 - t * t))
 
 
 def gated_activation(x) -> Tensor:
@@ -64,7 +64,7 @@ def gated_activation(x) -> Tensor:
         gx[..., c:] = ((g * a) * s) * (1.0 - s)
         return gx
 
-    return _unary(x, a * s, grad, fresh=True)
+    return _unary(x, a * s, grad)
 
 
 def attention_weights(h, centred, w1, w2, edge=None) -> Tensor:
@@ -98,17 +98,17 @@ def attention_weights(h, centred, w1, w2, edge=None) -> Tensor:
     def bwd(g):
         gs, gd = (a.reshape(heads, -1) for a in grads(g))
         if h.requires_grad:
-            _accumulate(h, (gd.T @ w2.data).reshape(h.data.shape), fresh=True)
+            _accumulate(h, (gd.T @ w2.data).reshape(h.data.shape))
         _accumulate(w2, gd @ x2)
         if h.requires_grad:
-            _accumulate(h, (gs.T @ w1.data).reshape(h.data.shape), fresh=True)
+            _accumulate(h, (gs.T @ w1.data).reshape(h.data.shape))
         _accumulate(w1, gs @ x2)
         if edge is not None:
             gb = np.ascontiguousarray(gs.T).sum(axis=0).reshape(1, heads)
-            _accumulate(b_e, (gb @ ae.T).reshape(width), fresh=True)
+            _accumulate(b_e, (gb @ ae.T).reshape(width))
             gae = b2.T @ gb
             gv = c2.T @ (gs - gd).T
-            _accumulate(W_e, gv @ ae.T, fresh=True)
+            _accumulate(W_e, gv @ ae.T)
             gae += W_e.data.T @ gv
             _accumulate(a_e, gae.T)
 
@@ -132,9 +132,9 @@ def aggregate_heads(alpha, g) -> Tensor:
         gl = np.array(gm.reshape(heads_last.shape).transpose(to_first), order="C")
         gl *= np.maximum(pre >= 0.0, T._SLOPE)
         if alpha.requires_grad:
-            _accumulate(alpha, gl @ np.swapaxes(v, -1, -2), fresh=True)
+            _accumulate(alpha, gl @ np.swapaxes(v, -1, -2))
         if g.requires_grad:
-            _accumulate(g, np.swapaxes(a, -1, -2) @ gl, fresh=True)
+            _accumulate(g, np.swapaxes(a, -1, -2) @ gl)
 
     _record(out, [alpha, g], bwd)
     return out

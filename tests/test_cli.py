@@ -120,6 +120,21 @@ def test_negative_seed_rejected_before_the_data_is_read(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv,error", [
+    (["eval", "--leave-out", "x", "--seed", "-1"], "seed must be >= 0, got -1"),
+    (["eval", "--leave-out", "x", "--samples", "0"], "need m >= 1, got 0"),
+    (["bench", "--repeats", "2", "--warmup", "-3"], "warmup must be >= 0, got -3"),
+    (["bench", "--repeats", "0"], "repeats must be >= 1, got 0"),
+    (["bench", "--repeats", "2", "--samples", "0"], "need m >= 1, got 0"),
+])
+def test_number_flags_checked_before_any_input_is_read(tmp_path, capsys, argv, error):
+    # The checkpoint and the data directory are both missing; either would
+    # be reported if the flag were checked only after they are read.
+    rc = main(argv + ["--ckpt", str(tmp_path / "ghost.ckpt"), "--data", str(tmp_path / "nodata")])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.err == f"error: {error}\n" and captured.out == ""
+
+
+@pytest.mark.parametrize("argv,error", [
     (["train", "--out", "no_dir/m.ckpt"], "'no_dir/m.ckpt': 'no_dir' is not a directory"),
     (["train", "--out", "a_dir"], "'a_dir': it is a directory"),
     (["train", "--out", "m.ckpt", "--log", "no_dir/m.log"],

@@ -35,8 +35,8 @@ def pair_softmax_op(src, dst):
 
     def bwd(g):
         gs, gd = grads(g)
-        T._accumulate(src, gs, fresh=True)
-        T._accumulate(dst, gd, fresh=True)
+        T._accumulate(src, gs)
+        T._accumulate(dst, gd)
 
     T._record(out, [src, dst], bwd)
     return out
@@ -47,7 +47,7 @@ def row_mean_op(x):
     loss chain ran it before best_of_m_ade fused it."""
     scale = 1.0 / x.data.shape[1]
     return T._unary(x, x.data.mean(axis=1),
-                    lambda g: np.expand_dims(g, 1) * scale * np.ones_like(x.data), fresh=True)
+                    lambda g: np.expand_dims(g, 1) * scale * np.ones_like(x.data))
 
 
 def leaf(values):
@@ -828,6 +828,20 @@ class TestBackward:
         expected[:, 0:3] += a
         assert (p.grad == expected * (1.0 - y.data * y.data) + expected).all()
 
+    def test_add_hands_its_operands_separate_buffers(self):
+        # add's first operand keeps the output gradient itself. exp(a),
+        # recorded earlier, later adds into that buffer in place; had b
+        # been handed the same buffer, q's gradient would take exp's term.
+        rng = np.random.default_rng(23)
+        p, q = leaf(rng.normal(size=2)), leaf(rng.normal(size=2))
+        with T.Tape() as tape:
+            a, b = T.tanh(p), T.tanh(q)
+            c = T.exp(a)
+            z = T.add(a, b)
+            loss = T.add(T.reduce_sum(z), T.reduce_sum(c))
+        T.backward(loss, tape)
+        assert (q.grad == 1.0 - np.tanh(q.data) ** 2).all()
+
     def test_no_tape_records_nothing(self):
         x = leaf([1.0])
         out = T.mul(x, x)
@@ -916,6 +930,55 @@ def test_every_public_name_has_a_program_caller():
                     orphans.append(f"{module}.{node.name}.{d.name}" if member
                                    else f"{module}.{d.name}")
     assert orphans == []
+
+
+def _is_grad(node) -> bool:
+    """Whether ``node`` is ``x.grad`` or an item of it (``x.grad[sl]``)."""
+    if isinstance(node, ast.Subscript):
+        return _is_grad(node.value)
+    return isinstance(node, ast.Attribute) and node.attr == "grad"
+
+
+def _grad_writes(node, where="") -> list:
+    """(enclosing definition, line, value) for every write to a gradient
+    under ``node``: an assignment or augmented assignment to ``.grad`` or
+    an item of it, or an ``out=`` argument naming one. The value is the
+    expression assigned, or None for any other write."""
+    found = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            found += _grad_writes(child, f"{where}.{child.name}".lstrip("."))
+            continue
+        pairs = []
+        if isinstance(child, ast.Assign):
+            for target in child.targets:
+                if isinstance(target, ast.Tuple) and isinstance(child.value, ast.Tuple):
+                    pairs += zip(target.elts, child.value.elts)
+                else:
+                    pairs.append((target, child.value))
+        elif isinstance(child, (ast.AugAssign, ast.AnnAssign)):
+            pairs.append((child.target, None))
+        elif isinstance(child, ast.keyword) and child.arg == "out":
+            pairs.append((child.value, None))
+        found += [(where, child.lineno, value) for target, value in pairs if _is_grad(target)]
+        found += _grad_writes(child, where)
+    return found
+
+
+# Every gradient is stored or added by _accumulate. A new Tensor starts
+# without one, the store hands out and re-points its gradient views, and
+# backward only clears the gradient it hands on.
+GRAD_WRITERS = {"_accumulate", "Tensor.__init__", "ParameterStore._hand_out",
+                "ParameterStore._grow"}
+
+
+def test_only_accumulate_writes_a_gradient():
+    writes = _grad_writes(ast.parse(Path(T.__file__).read_text(encoding="utf-8")))
+    stray = [f"{where}, line {line}" for where, line, value in writes
+             if not (where in GRAD_WRITERS or where == "backward"
+                     and isinstance(value, ast.Constant) and value.value is None)]
+    assert stray == []
+    assert {where for where, _, _ in writes} == GRAD_WRITERS | {"backward"}
 
 
 # "op" or "op.variant" -> (call on the input tensors, input shapes, tape

@@ -952,8 +952,9 @@ def _grad_writes(node, where="") -> list:
         pairs = []
         if isinstance(child, ast.Assign):
             for target in child.targets:
-                if isinstance(target, ast.Tuple) and isinstance(child.value, ast.Tuple):
-                    pairs += zip(target.elts, child.value.elts)
+                if isinstance(target, ast.Tuple):
+                    values = getattr(child.value, "elts", [None] * len(target.elts))
+                    pairs += zip(target.elts, values)
                 else:
                     pairs.append((target, child.value))
         elif isinstance(child, (ast.AugAssign, ast.AnnAssign)):

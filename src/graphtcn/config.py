@@ -1,11 +1,11 @@
 """Model/run configuration with a flat ``key = value`` text form.
 
 The text form is canonical: serialize → parse → serialize is the identity
-on bytes, which the checkpoint format relies on. Unknown keys are
-rejected rather than ignored so a typo cannot silently fall back to a
-default. One table, ``_FIELD_TYPES``, gives each field type its value
-class, writer and reader, and the words of its one error form:
-``KEY needs WORDS, got VALUE``, prefixed with the line number when parsing.
+on bytes, which the checkpoint format relies on. Lines come from the
+shared ``errors.content_lines``; unknown keys are rejected, so a typo
+cannot fall back to a default. One table, ``_FIELD_TYPES``, gives each
+field type its value class, writer and reader, and the words of its one
+error form: ``KEY needs WORDS, got VALUE``, prefixed with the line number.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numbers
 from collections.abc import Iterable
 from dataclasses import dataclass, field, fields
 
-from .errors import ConfigError, read_utf8
+from .errors import ConfigError, content_lines, read_utf8
 
 VARIANTS = ("graphtcn", "graphtcn_g", "no_efgat", "vanilla_gat")
 # Keys whose code is gone; each still accepts only its field default. They
@@ -23,6 +23,7 @@ VARIANTS = ("graphtcn", "graphtcn_g", "no_efgat", "vanilla_gat")
 # variety loss is unweighted, attention gates each value by itself, and
 # every leaky_relu uses the GAT slope 0.2.
 RETIRED = ("variety_weight", "leaky_slope", "separate_gate")
+MAX_TCN_LAYERS = 1024   # the default 4 layers already see 9 steps of the 8 observed
 
 
 @dataclass
@@ -63,10 +64,10 @@ class ModelConfig:
     def __post_init__(self):
         if isinstance(self.tcn_dilations, Iterable):
             self.tcn_dilations = tuple(self.tcn_dilations)
-        # No dilations means 1 per layer; a mistyped value is left for
-        # validate to name.
+        # No dilations means 1 per layer; a mistyped or oversized count is
+        # left for validate to name.
         if self.tcn_dilations == () and _has_type("int", self.tcn_layers):
-            self.tcn_dilations = (1,) * self.tcn_layers
+            self.tcn_dilations = (1,) * min(self.tcn_layers, MAX_TCN_LAYERS)
         self.validate()
 
     def validate(self):
@@ -87,6 +88,8 @@ class ModelConfig:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+        if self.tcn_layers > MAX_TCN_LAYERS:
+            raise ConfigError(f"tcn_layers must be <= {MAX_TCN_LAYERS}, got {self.tcn_layers}")
         if len(self.tcn_dilations) != self.tcn_layers:
             raise ConfigError(
                 f"tcn_dilations has {len(self.tcn_dilations)} entries for {self.tcn_layers} layers"
@@ -118,12 +121,9 @@ class ModelConfig:
     def from_text(cls, text: str) -> "ModelConfig":
         known = {f.name: f for f in fields(cls)}
         values = {}
-        for line_no, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+        for line_no, line in content_lines(text):
             if "=" not in line:
-                raise ConfigError(f"line {line_no}: expected 'key = value', got {raw!r}")
+                raise ConfigError(f"line {line_no}: expected 'key = value', got {line!r}")
             key, _, val = line.partition("=")
             key, val = key.strip(), val.strip()
             if key not in known:

@@ -1,7 +1,7 @@
 """Trajectory file parsing, windowing, splits, and features.
 
 Input files are whitespace-separated ``frame ped_id x y`` rows in world
-meters, one file per scene, '#' starting a comment line.
+meters, one file per scene, read by the shared ``errors.content_lines``.
 ``extract_windows`` alone decides the frame grid from ``frame_step`` and
 the recorded frames, then slices it into observation+prediction windows
 whose pedestrians are the intersection of the pedestrian sets of the
@@ -10,7 +10,6 @@ window's frames.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from decimal import Context, Decimal
@@ -24,6 +23,7 @@ from .errors import (
     DataError,
     DuplicateRecordError,
     ParseError,
+    content_lines,
     read_utf8,
 )
 from .tensor import Tensor
@@ -93,33 +93,25 @@ def _parse_int_field(token: str, what: str, line_no: int):
 def parse_trajectory_file(path) -> list[RawRecord]:
     """Read one scene file of ``frame ped_id x y`` rows, exactly four
     fields each, into records, preserving line order."""
-    records = []
-    seen = set()
-    # Lines split as a text-mode file splits them (universal newlines).
-    with io.StringIO(read_utf8(path, ParseError), newline=None) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            parts = stripped.split()
-            if len(parts) != 4:
-                raise ParseError(f"line {line_no}: expected 4 fields, got {len(parts)}")
-            frame = _parse_int_field(parts[0], "frame", line_no)
-            ped_id = _parse_int_field(parts[1], "ped_id", line_no)
-            try:
-                x, y = float(parts[2]), float(parts[3])
-            except ValueError:
-                raise ParseError(f"line {line_no}: bad coordinate in {parts[2:4]!r}") from None
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise ParseError(f"line {line_no}: non-finite coordinate")
-            key = (frame, ped_id)
-            if key in seen:
-                raise DuplicateRecordError(
-                    f"line {line_no}: duplicate record for frame {frame}, pedestrian {ped_id}"
-                )
-            seen.add(key)
-            records.append(RawRecord(frame, ped_id, x, y))
-    return records
+    records = {}   # by (frame, ped_id), in line order
+    for line_no, line in content_lines(read_utf8(path, ParseError)):
+        parts = line.split()
+        if len(parts) != 4:
+            raise ParseError(f"line {line_no}: expected 4 fields, got {len(parts)}")
+        frame = _parse_int_field(parts[0], "frame", line_no)
+        ped_id = _parse_int_field(parts[1], "ped_id", line_no)
+        try:
+            x, y = float(parts[2]), float(parts[3])
+        except ValueError:
+            raise ParseError(f"line {line_no}: bad coordinate in {parts[2:4]!r}") from None
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ParseError(f"line {line_no}: non-finite coordinate")
+        if (frame, ped_id) in records:
+            raise DuplicateRecordError(
+                f"line {line_no}: duplicate record for frame {frame}, pedestrian {ped_id}"
+            )
+        records[frame, ped_id] = RawRecord(frame, ped_id, x, y)
+    return list(records.values())
 
 
 def extract_windows(
@@ -213,11 +205,11 @@ def build_features(window: SequenceWindow, t_obs: int) -> Tensor:
 
 
 def discover_scenes(data_dir) -> list:
-    """Scene names are the sorted stems of *.txt files in the directory."""
+    """Scene names are the sorted stems of the regular *.txt files in the directory."""
     root = Path(data_dir)
     if not root.is_dir():
         raise DataError(f"data directory not found: {root}")
-    names = sorted(p.stem for p in root.glob("*.txt"))
+    names = sorted(p.stem for p in root.glob("*.txt") if p.is_file())
     if not names:
         raise DataError(f"no *.txt scene files in {root}")
     return names

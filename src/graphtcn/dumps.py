@@ -11,7 +11,8 @@ Trajectory dump, tab-separated:
     S <sample> <ped_index> <step> <x> <y>            predicted future
 
 Floats are written with repr for lossless round trips; steps index the
-resampled timeline of the window (observation starts at 0).
+resampled timeline of the window (observation starts at 0). The parsers
+read lines with the shared ``errors.content_lines``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from .data import SequenceWindow
 from .decoders import PredictionSet
-from .errors import ParseError
+from .errors import ParseError, content_lines
 
 
 def format_attention_dump(window: SequenceWindow, attn_record: list, t_obs: int) -> str:
@@ -43,18 +44,14 @@ def format_attention_dump(window: SequenceWindow, attn_record: list, t_obs: int)
 
 
 def _rows(text: str, kinds: dict):
-    """Yield (kind, fields) for each row of a dump, skipping comments and
-    blank lines. ``kinds`` maps a row kind to (field count, index count):
-    the fields after the kind are that many integer indices, then finite
-    numbers (coordinates or a weight)."""
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    """Yield (kind, fields) for each line ``content_lines`` yields. ``kinds``
+    maps a row kind to (field count, index count): the fields after the kind
+    are that many integer indices, then finite numbers (coordinates or a weight)."""
+    for line_no, line in content_lines(text):
         kind, *tokens = line.split("\t")
         n_fields, n_index = kinds.get(kind, (None, 0))
         if len(tokens) != n_fields:
-            raise ParseError(f"line {line_no}: unrecognized dump row {raw!r}")
+            raise ParseError(f"line {line_no}: unrecognized dump row {line!r}")
         fields = []
         for k, token in enumerate(tokens):
             try:

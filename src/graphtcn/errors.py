@@ -1,7 +1,8 @@
-"""Exception types shared across the package, and the text reader that
-turns undecodable input into one of them."""
+"""Exception types shared across the package, and the one text reader of
+scene, config and dump files: ``read_utf8``, then ``content_lines``."""
 
 import codecs
+import io
 from pathlib import Path
 
 
@@ -14,6 +15,15 @@ def read_utf8(path, error: type) -> str:
         return raw[skip:].decode("utf-8")
     except UnicodeDecodeError as e:
         raise error(f"{path}: invalid UTF-8 at byte offset {skip + e.start}") from None
+
+
+def content_lines(text: str):
+    """Yield ``(line_no, line)``, counted from 1, for each stripped line of
+    ``text`` that is not blank or ``#``; only ``\\n``, ``\\r\\n`` and ``\\r`` end a line."""
+    for line_no, line in enumerate(io.StringIO(text, newline=None), start=1):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            yield line_no, line
 
 
 class GraphTCNError(Exception):

@@ -197,6 +197,21 @@ def test_config_text_with_nan_lr_rejected_by_name(tmp_path):
         load_checkpoint(path)
 
 
+def test_config_text_with_huge_tcn_layers_rejected_by_name(tmp_path):
+    # With no dilations line, the config would build one dilation per layer.
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, toy_store(), small_cfg())
+    blob = path.read_bytes()
+    cfg_len = struct.unpack("<I", blob[8:12])[0]
+    text = blob[12:12 + cfg_len]
+    assert b"tcn_layers = 1\n" in text and b"tcn_dilations = 1\n" in text
+    text = text.replace(b"tcn_layers = 1\n", b"tcn_layers = 1000000000000000\n")
+    text = text.replace(b"tcn_dilations = 1\n", b"")
+    path.write_bytes(blob[:8] + struct.pack("<I", len(text)) + text + blob[12 + cfg_len:])
+    with pytest.raises(ConfigError, match="^tcn_layers must be <= 1024, got 1000000000000000$"):
+        load_checkpoint(path)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_parameter_detected(tmp_path, bad):
     store = toy_store()

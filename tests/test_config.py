@@ -66,6 +66,25 @@ class TestValidation:
         with pytest.raises(ConfigError):
             ModelConfig(tcn_layers=3, tcn_dilations=(1, 1))
 
+    # Counts past the cap; none may reach a tuple build (10**9 would be 8 GB).
+    HUGE_LAYERS = 10**15
+
+    def test_tcn_layers_capped_in_text_and_constructor(self):
+        message = f"^tcn_layers must be <= 1024, got {self.HUGE_LAYERS}$"
+        with pytest.raises(ConfigError, match=message):
+            ModelConfig.from_text(f"tcn_layers = {self.HUGE_LAYERS}\n")
+        with pytest.raises(ConfigError, match=message):
+            ModelConfig(tcn_layers=self.HUGE_LAYERS)
+        with pytest.raises(ConfigError, match="^tcn_layers must be <= 1024, got 1025$"):
+            ModelConfig(tcn_layers=1025)
+        assert ModelConfig(tcn_layers=1024).tcn_dilations == (1,) * 1024
+
+    def test_tcn_layers_cap_checked_before_dilation_count(self):
+        cfg = ModelConfig()
+        cfg.tcn_layers = self.HUGE_LAYERS
+        with pytest.raises(ConfigError, match=f"^tcn_layers must be <= 1024, got {self.HUGE_LAYERS}$"):
+            cfg.validate()
+
     def test_explicit_dilations_kept(self):
         cfg = ModelConfig(tcn_layers=3, tcn_dilations=(1, 2, 4))
         assert cfg.tcn_dilations == (1, 2, 4)

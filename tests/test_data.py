@@ -8,11 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphtcn import data as D
+from graphtcn.config import ModelConfig
+from graphtcn.dumps import parse_trajectory_dump
 from graphtcn.errors import (
     ConfigError,
     ContractError,
     DataError,
     DuplicateRecordError,
+    GraphTCNError,
     ParseError,
 )
 from graphtcn.fixtures import write_synthetic_scenes
@@ -147,6 +150,33 @@ class TestParse:
         p.write_text("20 1 0 0\n0 1 1 1\n10 2 2 2\n")
         recs = D.parse_trajectory_file(p)
         assert [r.frame for r in recs] == [20, 0, 10]
+
+
+LINE_BREAKS = ["\n", "\r\n", "\r"]
+# Characters str.splitlines also breaks at; in a text file they are no line end.
+IN_LINE_SEPARATORS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+def _read_scene_text(tmp_path, text):
+    p = tmp_path / "s.txt"
+    p.write_bytes(text.encode("utf-8"))
+    D.parse_trajectory_file(p)
+
+
+@pytest.mark.parametrize("reader, message", [
+    (_read_scene_text, "expected 4 fields, got 2"),
+    (lambda _, text: ModelConfig.from_text(text), "expected 'key = value', got 'bad row'"),
+    (lambda _, text: parse_trajectory_dump(text), "unrecognized dump row 'bad row'"),
+], ids=["scene", "config", "dump"])
+@pytest.mark.parametrize("sep", LINE_BREAKS + IN_LINE_SEPARATORS,
+                         ids=lambda sep: sep.encode("unicode_escape").decode())
+def test_every_reader_numbers_physical_lines(tmp_path, reader, message, sep):
+    # Line 1 is a comment ending in the separator; a line break ends it
+    # there, any other separator is part of it and "\n" ends it.
+    first = "# one" + sep + ("" if sep in LINE_BREAKS else "\n")
+    with pytest.raises(GraphTCNError) as err:
+        reader(tmp_path, first + "bad row\n")
+    assert str(err.value) == f"line 2: {message}"
 
 
 def _rec(frame, ped=1, x=0.0, y=0.0):
@@ -330,6 +360,11 @@ class TestSceneLoading:
     def test_discover_scenes(self, scene_dir):
         names = D.discover_scenes(scene_dir)
         assert names == ["bench8", "crossing", "groupmerge", "linear", "zara1_like"]
+
+    def test_directory_named_txt_is_no_scene(self, tmp_path):
+        (tmp_path / "a.txt").write_text("0 1 0.0 0.0\n")
+        (tmp_path / "junk.txt").mkdir()
+        assert D.discover_scenes(tmp_path) == ["a"]
 
     def test_missing_dir(self, tmp_path):
         with pytest.raises(DataError):

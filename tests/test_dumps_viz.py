@@ -201,6 +201,26 @@ def test_trajectory_dump_text_is_pinned():
     assert format_trajectory_dump(tiny_dump_window(), pred, 2) == expected
 
 
+@pytest.mark.parametrize("scene", ["b\x85b", "b\fb", "b\u2028b"], ids=["x85", "f", "u2028"])
+def test_dumps_round_trip_a_scene_name_with_a_separator(tmp_path, scene):
+    # The name lands in a comment header; only \n and \r may end a line.
+    tiny = tiny_dump_window()
+    window = SequenceWindow(scene, tiny.start_frame, tiny.positions, tiny.ped_ids)
+    attn = [np.full((1, 2, 2, 2), 0.5)]
+    pred = PredictionSet(np.array([[[[0.25, -0.5]], [[1e-17, 12.0]]]]))
+    traj_in, attn_in = tmp_path / "traj.txt", tmp_path / "attn.txt"
+    write_trajectory_dump(traj_in, window, pred, 2)
+    write_attention_dump(attn_in, window, attn, 2)
+    obs, gt, samples = parse_trajectory_dump(traj_in.read_text(encoding="utf-8"))
+    assert obs[1] == [(0, 1.0, 0.0), (1, 1.5, 1 / 3)] and gt[0] == [(2, 3.0, 4.25)]
+    assert samples == {0: {0: [(2, 0.25, -0.5)], 1: [(2, 1e-17, 12.0)]}}
+    positions, entries = parse_attention_dump(attn_in.read_text(encoding="utf-8"))
+    assert positions == {0: {0: (0.5, -1.0), 1: (1.0, 0.0)}, 1: {0: (0.1, 2.0), 1: (1.5, 1 / 3)}}
+    assert len(entries) == 8
+    for kind, src in [("trajectories", traj_in), ("samples", traj_in), ("attention", attn_in)]:
+        assert emit_plot(kind, src, tmp_path / f"{kind}.svg").read_text().startswith("<svg")
+
+
 def test_dump_writers(tmp_path, crossing_setup):
     cfg, _, window, attn, pred = crossing_setup
     a, t = tmp_path / "a.txt", tmp_path / "t.txt"

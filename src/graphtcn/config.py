@@ -23,7 +23,7 @@ VARIANTS = ("graphtcn", "graphtcn_g", "no_efgat", "vanilla_gat")
 # variety loss is unweighted, attention gates each value by itself, and
 # every leaky_relu uses the GAT slope 0.2.
 RETIRED = ("variety_weight", "leaky_slope", "separate_gate")
-MAX_TCN_LAYERS = 1024   # the default 4 layers already see 9 steps of the 8 observed
+MAX_TCN_LAYERS = 1024   # the default 4 layers already see 9 steps, more than the 8 observed
 
 
 @dataclass

@@ -6,12 +6,17 @@ shared ``errors.content_lines``; unknown keys are rejected, so a typo
 cannot fall back to a default. One table, ``_FIELD_TYPES``, gives each
 field type its value class, writer and reader, and the words of its one
 error form: ``KEY needs WORDS, got VALUE``, prefixed with the line number.
+
+Each field gives its key's type, default and bounds (``_key``); ``validate``
+checks them in one loop, ``check_key`` a lone value such as a CLI flag. Widths
+are uncapped: ``tensor.PARAMETER_BUDGET`` bounds their products instead.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import sys
 from collections.abc import Iterable
 from dataclasses import dataclass, field, fields
 
@@ -23,41 +28,45 @@ VARIANTS = ("graphtcn", "graphtcn_g", "no_efgat", "vanilla_gat")
 # variety loss is unweighted, attention gates each value by itself, and
 # every leaky_relu uses the GAT slope 0.2.
 RETIRED = ("variety_weight", "leaky_slope", "separate_gate")
-MAX_TCN_LAYERS = 1024   # the default 4 layers already see 9 steps, more than the 8 observed
+
+
+def _key(default, low, high=math.inf, strict=False):
+    """A bounded field: low <= value <= high, or low < value when ``strict``."""
+    return field(default=default, metadata={"bounds": (low, high, strict)})
 
 
 @dataclass
 class ModelConfig:
     # Windowing
-    t_obs: int = 8
-    t_pred: int = 12
-    frame_step: int = 10
-    stride: int = 1
+    t_obs: int = _key(8, 1, 1024)
+    t_pred: int = _key(12, 1, 1024)
+    frame_step: int = _key(10, 1)
+    stride: int = _key(1, 1)
     # Spatial encoder: two attention layers applied per observed step.
-    embed_dim: int = 64
-    gal1_heads: int = 2
-    gal1_out: int = 16
-    gal2_heads: int = 1
-    gal2_out: int = 32
+    embed_dim: int = _key(64, 1)
+    gal1_heads: int = _key(2, 1)
+    gal1_out: int = _key(16, 1)
+    gal2_heads: int = _key(1, 1)
+    gal2_out: int = _key(32, 1)
     # Temporal encoder
-    tcn_channels: int = 16
-    tcn_layers: int = 4
-    tcn_kernel: int = 3
+    tcn_channels: int = _key(16, 1)
+    tcn_layers: int = _key(4, 1, 1024)  # 4 layers already see 9 steps, more than the 8 observed
+    tcn_kernel: int = _key(3, 1)
     tcn_dilations: tuple = field(default=())
     # Decoders
-    noise_dim: int = 4
-    future_embed_dim: int = 64
-    decoder_hidden: int = 0
+    noise_dim: int = _key(4, 1)
+    future_embed_dim: int = _key(64, 1)
+    decoder_hidden: int = _key(0, 0)
     # Sampling / training
-    samples: int = 20
+    samples: int = _key(20, 1, 1024)
     variant: str = "graphtcn"
-    lr: float = 1e-4
-    epochs: int = 50
+    lr: float = _key(1e-4, 0.0, strict=True)
+    epochs: int = _key(50, 1)
     variety_weight: float = 1.0     # retired
-    kl_weight_early: float = 0.5
-    kl_weight_late: float = 0.2
+    kl_weight_early: float = _key(0.5, 0.0)
+    kl_weight_late: float = _key(0.2, 0.0)
     kl_switch_epoch: int = 15
-    seed: int = 0
+    seed: int = _key(0, 0)
     leaky_slope: float = 0.2        # retired
     separate_gate: bool = False     # retired
 
@@ -67,7 +76,7 @@ class ModelConfig:
         # No dilations means 1 per layer; a mistyped or oversized count is
         # left for validate to name.
         if self.tcn_dilations == () and _has_type("int", self.tcn_layers):
-            self.tcn_dilations = (1,) * min(self.tcn_layers, MAX_TCN_LAYERS)
+            self.tcn_dilations = (1,) * min(self.tcn_layers, _BOUNDS["tcn_layers"][1])
         self.validate()
 
     def validate(self):
@@ -77,33 +86,16 @@ class ModelConfig:
                 raise ConfigError(f"{f.name} needs {_FIELD_TYPES[f.type][1]}, got {value!r}")
             if f.name in RETIRED and value != f.default:
                 raise ConfigError(f"{f.name} is retired and accepts only {f.default!r}, got {value!r}")
-        positive = (
-            "t_obs", "t_pred", "frame_step", "stride", "embed_dim",
-            "gal1_heads", "gal1_out", "gal2_heads", "gal2_out",
-            "tcn_channels", "tcn_layers", "tcn_kernel", "noise_dim",
-            "future_embed_dim", "samples", "epochs",
-        )
-        for name in positive:
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+            if f.name in _BOUNDS:
+                check_key(f.name, value)
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.tcn_layers > MAX_TCN_LAYERS:
-            raise ConfigError(f"tcn_layers must be <= {MAX_TCN_LAYERS}, got {self.tcn_layers}")
         if len(self.tcn_dilations) != self.tcn_layers:
             raise ConfigError(
                 f"tcn_dilations has {len(self.tcn_dilations)} entries for {self.tcn_layers} layers"
             )
         if any(d < 1 for d in self.tcn_dilations):
             raise ConfigError(f"dilations must be >= 1, got {self.tcn_dilations}")
-        if not 0 < self.lr < math.inf:
-            raise ConfigError(f"lr must be finite and positive, got {self.lr}")
-        for name in ("kl_weight_early", "kl_weight_late"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
-        for name in ("decoder_hidden", "seed"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
 
     # Derived quantities -------------------------------------------------
 
@@ -114,7 +106,7 @@ class ModelConfig:
     # Text form -----------------------------------------------------------
 
     def to_text(self) -> str:
-        return "".join(f"{f.name} = {_format_value(f, getattr(self, f.name))}\n"
+        return "".join(f"{f.name} = {_FIELD_TYPES[f.type][2](getattr(self, f.name))}\n"
                        for f in fields(self))
 
     @classmethod
@@ -130,15 +122,31 @@ class ModelConfig:
                 raise ConfigError(f"line {line_no}: unknown key {key!r}")
             if key in values:
                 raise ConfigError(f"line {line_no}: duplicate key {key!r}")
-            values[key] = _parse_value(known[key], val, line_no)
-        try:
-            return cls(**values)
-        except TypeError as e:
-            raise ConfigError(str(e)) from None
+            _, words, _, read = _FIELD_TYPES[known[key].type]
+            try:
+                values[key] = read(val)
+            except (ValueError, KeyError):
+                raise ConfigError(f"line {line_no}: {key} needs {words}, got {val!r}") from None
+        return cls(**values)
 
     @classmethod
     def from_file(cls, path) -> "ModelConfig":
         return cls.from_text(read_utf8(path, ConfigError))
+
+
+# Each bounded key's (low, high, strict), as its field gives them.
+_BOUNDS = {f.name: f.metadata["bounds"] for f in fields(ModelConfig) if f.metadata}
+
+
+def check_key(name: str, value):
+    """Refuse a ``value`` of key ``name`` past the finite floats or outside its bounds."""
+    low, high, strict = _BOUNDS[name]
+    if not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{name} must be finite, got {value}")
+    if value < low or strict and value == low:
+        raise ConfigError(f"{name} must be {'>' if strict else '>='} {low}, got {value}")
+    if value > high:
+        raise ConfigError(f"{name} must be <= {high}, got {value}")
 
 
 # Field types are annotation strings (postponed annotations), one of
@@ -164,15 +172,3 @@ def _has_type(type_name: str, v) -> bool:
     if type_name == "tuple":
         return isinstance(v, tuple) and all(_has_type("int", d) for d in v)
     return isinstance(v, _FIELD_TYPES[type_name][0])
-
-
-def _format_value(f, v) -> str:
-    return _FIELD_TYPES[f.type][2](v)
-
-
-def _parse_value(f, val: str, line_no: int):
-    _, words, _, read = _FIELD_TYPES[f.type]
-    try:
-        return read(val)
-    except (ValueError, KeyError):
-        raise ConfigError(f"line {line_no}: {f.name} needs {words}, got {val!r}") from None

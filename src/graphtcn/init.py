@@ -19,7 +19,8 @@ def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape=No
 
 
 def add_affine(store, prefix: str, fan_in: int, fan_out: int, rng: np.random.Generator):
-    """Register W and b under ``prefix``; returns the tensors."""
-    W = store.add(f"{prefix}.W", xavier_uniform(rng, fan_in, fan_out))
+    """Register W and b under ``prefix``, reserving W before drawing it; returns the tensors."""
+    block = store.reserve((fan_in, fan_out))
+    W = store.add(f"{prefix}.W", xavier_uniform(rng, fan_in, fan_out), block=block)
     b = store.add(f"{prefix}.b", np.zeros(fan_out))
     return W, b

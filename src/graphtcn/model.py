@@ -16,19 +16,13 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .config import ModelConfig
+from .config import ModelConfig, check_key
 from .data import SequenceWindow, build_features
 from .decoders import CvaeDecoder, MlpDecoder, PredictionSet, relative_to_absolute
 from .errors import ContractError
 from .graph_attention import SpatialEncoder
 from .metrics import variety_loss
 from .temporal_conv import TemporalConvNet
-
-
-def check_samples(m: int):
-    """Refuse a sample count below 1."""
-    if m < 1:
-        raise ContractError(f"need m >= 1, got {m}")
 
 
 class GraphTCN:
@@ -107,7 +101,7 @@ class GraphTCN:
     def predict(self, window: SequenceWindow, m: int, rng: np.random.Generator):
         """M prior-noise trajectories from the t_obs observed steps alone;
         returns (PredictionSet, attention)."""
-        check_samples(m)
+        check_key("samples", m)
         h, attn = self.encode(window)
         origin = self._origin(window)
         delta = self.decoder.forward(h, self.decoder.noise(rng, m, window.n_peds))

@@ -92,7 +92,7 @@ import threading
 
 import numpy as np
 
-from .errors import ContractError, DomainError, NeighborhoodError, ShapeError
+from .errors import ConfigError, ContractError, DomainError, NeighborhoodError, ShapeError
 
 
 class Tensor:
@@ -896,6 +896,9 @@ def _norm_axis(axis: int, ndim: int) -> int:
 # Parameters and the finite-difference oracle
 
 
+PARAMETER_BUDGET = 2**24   # values; with grads and Adam's two moments, 512 MiB
+
+
 class ParameterStore:
     """Named, ordered, shaped learnable parameters; the checkpoint unit.
 
@@ -911,7 +914,8 @@ class ParameterStore:
     layout of a weight (a transpose, a subset of rows) cuts it from the
     tensor it is given. The buffers double in capacity while space is
     taken; every tensor already handed out (name or block) is re-pointed at
-    the new buffers, so it stays valid.
+    the new buffers, so it stays valid. A block that would take the store
+    past PARAMETER_BUDGET values is refused before any array is built.
 
     The view contract: write ``data`` and ``grad`` in place; never rebind
     either. The gradient buffer is then a parameter's only gradient, which
@@ -956,8 +960,11 @@ class ParameterStore:
         """Take one zeroed block of ``shape`` for names to be added into."""
         shape = tuple(shape)
         start, stop = self._size, self._size + math.prod(shape)
+        if stop > PARAMETER_BUDGET:
+            raise ConfigError(f"parameter store would hold {stop} values, "
+                              f"past its budget of {PARAMETER_BUDGET}")
         if stop > self._data.size:
-            self._grow(max(stop, 2 * self._data.size))
+            self._grow(min(max(stop, 2 * self._data.size), PARAMETER_BUDGET))
         self._size = stop
         t = self._hand_out(start, shape)
         self._blocks[id(t)] = [start, stop]

@@ -17,11 +17,11 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import Checkpoint, save_checkpoint
-from .config import ModelConfig
+from .config import ModelConfig, check_key
 from .data import Split, load_windows
 from .errors import ConfigError, DataError, TrainingDivergedError
 from .metrics import evaluate_min_of_m
-from .model import GraphTCN, check_samples
+from .model import GraphTCN
 from .optim import Adam
 from .tensor import Tape, backward
 
@@ -116,9 +116,8 @@ class MetricsReport:
 
 def check_eval_args(m: int, seed: int):
     """evaluate_dataset's checks of its numbers, which need no input read."""
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
-    check_samples(m)
+    check_key("seed", seed)
+    check_key("samples", m)
 
 
 def evaluate_dataset(model: GraphTCN, split: Split, data_dir, m: int,
@@ -188,7 +187,7 @@ def check_bench_args(repeats: int, m: int, warmup: int):
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
     if warmup < 0:
         raise ConfigError(f"warmup must be >= 0, got {warmup}")
-    check_samples(m)
+    check_key("samples", m)
 
 
 def benchmark_inference(model: GraphTCN, window, repeats: int, m: int = 4,

@@ -212,6 +212,24 @@ def test_config_text_with_huge_tcn_layers_rejected_by_name(tmp_path):
         load_checkpoint(path)
 
 
+def test_config_text_with_huge_width_fails_by_name(tmp_path):
+    # A width has no cap of its own: the config loads, and the model's
+    # parameter store refuses it before any array of that size is built.
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, toy_store(), small_cfg())
+    blob = path.read_bytes()
+    cfg_len = struct.unpack("<I", blob[8:12])[0]
+    text = blob[12:12 + cfg_len]
+    assert b"embed_dim = 6\n" in text
+    text = text.replace(b"embed_dim = 6\n", b"embed_dim = 1000000000000000\n")
+    path.write_bytes(blob[:8] + struct.pack("<I", len(text)) + text + blob[12 + cfg_len:])
+    ckpt = load_checkpoint(path)
+    assert ckpt.config.embed_dim == 10**15
+    message = "^parameter store would hold 4000000000000000 values, past its budget of 16777216$"
+    with pytest.raises(ConfigError, match=message):
+        model_from_checkpoint(ckpt)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_parameter_detected(tmp_path, bad):
     store = toy_store()

@@ -121,10 +121,14 @@ def test_negative_seed_rejected_before_the_data_is_read(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv,error", [
     (["eval", "--leave-out", "x", "--seed", "-1"], "seed must be >= 0, got -1"),
-    (["eval", "--leave-out", "x", "--samples", "0"], "need m >= 1, got 0"),
+    (["eval", "--leave-out", "x", "--samples", "0"], "samples must be >= 1, got 0"),
     (["bench", "--repeats", "2", "--warmup", "-3"], "warmup must be >= 0, got -3"),
     (["bench", "--repeats", "0"], "repeats must be >= 1, got 0"),
-    (["bench", "--repeats", "2", "--samples", "0"], "need m >= 1, got 0"),
+    (["bench", "--repeats", "2", "--samples", "0"], "samples must be >= 1, got 0"),
+    (["eval", "--leave-out", "x", "--samples", "1000000000000000"],
+     "samples must be <= 1024, got 1000000000000000"),
+    (["bench", "--repeats", "2", "--samples", "1000000000000000"],
+     "samples must be <= 1024, got 1000000000000000"),
 ])
 def test_number_flags_checked_before_any_input_is_read(tmp_path, capsys, argv, error):
     # The checkpoint and the data directory are both missing; either would
@@ -383,6 +387,24 @@ def test_bad_config_key_reported(workdir, capsys):
                "--config", str(bad), "--out", str(root / "w.ckpt")])
     assert rc == 2
     assert "not_a_key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line,error", [
+    ("embed_dim = 1000000000000000",
+     "parameter store would hold 4000000000000000 values, past its budget of 16777216"),
+    ("t_pred = 1000000000000000", "t_pred must be <= 1024, got 1000000000000000"),
+    ("samples = 1000000000000000", "samples must be <= 1024, got 1000000000000000"),
+])
+def test_oversized_config_exits_2_with_one_line(workdir, capsys, line, error):
+    # Each is refused before any array of its size is built.
+    root, data, _ = workdir
+    huge = root / "huge.cfg"
+    huge.write_text(line + "\n")
+    rc = main(["train", "--data", str(data), "--leave-out", "crossing",
+               "--config", str(huge), "--out", str(root / "huge.ckpt")])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.err == f"error: {error}\n" and captured.out == ""
+    assert not (root / "huge.ckpt").exists()
 
 
 def test_ci_runs_the_readme_quick_start_verbatim():

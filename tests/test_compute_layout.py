@@ -17,6 +17,8 @@ import pytest
 from graphtcn import tensor as T
 from graphtcn.config import ModelConfig
 from graphtcn.data import SequenceWindow
+from graphtcn.errors import ConfigError
+from graphtcn.init import add_affine
 from graphtcn.model import GraphTCN
 
 import chain_ops
@@ -189,3 +191,32 @@ def test_crowd_predict_peak_is_no_higher_than_with_the_op_chains(monkeypatch):
     monkeypatch.setattr(T, "attention_layer", chain_ops.attention_layer)
     monkeypatch.setattr(T, "gated_conv", chain_ops.gated_conv)
     assert fused <= crowd_predict_peak(model, window)
+
+
+def test_store_stays_within_its_budget(monkeypatch):
+    # A small budget stands in for the real 2**24, so no large array is built.
+    monkeypatch.setattr(T, "PARAMETER_BUDGET", 100)
+    store = T.ParameterStore()
+    store.reserve((60,))
+    store.reserve((3, 10))   # the buffers grow to the budget, not to twice 60
+    assert store._data.size == store._grad.size == 100
+    with pytest.raises(ConfigError, match="^parameter store would hold 101 values, past its budget of 100$"):
+        store.add("over", np.zeros(11))
+    assert store.n_values() == 90 and len(store) == 0
+    store.add("fits", np.ones(10))
+    assert store.n_values() == 100
+
+
+def test_default_model_is_far_inside_the_budget():
+    assert T.PARAMETER_BUDGET == 2**24
+    assert GraphTCN(ModelConfig()).params.n_values() == 18792
+
+
+def test_add_affine_reserves_before_it_draws():
+    # The oversized weight is refused before xavier_uniform builds it, so
+    # nothing is drawn and nothing is registered.
+    store, rng = T.ParameterStore(), np.random.default_rng(0)
+    with pytest.raises(ConfigError, match=f"would hold {4 * 10**15} values, past its budget of {2**24}$"):
+        add_affine(store, "embed", 4, 10**15, rng)
+    assert len(store) == 0 and store.n_values() == 0
+    assert rng.random() == np.random.default_rng(0).random()

@@ -4,13 +4,17 @@ import codecs
 import math
 import re
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from graphtcn.config import RETIRED, ModelConfig, VARIANTS
-from graphtcn.errors import ConfigError
+from graphtcn.errors import ConfigError, GraphTCNError
+from graphtcn.model import GraphTCN
 from graphtcn.temporal_conv import receptive_field
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 class TestDefaults:
@@ -116,6 +120,104 @@ class TestValidation:
     def test_zero_kl_weights_accepted(self):
         cfg = ModelConfig(kl_weight_early=0.0, kl_weight_late=0.0)
         assert cfg.kl_weight(1) == cfg.kl_weight(50) == 0.0
+
+
+class TestBounds:
+    """Each key's bounds, written out here by hand so that a change to the
+    table shows; ``strict`` marks lr's open lower bound."""
+
+    LOWER = {
+        "t_obs": 1, "t_pred": 1, "frame_step": 1, "stride": 1, "embed_dim": 1,
+        "gal1_heads": 1, "gal1_out": 1, "gal2_heads": 1, "gal2_out": 1,
+        "tcn_channels": 1, "tcn_layers": 1, "tcn_kernel": 1, "noise_dim": 1,
+        "future_embed_dim": 1, "decoder_hidden": 0, "samples": 1, "epochs": 1,
+        "kl_weight_early": 0.0, "kl_weight_late": 0.0, "seed": 0,
+    }
+    UPPER = {"t_obs": 1024, "t_pred": 1024, "tcn_layers": 1024, "samples": 1024}
+
+    def test_every_bounded_key_is_listed(self):
+        bounded = {f.name for f in fields(ModelConfig) if f.metadata}
+        assert bounded == set(self.LOWER) | {"lr"}
+
+    @pytest.mark.parametrize("key", sorted(LOWER))
+    def test_one_below_the_lower_bound_rejected_by_name(self, key):
+        low = self.LOWER[key]
+        below = low - 1
+        # Without an explicit count, tcn_layers = 0 would build no dilations.
+        extra = "tcn_dilations = 1\n" if key == "tcn_layers" else ""
+        message = f"^{key} must be >= {low}, got {below}$"
+        with pytest.raises(ConfigError, match=message):
+            ModelConfig.from_text(f"{extra}{key} = {below}\n")
+        with pytest.raises(ConfigError, match=message):
+            ModelConfig(**{key: below})
+        kept = ModelConfig(**{key: low, **({"tcn_dilations": (1,)} if key == "tcn_layers" else {})})
+        assert getattr(kept, key) == low
+
+    def test_integer_past_the_floats_rejected_by_name(self):
+        # float(10**400) overflows, so to_text could not write it.
+        with pytest.raises(ConfigError, match=r"^lr must be finite, got 1000"):
+            ModelConfig(lr=10**400)
+
+    def test_lr_bound_is_open(self):
+        with pytest.raises(ConfigError, match=r"^lr must be > 0\.0, got 0\.0$"):
+            ModelConfig.from_text("lr = 0.0\n")
+        assert ModelConfig(lr=5e-324).lr == 5e-324
+
+    @pytest.mark.parametrize("key", sorted(UPPER))
+    def test_one_past_the_cap_rejected_by_name(self, key):
+        cap = self.UPPER[key]
+        with pytest.raises(ConfigError, match=f"^{key} must be <= {cap}, got {cap + 1}$"):
+            ModelConfig.from_text(f"{key} = {cap + 1}\n")
+        assert getattr(ModelConfig(**{key: cap}), key) == cap
+
+    def test_epochs_and_widths_have_no_cap(self):
+        assert ModelConfig(epochs=10**15, embed_dim=10**15).embed_dim == 10**15
+
+    # Each fails by name before any array of its size is built: the four
+    # capped keys in the config, the widths at the parameter store's budget.
+    HUGE = ["embed_dim", "gal1_heads", "gal1_out", "gal2_heads", "gal2_out", "tcn_channels",
+            "tcn_kernel", "noise_dim", "decoder_hidden", "t_obs", "t_pred", "samples",
+            "future_embed_dim"]
+
+    @pytest.mark.parametrize("key", HUGE)
+    def test_huge_value_fails_by_name_not_out_of_memory(self, key):
+        variant = "graphtcn_g" if key == "future_embed_dim" else "graphtcn"
+        with pytest.raises(GraphTCNError, match=f"^({key} must be <= 1024|parameter store would)"):
+            GraphTCN(ModelConfig.from_text(f"variant = {variant}\n{key} = {10**15}\n"))
+
+
+class TestReadmeTable:
+    """README's Configuration table names each key that is not retired in
+    one row, with the default that to_text writes and the bounds of the
+    field."""
+
+    @staticmethod
+    def rows() -> list:
+        section = README.read_text(encoding="utf-8").split("## Configuration\n", 1)[1]
+        table = section.split("\n\n", 2)[1]
+        lines = table.splitlines()
+        assert lines[0].startswith("| key | default | bounds |")
+        return [[c.strip() for c in ln.strip("|").split("|")] for ln in lines[2:]]
+
+    @staticmethod
+    def expected_bounds(f) -> str:
+        if not f.metadata:
+            return ""
+        low, high, strict = f.metadata["bounds"]
+        if high != math.inf:
+            return f"{low} to {high}"
+        return f"{'>' if strict else '≥'} {low}"
+
+    def test_every_key_once_with_its_default_and_bounds(self):
+        defaults = dict(line.split(" = ", 1) for line in ModelConfig().to_text().splitlines())
+        rows = {}
+        for key, default, bounds, _ in self.rows():
+            assert re.fullmatch(r"`\w+`", key), key
+            assert key.strip("`") not in rows, f"{key} twice"
+            rows[key.strip("`")] = (default.strip("`"), bounds)
+        want = {f.name: (defaults[f.name], self.expected_bounds(f))
+                for f in fields(ModelConfig) if f.name not in RETIRED}
+        assert rows == want
 
 
 class TestFieldTypes:

@@ -7,7 +7,7 @@ import pytest
 
 from graphtcn.config import ModelConfig
 from graphtcn.data import SequenceWindow, load_scene_windows
-from graphtcn.errors import ContractError
+from graphtcn.errors import ConfigError, ContractError
 from graphtcn.model import GraphTCN
 from graphtcn.tensor import Tape, backward
 
@@ -324,7 +324,7 @@ def test_predict_shapes_and_origin():
 
 def test_predict_rejects_bad_m():
     model = GraphTCN(tiny_cfg())
-    with pytest.raises(ContractError):
+    with pytest.raises(ConfigError, match="^samples must be >= 1, got 0$"):
         model.predict(make_window(), 0, np.random.default_rng(0))
 
 

@@ -1,5 +1,6 @@
 """Dump text formats and the SVG emitter."""
 
+import hashlib
 import re
 from pathlib import Path
 
@@ -199,6 +200,32 @@ def test_trajectory_dump_text_is_pinned():
         "S\t0\t0\t2\t0.25\t-0.5", "S\t0\t1\t2\t1e-17\t12.0",
     ]) + "\n"
     assert format_trajectory_dump(tiny_dump_window(), pred, 2) == expected
+
+
+# sha256 of the SVG that ``emit_plot`` renders from each tiny dump. The
+# inputs are dyadic or exact repr floats, so the bytes are the same on every
+# platform, and a change to the dump format must leave every plot as it was.
+TINY_SVG_SHA256 = {
+    "attention": "4d356840c81115b480a6664359a70dbd138a376b329ca3fa3b298eaaea574743",
+    "trajectories": "8bb619af15697193fedd6cbe3f91b98beaf40d3cfbdc9cf45ac59ff98faded63",
+    "samples": "c1aad5747a1be669a2c9b826ee7ce8accfea51e191bcf1a2bc135e6d9c657390",
+}
+
+
+def test_tiny_dump_svgs_are_pinned(tmp_path):
+    window = tiny_dump_window()
+    # The last layer holds two heads with distinct weights, so the plot shows
+    # which head, step and row it reads.
+    attn = [np.full((1, 2, 2, 2), 0.1), np.arange(16.0).reshape(2, 2, 2, 2) / 16]
+    pred = PredictionSet(np.array([[[[0.25, -0.5], [1.0, 0.5]], [[1e-17, 12.0], [2.0, 6.5]]],
+                                   [[[0.5, -1.5], [0.75, -2.0]], [[-1.0, 3.0], [-1.5, 2.5]]]]))
+    write_attention_dump(tmp_path / "attn", window, attn, 2)
+    write_trajectory_dump(tmp_path / "traj", window, PredictionSet(pred.trajectories[:, :, 1:]), 2)
+    # One observed step leaves two future steps, so each sample is a dashed line.
+    write_trajectory_dump(tmp_path / "samples", window, pred, 1)
+    for kind, src in [("attention", "attn"), ("trajectories", "traj"), ("samples", "samples")]:
+        svg = emit_plot(kind, tmp_path / src, tmp_path / f"{kind}.svg").read_bytes()
+        assert hashlib.sha256(svg).hexdigest() == TINY_SVG_SHA256[kind], kind
 
 
 @pytest.mark.parametrize("scene", ["b\x85b", "b\fb", "b\u2028b"], ids=["x85", "f", "u2028"])

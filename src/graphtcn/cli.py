@@ -159,8 +159,11 @@ def _cmd_dump_attn(args) -> int:
     from .training import model_from_checkpoint
 
     _check_outputs(args.out)
-    scene, _, start = args.window_id.partition(":")
+    # The start frame follows the last ":", so a scene name may hold one.
+    scene, sep, start = args.window_id.rpartition(":")
     try:
+        if not sep:
+            raise ValueError(args.window_id)
         start = int(start)
     except ValueError:
         raise ConfigError("--window-id must be SCENE:START_FRAME") from None

@@ -1,121 +1,136 @@
-"""Line-oriented text dumps for attention and trajectories.
+"""Attention and trajectory dumps: one JSON object per window, on one line.
 
-Attention dump, tab-separated:
-    # comment header
-    P <step> <ped_index> <x> <y>                     observed positions
-    A <layer> <head> <step> <i> <j> <weight>         attention entries
+Both kinds of record hold ``kind`` ("attention" or "trajectories"),
+``scene``, ``start_frame`` and ``t_obs``, then their arrays as nested lists:
 
-Trajectory dump, tab-separated:
-    O <ped_index> <step> <x> <y>                     observed
-    G <ped_index> <step> <x> <y>                     ground-truth future
-    S <sample> <ped_index> <step> <x> <y>            predicted future
+    attention      positions [N, t_obs, 2]; attention, one
+                   [heads, t_obs, N, N] array per layer
+    trajectories   positions [N, T_total, 2], observed then ground truth;
+                   samples [M, N, T_total - t_obs, 2]
 
-Floats are written with repr for lossless round trips; steps index the
-resampled timeline of the window (observation starts at 0). The parsers
-read lines with the shared ``errors.content_lines``.
+The standard library's ``json`` writes and reads them. Floats are written
+by repr, so they round-trip, and the scene name is escaped, so no name can
+break the line. The parsers read the text with the shared
+``errors.content_lines``, need exactly one record, refuse ``NaN`` and
+``Infinity``, and check each array once for its shape and for holding only
+finite floats. Every failure is a ``ParseError`` naming the line.
 """
 
 from __future__ import annotations
 
-import math
+import io
+import json
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
 from .data import SequenceWindow
 from .decoders import PredictionSet
-from .errors import ParseError, content_lines
+from .errors import ContractError, ParseError, content_lines
+
+
+def _format(kind: str, window: SequenceWindow, t_obs: int, positions, **arrays) -> str:
+    record = {"kind": kind, "scene": window.scene_name, "start_frame": window.start_frame,
+              "t_obs": t_obs, "positions": positions.tolist(), **arrays}
+    try:
+        return json.dumps(record, allow_nan=False) + "\n"
+    except ValueError as e:
+        raise ContractError(f"cannot write the {kind} dump: {e}") from None
 
 
 def format_attention_dump(window: SequenceWindow, attn_record: list, t_obs: int) -> str:
-    """Attention record (list per layer of [heads, T, N, N]) to text."""
-    lines = [
-        "# attention dump",
-        f"# window {window.scene_name}:{window.start_frame} peds {window.n_peds} steps {t_obs}",
-        "# P step ped x y / A layer head step i j weight",
-    ]
-    for t, i in np.ndindex(t_obs, window.n_peds):
-        x, y = window.positions[i, t]
-        lines.append(f"P\t{t}\t{i}\t{float(x)!r}\t{float(y)!r}")
-    for layer_idx, layer in enumerate(attn_record):
-        for (k, t, i, j), w in np.ndenumerate(layer):
-            lines.append(f"A\t{layer_idx}\t{k}\t{t}\t{i}\t{j}\t{float(w)!r}")
-    return "\n".join(lines) + "\n"
-
-
-def _rows(text: str, kinds: dict):
-    """Yield (kind, fields) for each line ``content_lines`` yields. ``kinds``
-    maps a row kind to (field count, index count): the fields after the kind
-    are that many integer indices, then finite numbers (coordinates or a weight)."""
-    for line_no, line in content_lines(text):
-        kind, *tokens = line.split("\t")
-        n_fields, n_index = kinds.get(kind, (None, 0))
-        if len(tokens) != n_fields:
-            raise ParseError(f"line {line_no}: unrecognized dump row {line!r}")
-        fields = []
-        for k, token in enumerate(tokens):
-            try:
-                value = int(token) if k < n_index else float(token)
-            except ValueError:
-                what = "an integer index" if k < n_index else "a number"
-                raise ParseError(f"line {line_no}: {token!r} is not {what}") from None
-            if not math.isfinite(value):
-                raise ParseError(f"line {line_no}: non-finite value {token!r}")
-            fields.append(value)
-        yield kind, fields
-
-
-def parse_attention_dump(text: str):
-    """Returns (positions {step: {ped: (x, y)}}, entries list of tuples)."""
-    positions: dict = {}
-    entries = []
-    for kind, fields in _rows(text, {"P": (4, 2), "A": (6, 5)}):
-        if kind == "P":
-            t, ped, x, y = fields
-            positions.setdefault(t, {})[ped] = (x, y)
-        else:
-            entries.append(tuple(fields))
-    return positions, entries
+    """Attention record (list per layer of [heads, T, N, N]) to one JSON line."""
+    return _format("attention", window, t_obs, window.positions[:, :t_obs],
+                   attention=[np.asarray(layer).tolist() for layer in attn_record])
 
 
 def format_trajectory_dump(window: SequenceWindow, pred_set: PredictionSet, t_obs: int) -> str:
-    """Observed, ground-truth and every predicted sample's points to text."""
-    lines = [
-        "# trajectory dump",
-        f"# window {window.scene_name}:{window.start_frame} peds {window.n_peds}",
-        "# O ped step x y / G ped step x y / S sample ped step x y",
-    ]
-    for kind, first, stop in (("O", 0, t_obs), ("G", t_obs, window.t_total)):
-        for i, t in np.ndindex(window.n_peds, stop - first):
-            x, y = window.positions[i, first + t]
-            lines.append(f"{kind}\t{i}\t{first + t}\t{float(x)!r}\t{float(y)!r}")
-    for m, i, t in np.ndindex(pred_set.trajectories.shape[:3]):
-        x, y = pred_set.trajectories[m, i, t]
-        lines.append(f"S\t{m}\t{i}\t{t_obs + t}\t{float(x)!r}\t{float(y)!r}")
-    return "\n".join(lines) + "\n"
+    """Observed and ground-truth positions and every predicted sample to one JSON line."""
+    return _format("trajectories", window, t_obs, window.positions,
+                   samples=pred_set.trajectories.tolist())
 
 
-def parse_trajectory_dump(text: str):
-    """Returns (observed, ground_truth, samples) as nested dicts of points.
-    A dump without S rows parses too, with ``samples`` empty.
+def _refuse_constant(name):
+    raise ValueError(f"non-finite value {name}")
 
-    observed/ground_truth: {ped: [(step, x, y), ...]};
-    samples: {sample: {ped: [(step, x, y), ...]}}.
-    """
-    observed: dict = {}
-    gt: dict = {}
-    samples: dict = {}
-    for kind, fields in _rows(text, {"O": (4, 2), "G": (4, 2), "S": (5, 3)}):
-        if kind == "S":
-            m, ped, t, x, y = fields
-            samples.setdefault(m, {}).setdefault(ped, []).append((t, x, y))
-        else:
-            ped, t, x, y = fields
-            (observed if kind == "O" else gt).setdefault(ped, []).append((t, x, y))
-    for per_ped in (observed, gt, *samples.values()):
-        for pts in per_ped.values():
-            pts.sort()
-    return observed, gt, samples
+
+def _record(text: str, kind: str, arrays: tuple):
+    """The one record in ``text``, checked to be a ``kind`` record with
+    the array keys ``arrays``, and the number of its line."""
+    lines = list(islice(content_lines(text), 2))
+    if not lines:
+        end = len(io.StringIO(text, newline=None).readlines()) + 1
+        raise ParseError(f"line {end}: no {kind} record before the end of the dump")
+    line_no, line = lines[0]
+    try:
+        record = json.loads(line, parse_constant=_refuse_constant)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"line {line_no}: not a JSON record: {e.msg} at column {e.colno}") from None
+    except (ValueError, RecursionError) as e:
+        raise ParseError(f"line {line_no}: {e}") from None
+    if len(lines) > 1:
+        raise ParseError(f"line {lines[1][0]}: a dump holds one record, on one line")
+    keys = ["kind", "scene", "start_frame", "t_obs", "positions", *arrays]
+    if not isinstance(record, dict) or record.get("kind") != kind:
+        raise ParseError(f"line {line_no}: not a JSON object of kind {kind!r}")
+    if sorted(record) != sorted(keys):
+        raise ParseError(f"line {line_no}: {kind} record keys must be {keys}, got {list(record)}")
+    t_obs = record["t_obs"]
+    if not (isinstance(record["scene"], str) and type(record["start_frame"]) is int
+            and type(t_obs) is int and t_obs >= 1):
+        raise ParseError(f"line {line_no}: need a string scene, an integer start_frame "
+                         "and an integer t_obs >= 1")
+    return record, line_no
+
+
+def _array(value, what: str, line_no: int, shape: tuple) -> np.ndarray:
+    """``value`` as a float array of ``shape``, where None is any extent.
+    A nested list of another shape, or holding anything but finite floats,
+    raises a ``ParseError``."""
+    try:
+        a = np.asarray(value, dtype=object)
+    except ValueError:
+        a = None
+    if (a is None or a.ndim != len(shape)
+            or any(want not in (None, got) for want, got in zip(shape, a.shape))
+            or not all(type(v) is float for v in a.flat)):
+        dims = ", ".join("*" if n is None else str(n) for n in shape)
+        raise ParseError(f"line {line_no}: {what} must be a [{dims}] array of floats")
+    a = a.astype(float)
+    if not np.isfinite(a).all():
+        raise ParseError(f"line {line_no}: {what} holds a non-finite value")
+    return a
+
+
+def parse_attention_dump(text: str) -> dict:
+    """The record, with ``positions`` [N, t_obs, 2] and ``attention`` (one
+    [heads, t_obs, N, N] per layer) as float arrays."""
+    record, line_no = _record(text, "attention", ("attention",))
+    t_obs, layers = record["t_obs"], record["attention"]
+    positions = record["positions"] = _array(record["positions"], "positions", line_no,
+                                             (None, t_obs, 2))
+    if not isinstance(layers, list) or not layers:
+        raise ParseError(f"line {line_no}: attention must be a list of one array per layer")
+    n = len(positions)
+    record["attention"] = [_array(layer, f"attention layer {k}", line_no, (None, t_obs, n, n))
+                           for k, layer in enumerate(layers)]
+    return record
+
+
+def parse_trajectory_dump(text: str) -> dict:
+    """The record, with ``positions`` [N, T_total, 2] and ``samples``
+    [M, N, T_total - t_obs, 2] as float arrays."""
+    record, line_no = _record(text, "trajectories", ("samples",))
+    t_obs = record["t_obs"]
+    positions = record["positions"] = _array(record["positions"], "positions", line_no,
+                                             (None, None, 2))
+    n, t_total = positions.shape[:2]
+    if t_total <= t_obs:
+        raise ParseError(f"line {line_no}: positions must hold more than t_obs = {t_obs} "
+                         f"steps, got {t_total}")
+    record["samples"] = _array(record["samples"], "samples", line_no, (None, n, t_total - t_obs, 2))
+    return record
 
 
 def write_attention_dump(path, window: SequenceWindow, attn_record: list, t_obs: int):

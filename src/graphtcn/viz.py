@@ -1,4 +1,5 @@
-"""Deterministic SVG rendering of trajectory and attention dumps.
+"""Deterministic SVG rendering of trajectory and attention dumps, drawn
+from the arrays of the dump's one record (``dumps.parse_*``).
 
 Styling convention: observed polylines solid red, ground-truth future
 solid blue, predicted samples dashed yellow-orange. Attention plots mark
@@ -13,6 +14,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import numpy as np
+
 from .dumps import parse_attention_dump, parse_trajectory_dump
 from .errors import ContractError, ParseError, read_utf8
 
@@ -26,11 +29,9 @@ PRED_STYLE = 'stroke="#e6b417" fill="none" stroke-width="1.5" stroke-dasharray="
 class _Canvas:
     """World-to-viewport scaling plus element collection."""
 
-    def __init__(self, xs, ys):
-        if not xs:
-            raise ContractError("nothing to plot")
-        x_lo, x_hi = min(xs), max(xs)
-        y_lo, y_hi = min(ys), max(ys)
+    def __init__(self, points):
+        xy = np.reshape(points, (-1, 2))
+        (x_lo, y_lo), (x_hi, y_hi) = xy.min(axis=0).tolist(), xy.max(axis=0).tolist()
         span_x = max(x_hi - x_lo, 1e-9)
         span_y = max(y_hi - y_lo, 1e-9)
         scale = min((WIDTH - 2 * MARGIN) / span_x, (HEIGHT - 2 * MARGIN) / span_y)
@@ -45,9 +46,10 @@ class _Canvas:
         return f"{px:.4f},{py:.4f}"
 
     def polyline(self, points, style):
+        """``points`` is a [K, 2] array; fewer than two points draw nothing."""
         if len(points) < 2:
             return
-        coords = " ".join(self.pt(x, y) for x, y in points)
+        coords = " ".join(self.pt(x, y) for x, y in points.tolist())
         self.elements.append(f'<polyline points="{coords}" {style}/>')
 
     def circle(self, x, y, r, style):
@@ -70,63 +72,34 @@ class _Canvas:
         )
 
 
-def _collect_xy(*point_lists):
-    xs, ys = [], []
-    for pts in point_lists:
-        for _, x, y in pts:
-            xs.append(x)
-            ys.append(y)
-    return xs, ys
-
-
 def render_trajectories(text: str, include_samples: bool) -> str:
-    observed, gt, samples = parse_trajectory_dump(text)
-    if not observed:
-        raise ParseError("trajectory dump has no observed points")
-    all_pts = list(observed.values()) + list(gt.values())
-    if include_samples:
-        for per_ped in samples.values():
-            all_pts.extend(per_ped.values())
-    xs, ys = _collect_xy(*all_pts)
-    canvas = _Canvas(xs, ys)
-    for ped in sorted(observed):
-        canvas.polyline([(x, y) for _, x, y in observed[ped]], OBSERVED_STYLE)
-    for ped in sorted(gt):
-        pts = gt[ped]
+    record = parse_trajectory_dump(text)
+    positions, samples, t_obs = record["positions"], record["samples"], record["t_obs"]
+    drawn = [positions.reshape(-1, 2)] + ([samples.reshape(-1, 2)] if include_samples else [])
+    canvas = _Canvas(np.concatenate(drawn))
+    for track in positions:
+        canvas.polyline(track[:t_obs], OBSERVED_STYLE)
+    for track in positions:
         # Join the future to the last observed point for a continuous path.
-        if ped in observed and observed[ped]:
-            last = observed[ped][-1]
-            pts = [last] + pts
-        canvas.polyline([(x, y) for _, x, y in pts], GT_STYLE)
+        canvas.polyline(track[t_obs - 1:], GT_STYLE)
     if include_samples:
-        for m in sorted(samples):
-            for ped in sorted(samples[m]):
-                canvas.polyline([(x, y) for _, x, y in samples[m][ped]], PRED_STYLE)
+        for track in samples.reshape(-1, *samples.shape[2:]):
+            canvas.polyline(track, PRED_STYLE)
     return canvas.render()
 
 
 def render_attention(text: str) -> str:
     """Circles sized by pedestrian 0's attention row in head 0 of the
     last layer, at the last step."""
-    positions, entries = parse_attention_dump(text)
-    if not entries:
-        raise ParseError("attention dump has no attention rows")
-    layer = max(e[0] for e in entries)
-    step = max(e[2] for e in entries)
-    weights = {j: w for (l, k, t, i, j, w) in entries if (l, k, t, i) == (layer, 0, step, 0)}
-    if not weights:
-        raise ContractError(f"no attention entries for layer {layer}, head 0, step {step}, target 0")
-    pos_t = positions.get(step, {})
-    xs = [p[0] for p in pos_t.values()]
-    ys = [p[1] for p in pos_t.values()]
-    canvas = _Canvas(xs, ys)
+    record = parse_attention_dump(text)
+    last = record["positions"][:, -1]
+    canvas = _Canvas(last)
     max_r = 24.0
-    for j in sorted(pos_t):
-        x, y = pos_t[j]
-        r = 3.0 + max_r * weights.get(j, 0.0)
+    for j, ((x, y), w) in enumerate(zip(last.tolist(), record["attention"][-1][0, -1, 0].tolist())):
+        r = 3.0 + max_r * w
         fill = "#d62728" if j == 0 else "#1f77b4"
         canvas.circle(x, y, r, f'fill="{fill}" fill-opacity="0.45" stroke="{fill}"')
-        canvas.text(x, y, f"{j}:{weights.get(j, 0.0):.3f}")
+        canvas.text(x, y, f"{j}:{w:.3f}")
     return canvas.render()
 
 

@@ -186,7 +186,7 @@ def test_eval_dump_traj(workdir, trained, capsys, monkeypatch):
     # held-out scene is read once, and window 0 is predicted once, on a
     # fresh generator seeded with --seed.
     root, data, _ = workdir
-    dump = root / "traj.txt"
+    dump = root / "traj.jsonl"
     parsed = []
     parse = graphtcn.data.parse_trajectory_file
     monkeypatch.setattr(graphtcn.data, "parse_trajectory_file",
@@ -197,8 +197,8 @@ def test_eval_dump_traj(workdir, trained, capsys, monkeypatch):
     assert rc == 0
     assert parsed == ["crossing.txt"]
     text = dump.read_text()
-    assert text.startswith("# trajectory dump")
-    assert "\nS\t" in text
+    assert text.startswith('{"kind": "trajectories", "scene": "crossing", ')
+    assert '"samples": [[[[' in text
     model = model_from_checkpoint(load_checkpoint(trained))
     w0 = graphtcn.data.load_scene_windows(data, "crossing", model.cfg.t_obs, model.cfg.t_pred)[0]
     pred_set, _ = model.predict(w0, 2, np.random.default_rng(5))
@@ -284,13 +284,13 @@ def test_bench_scene_without_a_window(trained, tmp_path, capsys):
 
 def test_dump_attn_and_plots(workdir, trained, capsys):
     root, data, _ = workdir
-    attn = root / "attn.txt"
+    attn = root / "attn.jsonl"
     rc = main(["dump-attn", "--ckpt", str(trained), "--data", str(data),
                "--window-id", "crossing:0", "--out", str(attn)])
     assert rc == 0
-    assert attn.read_text().startswith("# attention dump")
+    assert attn.read_text().startswith('{"kind": "attention", "scene": "crossing", ')
 
-    traj = root / "traj.txt"
+    traj = root / "traj.jsonl"
     if not traj.is_file():
         main(["eval", "--ckpt", str(trained), "--data", str(data),
               "--leave-out", "crossing", "--samples", "2",
@@ -300,6 +300,21 @@ def test_dump_attn_and_plots(workdir, trained, capsys):
         out = root / f"{kind}.svg"
         assert main(["plot", "--kind", kind, "--in", str(src), "--out", str(out)]) == 0
         assert out.read_text().startswith("<svg")
+
+
+def test_dump_attn_scene_name_holding_a_colon(workdir, trained, tmp_path, capsys):
+    # The start frame follows the last ":", and a scene file may be named a:b.txt.
+    data = tmp_path / "data"
+    data.mkdir()
+    shutil.copy(SOURCE / "crossing.txt", data / "a:b.txt")
+    attn = tmp_path / "attn.jsonl"
+    rc = main(["dump-attn", "--ckpt", str(trained), "--data", str(data),
+               "--window-id", "a:b:0", "--out", str(attn)])
+    assert rc == 0
+    assert attn.read_text().startswith('{"kind": "attention", "scene": "a:b", "start_frame": 0, ')
+    assert main(["plot", "--kind", "attention", "--in", str(attn),
+                 "--out", str(tmp_path / "attn.svg")]) == 0
+    assert (tmp_path / "attn.svg").read_text().startswith("<svg")
 
 
 def test_dump_attn_bad_window_id(workdir, trained, capsys):

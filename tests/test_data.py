@@ -166,7 +166,8 @@ def _read_scene_text(tmp_path, text):
 @pytest.mark.parametrize("reader, message", [
     (_read_scene_text, "expected 4 fields, got 2"),
     (lambda _, text: ModelConfig.from_text(text), "expected 'key = value', got 'bad row'"),
-    (lambda _, text: parse_trajectory_dump(text), "unrecognized dump row 'bad row'"),
+    (lambda _, text: parse_trajectory_dump(text),
+     "not a JSON record: Expecting value at column 1"),
 ], ids=["scene", "config", "dump"])
 @pytest.mark.parametrize("sep", LINE_BREAKS + IN_LINE_SEPARATORS,
                          ids=lambda sep: sep.encode("unicode_escape").decode())

@@ -88,11 +88,8 @@ def _array(value, what: str, line_no: int, shape: tuple) -> np.ndarray:
     """``value`` as a float array of ``shape``, where None is any extent.
     A nested list of another shape, or holding anything but finite floats,
     raises a ``ParseError``."""
-    try:
-        a = np.asarray(value, dtype=object)
-    except ValueError:
-        a = None
-    if (a is None or a.ndim != len(shape)
+    a = np.asarray(value, dtype=object)
+    if (a.ndim != len(shape)
             or any(want not in (None, got) for want, got in zip(shape, a.shape))
             or not all(type(v) is float for v in a.flat)):
         dims = ", ".join("*" if n is None else str(n) for n in shape)

@@ -317,7 +317,8 @@ PARSERS = {"attention": parse_attention_dump, "trajectories": parse_trajectory_d
 @st.composite
 def edited_records(draw):
     """A tiny record of either kind with one key dropped, replaced or added,
-    or one position replaced, as (kind, text)."""
+    or one position replaced, as (kind, text). An infinity is written as
+    ``Infinity`` or as ``1e999``, which ``json`` reads as a float."""
     kind = draw(st.sampled_from(sorted(TINY_LINES)))
     record = json.loads(TINY_LINES[kind])
     key = draw(st.sampled_from([*record, "extra"]))
@@ -328,7 +329,8 @@ def edited_records(draw):
         record[key] = draw(JSON_VALUES | FLOAT_LISTS)
     else:
         record["positions"][draw(st.integers(0, 1))][0][draw(st.integers(0, 1))] = draw(JSON_VALUES)
-    return kind, json.dumps(record)
+    text = json.dumps(record)
+    return kind, text.replace("Infinity", "1e999") if draw(st.booleans()) else text
 
 
 def _parses_or_fails_by_name(call):

@@ -68,22 +68,14 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _load_config(args):
-    from .config import ModelConfig
-
-    cfg = ModelConfig.from_file(args.config) if args.config else ModelConfig()
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-        cfg.validate()
-    return cfg
-
-
-def _check_outputs(*paths):
-    """Refuse, before any input is read, an output path that is a directory
-    or whose parent is not one. An option left unset (None) is skipped."""
+def _check_outputs(outputs: dict, inputs: dict):
+    """Refuse, before any input is read, an output path that is a directory,
+    whose parent is not one, or that names the same file as an input or an
+    earlier output. Both map a flag to its path; an unset one (None) is skipped."""
     from .errors import ConfigError
 
-    for path in paths:
+    seen = {os.path.realpath(path): flag for flag, path in inputs.items() if path is not None}
+    for flag, path in outputs.items():
         if path is None:
             continue
         if Path(path).is_dir():
@@ -91,15 +83,23 @@ def _check_outputs(*paths):
         parent = Path(path).parent
         if not parent.is_dir():
             raise ConfigError(f"cannot write {path!r}: {str(parent)!r} is not a directory")
+        other = seen.setdefault(os.path.realpath(path), flag)
+        if other != flag:
+            raise ConfigError(f"cannot write {path!r}: {flag} and {other} name the same file")
 
 
 def _cmd_train(args) -> int:
+    from .config import ModelConfig, check_key
     from .data import discover_scenes, hold_out
     from .training import train
 
-    cfg = _load_config(args)
+    if args.seed is not None:
+        check_key("seed", args.seed)
     log_path = args.log if args.log else args.out + ".log"
-    _check_outputs(args.out, log_path)
+    _check_outputs({"--out": args.out, "--log": log_path}, {"--config": args.config})
+    cfg = ModelConfig.from_file(args.config) if args.config else ModelConfig()
+    if args.seed is not None:
+        cfg.seed = args.seed
     split = hold_out(discover_scenes(args.data), args.leave_out)
     train(cfg, split, args.data, out_path=args.out, log_path=log_path,
           progress=lambda line: print(line, flush=True))
@@ -114,7 +114,7 @@ def _cmd_eval(args) -> int:
     from .training import check_eval_args, evaluate_dataset, model_from_checkpoint
 
     check_eval_args(args.samples, args.seed)
-    _check_outputs(args.dump_traj)
+    _check_outputs({"--dump-traj": args.dump_traj}, {"--ckpt": args.ckpt})
     ckpt = load_checkpoint(args.ckpt)
     model = model_from_checkpoint(ckpt)
     split = hold_out(discover_scenes(args.data), args.leave_out)
@@ -158,7 +158,7 @@ def _cmd_dump_attn(args) -> int:
     from .errors import ConfigError, ContractError, DataError
     from .training import model_from_checkpoint
 
-    _check_outputs(args.out)
+    _check_outputs({"--out": args.out}, {"--ckpt": args.ckpt})
     # The start frame follows the last ":", so a scene name may hold one.
     scene, sep, start = args.window_id.rpartition(":")
     try:
@@ -187,7 +187,7 @@ def _cmd_dump_attn(args) -> int:
 def _cmd_plot(args) -> int:
     from .viz import emit_plot
 
-    _check_outputs(args.out)
+    _check_outputs({"--out": args.out}, {"--in": args.in_path})
     out = emit_plot(args.kind, args.in_path, args.out)
     print(f"plot written to {out}")
     return 0

@@ -1,9 +1,9 @@
 """Training loop, leave-one-out evaluation, and the inference benchmark.
 
-Everything here is deterministic given (seed, config, data): windows are
-visited in load order, noise comes from one seeded generator, and the
-loss log records full-precision floats, so two runs on one platform
-produce identical logs and checkpoints.
+A training run is one ``TrainState``, which ``train`` advances one epoch
+at a time. Given (seed, config, data) it is deterministic: windows are
+visited in load order, noise comes from one seeded generator, and the loss
+log holds full-precision floats, so two runs give identical bytes.
 """
 
 from __future__ import annotations
@@ -32,60 +32,63 @@ def model_from_checkpoint(ckpt: Checkpoint) -> GraphTCN:
     return model
 
 
-@dataclass
-class TrainResult:
-    model: GraphTCN
-    log_lines: list  # one per epoch: "epoch\tloss\tvariety\tkl"
+class TrainState:
+    """A run so far: the model (store and config), Adam (moments, step count),
+    a noise generator apart from the init one, and one log line per epoch."""
+
+    def __init__(self, cfg: ModelConfig):
+        self.model = GraphTCN(cfg)
+        self.opt = Adam(self.model.params, lr=cfg.lr)
+        self.noise_rng = np.random.default_rng(cfg.seed + 1)
+        self.log_lines = []  # one per epoch: "epoch\tloss\tvariety\tkl"
+
+    @property
+    def epoch(self) -> int:
+        return len(self.log_lines)
+
+    def run_epoch(self, windows) -> str:
+        """One step per window (batch size 1); appends the epoch's log line and returns it."""
+        model, epoch = self.model, self.epoch + 1
+        loss_sum = variety_sum = kl_sum = 0.0
+        for window in windows:
+            noise = model.draw_noise(self.noise_rng, window.n_peds)
+            with Tape() as tape:
+                loss, parts = model.window_loss(window, epoch, noise)
+                value = loss.item()
+                if not np.isfinite(value):
+                    window_id = f"{window.scene_name}:{window.start_frame}"
+                    raise TrainingDivergedError(epoch, window_id, value)
+                model.params.zero_grads()
+                backward(loss, tape)
+            self.opt.step()
+            loss_sum += value
+            variety_sum += parts["variety"]
+            kl_sum += parts["kl"]
+        n = len(windows)
+        self.log_lines.append(f"{epoch}\t{loss_sum / n!r}\t{variety_sum / n!r}\t{kl_sum / n!r}")
+        return self.log_lines[-1]
 
     def log_text(self) -> str:
         return "\n".join(self.log_lines) + "\n" if self.log_lines else ""
 
 
 def train(cfg: ModelConfig, split: Split, data_dir, out_path=None, log_path=None,
-          progress=None) -> TrainResult:
-    """Train on the split's training scenes; optionally write artifacts.
-
-    One window is one optimization step (batch size 1). The noise
-    generator is separate from the init generator so architecture changes
-    do not shift the training randomness stream.
-    """
+          progress=None) -> TrainState:
+    """Run cfg.epochs epochs on the training scenes; optionally save checkpoint and log."""
     windows = load_windows(data_dir, split.train_scenes, cfg.t_obs, cfg.t_pred,
                            stride=cfg.stride, frame_step=cfg.frame_step)
     if not windows:
         raise ConfigError(f"no training windows in {data_dir} for {split.train_scenes}")
-    model = GraphTCN(cfg)
-    opt = Adam(model.params, lr=cfg.lr)
-    noise_rng = np.random.default_rng(cfg.seed + 1)
-
-    log_lines = []
-    for epoch in range(1, cfg.epochs + 1):
-        loss_sum = variety_sum = kl_sum = 0.0
-        for window in windows:
-            noise = model.draw_noise(noise_rng, window.n_peds)
-            with Tape() as tape:
-                loss, parts = model.window_loss(window, epoch, noise)
-                value = loss.item()
-                if not np.isfinite(value):
-                    raise TrainingDivergedError(
-                        epoch, f"{window.scene_name}:{window.start_frame}", value
-                    )
-                model.params.zero_grads()
-                backward(loss, tape)
-            opt.step()
-            loss_sum += value
-            variety_sum += parts["variety"]
-            kl_sum += parts["kl"]
-        n = len(windows)
-        log_lines.append(f"{epoch}\t{loss_sum / n!r}\t{variety_sum / n!r}\t{kl_sum / n!r}")
+    state = TrainState(cfg)
+    while state.epoch < cfg.epochs:
+        line = state.run_epoch(windows)
         if progress is not None:
-            progress(log_lines[-1])
-
-    result = TrainResult(model=model, log_lines=log_lines)
+            progress(line)
     if out_path is not None:
-        save_checkpoint(out_path, model.params, cfg)
+        save_checkpoint(out_path, state.model.params, state.model.cfg)
     if log_path is not None:
-        Path(log_path).write_text(result.log_text(), encoding="utf-8")
-    return result
+        Path(log_path).write_text(state.log_text(), encoding="utf-8")
+    return state
 
 
 @dataclass
@@ -130,15 +133,12 @@ def evaluate_dataset(model: GraphTCN, split: Split, data_dir, m: int,
     if not windows:
         raise DataError(f"no evaluation windows for scene {split.test_scene!r}")
     rng = np.random.default_rng(seed)
-    ades, fdes = [], []
-    first = None
+    first, errors = None, []
     for window in windows:
         pred_set, _ = model.predict(window, m, rng)
-        if first is None:
-            first = (window, pred_set)
-        a, f = evaluate_min_of_m(pred_set, model.ground_truth(window))
-        ades.append(a)
-        fdes.append(f)
+        first = first or (window, pred_set)
+        errors.append(evaluate_min_of_m(pred_set, model.ground_truth(window)))
+    ades, fdes = zip(*errors)
     row = (split.test_scene, sum(ades) / len(ades), sum(fdes) / len(fdes), len(windows))
     return MetricsReport(rows=[row], samples=m, first=first)
 
@@ -196,9 +196,8 @@ def benchmark_inference(model: GraphTCN, window, repeats: int, m: int = 4,
 
     The timed region matches what a deployment would run per scene step,
     including feature building. Warm-up runs are executed and discarded;
-    the noise stream is seeded with 0.
-    Caller is responsible for single-threaded numpy (the CLI pins thread
-    counts before importing it).
+    the noise stream is seeded with 0. The caller pins numpy to one thread
+    (the CLI sets the thread counts before importing it).
     """
     check_bench_args(repeats, m, warmup)
     rng = np.random.default_rng(0)

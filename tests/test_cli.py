@@ -146,18 +146,52 @@ def test_number_flags_checked_before_any_input_is_read(tmp_path, capsys, argv, e
     (["dump-attn", "--window-id", "crossing:0", "--out", "a_dir"], "'a_dir': it is a directory"),
     (["plot", "--kind", "attention", "--in", "ghost.txt", "--out", "no_dir/a.svg"],
      "'no_dir/a.svg': 'no_dir' is not a directory"),
+    (["train", "--out", "m.ckpt", "--log", "m.ckpt"], "'m.ckpt': --log and --out name the same file"),
+    (["train", "--config", "m.cfg", "--out", "m.cfg"], "'m.cfg': --out and --config name the same file"),
+    (["eval", "--ckpt", "m.ckpt", "--dump-traj", "m.ckpt"],
+     "'m.ckpt': --dump-traj and --ckpt name the same file"),
+    (["dump-attn", "--window-id", "crossing:0", "--ckpt", "m.ckpt", "--out", "./m.ckpt"],
+     "'./m.ckpt': --out and --ckpt name the same file"),
+    (["plot", "--kind", "attention", "--in", "a.svg", "--out", "a_dir/../a.svg"],
+     "'a_dir/../a.svg': --out and --in name the same file"),
 ], ids=["train-out-in-missing-dir", "train-out-is-a-dir", "train-log-in-missing-dir",
-        "dump-attn-out-is-a-dir", "plot-out-in-missing-dir"])
+        "dump-attn-out-is-a-dir", "plot-out-in-missing-dir", "train-log-is-out",
+        "train-out-is-config", "eval-dump-traj-is-ckpt", "dump-attn-out-is-ckpt", "plot-out-is-in"])
 def test_output_path_checked_before_any_input_is_read(tmp_path, monkeypatch, capsys, argv, error):
-    # The inputs (data, checkpoint, dump) are all missing: they would be
-    # reported, or every epoch trained, if outputs were checked at write.
+    # The inputs (data, checkpoint, config, dump) are all missing: they
+    # would be reported, or every epoch trained, if outputs were checked at
+    # write. An output that names an input or the other output is refused
+    # by path, whether or not the file exists yet.
     monkeypatch.chdir(tmp_path)
     (tmp_path / "a_dir").mkdir()
     inputs = {"train": ["--data", "no_data", "--leave-out", "x"],
+              "eval": ["--data", "no_data", "--leave-out", "x"],
               "dump-attn": ["--ckpt", "ghost.ckpt", "--data", "no_data"], "plot": []}
-    assert main(argv + inputs[argv[0]]) == 2
+    # The case's own flags come last, so they win over the defaults here.
+    assert main(argv[:1] + inputs[argv[0]] + argv[1:]) == 2
     assert capsys.readouterr() == ("", f"error: cannot write {error}\n")
     assert [p.name for p in tmp_path.iterdir()] == ["a_dir"]
+
+
+def test_output_naming_an_input_leaves_it_unchanged(workdir, trained, tmp_path, capsys):
+    # Each refusal comes before the input is read or the output written, so
+    # copies of the config and the checkpoint keep their bytes.
+    _, data, cfg_source = workdir
+    cfg_path, ckpt = tmp_path / "tiny.cfg", tmp_path / "model.ckpt"
+    shutil.copy(cfg_source, cfg_path)
+    shutil.copy(trained, ckpt)
+    before = cfg_path.read_bytes(), ckpt.read_bytes()
+    for argv, error in [
+        (["train", "--leave-out", "crossing", "--config", str(cfg_path), "--out", str(cfg_path)],
+         f"{str(cfg_path)!r}: --out and --config name the same file"),
+        (["train", "--leave-out", "crossing", "--out", str(ckpt), "--log", str(ckpt)],
+         f"{str(ckpt)!r}: --log and --out name the same file"),
+        (["eval", "--leave-out", "crossing", "--ckpt", str(ckpt), "--dump-traj", str(ckpt)],
+         f"{str(ckpt)!r}: --dump-traj and --ckpt name the same file"),
+    ]:
+        assert main(argv + ["--data", str(data)]) == 2
+        assert capsys.readouterr() == ("", f"error: cannot write {error}\n")
+    assert (cfg_path.read_bytes(), ckpt.read_bytes()) == before
 
 
 def test_eval_checks_dump_path_before_the_table(workdir, trained, capsys):

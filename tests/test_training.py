@@ -1,22 +1,27 @@
 """Training loop determinism, divergence handling, evaluation, benchmark."""
 
+import importlib.util
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from graphtcn.config import ModelConfig
-from graphtcn.data import SequenceWindow, Split, load_scene_windows
+from graphtcn.checkpoint import save_checkpoint
+from graphtcn.config import VARIANTS, ModelConfig
+from graphtcn.data import SequenceWindow, Split, load_scene_windows, load_windows
 from graphtcn.errors import ConfigError, DataError, TrainingDivergedError
 from graphtcn.model import GraphTCN
+from graphtcn.optim import Adam
 from graphtcn.training import (
     BenchReport,
+    TrainState,
     benchmark_inference,
     evaluate_dataset,
     train,
 )
 
-DATA_DIR = Path(__file__).resolve().parent.parent / "data" / "synthetic"
+ROOT = Path(__file__).resolve().parent.parent
+DATA_DIR = ROOT / "data" / "synthetic"
 
 
 def fast_cfg(**over):
@@ -79,6 +84,65 @@ def test_progress_callback_sees_every_line():
 def test_empty_training_set_rejected():
     with pytest.raises(ConfigError):
         train(fast_cfg(), Split(train_scenes=(), test_scene="linear"), DATA_DIR)
+
+
+# Two training windows, one per scene.
+TWO_WINDOWS = Split(train_scenes=("linear", "crossing"), test_scene="bench8")
+
+
+def train_windows(cfg):
+    return load_windows(DATA_DIR, TWO_WINDOWS.train_scenes, cfg.t_obs, cfg.t_pred,
+                        stride=cfg.stride, frame_step=cfg.frame_step)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_state_stepped_by_hand_equals_train(tmp_path, variant):
+    # k calls of run_epoch are train() with epochs = k: the same log lines
+    # and checkpoint bytes. The KL weight switches after epoch 1, so the
+    # latent variant's loss reads the epoch number.
+    cfg = fast_cfg(variant=variant, epochs=3, kl_switch_epoch=1)
+    res = train(cfg, TWO_WINDOWS, DATA_DIR, out_path=tmp_path / "train.ckpt")
+    state = TrainState(cfg)
+    assert state.epoch == 0
+    windows = train_windows(cfg)
+    lines = [state.run_epoch(windows) for _ in range(cfg.epochs)]
+    assert state.epoch == cfg.epochs
+    assert lines == state.log_lines == res.log_lines
+    assert state.log_text() == res.log_text()
+    save_checkpoint(tmp_path / "hand.ckpt", state.model.params, state.model.cfg)
+    assert (tmp_path / "hand.ckpt").read_bytes() == (tmp_path / "train.ckpt").read_bytes()
+
+
+def test_training_loop_keeps_what_perfbench_patches(monkeypatch):
+    # perfbench replaces these names from outside (perfbench/tracing.py by
+    # module attribute, its TrainHooks on the classes), so each must stay
+    # where it looks. TrainHooks times a step from the noise draw to the
+    # end of Adam.step and counts the progress lines as epochs.
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [(owner.__name__, attr) for owner, attr, _ in tracing.ENTRY_POINTS
+               if attr not in vars(owner)]
+    assert missing == []
+
+    events = []
+
+    def recorded(name, fn):
+        def wrapped(*args, **kwargs):
+            events.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(Adam, "__init__", recorded("adam", Adam.__init__))
+    monkeypatch.setattr(GraphTCN, "draw_noise", recorded("draw", GraphTCN.draw_noise))
+    monkeypatch.setattr(Adam, "step", recorded("step", Adam.step))
+    cfg = fast_cfg(epochs=3)
+    seen = []
+    res = train(cfg, TWO_WINDOWS, DATA_DIR, progress=recorded("progress", seen.append))
+    assert len(train_windows(cfg)) == 2
+    assert events == ["adam"] + (["draw", "step"] * 2 + ["progress"]) * cfg.epochs
+    assert seen == res.log_lines
+    assert [line.split("\t")[0] for line in seen] == ["1", "2", "3"]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

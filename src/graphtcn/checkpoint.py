@@ -16,8 +16,8 @@ Layout (all integers little-endian, unsigned):
 
 The config text is canonical (serialize-parse-serialize is identity), so
 save -> load -> save reproduces the file byte for byte. Loading rejects
-text that is not UTF-8 and parameters holding NaN or Inf with
-CheckpointCorruptError.
+text that is not UTF-8, a rank past 32 and parameters holding NaN or Inf
+with CheckpointCorruptError.
 """
 
 from __future__ import annotations
@@ -103,6 +103,8 @@ def load_checkpoint(path) -> Checkpoint:
     for _ in range(n_params):
         name = r.text(r.unpack("<H")[0], "parameter name")
         (rank,) = r.unpack("<B")
+        if rank > 32:  # numpy's limit before 2.0; a model parameter has rank 3 at most
+            raise CheckpointCorruptError(f"parameter {name!r} has rank {rank}, past 32")
         dims = r.unpack(f"<{rank}I")
         count = math.prod(dims)
         data = np.frombuffer(r.take(8 * count), dtype="<f8").reshape(dims)

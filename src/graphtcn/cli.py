@@ -21,11 +21,6 @@ _THREAD_VARS = (
 )
 
 
-def _pin_single_thread():
-    for var in _THREAD_VARS:
-        os.environ.setdefault(var, "1")
-
-
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="graphtcn",
                                   description="Pedestrian trajectory prediction pipeline")
@@ -38,6 +33,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument("--out", required=True, help="checkpoint output path")
     p.add_argument("--log", help="loss log path (default: OUT.log)")
+    p.set_defaults(run=_cmd_train)
 
     p = sub.add_parser("eval", help="best-of-M metrics on the held-out scene")
     p.add_argument("--ckpt", required=True)
@@ -46,6 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=20)
     p.add_argument("--seed", type=int, default=0, help="noise seed for sampling")
     p.add_argument("--dump-traj", help="write a trajectory dump of the first window")
+    p.set_defaults(run=_cmd_eval)
 
     p = sub.add_parser("bench", help="single-threaded batch-1 inference timing")
     p.add_argument("--ckpt", required=True)
@@ -54,24 +51,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scene", help="scene to time (default: first discovered)")
     p.add_argument("--samples", type=int, default=4)
     p.add_argument("--warmup", type=int, default=10)
+    p.set_defaults(run=_cmd_bench)
 
     p = sub.add_parser("dump-attn", help="write attention matrices for one window")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--window-id", required=True, help="SCENE:START_FRAME")
     p.add_argument("--out", required=True)
+    p.set_defaults(run=_cmd_dump_attn)
 
     p = sub.add_parser("plot", help="render a dump file to SVG")
     p.add_argument("--kind", required=True, choices=["trajectories", "samples", "attention"])
     p.add_argument("--in", dest="in_path", required=True)
     p.add_argument("--out", required=True)
+    p.set_defaults(run=_cmd_plot)
     return top
 
 
-def _check_outputs(outputs: dict, inputs: dict):
+def _check_outputs(outputs: dict, inputs: dict, data=None):
     """Refuse, before any input is read, an output path that is a directory,
-    whose parent is not one, or that names the same file as an input or an
-    earlier output. Both map a flag to its path; an unset one (None) is skipped."""
+    whose parent is not one, that discover_scenes would take for a scene in
+    ``data`` (a *.txt file there), or that names the same file as an input or
+    an earlier output. Both map a flag to its path; an unset one is skipped."""
     from .errors import ConfigError
 
     seen = {os.path.realpath(path): flag for flag, path in inputs.items() if path is not None}
@@ -83,6 +84,9 @@ def _check_outputs(outputs: dict, inputs: dict):
         parent = Path(path).parent
         if not parent.is_dir():
             raise ConfigError(f"cannot write {path!r}: {str(parent)!r} is not a directory")
+        if (data is not None and Path(path).name.endswith(".txt")
+                and os.path.realpath(parent) == os.path.realpath(data)):
+            raise ConfigError(f"cannot write {path!r}: --data would read it as a scene")
         other = seen.setdefault(os.path.realpath(path), flag)
         if other != flag:
             raise ConfigError(f"cannot write {path!r}: {flag} and {other} name the same file")
@@ -96,7 +100,7 @@ def _cmd_train(args) -> int:
     if args.seed is not None:
         check_key("seed", args.seed)
     log_path = args.log if args.log else args.out + ".log"
-    _check_outputs({"--out": args.out, "--log": log_path}, {"--config": args.config})
+    _check_outputs({"--out": args.out, "--log": log_path}, {"--config": args.config}, args.data)
     cfg = ModelConfig.from_file(args.config) if args.config else ModelConfig()
     if args.seed is not None:
         cfg.seed = args.seed
@@ -114,7 +118,7 @@ def _cmd_eval(args) -> int:
     from .training import check_eval_args, evaluate_dataset, model_from_checkpoint
 
     check_eval_args(args.samples, args.seed)
-    _check_outputs({"--dump-traj": args.dump_traj}, {"--ckpt": args.ckpt})
+    _check_outputs({"--dump-traj": args.dump_traj}, {"--ckpt": args.ckpt}, args.data)
     ckpt = load_checkpoint(args.ckpt)
     model = model_from_checkpoint(ckpt)
     split = hold_out(discover_scenes(args.data), args.leave_out)
@@ -130,7 +134,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    _pin_single_thread()
+    for var in _THREAD_VARS:
+        os.environ.setdefault(var, "1")
     from .checkpoint import load_checkpoint
     from .data import discover_scenes, load_scene_windows
     from .errors import DataError
@@ -158,7 +163,7 @@ def _cmd_dump_attn(args) -> int:
     from .errors import ConfigError, ContractError, DataError
     from .training import model_from_checkpoint
 
-    _check_outputs({"--out": args.out}, {"--ckpt": args.ckpt})
+    _check_outputs({"--out": args.out}, {"--ckpt": args.ckpt}, args.data)
     # The start frame follows the last ":", so a scene name may hold one.
     scene, sep, start = args.window_id.rpartition(":")
     try:
@@ -193,21 +198,12 @@ def _cmd_plot(args) -> int:
     return 0
 
 
-_HANDLERS = {
-    "train": _cmd_train,
-    "eval": _cmd_eval,
-    "bench": _cmd_bench,
-    "dump-attn": _cmd_dump_attn,
-    "plot": _cmd_plot,
-}
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     from .errors import GraphTCNError
 
     try:
-        return _HANDLERS[args.command](args)
+        return args.run(args)
     except (GraphTCNError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

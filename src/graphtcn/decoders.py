@@ -23,32 +23,19 @@ every output as [M, N, T_pred, 2]), and the first affine map as one
 draw_affine op, the sum of an embedding part, computed once per
 pedestrian, and a noise or latent part, computed once per draw, on two
 row sets of the stored weight. The concatenation is never built.
+
+``GraphTCN.predict`` wraps the absolute trajectories in a
+``metrics.PredictionSet``; this module takes only the KL term from there.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import tensor as T
-from .errors import ContractError, ShapeError
+from .errors import ShapeError
 from .init import add_affine
 from .metrics import kl_diag_gaussian
-
-
-@dataclass
-class PredictionSet:
-    """M sampled future trajectories in absolute world coordinates."""
-
-    trajectories: np.ndarray  # [M, N, T_pred, 2]
-
-    def __post_init__(self):
-        self.trajectories = np.asarray(self.trajectories, dtype=np.float64)
-        if self.trajectories.ndim != 4 or self.trajectories.shape[0] < 1:
-            raise ContractError(f"trajectories {self.trajectories.shape}, expected [M >= 1, N, T, 2]")
-        if not np.isfinite(self.trajectories).all():
-            raise ContractError("non-finite prediction")
 
 
 def reparameterize(mu: T.Tensor, sigma: T.Tensor, eps: np.ndarray) -> T.Tensor:

@@ -26,8 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from .data import SequenceWindow
-from .decoders import PredictionSet
 from .errors import ContractError, ParseError, content_lines
+from .metrics import PredictionSet
 
 
 def _format(kind: str, window: SequenceWindow, t_obs: int, positions, **arrays) -> str:

@@ -1,22 +1,21 @@
-"""Displacement metrics and the two training loss terms.
+"""Displacement metrics, the two training loss terms, and PredictionSet.
 
 The differentiable terms (variety and KL, which GraphTCN.window_loss
 combines) run on the autodiff ops. Every displacement error here, ADE,
 FDE, the variety loss and the plain-number best-of-M evaluation at the
 bottom that the reporting code calls, is one fused best_of_m_ade op.
+That evaluation scores a ``PredictionSet``, which ``GraphTCN.predict``
+returns and the trajectory dump writes.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
 from .errors import ContractError, DomainError, ShapeError
-
-if TYPE_CHECKING:  # decoders imports this module
-    from .decoders import PredictionSet
 
 
 def _check_pair(pred: T.Tensor, gt: T.Tensor):
@@ -76,6 +75,20 @@ def kl_diag_gaussian(mu: T.Tensor, sigma: T.Tensor, logvar: T.Tensor) -> T.Tenso
 
 # ---------------------------------------------------------------------------
 # Plain-number evaluation
+
+
+@dataclass
+class PredictionSet:
+    """M sampled future trajectories in absolute world coordinates."""
+
+    trajectories: np.ndarray  # [M, N, T_pred, 2]
+
+    def __post_init__(self):
+        self.trajectories = np.asarray(self.trajectories, dtype=np.float64)
+        if self.trajectories.ndim != 4 or self.trajectories.shape[0] < 1:
+            raise ContractError(f"trajectories {self.trajectories.shape}, expected [M >= 1, N, T, 2]")
+        if not np.isfinite(self.trajectories).all():
+            raise ContractError("non-finite prediction")
 
 
 def evaluate_min_of_m(pred_set: PredictionSet, gt: np.ndarray) -> tuple:

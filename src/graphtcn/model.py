@@ -18,10 +18,10 @@ import numpy as np
 from . import tensor as T
 from .config import ModelConfig, check_key
 from .data import SequenceWindow, build_features
-from .decoders import CvaeDecoder, MlpDecoder, PredictionSet, relative_to_absolute
+from .decoders import CvaeDecoder, MlpDecoder, relative_to_absolute
 from .errors import ContractError
 from .graph_attention import SpatialEncoder
-from .metrics import variety_loss
+from .metrics import PredictionSet, variety_loss
 from .temporal_conv import TemporalConvNet
 
 

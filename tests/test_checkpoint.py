@@ -5,12 +5,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import golden
 from graphtcn.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from graphtcn.config import ModelConfig
 from graphtcn.data import SequenceWindow, discover_scenes, hold_out
-from graphtcn.errors import CheckpointCorruptError, CheckpointFormatError, ConfigError
+from graphtcn.errors import (
+    CheckpointCorruptError,
+    CheckpointFormatError,
+    ConfigError,
+    GraphTCNError,
+)
 from graphtcn.model import GraphTCN
 from graphtcn.tensor import ParameterStore
 from graphtcn.training import model_from_checkpoint, train
@@ -155,6 +161,22 @@ def test_duplicate_parameter_detected(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("rank", [33, 65])
+def test_rank_past_32_detected(tmp_path, rank):
+    # Zero-size dims ask for no values, so only the rank can be refused:
+    # numpy holds 32 dims before 2.0 and 64 since, and reshape raised a
+    # bare ValueError past that.
+    cfg_bytes = small_cfg().to_text().encode()
+    entry = (struct.pack("<H", 1) + b"w" + struct.pack("<B", rank)
+             + struct.pack(f"<{rank}I", *[0] * rank))
+    blob = (MAGIC + struct.pack("<I", 1) + struct.pack("<I", len(cfg_bytes))
+            + cfg_bytes + struct.pack("<I", 1) + entry)
+    path = tmp_path / "rank.ckpt"
+    path.write_bytes(blob)
+    with pytest.raises(CheckpointCorruptError, match=f"^parameter 'w' has rank {rank}, past 32$"):
+        load_checkpoint(path)
+
+
 def test_dims_whose_product_overflows_int64_detected(tmp_path):
     # (2**32 - 1)**2 values wrap an int64 element count; the exact count
     # asks for far more bytes than the file holds.
@@ -282,3 +304,44 @@ def test_frozen_v1_checkpoint_equals_a_fresh_train(mode):
     assert list(fresh) == list(ckpt.arrays)
     bad = golden.mismatches(ckpt.arrays, fresh, mode == "exact")
     assert not bad, f"{mode} mode:\n" + "\n".join(bad)
+
+
+@st.composite
+def damaged(draw, blob: bytes) -> bytes:
+    """``blob`` truncated, or with 1-3 bits flipped or 1-3 bytes overwritten,
+    half of them in the first 512 bytes (header, config text, first names).
+    It never grows, so a width in its config text gains a digit or two at most."""
+    how = draw(st.sampled_from(["truncate", "flip", "overwrite"]))
+    if how == "truncate":
+        return blob[:draw(st.integers(0, len(blob) - 1))]
+    out = bytearray(blob)
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, 511) | st.integers(0, len(blob) - 1))
+        out[i] = (out[i] ^ 1 << draw(st.integers(0, 7)) if how == "flip"
+                  else draw(st.integers(0, 255)))
+    return bytes(out)
+
+
+@pytest.fixture(scope="module")
+def checkpoints(tmp_path_factory):
+    """The pinned v1 file's bytes and a tiny graphtcn_g checkpoint's, and a
+    path for a damaged copy."""
+    root = tmp_path_factory.mktemp("fuzz")
+    cfg = ModelConfig(t_obs=4, t_pred=3, embed_dim=4, gal1_heads=1, gal1_out=4, gal2_heads=1,
+                      gal2_out=4, tcn_channels=4, tcn_layers=2, tcn_kernel=2, noise_dim=2,
+                      future_embed_dim=3, decoder_hidden=2, samples=2, variant="graphtcn_g")
+    save_checkpoint(root / "g.ckpt", GraphTCN(cfg).params, cfg)
+    return [FROZEN_V1.read_bytes(), (root / "g.ckpt").read_bytes()], root / "damaged.ckpt"
+
+
+@given(st.data())
+@settings(max_examples=250, deadline=None)
+def test_damaged_checkpoint_loads_or_fails_by_name(checkpoints, data):
+    # A checkpoint comes from outside the program: whatever its bytes, it
+    # loads into a model, or fails with a GraphTCNError naming the fault.
+    blobs, path = checkpoints
+    path.write_bytes(data.draw(st.sampled_from(blobs).flatmap(damaged)))
+    try:
+        model_from_checkpoint(load_checkpoint(path))
+    except GraphTCNError:
+        pass

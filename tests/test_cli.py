@@ -154,14 +154,26 @@ def test_number_flags_checked_before_any_input_is_read(tmp_path, capsys, argv, e
      "'./m.ckpt': --out and --ckpt name the same file"),
     (["plot", "--kind", "attention", "--in", "a.svg", "--out", "a_dir/../a.svg"],
      "'a_dir/../a.svg': --out and --in name the same file"),
+    (["train", "--data", "a_dir", "--out", "a_dir/m.txt"],
+     "'a_dir/m.txt': --data would read it as a scene"),
+    (["train", "--data", "a_dir", "--out", "m.ckpt", "--log", "a_dir/../a_dir/m.txt"],
+     "'a_dir/../a_dir/m.txt': --data would read it as a scene"),
+    (["eval", "--data", "./a_dir", "--ckpt", "ghost.ckpt", "--dump-traj", "a_dir/traj.txt"],
+     "'a_dir/traj.txt': --data would read it as a scene"),
+    (["dump-attn", "--data", "a_dir", "--window-id", "crossing:0", "--out", "a_dir/attn.txt"],
+     "'a_dir/attn.txt': --data would read it as a scene"),
 ], ids=["train-out-in-missing-dir", "train-out-is-a-dir", "train-log-in-missing-dir",
         "dump-attn-out-is-a-dir", "plot-out-in-missing-dir", "train-log-is-out",
-        "train-out-is-config", "eval-dump-traj-is-ckpt", "dump-attn-out-is-ckpt", "plot-out-is-in"])
+        "train-out-is-config", "eval-dump-traj-is-ckpt", "dump-attn-out-is-ckpt", "plot-out-is-in",
+        "train-out-in-data", "train-log-in-data", "eval-dump-traj-in-data",
+        "dump-attn-out-in-data"])
 def test_output_path_checked_before_any_input_is_read(tmp_path, monkeypatch, capsys, argv, error):
     # The inputs (data, checkpoint, config, dump) are all missing: they
     # would be reported, or every epoch trained, if outputs were checked at
     # write. An output that names an input or the other output is refused
-    # by path, whether or not the file exists yet.
+    # by path, whether or not the file exists yet. So is a *.txt output in
+    # the --data directory, here the empty a_dir, which the next run would
+    # read as a scene.
     monkeypatch.chdir(tmp_path)
     (tmp_path / "a_dir").mkdir()
     inputs = {"train": ["--data", "no_data", "--leave-out", "x"],
@@ -171,6 +183,7 @@ def test_output_path_checked_before_any_input_is_read(tmp_path, monkeypatch, cap
     assert main(argv[:1] + inputs[argv[0]] + argv[1:]) == 2
     assert capsys.readouterr() == ("", f"error: cannot write {error}\n")
     assert [p.name for p in tmp_path.iterdir()] == ["a_dir"]
+    assert list((tmp_path / "a_dir").iterdir()) == []
 
 
 def test_output_naming_an_input_leaves_it_unchanged(workdir, trained, tmp_path, capsys):
@@ -181,6 +194,8 @@ def test_output_naming_an_input_leaves_it_unchanged(workdir, trained, tmp_path, 
     shutil.copy(cfg_source, cfg_path)
     shutil.copy(trained, ckpt)
     before = cfg_path.read_bytes(), ckpt.read_bytes()
+    scenes = {p.name: p.read_bytes() for p in data.iterdir()}
+    scene = data / "crossing.txt"
     for argv, error in [
         (["train", "--leave-out", "crossing", "--config", str(cfg_path), "--out", str(cfg_path)],
          f"{str(cfg_path)!r}: --out and --config name the same file"),
@@ -188,10 +203,13 @@ def test_output_naming_an_input_leaves_it_unchanged(workdir, trained, tmp_path, 
          f"{str(ckpt)!r}: --log and --out name the same file"),
         (["eval", "--leave-out", "crossing", "--ckpt", str(ckpt), "--dump-traj", str(ckpt)],
          f"{str(ckpt)!r}: --dump-traj and --ckpt name the same file"),
+        (["eval", "--leave-out", "crossing", "--ckpt", str(ckpt), "--dump-traj", str(scene)],
+         f"{str(scene)!r}: --data would read it as a scene"),
     ]:
         assert main(argv + ["--data", str(data)]) == 2
         assert capsys.readouterr() == ("", f"error: cannot write {error}\n")
     assert (cfg_path.read_bytes(), ckpt.read_bytes()) == before
+    assert {p.name: p.read_bytes() for p in data.iterdir()} == scenes
 
 
 def test_eval_checks_dump_path_before_the_table(workdir, trained, capsys):

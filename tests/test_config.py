@@ -8,11 +8,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graphtcn.config import RETIRED, ModelConfig, VARIANTS
 from graphtcn.errors import ConfigError, GraphTCNError
 from graphtcn.model import GraphTCN
 from graphtcn.temporal_conv import receptive_field
+from test_data import edited
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -369,3 +371,34 @@ class TestRetiredKeys:
         cfg = ModelConfig.from_text(V1_DEFAULT_TEXT)
         assert cfg == ModelConfig()
         assert cfg.to_text() == V1_DEFAULT_TEXT
+
+
+def _at_bounds(text: str) -> list:
+    """``text`` with each bounded key set, in turn, to one below its lower
+    bound, the bound, the cap, one past the cap and 10**15."""
+    texts = []
+    for f in fields(ModelConfig):
+        if f.metadata:
+            low, high, _ = f.metadata["bounds"]
+            for value in sorted({low - 1, low, high, high + 1, 10**15} - {math.inf}):
+                texts.append(re.sub(rf"^{f.name} = .*$", f"{f.name} = {value}", text,
+                                    flags=re.M))
+    return texts
+
+
+CONFIG_TEXTS = [ModelConfig().to_text(), *_at_bounds(ModelConfig().to_text())]
+
+
+CONFIG_CHARS = st.characters() | st.sampled_from("0123456789=,.-e#\r\n")
+
+
+@given(st.sampled_from(CONFIG_TEXTS).flatmap(lambda text: edited(text, CONFIG_CHARS)))
+@settings(max_examples=350, deadline=None)
+def test_edited_config_text_parses_or_fails_by_name(text):
+    # Config text comes from outside the program (a --config file, a
+    # checkpoint): it parses, or fails with a GraphTCNError. Only the text
+    # is read here; no model is built from it.
+    try:
+        ModelConfig.from_text(text)
+    except GraphTCNError:
+        pass

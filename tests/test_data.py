@@ -494,3 +494,41 @@ class TestGridSpacing:
         (tmp_path / "extra.txt").write_text("".join(rows))
         assert D.load_scene_windows(tmp_path, "extra", 8, 12, frame_step=1) == []
         assert len(D.load_scene_windows(tmp_path, "extra", 8, 12, frame_step=10)) == 21
+
+
+@st.composite
+def edited(draw, original, units):
+    """``original`` (bytes or str) after 0-3 edits, each inserting a unit
+    drawn from ``units`` before a position, deleting one or overwriting one."""
+    out = list(original)
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(out) - 1))
+        how = draw(st.sampled_from(["insert", "delete", "overwrite"]))
+        out[i:i + (how != "insert")] = [] if how == "delete" else [draw(units)]
+    return bytes(out) if isinstance(original, bytes) else "".join(out)
+
+
+# Bytes a scene row is made of, and a few that break one: a line break, a
+# comment mark and a byte that is not UTF-8.
+SCENE_BYTES = st.sampled_from(b"0123456789.-+eE \t\r\n#\xff") | st.integers(0, 255)
+
+
+@pytest.fixture(scope="module")
+def fuzzed_scene(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "scene.txt"
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_edited_scene_file_loads_or_fails_by_name(fuzzed_scene, data):
+    # A scene file comes from outside the program: whatever its bytes, it
+    # parses and windows, or fails with a GraphTCNError naming the fault.
+    path = fuzzed_scene
+    path.write_bytes(data.draw(edited((COMMITTED_SCENES / "groupmerge.txt").read_bytes(),
+                                      SCENE_BYTES)))
+    try:
+        records = D.parse_trajectory_file(path)
+        for frame_step in (1, 10):
+            D.extract_windows(records, 8, 12, frame_step=frame_step)
+    except GraphTCNError:
+        pass

@@ -7,13 +7,12 @@ from graphtcn import tensor as T
 from graphtcn.decoders import (
     CvaeDecoder,
     MlpDecoder,
-    PredictionSet,
     relative_to_absolute,
     reparameterize,
 )
 from graphtcn.config import ModelConfig
 from graphtcn.errors import ContractError, ShapeError
-from graphtcn.metrics import kl_diag_gaussian
+from graphtcn.metrics import PredictionSet, kl_diag_gaussian
 from graphtcn.model import GraphTCN
 from graphtcn.tensor import ParameterStore, Tensor
 

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 from graphtcn.config import ModelConfig
 from graphtcn.data import SequenceWindow, load_scene_windows
-from graphtcn.decoders import PredictionSet
 from graphtcn.dumps import (
     format_attention_dump,
     format_trajectory_dump,
@@ -21,6 +20,7 @@ from graphtcn.dumps import (
     write_trajectory_dump,
 )
 from graphtcn.errors import ContractError, GraphTCNError, ParseError
+from graphtcn.metrics import PredictionSet
 from graphtcn.model import GraphTCN
 from graphtcn.viz import emit_plot, render_attention, render_trajectories
 from test_data import IN_LINE_SEPARATORS, LINE_BREAKS

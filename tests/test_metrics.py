@@ -7,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 from graphtcn import tensor as T
 from graphtcn.config import VARIANTS, ModelConfig
 from graphtcn.data import SequenceWindow
-from graphtcn.decoders import PredictionSet
 from graphtcn.errors import ConfigError, ContractError, DomainError, ShapeError
-from graphtcn.metrics import ade, evaluate_min_of_m, fde, kl_diag_gaussian, variety_loss
+from graphtcn.metrics import (
+    PredictionSet, ade, evaluate_min_of_m, fde, kl_diag_gaussian, variety_loss,
+)
 from graphtcn.model import GraphTCN
 from graphtcn.tensor import Tensor
 

@@ -982,6 +982,62 @@ def test_only_accumulate_writes_a_gradient():
     assert {where for where, _, _ in writes} == GRAD_WRITERS | {"backward"}
 
 
+def _package_imports() -> dict:
+    """Each package module -> the package modules it names in a relative
+    import (``from .x import …``, ``from . import x``), wherever the import
+    sits: at module level, in a function body or under ``if TYPE_CHECKING:``."""
+    graph = {}
+    for path in sorted(Path(T.__file__).parent.glob("*.py")):
+        targets = graph[path.stem] = []
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                targets += ([node.module.partition(".")[0]] if node.module
+                            else [alias.name for alias in node.names])
+    return graph
+
+
+def _cycles(graph: dict) -> list:
+    """One cycle per edge back into the path of a depth-first walk, written
+    from the module it returns to, as ``a -> b -> a``."""
+    cycles, done, path = [], set(), []
+
+    def walk(module):
+        path.append(module)
+        for target in graph.get(module, ()):
+            if target in path:
+                cycles.append(" -> ".join(path[path.index(target):] + [target]))
+            elif target not in done:
+                walk(target)
+        path.pop()
+        done.add(module)
+
+    for module in graph:
+        if module not in done:
+            walk(module)
+    return cycles
+
+
+def test_package_imports_form_no_cycle():
+    # The modules can be listed so that each imports only modules listed
+    # before it (README's Layout), so none waits on a module half run. The
+    # cli's lazy imports, in function bodies, are read too.
+    assert _cycles({"a": ["b"], "b": ["c", "a"], "c": []}) == ["a -> b -> a"]
+    graph = _package_imports()
+    assert {"training", "viz"} <= set(graph["cli"])
+    cycles = _cycles(graph)
+    assert not cycles, f"import cycles: {cycles}"
+
+
+def test_readme_layout_lists_modules_in_import_order():
+    layout = (ROOT / "README.md").read_text(encoding="utf-8").split("## Layout\n", 1)[1]
+    listed = re.findall(r"^  (\w+)\.py ", layout, flags=re.M)
+    graph = _package_imports()
+    assert sorted(listed) == sorted(set(graph) - {"__init__"})
+    late = [f"{module} imports {target}" for module in listed for target in graph[module]
+            if listed.index(target) > listed.index(module)]
+    assert late == []
+
+
 # "op" or "op.variant" -> (call on the input tensors, input shapes, tape
 # nodes one call records). stack is reshape + concat: two nodes.
 OP_CASES = {

@@ -387,8 +387,6 @@ def _at_bounds(text: str) -> list:
 
 
 CONFIG_TEXTS = [ModelConfig().to_text(), *_at_bounds(ModelConfig().to_text())]
-
-
 CONFIG_CHARS = st.characters() | st.sampled_from("0123456789=,.-e#\r\n")
 
 

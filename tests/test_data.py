@@ -518,16 +518,14 @@ def fuzzed_scene(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "scene.txt"
 
 
-@given(st.data())
+@given(edited((COMMITTED_SCENES / "groupmerge.txt").read_bytes(), SCENE_BYTES))
 @settings(max_examples=200, deadline=None)
-def test_edited_scene_file_loads_or_fails_by_name(fuzzed_scene, data):
+def test_edited_scene_file_loads_or_fails_by_name(fuzzed_scene, scene):
     # A scene file comes from outside the program: whatever its bytes, it
     # parses and windows, or fails with a GraphTCNError naming the fault.
-    path = fuzzed_scene
-    path.write_bytes(data.draw(edited((COMMITTED_SCENES / "groupmerge.txt").read_bytes(),
-                                      SCENE_BYTES)))
+    fuzzed_scene.write_bytes(scene)
     try:
-        records = D.parse_trajectory_file(path)
+        records = D.parse_trajectory_file(fuzzed_scene)
         for frame_step in (1, 10):
             D.extract_windows(records, 8, 12, frame_step=frame_step)
     except GraphTCNError:

@@ -3,6 +3,14 @@
 Everything here is deliberately written with explicit loops and plain
 numpy, no shared code with the package internals, so agreement between
 the two is meaningful.
+
+The loop oracles take parameters as a name -> array mapping (a store's
+``state_arrays()``) and accept real or complex input: every array is
+allocated in the input's dtype, and every comparison (a leaky_relu's
+sign, a softmax's shift, the best-of-M minimum) reads ``.real``. So the
+same code evaluates the loss at complex parameters theta + i*h*v, whose
+imaginary part over h is the directional derivative to rounding (the
+complex step; Squire and Trapp, SIAM Review 40(1), 1998).
 """
 
 import numpy as np
@@ -23,7 +31,7 @@ def leaky(v):
 
 def leaky_select(v):
     """leaky_relu's value and its input-gradient factor (1 or SLOPE)."""
-    return np.where(v >= 0.0, v, SLOPE * v), np.where(v >= 0.0, 1.0, SLOPE)
+    return np.where(v.real >= 0.0, v, SLOPE * v), np.where(v.real >= 0.0, 1.0, SLOPE)
 
 
 def sigmoid_select(d):
@@ -57,30 +65,30 @@ def pair_softmax_select(src, dst):
 def softmax_rows(e):
     out = np.empty_like(e)
     for i in range(e.shape[0]):
-        row = e[i] - e[i].max()
+        row = e[i] - e[i].real.max()
         ex = np.exp(row)
         out[i] = ex / ex.sum()
     return out
 
 
-def gal_oracle(h, pos, store, prefix, heads, head_out, use_edges=True):
+def gal_oracle(h, pos, p, prefix, heads, head_out, use_edges=True):
     """Loop evaluation of one attention layer from named parameters."""
     n = h.shape[0]
-    p = {name: t.data for name, t in store.items()}
+    dtype = np.result_type(h, p[f"{prefix}.res.W"])
     if use_edges:
-        edge = np.empty((n, n, head_out))
+        edge = np.empty((n, n, head_out), dtype=dtype)
         for i in range(n):
             for j in range(n):
                 edge[i, j] = (pos[i] - pos[j]) @ p[f"{prefix}.edge.W"] + p[f"{prefix}.edge.b"]
     outs, attn = [], []
     for k in range(heads):
-        e = np.empty((n, n))
+        e = np.empty((n, n), dtype=dtype)
         for i in range(n):
             for j in range(n):
                 s = h[i] @ p[f"{prefix}.h{k}.w1"][:, 0] + h[j] @ p[f"{prefix}.h{k}.w2"][:, 0]
                 if use_edges:
                     s = s + edge[i, j] @ p[f"{prefix}.h{k}.ae"][:, 0]
-                e[i, j] = s if s >= 0 else 0.2 * s
+                e[i, j] = s if s.real >= 0 else 0.2 * s
         a = softmax_rows(e)
         u = h @ p[f"{prefix}.h{k}.val.W"] + p[f"{prefix}.h{k}.val.b"]
         g = np.tanh(u) * u
@@ -91,23 +99,23 @@ def gal_oracle(h, pos, store, prefix, heads, head_out, use_edges=True):
     return merged + res, np.array(attn)
 
 
-def spatial_oracle(features, positions, store, cfg):
+def spatial_oracle(features, positions, p, cfg):
     """Loop evaluation of embed + both attention layers at every step."""
-    p = {name: t.data for name, t in store.items()}
     n, t_obs = features.shape[0], features.shape[1]
-    out = np.empty((n, t_obs, cfg.gal2_heads * cfg.gal2_out))
+    out = np.empty((n, t_obs, cfg.gal2_heads * cfg.gal2_out),
+                   dtype=np.result_type(features, p["embed.W"]))
     use_edges = cfg.variant != "vanilla_gat"
     for t in range(t_obs):
         h0 = features[:, t, :] @ p["embed.W"] + p["embed.b"]
-        h1, _ = gal_oracle(h0, positions[:, t, :], store, "gal1",
+        h1, _ = gal_oracle(h0, positions[:, t, :], p, "gal1",
                            cfg.gal1_heads, cfg.gal1_out, use_edges=use_edges)
-        h2, _ = gal_oracle(h1, positions[:, t, :], store, "gal2",
+        h2, _ = gal_oracle(h1, positions[:, t, :], p, "gal2",
                            cfg.gal2_heads, cfg.gal2_out, use_edges=use_edges)
         out[:, t, :] = h2
     return out
 
 
-def decoder_oracle(h, draws, store, prefix):
+def decoder_oracle(h, draws, p, prefix):
     """Loop evaluation of a decoder head on its explicitly concatenated input.
 
     Sampling head: h is the embedding [N, T_obs, F] and draws the noise
@@ -117,7 +125,6 @@ def decoder_oracle(h, draws, store, prefix):
     (h[n], draws[m, n]). An optional hidden layer applies leaky_relu.
     Returns offsets [M, N, T_pred, 2].
     """
-    p = {name: t.data for name, t in store.items()}
     n_draws, n_peds = draws.shape[0], h.shape[0]
     out = []
     for m in range(n_draws):
@@ -143,7 +150,7 @@ def conv_oracle(x, W, b, dilation):
     """
     c_out, c_in, k = W.shape
     t_len = x.shape[1]
-    out = np.repeat(np.asarray(b, dtype=float)[:, None], t_len, axis=1)
+    out = np.repeat(np.asarray(b, dtype=np.result_type(x, W, b))[:, None], t_len, axis=1)
     for tap in range(k):
         shift = (k - 1 - tap) * dilation
         for t in range(shift, t_len):
@@ -151,13 +158,12 @@ def conv_oracle(x, W, b, dilation):
     return out
 
 
-def conv_stack_oracle(x, store, prefix, layers, kernel, dilations):
+def conv_stack_oracle(x, p, prefix, layers, dilations):
     """Gated causal convolution stack, one pedestrian, via conv_oracle.
 
     x is [C0, T]; layer l reads p[f"{prefix}.l{l}.gate/filt.W/b"] and applies
     tanh(conv_g) * sigmoid(conv_f).
     """
-    p = {name: t.data for name, t in store.items()}
     h = x
     for layer in range(layers):
         pre, d = f"{prefix}.l{layer}", dilations[layer]
@@ -193,7 +199,60 @@ def min_of_m_oracle(trajs, gt):
     """Best-of-M ADE and FDE, one sample at a time. trajs is [M, N, T, 2]."""
     ades = [ade_oracle(trajs[m], gt) for m in range(trajs.shape[0])]
     fdes = [fde_oracle(trajs[m], gt) for m in range(trajs.shape[0])]
-    return min(ades), min(fdes)
+    return min(ades, key=lambda c: c.real), min(fdes, key=lambda c: c.real)
+
+
+def window_loss_oracle(p, positions, cfg, noise, epoch):
+    """GraphTCN.window_loss of one window, every variant, from the loop oracles.
+
+    positions is the window's [N, T_obs + T_pred, 2]; noise is the block
+    draw_noise gives, [M, T_obs, noise_dim] or, for graphtcn_g, the
+    reparameterization draws [M, N, future_embed_dim]. Features are
+    (x, y, dx, dy) per observed step with dx = dy = 0 at the first; the
+    decoder predicts offsets from the last observed position. Returns the
+    variety loss (the best-of-M ADE), plus for graphtcn_g the closed-form
+    KL of its posterior, weighted early through kl_switch_epoch, then late.
+    """
+    n, t_obs, t_pred = positions.shape[0], cfg.t_obs, cfg.t_pred
+    obs = positions[:, :t_obs]
+    origin = positions[:, t_obs - 1]
+    gt = positions[:, t_obs : t_obs + t_pred]
+    feats = np.zeros((n, t_obs, 4))
+    for i in range(n):
+        for t in range(t_obs):
+            feats[i, t, :2] = obs[i, t]
+            if t > 0:
+                feats[i, t, 2:] = obs[i, t] - obs[i, t - 1]
+    if cfg.variant == "no_efgat":
+        h = np.array([[feats[i, t] @ p["embed.W"] + p["embed.b"] for t in range(t_obs)]
+                      for i in range(n)])
+    else:
+        h = spatial_oracle(feats, obs, p, cfg)
+    emb = np.array([conv_stack_oracle(h[i].T, p, "tcn", cfg.tcn_layers, cfg.tcn_dilations).T
+                    for i in range(n)])
+    kl = 0.0
+    if cfg.variant == "graphtcn_g":
+        latent = cfg.future_embed_dim
+        flat = np.array([np.concatenate(list(emb[i])) for i in range(n)])
+        mu, logvar = [], []
+        for i in range(n):
+            fut = np.concatenate(list(gt[i] - origin[i]))
+            fut_enc = fut @ p["dec.future.W"] + p["dec.future.b"]
+            moments = np.concatenate([flat[i], fut_enc]) @ p["dec.posterior.W"] + p["dec.posterior.b"]
+            mu.append(moments[:latent])
+            logvar.append(moments[latent:])
+        mu, logvar = np.array(mu), np.array(logvar)
+        sigma = np.exp(logvar / 2)
+        z = np.array([[mu[i] + sigma[i] * noise[m, i] for i in range(n)]
+                      for m in range(len(noise))])
+        offsets = decoder_oracle(flat, z, p, "dec.out")
+        kl = 0.5 * np.mean([np.sum(mu[i] ** 2 + sigma[i] ** 2 - 1.0 - logvar[i])
+                            for i in range(n)])
+    else:
+        offsets = decoder_oracle(emb, noise, p, "dec.out")
+    trajs = offsets + origin[None, :, None, :]
+    weight = cfg.kl_weight_early if epoch <= cfg.kl_switch_epoch else cfg.kl_weight_late
+    return min_of_m_oracle(trajs, gt)[0] + weight * kl
 
 
 def kl_mc_oracle(mu, logvar, n_draws, seed):

@@ -294,7 +294,7 @@ class TestSplitHead:
         h = rng.normal(size=(6, 3, 5))
         noise = rng.standard_normal((4, 3, 2))
         out = dec.forward(Tensor(h), noise).data
-        expected = decoder_oracle(h, noise, store, "dec.out")
+        expected = decoder_oracle(h, noise, store.state_arrays(), "dec.out")
         assert out.shape == expected.shape == (4, 6, 4, 2)
         np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
 
@@ -306,7 +306,7 @@ class TestSplitHead:
         h_flat = rng.normal(size=(6, 15))
         z = rng.standard_normal((4, 6, 2))
         out = dec.decode(Tensor(h_flat), Tensor(z)).data
-        expected = decoder_oracle(h_flat, z, store, "dec.out")
+        expected = decoder_oracle(h_flat, z, store.state_arrays(), "dec.out")
         assert out.shape == expected.shape == (4, 6, 4, 2)
         np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
 

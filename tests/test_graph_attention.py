@@ -139,7 +139,7 @@ class TestLayerForward:
         h = rng.normal(size=(6, 5))
         pos = rng.normal(size=(6, 2))
         out, attn = layer.forward(Tensor(h), pos)
-        o_out, o_attn = gal_oracle(h, pos, store, "gal", 3, 4)
+        o_out, o_attn = gal_oracle(h, pos, store.state_arrays(), "gal", 3, 4)
         np.testing.assert_allclose(out.data, o_out, rtol=0, atol=1e-12)
         np.testing.assert_allclose(attn, o_attn, rtol=0, atol=1e-12)
 
@@ -152,7 +152,7 @@ class TestLayerForward:
         pos = rng.normal(size=(3, 6, 2)) * 3.0 + [1000.0, -1000.0]
         out, attn = layer.forward(Tensor(h), pos)
         for t in range(3):
-            o_out, o_attn = gal_oracle(h[t], pos[t], store, "gal", 3, 4)
+            o_out, o_attn = gal_oracle(h[t], pos[t], store.state_arrays(), "gal", 3, 4)
             np.testing.assert_allclose(out.data[t], o_out, rtol=0, atol=1e-12)
             np.testing.assert_allclose(attn[:, t], o_attn, rtol=0, atol=1e-12)
 
@@ -230,7 +230,7 @@ class TestSpatialEncoder:
         feats = rng.normal(size=(4, 3, 4))
         pos = rng.normal(size=(4, 3, 2))
         out, _ = enc.forward(Tensor(feats), pos)
-        expected = spatial_oracle(feats, pos, store, cfg)
+        expected = spatial_oracle(feats, pos, store.state_arrays(), cfg)
         np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-12)
 
     def test_single_ped_attention_record(self):

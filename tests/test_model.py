@@ -1,15 +1,18 @@
-"""Full-model composition tests: variants, shapes, loss wiring, sampling."""
+"""Full-model composition tests: variants, shapes, loss wiring, sampling,
+the whole training step against the loop oracles, and metamorphic relations."""
 
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from graphtcn.config import ModelConfig
-from graphtcn.data import SequenceWindow, load_scene_windows
+from graphtcn.config import VARIANTS, ModelConfig
+from graphtcn.data import SequenceWindow, load_scene_windows, load_windows
 from graphtcn.errors import ConfigError, ContractError
 from graphtcn.model import GraphTCN
 from graphtcn.tensor import Tape, backward
+from oracles import window_loss_oracle
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data" / "synthetic"
 
@@ -351,3 +354,120 @@ def test_samples_differ_for_random_model():
     model = GraphTCN(tiny_cfg(seed=11))
     ps, _ = model.predict(make_window(), 4, np.random.default_rng(5))
     assert not np.array_equal(ps.trajectories[0], ps.trajectories[1])
+
+
+# Whole training step against the loop oracles --------------------------------
+
+STEP = 1e-30
+
+
+def loss_and_gradient(model, window, epoch, noise):
+    """window_loss's value and a copy of each parameter's gradient, by name."""
+    model.params.zero_grads()
+    with Tape() as tape:
+        loss, _ = model.window_loss(window, epoch, noise)
+        backward(loss, tape)
+    return loss.item(), {name: t.grad.copy() for name, t in model.params.items()}
+
+
+@pytest.mark.parametrize("hidden", [0, 16])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_training_step_gradient_matches_complex_step(variant, hidden):
+    # The tape's directional derivative grad L . v against the complex step
+    # Im L(theta + i*h*v) / h of the independent loop forward. The complex
+    # step subtracts nothing, so at h = 1e-30 both agree to rounding. A
+    # complex-to-float cast in the oracle would drop the derivative; with
+    # warnings as errors it fails instead. Both KL weights are reached.
+    cfg = ModelConfig(t_obs=4, t_pred=3, embed_dim=8, gal1_heads=2, gal1_out=4,
+                      gal2_heads=1, gal2_out=4, tcn_channels=4, tcn_layers=2,
+                      tcn_kernel=3, noise_dim=2, samples=3, epochs=1, seed=12,
+                      variant=variant, decoder_hidden=hidden)
+    model = GraphTCN(cfg)
+    window = make_window(n=3, t_total=7, seed=3)
+    noise = model.draw_noise(np.random.default_rng(4), window.n_peds)
+    theta = model.params.state_arrays()
+    rng = np.random.default_rng(5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for epoch in (1, cfg.kl_switch_epoch + 1):
+            value, grad = loss_and_gradient(model, window, epoch, noise)
+            for _ in range(2):
+                v = {name: rng.standard_normal(a.shape) for name, a in theta.items()}
+                p = {name: a + 1j * STEP * v[name] for name, a in theta.items()}
+                cs_loss = window_loss_oracle(p, window.positions, cfg, noise, epoch)
+                cs = cs_loss.imag / STEP
+                an = sum(float(np.sum(grad[name] * v[name])) for name in theta)
+                assert abs(cs_loss.real - value) <= 1e-12
+                assert abs(cs - an) <= 1e-12 * (1.0 + abs(an)), (epoch, cs, an)
+
+
+# Metamorphic relations of the whole pipeline -----------------------------------
+
+def bench8_model(variant):
+    cfg = ModelConfig(variant=variant, samples=5, seed=3)
+    return GraphTCN(cfg), load_windows(DATA_DIR, ["bench8"], cfg.t_obs, cfg.t_pred)[0]
+
+
+def flat(grads):
+    return np.concatenate([g.ravel() for g in grads.values()])
+
+
+def relative_gap(a, b):
+    return float(np.abs(a - b).max() / np.abs(b).max())
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_permuting_pedestrians_permutes_the_pipeline(variant):
+    # Relabelling the crowd is not an input change: the loss and the
+    # parameter gradient stay, and the trajectories permute with the
+    # pedestrians, to rounding (sums over pedestrians change order).
+    # graphtcn_g draws one latent per pedestrian, so its latents permute
+    # too; predict draws its own, so its relation goes through encode and
+    # decoder.forward.
+    model, window = bench8_model(variant)
+    perm = np.random.default_rng(3).permutation(window.n_peds)
+    assert (perm != np.arange(window.n_peds)).any()
+    permuted = SequenceWindow(window.scene_name, window.start_frame, window.positions[perm],
+                              [window.ped_ids[i] for i in perm])
+    noise = model.draw_noise(np.random.default_rng(3), window.n_peds)
+    latent = variant == "graphtcn_g"
+    value, grads = loss_and_gradient(model, window, 1, noise)
+    value_p, grads_p = loss_and_gradient(model, permuted, 1, noise[:, perm] if latent else noise)
+    assert abs(value_p - value) <= 1e-12 * abs(value)
+    assert relative_gap(flat(grads_p), flat(grads)) <= 1e-12
+
+    if latent:
+        z = model.decoder.noise(np.random.default_rng(5), 5, window.n_peds)
+
+        def sample(w, draws):
+            h, _ = model.encode(w)
+            return model.decoder.forward(h, draws).data + w.positions[:, model.cfg.t_obs - 1, None]
+
+        trajs, trajs_p = sample(window, z), sample(permuted, z[:, perm])
+    else:
+        trajs = model.predict(window, 5, np.random.default_rng(5))[0].trajectories
+        trajs_p = model.predict(permuted, 5, np.random.default_rng(5))[0].trajectories
+    assert relative_gap(trajs_p, trajs[:, perm]) <= 1e-12
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_shifting_frame_and_pedestrian_ids_changes_nothing(variant, tmp_path):
+    # Ids only name rows: shifted ids give the same window, so the loss,
+    # the gradient and predict keep every bit.
+    model, window = bench8_model(variant)
+    rows = []
+    for line in (DATA_DIR / "bench8.txt").read_text().splitlines():
+        frame, ped, x, y = line.split()
+        rows.append(f"{int(frame) + 1000} {int(ped) + 10**6} {x} {y}\n")
+    (tmp_path / "bench8.txt").write_text("".join(rows))
+    shifted = load_windows(tmp_path, ["bench8"], model.cfg.t_obs, model.cfg.t_pred)[0]
+    assert shifted.start_frame == window.start_frame + 1000
+    assert shifted.ped_ids == [i + 10**6 for i in window.ped_ids]
+    noise = model.draw_noise(np.random.default_rng(3), window.n_peds)
+    value, grads = loss_and_gradient(model, window, 1, noise)
+    value_s, grads_s = loss_and_gradient(model, shifted, 1, noise)
+    assert value_s == value
+    assert flat(grads_s).tobytes() == flat(grads).tobytes()
+    trajs = model.predict(window, 5, np.random.default_rng(5))[0].trajectories
+    trajs_s = model.predict(shifted, 5, np.random.default_rng(5))[0].trajectories
+    assert trajs_s.tobytes() == trajs.tobytes()

@@ -125,7 +125,7 @@ class TestStack:
         h = rng.normal(size=(2, 6, 3))
         out = net.forward(Tensor(h))
         for ped in range(2):
-            expected = conv_stack_oracle(h[ped].T, store, "tcn", 3, 3, (1, 1, 1))
+            expected = conv_stack_oracle(h[ped].T, store.state_arrays(), "tcn", 3, (1, 1, 1))
             np.testing.assert_allclose(out.data[ped], expected.T, rtol=0, atol=1e-12)
 
     def test_dilated_matches_oracle(self):
@@ -134,7 +134,7 @@ class TestStack:
         rng = np.random.default_rng(13)
         h = rng.normal(size=(1, 10, 2))
         out = net.forward(Tensor(h))
-        expected = conv_stack_oracle(h[0].T, store, "tcn", 3, 2, (1, 2, 4))
+        expected = conv_stack_oracle(h[0].T, store.state_arrays(), "tcn", 3, (1, 2, 4))
         np.testing.assert_allclose(out.data[0], expected.T, rtol=0, atol=1e-12)
 
     def test_identical_pedestrians_identical_outputs(self):

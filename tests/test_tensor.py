@@ -1501,7 +1501,7 @@ class TestBatchedPasses:
         assert out.shape == (4, 6, 12) and attn.shape == (3, 4, 6, 6)
         for t in range(4):
             step_out, step_attn = layer.forward(T.Tensor(h[t]), pos[t])
-            o_out, o_attn = gal_oracle(h[t], pos[t], store, "gal", 3, 4)
+            o_out, o_attn = gal_oracle(h[t], pos[t], store.state_arrays(), "gal", 3, 4)
             np.testing.assert_allclose(out.data[t], step_out.data, rtol=0, atol=1e-12)
             np.testing.assert_allclose(attn[:, t], step_attn, rtol=0, atol=1e-12)
             np.testing.assert_allclose(out.data[t], o_out, rtol=0, atol=1e-12)

@@ -4,13 +4,14 @@ Everything here is deliberately written with explicit loops and plain
 numpy, no shared code with the package internals, so agreement between
 the two is meaningful.
 
-The loop oracles take parameters as a name -> array mapping (a store's
-``state_arrays()``) and accept real or complex input: every array is
-allocated in the input's dtype, and every comparison (a leaky_relu's
-sign, a softmax's shift, the best-of-M minimum) reads ``.real``. So the
-same code evaluates the loss at complex parameters theta + i*h*v, whose
-imaginary part over h is the directional derivative to rounding (the
-complex step; Squire and Trapp, SIAM Review 40(1), 1998).
+The layer and loss oracles take parameters as a name -> array mapping
+(a store's ``state_arrays()``) and accept real or complex input: every
+array is allocated in the input's dtype, and every comparison (a
+leaky_relu's sign, a softmax's shift, the best-of-M minimum) reads
+``.real``. So the same code evaluates the loss at complex parameters
+theta + i*h*v, whose imaginary part over h is the directional derivative
+to rounding (the complex step; Squire and Trapp, SIAM Review 40(1),
+1998). The sigmoid and pair-softmax select forms are real-only.
 """
 
 import numpy as np

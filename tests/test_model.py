@@ -418,9 +418,9 @@ def relative_gap(a, b):
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_permuting_pedestrians_permutes_the_pipeline(variant):
-    # Relabelling the crowd is not an input change: the loss and the
-    # parameter gradient stay, and the trajectories permute with the
-    # pedestrians, to rounding (sums over pedestrians change order).
+    # Pedestrians form a set: reordering them permutes the trajectories and
+    # keeps the loss and the parameter gradient, to rounding (sums over
+    # pedestrians change order).
     # graphtcn_g draws one latent per pedestrian, so its latents permute
     # too; predict draws its own, so its relation goes through encode and
     # decoder.forward.

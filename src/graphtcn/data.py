@@ -1,11 +1,12 @@
-"""Trajectory file parsing, windowing, splits, and features.
+"""Trajectory file parsing, windowing, buckets, splits, and features.
 
 Input files are whitespace-separated ``frame ped_id x y`` rows in world
 meters, one file per scene, read by the shared ``errors.content_lines``.
 ``extract_windows`` alone decides the frame grid from ``frame_step`` and
 the recorded frames, then slices it into observation+prediction windows
 whose pedestrians are the intersection of the pedestrian sets of the
-window's frames.
+window's frames. ``bucket_windows`` stacks the windows of equal size, which
+the model then runs as one batch.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import Context, Decimal
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -60,8 +62,30 @@ class SequenceWindow:
         return self.positions.shape[0]
 
     @property
-    def t_total(self) -> int:
-        return self.positions.shape[1]
+    def window_id(self) -> str:
+        """``SCENE:START_FRAME``, as errors name a window and ``dump-attn``
+        selects one."""
+        return f"{self.scene_name}:{self.start_frame}"
+
+
+@dataclass
+class WindowBucket:
+    """Windows of one size stacked on a leading axis: ``positions`` [B, N,
+    T_total, 2]. ``index`` holds each one's place in the list it came from,
+    ascending. The model reads only the positions, of a bucket as of a window."""
+
+    index: list
+    positions: np.ndarray
+
+
+def bucket_windows(windows) -> list:
+    """The windows grouped by size into buckets, in the order of each
+    bucket's first window."""
+    groups: dict = {}
+    for i, w in enumerate(windows):
+        groups.setdefault(w.positions.shape, []).append(i)
+    return [WindowBucket(index, np.stack([windows[i].positions for i in index]))
+            for index in groups.values()]
 
 
 @dataclass(frozen=True)
@@ -149,17 +173,20 @@ def extract_windows(
     frames = sorted(by_frame)
     step = min((b - a for a, b in zip(frames, frames[1:])), default=1)
     t_total = t_obs + t_pred
+    present = {f: set(rows) for f, rows in by_frame.items()}
+    nobody: set = set()
 
     windows = []
     for first in frames:
         if (first - frames[0]) % (step * stride):
             continue
         win_frames = range(first, first + t_total * step, step)
-        ped_ids = sorted(set.intersection(*(set(by_frame.get(f, ())) for f in win_frames)))
+        ped_ids = sorted(set.intersection(*(present.get(f, nobody) for f in win_frames)))
         if not ped_ids:
             continue
-        positions = np.array([[by_frame[f][pid] for f in win_frames] for pid in ped_ids],
-                             dtype=np.float64)
+        values = chain.from_iterable(by_frame[f][pid] for pid in ped_ids for f in win_frames)
+        positions = np.fromiter(values, np.float64, 2 * t_total * len(ped_ids))
+        positions = positions.reshape(len(ped_ids), t_total, 2)
         windows.append(
             SequenceWindow(
                 scene_name=scene_name,
@@ -189,18 +216,20 @@ def hold_out(scene_names, scene: str) -> Split:
     return Split(train_scenes=tuple(n for n in names if n != scene), test_scene=scene)
 
 
-def build_features(window: SequenceWindow, t_obs: int) -> Tensor:
-    """Per-pedestrian observed features: (x, y, dx, dy) per step.
+def build_features(window, t_obs: int) -> Tensor:
+    """Per-pedestrian observed features: (x, y, dx, dy) per step, [..., N,
+    t_obs, 4] for the positions [..., N, T, 2] of a window or a bucket.
 
     The displacement columns hold the step-over-step difference, zero at
     the first step.
     """
-    if t_obs < 1 or t_obs > window.t_total:
-        raise ContractError(f"t_obs={t_obs} outside window of {window.t_total} steps")
-    obs = window.positions[:, :t_obs, :]
-    feats = np.zeros((window.n_peds, t_obs, 4), dtype=np.float64)
-    feats[:, :, :2] = obs
-    feats[:, 1:, 2:] = obs[:, 1:, :] - obs[:, :-1, :]
+    positions = window.positions
+    if t_obs < 1 or t_obs > positions.shape[-2]:
+        raise ContractError(f"t_obs={t_obs} outside window of {positions.shape[-2]} steps")
+    obs = positions[..., :t_obs, :]
+    feats = np.zeros(obs.shape[:-1] + (4,), dtype=np.float64)
+    feats[..., :2] = obs
+    feats[..., 1:, 2:] = obs[..., 1:, :] - obs[..., :-1, :]
     return Tensor(feats)
 
 

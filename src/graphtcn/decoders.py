@@ -24,6 +24,11 @@ draw_affine op, the sum of an embedding part, computed once per
 pedestrian, and a noise or latent part, computed once per draw, on two
 row sets of the stored weight. The concatenation is never built.
 
+A bucket of windows decodes in the same calls: its window axis B follows
+the draw axis in the noise and precedes the pedestrians in the
+embedding, so each window's offsets in [M, B, N, T_pred, 2] come from its
+own draws.
+
 ``GraphTCN.predict`` wraps the absolute trajectories in a
 ``metrics.PredictionSet``; this module takes only the KL term from there.
 """
@@ -50,13 +55,16 @@ def reparameterize(mu: T.Tensor, sigma: T.Tensor, eps: np.ndarray) -> T.Tensor:
 
 
 def relative_to_absolute(delta: T.Tensor, origin: np.ndarray) -> T.Tensor:
-    """Offsets-from-origin [..., N, T_pred, 2] -> absolute positions."""
-    n, t_pred = delta.data.shape[-3:-1]
-    if origin.shape != (n, 2):
-        raise ShapeError(f"origin {origin.shape} for {n} pedestrians")
+    """Offsets-from-origin [..., N, T_pred, 2] -> absolute positions, for
+    origins [..., N, 2] whose axes end delta's before the steps (a bucket's
+    windows and pedestrians, or a window's pedestrians)."""
+    lead, t_pred = delta.data.shape[:-2], delta.data.shape[-2]
+    if (origin.ndim < 2 or origin.shape[-1] != 2
+            or lead[len(lead) + 1 - origin.ndim:] != origin.shape[:-1]):
+        raise ShapeError(f"origin {origin.shape} for offsets {delta.shape}")
     # Repeated over steps and broadcast over the leading axes only, so the
     # add runs over whole contiguous [T_pred, 2] rows.
-    rows = np.repeat(origin[:, None], t_pred, axis=1)
+    rows = np.repeat(origin[..., None, :], t_pred, axis=-2)
     return T.add(delta, T.Tensor(np.broadcast_to(rows, delta.data.shape)))
 
 
@@ -68,7 +76,7 @@ def _tile(x: T.Tensor, m: int) -> T.Tensor:
 class _Head:
     """The decode both decoders share: embedding check and flatten, an
     affine head (with one hidden layer when configured), and the
-    [M, N, T_pred, 2] reshape of its output.
+    [M, ..., N, T_pred, 2] reshape of its output.
 
     The head reads concat(shared, per_draw): the flattened embedding,
     which varies only over pedestrians, and a part that varies over
@@ -90,21 +98,21 @@ class _Head:
         self.t_obs, self.t_pred, self.feat_dim, self.groups = t_obs, t_pred, feat_dim, groups
 
     def flatten(self, h: T.Tensor) -> T.Tensor:
-        """Embedding [N, T_obs, F] -> [N, T_obs * F]."""
-        n = h.data.shape[0]
-        if h.data.shape != (n, self.t_obs, self.feat_dim):
-            raise ShapeError(f"embedding {h.shape}, expected [N, {self.t_obs}, {self.feat_dim}]")
-        return T.reshape(h, (n, -1))
+        """Embedding [..., N, T_obs, F] -> [..., N, T_obs * F]."""
+        if h.data.ndim < 3 or h.data.shape[-2:] != (self.t_obs, self.feat_dim):
+            raise ShapeError(
+                f"embedding {h.shape}, expected [..., N, {self.t_obs}, {self.feat_dim}]")
+        return T.reshape(h, h.data.shape[:-2] + (-1,))
 
     def forward(self, h_flat: T.Tensor, per_draw: T.Tensor) -> T.Tensor:
-        """h_flat [N, T_obs * F], per_draw [M, groups * draw_dim] (the same
-        for every pedestrian) or [M, N, groups * draw_dim]
-        -> offsets [M, N, T_pred, 2]."""
+        """h_flat [..., N, T_obs * F], per_draw [M, ..., groups * draw_dim]
+        (the same for every pedestrian) or [M, ..., N, groups * draw_dim]
+        -> offsets [M, ..., N, T_pred, 2]."""
         W, b = (self.W, self.b) if self.h_W is None else (self.h_W, self.h_b)
         x = T.draw_affine(h_flat, per_draw, W, b, self.groups)
         if self.h_W is not None:
             x = T.affine(T.leaky_relu(x), self.W, self.b)
-        return T.reshape(x, (per_draw.data.shape[0], h_flat.data.shape[0], self.t_pred, 2))
+        return T.reshape(x, x.data.shape[:-1] + (self.t_pred, 2))
 
 
 class MlpDecoder:
@@ -123,11 +131,13 @@ class MlpDecoder:
         return rng.standard_normal((m, *self.noise_shape))
 
     def forward(self, h: T.Tensor, noise: np.ndarray) -> T.Tensor:
-        """h [N, T_obs, F2], noise [M, T_obs, F3] -> offsets [M, N, T_pred, 2]."""
+        """h [..., N, T_obs, F2], noise [M, ..., T_obs, F3] -> offsets
+        [M, ..., N, T_pred, 2]."""
         h_flat = self.head.flatten(h)
-        if noise.ndim != 3 or noise.shape[1:] != self.noise_shape:
-            raise ShapeError("noise {}, expected [M, {}, {}]".format(noise.shape, *self.noise_shape))
-        return self.head.forward(h_flat, T.Tensor(noise.reshape(len(noise), -1)))
+        if noise.shape[1:] != h.data.shape[:-3] + self.noise_shape:
+            raise ShapeError(
+                "noise {}, expected [M, ..., {}, {}]".format(noise.shape, *self.noise_shape))
+        return self.head.forward(h_flat, T.Tensor(noise.reshape(noise.shape[:-2] + (-1,))))
 
     def fit(self, h: T.Tensor, noise: np.ndarray, future: np.ndarray):
         """Training decode: the prior path, with no KL term."""
@@ -153,7 +163,7 @@ class CvaeDecoder:
         return rng.standard_normal((m, n_peds, self.latent_dim))
 
     def forward(self, h: T.Tensor, noise: np.ndarray) -> T.Tensor:
-        """Prior decoding: h [N, T_obs, F2], latents [M, N, L] -> offsets."""
+        """Prior decoding: h [..., N, T_obs, F2], latents [M, ..., N, L] -> offsets."""
         return self.decode(self.head.flatten(h), T.Tensor(noise))
 
     def fit(self, h: T.Tensor, noise: np.ndarray, future: np.ndarray):
@@ -175,10 +185,11 @@ class CvaeDecoder:
         return mu, sigma, logvar
 
     def decode(self, h_flat: T.Tensor, z: T.Tensor) -> T.Tensor:
-        """h_flat [N, flat], latents z [M, N, L] -> offsets [M, N, T_pred, 2].
-        The latent check is the decoder's own: draw_affine would take a
-        2-d latent as one block per draw, shared by all pedestrians."""
-        n = h_flat.data.shape[0]
-        if z.data.ndim != 3 or z.data.shape[1:] != (n, self.latent_dim):
-            raise ShapeError(f"latent {z.shape}, expected [M, {n}, {self.latent_dim}]")
+        """h_flat [..., N, flat], latents z [M, ..., N, L] -> offsets
+        [M, ..., N, T_pred, 2]. The latent check is the decoder's own:
+        draw_affine would take a latent without the pedestrian axis as one
+        block per draw, shared by all pedestrians."""
+        want = h_flat.data.shape[:-1] + (self.latent_dim,)
+        if z.data.ndim != len(want) + 1 or z.data.shape[1:] != want:
+            raise ShapeError(f"latent {z.shape}, expected [M, {', '.join(map(str, want))}]")
         return self.head.forward(h_flat, z)

@@ -87,7 +87,7 @@ class GraphAttentionLayer:
     def forward(self, h: T.Tensor, positions: np.ndarray):
         """h [..., N, in_dim], positions [..., N, 2] -> ([..., N, heads*head_out]
         output, [heads, ..., N, N] attention). Leading axes are independent
-        graphs (observed steps) and share the weights. Checks only that the
+        graphs (windows, then observed steps) and share the weights. Checks only that the
         positions match h's nodes; attention_layer checks h's width."""
         if h.data.ndim < 2 or positions.shape != h.data.shape[:-1] + (2,):
             raise ShapeError(f"positions {positions.shape} for node features {h.shape}")
@@ -110,9 +110,11 @@ class SpatialEncoder:
     ``vanilla_gat`` builds both layers without edge features. With
     attention, steps are independent: layer weights are shared across
     time but no state crosses step boundaries, so all steps run as one
-    batch with time as the leading axis. Returns the encodings as
-    [N, T_obs, out_dim] and, per layer, the attention tensor
-    [heads, T_obs, N, N] for inspection dumps (None without layers).
+    batch with time as a leading axis. Windows with equal N run as one
+    batch too, on leading axes before the pedestrians (none for a single
+    window). Returns the encodings as [..., N, T_obs, out_dim] and, per
+    layer, the attention tensor [heads, ..., T_obs, N, N] for inspection
+    dumps (None without layers).
     """
 
     def __init__(self, store, cfg, rng: np.random.Generator):
@@ -128,16 +130,17 @@ class SpatialEncoder:
             self.out_dim = self.gal2.out_dim
 
     def forward(self, features: T.Tensor, positions: np.ndarray):
-        """features [N, T, 4], positions [N, T, 2] -> [N, T, out_dim]."""
+        """features [..., N, T, 4], positions [..., N, T, 2] -> [..., N, T, out_dim]."""
         if self.gal1 is None:
             # Pedestrian-major as given, not time-major then transposed:
             # the embedding's weight gradient sums its rows in this order,
             # which the golden checkpoints pin bit for bit.
             return T.affine(features, self.embed_W, self.embed_b), None
         # The features are constants, so they turn time-major in numpy.
-        steps = T.Tensor(np.ascontiguousarray(features.data.transpose(1, 0, 2)))
+        steps = T.Tensor(np.ascontiguousarray(features.data.swapaxes(-3, -2)))
         h = T.affine(steps, self.embed_W, self.embed_b)
-        pos = positions.transpose(1, 0, 2)
+        pos = positions.swapaxes(-3, -2)
         h, attn1 = self.gal1.forward(h, pos)
         h, attn2 = self.gal2.forward(h, pos)
-        return T.transpose(h, (1, 0, 2)), [attn1, attn2]
+        r = h.data.ndim
+        return T.transpose(h, tuple(range(r - 3)) + (r - 2, r - 3, r - 1)), [attn1, attn2]

@@ -4,8 +4,9 @@ The differentiable terms (variety and KL, which GraphTCN.window_loss
 combines) run on the autodiff ops. Every displacement error here, ADE,
 FDE, the variety loss and the plain-number best-of-M evaluation at the
 bottom that the reporting code calls, is one fused best_of_m_ade op.
-That evaluation scores a ``PredictionSet``, which ``GraphTCN.predict``
-returns and the trajectory dump writes.
+That evaluation scores the trajectories of one window, or of every
+window of a bucket at once, and a ``PredictionSet``, which
+``GraphTCN.predict`` returns and the trajectory dump writes.
 """
 
 from __future__ import annotations
@@ -91,9 +92,16 @@ class PredictionSet:
             raise ContractError("non-finite prediction")
 
 
+def min_of_m(trajectories: np.ndarray, gt: np.ndarray) -> tuple:
+    """Best-of-M ADE and FDE of each window, minima taken independently per
+    metric: one ``best_of_m_ade`` over all steps, one over the last step.
+    ``trajectories`` [M, ..., N, T, 2] against ``gt`` [..., N, T, 2]; both
+    results have the shape of gt's leading axes (0-d for one window)."""
+    return (T.best_of_m_ade(trajectories, gt).data,
+            T.best_of_m_ade(trajectories[..., -1:, :], gt[..., -1:, :]).data)
+
+
 def evaluate_min_of_m(pred_set: PredictionSet, gt: np.ndarray) -> tuple:
-    """Best-of-M ADE and FDE, minima taken independently per metric: one
-    ``best_of_m_ade`` over all steps, one over the last step."""
-    trajs, gt = pred_set.trajectories, np.asarray(gt)
-    return (T.best_of_m_ade(trajs, gt).item(),
-            T.best_of_m_ade(trajs[:, :, -1:], gt[:, -1:]).item())
+    """``min_of_m`` of one window's PredictionSet, as two floats."""
+    ade, fde = min_of_m(pred_set.trajectories, np.asarray(gt))
+    return float(ade), float(fde)

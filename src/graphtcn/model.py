@@ -1,5 +1,5 @@
 """Full predictor: spatial encoder, temporal convolution stack, and a
-sampling decoder, composed per scene window.
+sampling decoder, composed per scene window or per bucket of windows.
 
 The variants and the stage that owns each:
   graphtcn     shared-noise decoder, variety loss only
@@ -9,6 +9,11 @@ The variants and the stage that owns each:
   vanilla_gat  spatial attention without edge features (positions unused)
 __init__ picks only the decoder class; the spatial stage decides
 no_efgat and vanilla_gat and reports its own output width.
+
+The forward reads only positions: a ``SequenceWindow``'s [N, T, 2] or a
+``WindowBucket``'s [B, N, T, 2], B windows with equal N. Every stage takes
+the window axis as a leading axis, so a bucket runs through the same
+calls as a window, which has no window axis.
 """
 
 from __future__ import annotations
@@ -44,26 +49,28 @@ class GraphTCN:
 
     # Forward pieces ------------------------------------------------------
 
-    def encode(self, window: SequenceWindow):
-        """Window -> per-step embeddings [N, T_obs, F2] + attention record (None
-        without attention layers). Reads only the t_obs observed steps."""
+    def encode(self, window):
+        """Window or bucket -> per-step embeddings [..., N, T_obs, F2] +
+        attention record ([heads, ..., T_obs, N, N] per layer; None without
+        attention layers). Reads only the t_obs observed steps."""
         cfg = self.cfg
         feats = build_features(window, cfg.t_obs)
-        h, attn = self.spatial.forward(feats, window.positions[:, :cfg.t_obs, :])
+        h, attn = self.spatial.forward(feats, window.positions[..., :cfg.t_obs, :])
         return self.tcn.forward(h), attn
 
-    def _origin(self, window: SequenceWindow) -> np.ndarray:
-        return window.positions[:, self.cfg.t_obs - 1, :]
+    def _origin(self, window) -> np.ndarray:
+        return window.positions[..., self.cfg.t_obs - 1, :]
 
-    def ground_truth(self, window: SequenceWindow) -> np.ndarray:
-        """The window's future positions [N, T_pred, 2], target of loss and metrics.
-        The only reader of those steps, so the one check that the window has them."""
-        cfg = self.cfg
-        if window.t_total < cfg.t_obs + cfg.t_pred:
+    def ground_truth(self, window) -> np.ndarray:
+        """The future positions [..., N, T_pred, 2] of a window or bucket,
+        target of loss and metrics. The only reader of those steps, so the
+        one check that the window has them."""
+        cfg, t_total = self.cfg, window.positions.shape[-2]
+        if t_total < cfg.t_obs + cfg.t_pred:
             raise ContractError(
-                f"window has {window.t_total} steps, config needs {cfg.t_obs + cfg.t_pred}"
+                f"window has {t_total} steps, config needs {cfg.t_obs + cfg.t_pred}"
             )
-        return window.positions[:, cfg.t_obs : cfg.t_obs + cfg.t_pred, :]
+        return window.positions[..., cfg.t_obs : cfg.t_obs + cfg.t_pred, :]
 
     def draw_noise(self, rng: np.random.Generator, n_peds: int) -> np.ndarray:
         """Pre-draw the noise of one window forward, all cfg.samples draws.
@@ -98,11 +105,19 @@ class GraphTCN:
 
     # Inference -------------------------------------------------------------
 
-    def predict(self, window: SequenceWindow, m: int, rng: np.random.Generator):
-        """M prior-noise trajectories from the t_obs observed steps alone;
-        returns (PredictionSet, attention)."""
-        check_key("samples", m)
+    def sample(self, window, noise: np.ndarray):
+        """World-coordinate trajectories [M, ..., N, T_pred, 2], a tensor,
+        decoded from the prior draws ``noise`` and the t_obs observed steps
+        alone, and the attention record. ``noise`` is one ``decoder.noise``
+        block for a window; for a bucket, one per window, stacked on axis 1
+        in the bucket's order."""
         h, attn = self.encode(window)
-        origin = self._origin(window)
-        delta = self.decoder.forward(h, self.decoder.noise(rng, m, window.n_peds))
-        return PredictionSet(relative_to_absolute(delta, origin).data), attn
+        delta = self.decoder.forward(h, noise)
+        return relative_to_absolute(delta, self._origin(window)), attn
+
+    def predict(self, window: SequenceWindow, m: int, rng: np.random.Generator):
+        """M prior-noise trajectories of one window, its noise drawn from
+        ``rng``; returns (PredictionSet, attention)."""
+        check_key("samples", m)
+        trajectories, attn = self.sample(window, self.decoder.noise(rng, m, window.n_peds))
+        return PredictionSet(trajectories.data), attn

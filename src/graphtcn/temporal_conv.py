@@ -8,9 +8,10 @@ matmul, then the gate over the halves of its output channels. Its
 backward runs the convolution rule conv1d_causal shares. Left zero
 padding keeps output length equal to input length and makes step t
 blind to steps after t.
-Activations stay channels-last [N, T, C] from the spatial encoder through
-every layer, so the stack moves no axes. Pedestrians never mix here; the
-batch axis of the convolution carries them.
+Activations stay channels-last [..., N, T, C] from the spatial encoder
+through every layer, so the stack moves no axes. Pedestrians never mix
+here; the convolution folds them, and the windows of a bucket before
+them, into its batch axis.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ def receptive_field(kernel: int, dilations) -> int:
 
 
 class TemporalConvNet:
-    """Stack of gated causal layers over [N, T, C] activations.
+    """Stack of gated causal layers over [..., N, T, C] activations.
 
     Layer i is tanh(conv_g(h)) * sigmoid(conv_f(h)), both causal. Its gate
     and filter weights keep separate checkpoint names
@@ -57,7 +58,7 @@ class TemporalConvNet:
             self.layers.append((W, b, dilation))
 
     def forward(self, h: T.Tensor) -> T.Tensor:
-        """h is [N, T, C_in] -> [N, T, channels]; gated_conv checks the rank."""
+        """h is [..., N, T, C_in] -> [..., N, T, channels]; gated_conv checks the rank."""
         for W, b, dilation in self.layers:
             h = T.gated_conv(h, W, b, dilation)
         return h

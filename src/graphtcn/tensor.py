@@ -24,6 +24,8 @@ the chain's gradient is finite):
   best_of_m_ade      the variety loss and every displacement metric: the
                      least, over M draws, of the mean step distance to
                      the target.
+The four take leading window axes before the node axis, so a bucket of
+windows with equal N runs as one call; a single window has none.
 A fused op replays the numpy expressions of its chain, and its backward
 adds into each input in the order the chain's tape sweep did. Off the
 tape, the two layer ops drop each large temporary where the chain
@@ -89,6 +91,7 @@ from __future__ import annotations
 
 import math
 import threading
+from itertools import product
 
 import numpy as np
 
@@ -261,44 +264,48 @@ def affine(x, W, b) -> Tensor:
 
 def draw_affine(shared, per_draw, W, b, groups: int) -> Tensor:
     """concat(shared, per_draw) @ W + b for every draw and node, without
-    the concatenation: [M, N, width].
+    the concatenation: [M, ..., N, width].
 
-    ``shared`` [N, groups * S] varies over nodes only. ``per_draw`` is
-    [M, groups * D], the same for every node of a draw, or [M, N, groups
-    * D]. The rows of ``W`` [groups * (S + D), width] come in ``groups``
-    blocks of S shared rows followed by D draw rows; ``b`` is [width].
+    ``shared`` [..., N, groups * S] varies over nodes only. ``per_draw`` is
+    [M, ..., groups * D], the same for every node of a draw, or [M, ...,
+    N, groups * D]. Leading axes (none for one window, B for a bucket of
+    windows) are independent and shared by both inputs. The rows of ``W``
+    [groups * (S + D), width] come in ``groups`` blocks of S shared rows
+    followed by D draw rows; ``b`` is [width].
 
     One op for the chain affine, reshape, repeat_axis and add ops it
     replaces, equal to that chain bit for bit: the forward runs the
-    chain's numpy expressions on the two row sets of W, and backward adds
-    into each input as the chain's tape sweep did.
+    chain's numpy expressions on the two row sets of W, each input's rows
+    as one matrix, and backward adds into each input as the chain's tape
+    sweep did.
     """
     shared, per_draw, W, b = (_as_tensor(t) for t in (shared, per_draw, W, b))
-    s2, p = shared.data, per_draw.data
+    s3, p = shared.data, per_draw.data
     if b.data.ndim != 1 or W.data.shape[1:] != b.data.shape or groups < 1:
         raise ShapeError(f"draw_affine weight {W.shape}, bias {b.shape}, {groups} groups")
     width = b.data.shape[0]
-    if s2.ndim != 2 or s2.shape[1] % groups:
+    if s3.ndim < 2 or s3.shape[-1] % groups:
         raise ShapeError(f"draw_affine shared input {shared.shape} for {groups} groups")
-    n, m = s2.shape[0], p.shape[0] if p.ndim else 0
-    if (p.ndim not in (2, 3) or p.shape[-1] % groups or p.shape[1:-1] not in ((), (n,))
-            or W.data.shape[0] != s2.shape[1] + p.shape[-1]):
+    lead, n = s3.shape[:-2], s3.shape[-2]
+    if (p.ndim < 2 or p.shape[-1] % groups or p.shape[1:-1] not in (lead, lead + (n,))
+            or W.data.shape[0] != s3.shape[-1] + p.shape[-1]):
         raise ShapeError(f"draw_affine per-draw input {per_draw.shape} vs weight {W.shape} "
-                         f"for {n} nodes of {shared.shape[1]} shared values")
-    per_node = p.ndim == 3
-    S = s2.shape[1] // groups
+                         f"for {n} nodes of {shared.shape[-1]} shared values")
+    per_node = p.ndim == s3.ndim + 1
+    S = s3.shape[-1] // groups
     rows = W.data.reshape(groups, -1, width)
     Ws, Wd = rows[:, :S].reshape(-1, width), rows[:, S:].reshape(-1, width)
-    p2 = p.reshape(-1, Wd.shape[0])
+    s2, p2 = s3.reshape(-1, s3.shape[-1]), p.reshape(-1, Wd.shape[0])
     s = s2 @ Ws
     s = s + b.data
     d = p2 @ Wd
-    out = Tensor(np.add(s, d.reshape(m, n, width) if per_node else d[:, None]))
+    d = d.reshape(p.shape[:-1] + ((width,) if per_node else (1, width)))
+    out = Tensor(np.add(s.reshape(s3.shape[:-1] + (width,)), d))
 
     def bwd(g):
-        gs = g.sum(axis=0)
-        gd = g.reshape(-1, width) if per_node else g.sum(axis=1)
-        _accumulate(shared, gs @ Ws.T)
+        gs = g.sum(axis=0).reshape(-1, width)
+        gd = (g if per_node else g.sum(axis=-2)).reshape(-1, width)
+        _accumulate(shared, (gs @ Ws.T).reshape(s3.shape))
         gW = np.empty(rows.shape)
         gW[:, :S] = (s2.T @ gs).reshape(groups, S, width)
         gW[:, S:] = (p2.T @ gd).reshape(groups, -1, width)
@@ -702,19 +709,20 @@ def attention_layer(h, centred, w1, w2, val_W, val_b, res_W, res_b, edge=None):
 
 def _conv(x: Tensor, W: Tensor, b: Tensor, dilation: int, record: bool):
     """A causal convolution, checked, as one im2col matmul: the output rows
-    [B * T, C_out] for x's data as [B, T, C_in] (a 2-d x [C_in, T] is a
-    batch of one). Row (b, t) of the column block holds the k dilated taps
-    of every input channel in W's (C_in, k) order, zero before step 0.
+    [B * T, C_out] for x's data as [B, T, C_in], where B folds every
+    leading axis (a 2-d x [C_in, T] is a batch of one). Row (b, t) of the
+    column block holds the k dilated taps of every input channel in W's
+    (C_in, k) order, zero before step 0.
     With ``record``, also the rule (else None) that takes the rows'
-    gradient, adds into W and b and returns x's [B, T, C_in] gradient."""
+    gradient, adds into W and b and returns x's gradient as [B, T, C_in]."""
     if dilation < 1:
         raise ShapeError(f"dilation must be >= 1, got {dilation}")
     if W.data.ndim != 3:
         raise ShapeError(f"conv weight must be [C_out, C_in, k], got {W.shape}")
-    if x.data.ndim not in (2, 3):
-        raise ShapeError(f"conv input must be [C_in, T] or [B, T, C_in], got {x.shape}")
+    if x.data.ndim < 2:
+        raise ShapeError(f"conv input must be [C_in, T] or [..., T, C_in], got {x.shape}")
     c_out, c_in, k = W.data.shape
-    xb = x.data if x.data.ndim == 3 else x.data.T[None]
+    xb = x.data.reshape((-1,) + x.data.shape[-2:]) if x.data.ndim > 2 else x.data.T[None]
     if xb.shape[-1] != c_in:
         raise ShapeError(f"conv channel mismatch: x {x.shape} vs W {W.shape}")
     if b.data.shape != (c_out,):
@@ -745,30 +753,32 @@ def _conv(x: Tensor, W: Tensor, b: Tensor, dilation: int, record: bool):
 def conv1d_causal(x, W, b, dilation: int = 1) -> Tensor:
     """Causal 1-d convolution with left zero padding of (k-1)*dilation.
 
-    ``x`` is channels-last [B, T, C_in] and the result is [B, T, C_out];
-    ``W`` is [C_out, C_in, k]. A 2-d ``x`` is one channels-first sequence
-    [C_in, T], read through its transpose as a batch of one; its result
+    ``x`` is channels-last [..., T, C_in] and the result is [..., T,
+    C_out]; ``W`` is [C_out, C_in, k]. A 2-d ``x`` is one channels-first
+    sequence [C_in, T], read through its transpose as a batch of one; its result
     is [C_out, T]. Output keeps the input length, and step t depends only
     on input steps 0..t: tap k-1 reads the current step, lower taps read
     the past. Runs as ``_conv``'s im2col matmul, with its backward rule.
     """
     x, W, b = _as_tensor(x), _as_tensor(W), _as_tensor(b)
     y, rule = _conv(x, W, b, dilation, _recording((x, W, b)))
-    batched = x.data.ndim == 3
-    out = Tensor(y.reshape(x.data.shape[:2] + (-1,)) if batched else y.T.copy())
+    batched = x.data.ndim > 2
+    out = Tensor(y.reshape(x.data.shape[:-1] + (-1,)) if batched else y.T.copy())
 
     def bwd(g):
         gx = rule(g.reshape(y.shape) if batched else g.T)
-        _accumulate(x, gx if batched else gx[0].T)
+        _accumulate(x, gx.reshape(x.data.shape) if batched else gx[0].T)
 
     _record(out, [x, W, b], bwd)
     return out
 
 
 def gated_conv(x, W, b, dilation: int) -> Tensor:
-    """One gated causal convolution layer over channels-last x [B, T,
-    C_in]: tanh(gate) * sigmoid(filter), [B, T, C], for the two halves of
-    the 2 * C output channels of conv1d_causal(x, W, b, dilation).
+    """One gated causal convolution layer over channels-last x [..., T,
+    C_in]: tanh(gate) * sigmoid(filter), [..., T, C], for the two halves
+    of the 2 * C output channels of conv1d_causal(x, W, b, dilation). The
+    leading axes (pedestrians, and windows before them) are sequences
+    folded into one batch axis.
 
     One op for the chain conv1d_causal, slice_axis, tanh, sigmoid and mul,
     equal to it bit for bit: the forward runs the chain's numpy
@@ -776,26 +786,28 @@ def gated_conv(x, W, b, dilation: int) -> Tensor:
     the chain's sweep did, then hands it to the rule conv1d_causal uses.
     """
     x, W, b = _as_tensor(x), _as_tensor(W), _as_tensor(b)
-    if x.data.ndim != 3:
-        raise ShapeError(f"gated_conv input must be [B, T, C_in], got {x.shape}")
+    if x.data.ndim < 3:
+        raise ShapeError(f"gated_conv input must be [..., T, C_in], got {x.shape}")
     y, rule = _conv(x, W, b, dilation, _recording((x, W, b)))
     if y.shape[1] % 2:
         raise ShapeError(f"gated_conv needs an even number of output channels, got W {W.shape}")
-    (n, t_len, _), c = x.data.shape, y.shape[1] // 2
+    t_len, c = x.data.shape[-2], y.shape[1] // 2
+    n = y.shape[0] // t_len
     y = y.reshape(n, t_len, 2 * c)
     # Contiguous copies of the halves, as the chain's slices made.
     a = np.tanh(y[..., :c].copy())
     s = _sigmoid(y[..., c:].copy())
     del y
-    out = Tensor(a * s)
+    out = Tensor((a * s).reshape(x.data.shape[:-1] + (c,)))
     if rule is None:
         return out
 
     def bwd(g):
+        g = g.reshape(n, t_len, c)
         gy = np.empty((n, t_len, 2 * c))
         gy[..., :c] = (g * s) * (1.0 - a * a)
         gy[..., c:] = ((g * a) * s) * (1.0 - s)
-        _accumulate(x, rule(gy.reshape(n * t_len, 2 * c)))
+        _accumulate(x, rule(gy.reshape(n * t_len, 2 * c)).reshape(x.data.shape))
 
     _record(out, [x, W, b], bwd)
     return out
@@ -832,40 +844,46 @@ def reduce_min(x, axis: int) -> Tensor:
 
 
 def best_of_m_ade(samples, gt) -> Tensor:
-    """The best-of-M average displacement error, 0-d: the least, over the
-    draws of ``samples`` [M, N, T, 2], of the mean Euclidean distance to
-    the constant target ``gt`` [N, T, 2] over every node and step. Its
-    gradient reaches only the winning draw, the lowest index on ties.
+    """The best-of-M average displacement error of each window: the least,
+    over the draws of ``samples`` [M, ..., N, T, 2], of the mean Euclidean
+    distance to the constant target ``gt`` [..., N, T, 2] over every node
+    and step. The leading axes of ``gt`` (none, which gives a 0-d result,
+    or B for a bucket of windows) are windows, each with its own minimum,
+    and the result has their shape. A window's gradient reaches only its
+    winning draw, the lowest index on ties.
 
     One op for the chain sub, mul, reduce_sum, sqrt, reshape, reduce_mean
     and reduce_min, equal to it bit for bit where the chain's gradient is
     finite: the forward repeats the chain's arithmetic, and backward
-    repeats it on the winner's row (a losing draw gets +0, the
+    repeats it on each winner's row (a losing draw gets +0, the
     chain's +-0). Where the chain divides 0 by 0, at a step on which a draw
     meets the target, the gradient is 0, not NaN, as PyTorch's norm gives.
     """
     samples = _as_tensor(samples)
     x, gt = samples.data, np.asarray(gt, dtype=np.float64)
-    if x.ndim != 4 or x.shape[1:] != gt.shape or gt.shape[-1] != 2 or not x.size:
-        raise ShapeError(f"samples {samples.shape} vs ground truth {gt.shape}, expected [M, N, T, 2]")
-    m = x.shape[0]
+    if x.ndim < 4 or x.shape[1:] != gt.shape or gt.shape[-1] != 2 or not x.size:
+        raise ShapeError(f"samples {samples.shape} vs ground truth {gt.shape}, "
+                         "expected [M, ..., N, T, 2]")
     diff = x - gt
     sq = diff * diff
     # The chain's sum over the two coordinates, as one add: the same single
     # rounding, without numpy's slow reduction over a length-2 axis.
     dist = np.sqrt(sq[..., 0] + sq[..., 1])
-    per_draw = dist.reshape(m, -1).mean(axis=1)
-    k = int(np.argmin(per_draw))
+    per_draw = dist.reshape(dist.shape[:-2] + (-1,)).mean(axis=-1)   # [M, ...]
+    k = np.argmin(per_draw, axis=0)
 
     def grad(g):
-        gk = float(g) * (1.0 / (dist.size // m))
-        gd = np.divide(gk * 0.5, dist[k], out=np.zeros(dist.shape[1:]), where=dist[k] > 0.0)
-        step = gd[..., None] * diff[k]
         gx = np.zeros(x.shape)
-        gx[k] = step + step
+        scale = 1.0 / (dist.shape[-2] * dist.shape[-1])
+        for w in product(*map(range, k.shape)):   # each window; one pass for one window
+            kw = (k[w],) + w
+            gd = np.divide(float(g[w]) * scale * 0.5, dist[kw],
+                           out=np.zeros(dist.shape[-2:]), where=dist[kw] > 0.0)
+            step = gd[..., None] * diff[kw]
+            gx[kw] = step + step
         return gx
 
-    return _unary(samples, per_draw.min(), grad)
+    return _unary(samples, per_draw.min(axis=0), grad)
 
 
 def _reduction_input(x, axis):

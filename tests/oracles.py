@@ -1,8 +1,10 @@
 """Independent straight-line reimplementations used as test oracles.
 
-Everything here is deliberately written with explicit loops and plain
-numpy, no shared code with the package internals, so agreement between
-the two is meaningful.
+Everything here is deliberately written in plain numpy, with explicit
+loops or explicit arrays the package never forms (the N x N edge
+features and attention logits, each decoder input's concatenation), and
+no code shared with the package internals, so agreement between the two
+is meaningful.
 
 The layer and loss oracles take parameters as a name -> array mapping
 (a store's ``state_arrays()``) and accept real or complex input: every
@@ -64,56 +66,46 @@ def pair_softmax_select(src, dst):
 
 
 def softmax_rows(e):
-    out = np.empty_like(e)
-    for i in range(e.shape[0]):
-        row = e[i] - e[i].real.max()
-        ex = np.exp(row)
-        out[i] = ex / ex.sum()
-    return out
+    """Softmax of each row of e [..., N, N], shifted by its real maximum."""
+    ex = np.exp(e - e.real.max(axis=-1, keepdims=True))
+    return ex / ex.sum(axis=-1, keepdims=True)
 
 
 def gal_oracle(h, pos, p, prefix, heads, head_out, use_edges=True):
-    """Loop evaluation of one attention layer from named parameters."""
-    n = h.shape[0]
-    dtype = np.result_type(h, p[f"{prefix}.res.W"])
+    """One attention layer from named parameters over h [..., N, in] and
+    pos [..., N, 2], whose leading axes are independent graphs: the
+    N x N edge features built explicitly, then one head at a time its
+    N x N logits, their row softmax and its weighted sum. Returns the
+    output and the attention [heads, ..., N, N]."""
     if use_edges:
-        edge = np.empty((n, n, head_out), dtype=dtype)
-        for i in range(n):
-            for j in range(n):
-                edge[i, j] = (pos[i] - pos[j]) @ p[f"{prefix}.edge.W"] + p[f"{prefix}.edge.b"]
+        disp = pos[..., :, None, :] - pos[..., None, :, :]
+        edge = disp @ p[f"{prefix}.edge.W"] + p[f"{prefix}.edge.b"]
     outs, attn = [], []
     for k in range(heads):
-        e = np.empty((n, n), dtype=dtype)
-        for i in range(n):
-            for j in range(n):
-                s = h[i] @ p[f"{prefix}.h{k}.w1"][:, 0] + h[j] @ p[f"{prefix}.h{k}.w2"][:, 0]
-                if use_edges:
-                    s = s + edge[i, j] @ p[f"{prefix}.h{k}.ae"][:, 0]
-                e[i, j] = s if s.real >= 0 else 0.2 * s
-        a = softmax_rows(e)
+        src = h @ p[f"{prefix}.h{k}.w1"][:, 0]
+        dst = h @ p[f"{prefix}.h{k}.w2"][:, 0]
+        e = src[..., :, None] + dst[..., None, :]
+        if use_edges:
+            e = e + edge @ p[f"{prefix}.h{k}.ae"][:, 0]
+        a = softmax_rows(leaky(e))
         u = h @ p[f"{prefix}.h{k}.val.W"] + p[f"{prefix}.h{k}.val.b"]
         g = np.tanh(u) * u
         outs.append(leaky(a @ g))
         attn.append(a)
-    merged = np.concatenate(outs, axis=1)
+    merged = np.concatenate(outs, axis=-1)
     res = h @ p[f"{prefix}.res.W"] + p[f"{prefix}.res.b"]
     return merged + res, np.array(attn)
 
 
 def spatial_oracle(features, positions, p, cfg):
-    """Loop evaluation of embed + both attention layers at every step."""
-    n, t_obs = features.shape[0], features.shape[1]
-    out = np.empty((n, t_obs, cfg.gal2_heads * cfg.gal2_out),
-                   dtype=np.result_type(features, p["embed.W"]))
+    """Embed + both attention layers of one window, every step a graph."""
+    steps = features.transpose(1, 0, 2)
+    pos = positions.transpose(1, 0, 2)
     use_edges = cfg.variant != "vanilla_gat"
-    for t in range(t_obs):
-        h0 = features[:, t, :] @ p["embed.W"] + p["embed.b"]
-        h1, _ = gal_oracle(h0, positions[:, t, :], p, "gal1",
-                           cfg.gal1_heads, cfg.gal1_out, use_edges=use_edges)
-        h2, _ = gal_oracle(h1, positions[:, t, :], p, "gal2",
-                           cfg.gal2_heads, cfg.gal2_out, use_edges=use_edges)
-        out[:, t, :] = h2
-    return out
+    h0 = steps @ p["embed.W"] + p["embed.b"]
+    h1, _ = gal_oracle(h0, pos, p, "gal1", cfg.gal1_heads, cfg.gal1_out, use_edges=use_edges)
+    h2, _ = gal_oracle(h1, pos, p, "gal2", cfg.gal2_heads, cfg.gal2_out, use_edges=use_edges)
+    return h2.transpose(1, 0, 2)
 
 
 def decoder_oracle(h, draws, p, prefix):
@@ -144,7 +136,8 @@ def decoder_oracle(h, draws, p, prefix):
 
 
 def conv_oracle(x, W, b, dilation):
-    """Causal convolution of one sequence as a per-tap loop.
+    """Causal convolution of one sequence as a loop over taps, each a
+    shifted matrix product.
 
     x is [C_in, T], W is [C_out, C_in, k]; tap j reads step
     t - (k - 1 - j) * dilation, and steps before 0 read zero.
@@ -154,8 +147,8 @@ def conv_oracle(x, W, b, dilation):
     out = np.repeat(np.asarray(b, dtype=np.result_type(x, W, b))[:, None], t_len, axis=1)
     for tap in range(k):
         shift = (k - 1 - tap) * dilation
-        for t in range(shift, t_len):
-            out[:, t] += W[:, :, tap] @ x[:, t - shift]
+        if shift < t_len:
+            out[:, shift:] += W[:, :, tap] @ x[:, : t_len - shift]
     return out
 
 
@@ -203,21 +196,13 @@ def min_of_m_oracle(trajs, gt):
     return min(ades, key=lambda c: c.real), min(fdes, key=lambda c: c.real)
 
 
-def window_loss_oracle(p, positions, cfg, noise, epoch):
-    """GraphTCN.window_loss of one window, every variant, from the loop oracles.
-
-    positions is the window's [N, T_obs + T_pred, 2]; noise is the block
-    draw_noise gives, [M, T_obs, noise_dim] or, for graphtcn_g, the
-    reparameterization draws [M, N, future_embed_dim]. Features are
-    (x, y, dx, dy) per observed step with dx = dy = 0 at the first; the
-    decoder predicts offsets from the last observed position. Returns the
-    variety loss (the best-of-M ADE), plus for graphtcn_g the closed-form
-    KL of its posterior, weighted early through kl_switch_epoch, then late.
-    """
-    n, t_obs, t_pred = positions.shape[0], cfg.t_obs, cfg.t_pred
+def encode_oracle(p, positions, cfg):
+    """The per-step embeddings [N, T_obs, F] of one window of positions
+    [N, T, 2], every variant: features (x, y, dx, dy) per observed step with
+    dx = dy = 0 at the first, then the embedding affine alone (no_efgat) or
+    spatial_oracle, then conv_stack_oracle per pedestrian."""
+    n, t_obs = positions.shape[0], cfg.t_obs
     obs = positions[:, :t_obs]
-    origin = positions[:, t_obs - 1]
-    gt = positions[:, t_obs : t_obs + t_pred]
     feats = np.zeros((n, t_obs, 4))
     for i in range(n):
         for t in range(t_obs):
@@ -229,12 +214,62 @@ def window_loss_oracle(p, positions, cfg, noise, epoch):
                       for i in range(n)])
     else:
         h = spatial_oracle(feats, obs, p, cfg)
-    emb = np.array([conv_stack_oracle(h[i].T, p, "tcn", cfg.tcn_layers, cfg.tcn_dilations).T
-                    for i in range(n)])
+    return np.array([conv_stack_oracle(h[i].T, p, "tcn", cfg.tcn_layers, cfg.tcn_dilations).T
+                     for i in range(n)])
+
+
+def flat_oracle(emb):
+    """Each pedestrian's embedding rows [T_obs, F] joined into one vector."""
+    return np.array([np.concatenate(list(emb[i])) for i in range(emb.shape[0])])
+
+
+def sample_oracle(p, positions, cfg, draws):
+    """Prior trajectories [M, N, T_pred, 2] of one window: offsets from the
+    last observed position, decoded from draws [M, T_obs, noise_dim] or, for
+    graphtcn_g, latents [M, N, future_embed_dim] read with the flat
+    embedding."""
+    emb = encode_oracle(p, positions, cfg)
+    offsets = decoder_oracle(flat_oracle(emb) if cfg.variant == "graphtcn_g" else emb,
+                             draws, p, "dec.out")
+    return offsets + positions[None, :, cfg.t_obs - 1, None, :]
+
+
+def evaluate_oracle(p, windows, cfg, m, seed):
+    """evaluate_dataset one window at a time: for each window's positions
+    [N, T, 2] in the order given, draw its prior block from one generator
+    seeded ``seed`` ([M, T_obs, noise_dim], or [M, N, future_embed_dim] for
+    graphtcn_g), decode it with sample_oracle and score it with
+    min_of_m_oracle. Returns (trajectories, best-of-M ADE, FDE) per window."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for positions in windows:
+        shape = ((m, positions.shape[0], cfg.future_embed_dim) if cfg.variant == "graphtcn_g"
+                 else (m, cfg.t_obs, cfg.noise_dim))
+        trajs = sample_oracle(p, positions, cfg, rng.standard_normal(shape))
+        gt = positions[:, cfg.t_obs : cfg.t_obs + cfg.t_pred]
+        out.append((trajs, *min_of_m_oracle(trajs, gt)))
+    return out
+
+
+def window_loss_oracle(p, positions, cfg, noise, epoch):
+    """GraphTCN.window_loss of one window, every variant, from the loop oracles.
+
+    positions is the window's [N, T_obs + T_pred, 2]; noise is the block
+    draw_noise gives, [M, T_obs, noise_dim] or, for graphtcn_g, the
+    reparameterization draws [M, N, future_embed_dim]. The embedding is
+    encode_oracle's; the decoder predicts offsets from the last observed
+    position. Returns the variety loss (the best-of-M ADE), plus for
+    graphtcn_g the closed-form KL of its posterior, weighted early through
+    kl_switch_epoch, then late.
+    """
+    n, t_obs, t_pred = positions.shape[0], cfg.t_obs, cfg.t_pred
+    origin = positions[:, t_obs - 1]
+    gt = positions[:, t_obs : t_obs + t_pred]
+    emb = encode_oracle(p, positions, cfg)
     kl = 0.0
     if cfg.variant == "graphtcn_g":
         latent = cfg.future_embed_dim
-        flat = np.array([np.concatenate(list(emb[i])) for i in range(n)])
+        flat = flat_oracle(emb)
         mu, logvar = [], []
         for i in range(n):
             fut = np.concatenate(list(gt[i] - origin[i]))

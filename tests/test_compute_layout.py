@@ -16,7 +16,7 @@ import pytest
 
 from graphtcn import tensor as T
 from graphtcn.config import ModelConfig
-from graphtcn.data import SequenceWindow
+from graphtcn.data import SequenceWindow, bucket_windows
 from graphtcn.errors import ConfigError
 from graphtcn.init import add_affine
 from graphtcn.model import GraphTCN
@@ -140,12 +140,19 @@ def count_outermost_ops(monkeypatch):
 
 
 def test_predict_op_count_is_pinned(monkeypatch):
-    # Default config, N=8 pedestrians, M=4 samples (the infer_small regime).
+    # Default config, N=8 pedestrians, M=4 samples (the infer_small regime);
+    # then a bucket of three such windows, which runs through the same ops.
     model = GraphTCN(ModelConfig())
     window = make_window(model.cfg, n=8, seed=1)
     count = count_outermost_ops(monkeypatch)
     model.predict(window, 4, np.random.default_rng(2))
     assert count[0] == 12
+    bucket, = bucket_windows([make_window(model.cfg, n=8, seed=s) for s in (1, 2, 3)])
+    rng = np.random.default_rng(2)
+    noise = np.stack([model.decoder.noise(rng, 4, 8) for _ in range(3)], axis=1)
+    count[0] = 0
+    trajectories, _ = model.sample(bucket, noise)
+    assert count[0] == 12 and trajectories.shape == (4, 3, 8, model.cfg.t_pred, 2)
 
 
 def training_step(model):

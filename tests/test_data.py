@@ -224,7 +224,7 @@ class TestWindows:
         recs = [_rec(f * 10, ped=1, x=float(f), y=0.0) for f in range(20)]
         wins = D.extract_windows(recs, 8, 12, 1)
         assert len(wins) == 1
-        assert wins[0].n_peds == 1 and wins[0].t_total == 20
+        assert wins[0].n_peds == 1 and wins[0].positions.shape[1] == 20
 
     def test_partial_presence_excluded(self):
         recs = [_rec(f * 10, ped=1, x=float(f)) for f in range(20)]
@@ -410,7 +410,7 @@ class TestFrameGrid:
         at = {(r.frame, r.ped_id): (r.x, r.y) for r in D.parse_trajectory_file(path)}
         for w in windows:
             for i, pid in enumerate(w.ped_ids):
-                for t in range(w.t_total):
+                for t in range(w.positions.shape[1]):
                     assert tuple(w.positions[i, t]) == at[(w.start_frame + t * step, pid)]
 
     def test_unit_step_gives_the_stored_grid(self, scene_dir):

@@ -297,6 +297,13 @@ class TestSplitHead:
         expected = decoder_oracle(h, noise, store.state_arrays(), "dec.out")
         assert out.shape == expected.shape == (4, 6, 4, 2)
         np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
+        # A bucket of three windows decodes each from its own draws.
+        hb, nb = rng.normal(size=(3, 6, 3, 5)), rng.standard_normal((4, 3, 3, 2))
+        out = dec.forward(Tensor(hb), nb).data
+        assert out.shape == (4, 3, 6, 4, 2)
+        for b in range(3):
+            expected = decoder_oracle(hb[b], nb[:, b], store.state_arrays(), "dec.out")
+            np.testing.assert_allclose(out[:, b], expected, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("hidden", [0, 5])
     def test_cvae_matches_concat_oracle(self, hidden):
@@ -309,34 +316,45 @@ class TestSplitHead:
         expected = decoder_oracle(h_flat, z, store.state_arrays(), "dec.out")
         assert out.shape == expected.shape == (4, 6, 4, 2)
         np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
+        # A bucket of three windows decodes each from its own latents.
+        hb, zb = rng.normal(size=(3, 6, 15)), rng.standard_normal((4, 3, 6, 2))
+        out = dec.decode(Tensor(hb), Tensor(zb)).data
+        assert out.shape == (4, 3, 6, 4, 2)
+        for b in range(3):
+            expected = decoder_oracle(hb[b], zb[:, b], store.state_arrays(), "dec.out")
+            np.testing.assert_allclose(out[:, b], expected, rtol=0, atol=1e-12)
 
+    # One window, then a bucket of three (a leading window axis on the
+    # embedding, after the draw axis on the noise).
     @pytest.mark.parametrize("hidden", [0, 3])
     def test_mlp_gradients(self, hidden):
-        store = ParameterStore()
-        dec = MlpDecoder(store, "dec", 2, 2, 3, 2, np.random.default_rng(64), hidden=hidden)
-        rng = np.random.default_rng(65)
-        store.add("h", rng.normal(size=(3, 2, 3)))
-        noise = rng.standard_normal((2, 2, 2))
+        for lead in ((), (3,)):
+            store = ParameterStore()
+            dec = MlpDecoder(store, "dec", 2, 2, 3, 2, np.random.default_rng(64), hidden=hidden)
+            rng = np.random.default_rng(65)
+            store.add("h", rng.normal(size=lead + (3, 2, 3)))
+            noise = rng.standard_normal((2,) + lead + (2, 2))
 
-        def f(p):
-            out = dec.forward(p["h"], noise)
-            return T.reduce_mean(T.mul(out, T.tanh(out)))
+            def f(p):
+                out = dec.forward(p["h"], noise)
+                return T.reduce_mean(T.mul(out, T.tanh(out)))
 
-        assert T.finite_difference_check(f, store) < 1e-6
+            assert T.finite_difference_check(f, store) < 1e-6
 
     @pytest.mark.parametrize("hidden", [0, 3])
     def test_cvae_gradients(self, hidden):
-        store = ParameterStore()
-        dec = CvaeDecoder(store, "dec", 2, 2, 3, 2, np.random.default_rng(66), hidden=hidden)
-        rng = np.random.default_rng(67)
-        store.add("h_flat", rng.normal(size=(3, 6)))
-        store.add("z", rng.normal(size=(2, 3, 2)))
+        for lead in ((), (3,)):
+            store = ParameterStore()
+            dec = CvaeDecoder(store, "dec", 2, 2, 3, 2, np.random.default_rng(66), hidden=hidden)
+            rng = np.random.default_rng(67)
+            store.add("h_flat", rng.normal(size=lead + (3, 6)))
+            store.add("z", rng.normal(size=(2,) + lead + (3, 2)))
 
-        def f(p):
-            out = dec.decode(p["h_flat"], p["z"])
-            return T.reduce_mean(T.mul(out, T.tanh(out)))
+            def f(p):
+                out = dec.decode(p["h_flat"], p["z"])
+                return T.reduce_mean(T.mul(out, T.tanh(out)))
 
-        assert T.finite_difference_check(f, store) < 1e-6
+            assert T.finite_difference_check(f, store) < 1e-6
 
 
 class TestAbsoluteConversion:

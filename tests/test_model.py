@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from graphtcn.config import VARIANTS, ModelConfig
-from graphtcn.data import SequenceWindow, load_scene_windows, load_windows
+from graphtcn.data import SequenceWindow, bucket_windows, load_scene_windows, load_windows
 from graphtcn.errors import ConfigError, ContractError
 from graphtcn.model import GraphTCN
-from graphtcn.tensor import Tape, backward
-from oracles import window_loss_oracle
+from graphtcn.tensor import Tape, backward, best_of_m_ade, reduce_sum
+from oracles import min_of_m_oracle, sample_oracle, window_loss_oracle
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data" / "synthetic"
 
@@ -378,6 +378,9 @@ def test_training_step_gradient_matches_complex_step(variant, hidden):
     # step subtracts nothing, so at h = 1e-30 both agree to rounding. A
     # complex-to-float cast in the oracle would drop the derivative; with
     # warnings as errors it fails instead. Both KL weights are reached.
+    # Last, the prediction path over a bucket of three windows, through
+    # every op's window axis: the sum of each window's best-of-M ADE over
+    # its own draws.
     cfg = ModelConfig(t_obs=4, t_pred=3, embed_dim=8, gal1_heads=2, gal1_out=4,
                       gal2_heads=1, gal2_out=4, tcn_channels=4, tcn_layers=2,
                       tcn_kernel=3, noise_dim=2, samples=3, epochs=1, seed=12,
@@ -399,6 +402,26 @@ def test_training_step_gradient_matches_complex_step(variant, hidden):
                 an = sum(float(np.sum(grad[name] * v[name])) for name in theta)
                 assert abs(cs_loss.real - value) <= 1e-12
                 assert abs(cs - an) <= 1e-12 * (1.0 + abs(an)), (epoch, cs, an)
+
+        windows = [window] + [make_window(n=3, t_total=7, seed=s) for s in (6, 7)]
+        bucket, = bucket_windows(windows)
+        draws = [model.decoder.noise(rng, cfg.samples, 3) for _ in windows]
+        model.params.zero_grads()
+        with Tape() as tape:
+            trajectories, _ = model.sample(bucket, np.stack(draws, axis=1))
+            loss = reduce_sum(best_of_m_ade(trajectories, model.ground_truth(bucket)))
+            backward(loss, tape)
+        grad = {name: t.grad.copy() for name, t in model.params.items()}
+        for _ in range(2):
+            v = {name: rng.standard_normal(a.shape) for name, a in theta.items()}
+            p = {name: a + 1j * STEP * v[name] for name, a in theta.items()}
+            cs_loss = sum(min_of_m_oracle(sample_oracle(p, w.positions, cfg, d),
+                                          w.positions[:, cfg.t_obs:])[0]
+                          for w, d in zip(windows, draws))
+            cs = cs_loss.imag / STEP
+            an = sum(float(np.sum(grad[name] * v[name])) for name in theta)
+            assert abs(cs_loss.real - loss.item()) <= 1e-12
+            assert abs(cs - an) <= 1e-12 * (1.0 + abs(an)), ("bucket", cs, an)
 
 
 # Metamorphic relations of the whole pipeline -----------------------------------

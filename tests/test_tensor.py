@@ -241,7 +241,8 @@ class TestForwardValues:
     def test_gated_conv_shapes_checked(self):
         args = [np.zeros((2, 4, 3)), np.zeros((6, 3, 2)), np.zeros(6), 2]
         assert T.gated_conv(*args).shape == (2, 4, 3)
-        bad = {0: [np.zeros((3, 4)), np.zeros((2, 4, 2)), np.zeros((1, 2, 4, 3))],  # x
+        assert T.gated_conv(np.zeros((5, 2, 4, 3)), *args[1:]).shape == (5, 2, 4, 3)   # windows
+        bad = {0: [np.zeros((3, 4)), np.zeros((2, 4, 2)), np.zeros((1, 2, 4, 5))],  # x
                1: [np.zeros((6, 3)), np.zeros((6, 2, 2))],                          # W
                2: [np.zeros(4), np.zeros((6, 1))],                                  # b
                3: [0]}                                                              # dilation
@@ -418,6 +419,10 @@ class TestForwardValues:
         args = [np.zeros((3, 4)), np.zeros((2, 6)), np.zeros((10, 6)), np.zeros(6), 2]
         assert T.draw_affine(*args).shape == (2, 3, 6)
         assert T.draw_affine(args[0], np.zeros((2, 3, 6)), *args[2:]).shape == (2, 3, 6)
+        # A leading window axis on both inputs, after the draws on per_draw.
+        bucket = [np.zeros((5, 3, 4)), np.zeros((2, 5, 6))] + args[2:]
+        assert T.draw_affine(*bucket).shape == (2, 5, 3, 6)
+        assert T.draw_affine(bucket[0], np.zeros((2, 5, 3, 6)), *args[2:]).shape == (2, 5, 3, 6)
         bad = {0: [np.zeros((3, 3)), np.zeros((3, 5)), np.zeros((1, 3, 4))],  # shared cols, rank
                1: [np.zeros((2, 4)), np.zeros((2, 5)), np.zeros((2, 4, 6)), np.zeros(6),
                    np.zeros((1, 2, 3, 6))],                                  # per-draw
@@ -1052,6 +1057,8 @@ OP_CASES = {
                     [(3, 4), (2, 5), (9, 6), (6,)], 1),
     "draw_affine.per_node": (lambda s, p, W, b: T.draw_affine(s, p, W, b, 3),
                              [(3, 6), (2, 3, 3), (9, 6), (6,)], 1),
+    "draw_affine.bucket": (lambda s, p, W, b: T.draw_affine(s, p, W, b, 1),
+                           [(4, 3, 4), (2, 4, 5), (9, 6), (6,)], 1),
     "attention_layer": (
         lambda h, w1, w2, vW, vb, rW, rb: T.attention_layer(h, None, w1, w2, vW, vb, rW, rb)[0],
         [(2, 3, 4), (2, 4), (2, 4), (2, 4, 5), (2, 5), (4, 10), (10,)], 1),
@@ -1082,6 +1089,8 @@ OP_CASES = {
     "reduce_min": (lambda x: T.reduce_min(x, axis=0), [(2, 3)], 1),
     "reduce_min.axis": (lambda x: T.reduce_min(x, axis=-1), [(2, 3)], 1),
     "best_of_m_ade": (lambda x: T.best_of_m_ade(x, np.zeros((2, 3, 2))), [(4, 2, 3, 2)], 1),
+    "best_of_m_ade.bucket": (lambda x: T.best_of_m_ade(x, np.zeros((3, 2, 3, 2))),
+                             [(4, 3, 2, 3, 2)], 1),
 }
 
 
@@ -1416,12 +1425,22 @@ class TestFiniteDifference:
 
     def test_best_of_m_ade_gradient(self):
         # Draws scaled 1x to 5x away from the target, so a step of h never
-        # changes the winner.
+        # changes the winner: for one window, then for a bucket of three
+        # whose windows take the scales in turned orders, so each window
+        # has its own winner.
         rng = np.random.default_rng(36)
-        gt = rng.normal(size=(3, 4, 2))
-        store = T.ParameterStore()
-        store.add("x", gt + rng.normal(size=(5, 3, 4, 2)) * np.arange(1.0, 6.0)[:, None, None, None])
-        assert T.finite_difference_check(lambda p: T.best_of_m_ade(p["x"], gt), store) < 1e-6
+        for lead in ((), (3,)):
+            gt = rng.normal(size=lead + (3, 4, 2))
+            turns = np.arange(lead[0] if lead else 1)
+            scale = (np.arange(5)[:, None] + turns) % 5 + 1.0
+            store = T.ParameterStore()
+            store.add("x", gt + rng.normal(size=(5,) + gt.shape)
+                      * scale.reshape((5,) + lead + (1, 1, 1)))
+
+            def f(p):
+                return T.reduce_sum(T.best_of_m_ade(p["x"], gt))
+
+            assert T.finite_difference_check(f, store) < 1e-6
 
 
 class TestProperties:

@@ -1,6 +1,7 @@
 """Training loop determinism, divergence handling, evaluation, benchmark."""
 
 import importlib.util
+import re
 from pathlib import Path
 
 import numpy as np
@@ -8,8 +9,8 @@ import pytest
 
 from graphtcn.checkpoint import save_checkpoint
 from graphtcn.config import VARIANTS, ModelConfig
-from graphtcn.data import SequenceWindow, Split, load_scene_windows, load_windows
-from graphtcn.errors import ConfigError, DataError, TrainingDivergedError
+from graphtcn.data import Split, discover_scenes, hold_out, load_scene_windows, load_windows
+from graphtcn.errors import ConfigError, ContractError, DataError, TrainingDivergedError
 from graphtcn.model import GraphTCN
 from graphtcn.optim import Adam
 from graphtcn.training import (
@@ -19,6 +20,7 @@ from graphtcn.training import (
     evaluate_dataset,
     train,
 )
+from oracles import evaluate_oracle
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA_DIR = ROOT / "data" / "synthetic"
@@ -216,6 +218,96 @@ def test_eval_seed_reproducible():
     a = evaluate_dataset(model, SPLIT, DATA_DIR, m=4, seed=9)
     b = evaluate_dataset(model, SPLIT, DATA_DIR, m=4, seed=9)
     assert a.rows == b.rows
+
+
+def write_mixed_scene(dir_path):
+    # One pedestrian from frame 0, a second from 100 and a third from 150,
+    # all to 390: windows of N = 1, then 2, then 3.
+    rng = np.random.default_rng(11)
+    lines = []
+    for ped, first in ((1, 0), (2, 100), (3, 150)):
+        x, y = rng.normal(size=2) * 3.0
+        vx, vy = rng.normal(size=2) * 0.3
+        for frame in range(first, 400, 10):
+            t = frame / 10 + rng.normal() * 0.05
+            lines.append(f"{frame} {ped} {x + vx * t:.4f} {y + vy * t:.4f}")
+    (dir_path / "mixed.txt").write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("hidden", [0, 16])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_evaluation_matches_the_per_window_oracle(variant, hidden, tmp_path):
+    # evaluate_dataset runs each bucket of equal-N windows in one forward;
+    # the oracle runs one window at a time, drawing each window's noise in
+    # load order. Every synthetic scene, and one whose N = 1 windows sit
+    # beside N = 2 and 3; each window's best-of-2 ADE and FDE, and the
+    # first window's samples.
+    write_mixed_scene(tmp_path)
+    cfg = fast_cfg(variant=variant, decoder_hidden=hidden)
+    model = GraphTCN(cfg)
+    params = model.params.state_arrays()
+    sizes = set()
+    for data_dir in (DATA_DIR, tmp_path):
+        scenes = discover_scenes(data_dir)
+        for scene in scenes:
+            report = evaluate_dataset(model, hold_out(scenes, scene), data_dir, m=2, seed=4)
+            windows = load_windows(data_dir, [scene], cfg.t_obs, cfg.t_pred)
+            want = evaluate_oracle(params, [w.positions for w in windows], cfg, 2, 4)
+            assert [row[0] for row in report.windows] == [w.window_id for w in windows]
+            for (_, ade, fde), (_, ade_o, fde_o) in zip(report.windows, want):
+                assert abs(ade - ade_o) <= 1e-12 and abs(fde - fde_o) <= 1e-12
+            first_window, first = report.first
+            assert first_window.window_id == windows[0].window_id
+            np.testing.assert_allclose(first.trajectories, want[0][0], rtol=0, atol=1e-12)
+            sizes |= {(data_dir, w.n_peds) for w in windows}
+    assert {n for d, n in sizes if d == tmp_path} == {1, 2, 3}
+
+
+@pytest.mark.parametrize("variant", ["graphtcn", "graphtcn_g"])
+def test_bucketed_samples_equal_one_predict_per_window(variant):
+    # zara1_like's N interleaves 2, 3 and 4, so its buckets do not run in
+    # load order. Each window's samples must still be those of one predict
+    # per window on one generator: noise drawn a bucket at a time would
+    # give windows each other's draws.
+    model = GraphTCN(fast_cfg(variant=variant))
+    windows = load_windows(DATA_DIR, ["zara1_like"], model.cfg.t_obs, model.cfg.t_pred)
+    sizes = [w.n_peds for w in windows]
+    assert set(sizes) == {2, 3, 4} and sizes != sorted(sizes)
+    got, sample = {}, model.sample
+
+    def recording(bucket, noise):
+        trajectories, attn = sample(bucket, noise)
+        got.update((i, trajectories.data[:, j]) for j, i in enumerate(bucket.index))
+        return trajectories, attn
+
+    model.sample = recording
+    evaluate_dataset(model, hold_out(discover_scenes(DATA_DIR), "zara1_like"), DATA_DIR,
+                     m=4, seed=7)
+    del model.sample
+    assert sorted(got) == list(range(len(windows)))
+    rng = np.random.default_rng(7)
+    for i, window in enumerate(windows):
+        want = model.predict(window, 4, rng)[0].trajectories
+        np.testing.assert_allclose(got[i], want, rtol=0, atol=1e-12, err_msg=window.window_id)
+
+
+def test_non_finite_prediction_names_the_first_such_window():
+    # Decoder weights this close to the float64 limit overflow in a few
+    # windows only. The first of them in load order is named, though its
+    # bucket (N = 4) runs after that of a later bad window (N = 2).
+    model = GraphTCN(fast_cfg())
+    model.params["dec.out.W"].data[...] *= 7e307
+    windows = load_windows(DATA_DIR, ["zara1_like"], model.cfg.t_obs, model.cfg.t_pred)
+    rng = np.random.default_rng(1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        samples = [model.sample(w, model.decoder.noise(rng, 2, w.n_peds))[0].data for w in windows]
+        bad = [w for w, s in zip(windows, samples) if not np.isfinite(s).all()]
+        assert bad and bad[0].n_peds != windows[0].n_peds
+        assert any(w.n_peds == windows[0].n_peds for w in bad)
+        message = f"^non-finite prediction in window {re.escape(bad[0].window_id)}$"
+        with pytest.raises(ContractError, match=message):
+            evaluate_dataset(model, hold_out(discover_scenes(DATA_DIR), "zara1_like"), DATA_DIR,
+                             m=2, seed=1)
 
 
 # Benchmark --------------------------------------------------------------------

@@ -2,11 +2,12 @@
 
 Input files are whitespace-separated ``frame ped_id x y`` rows in world
 meters, one file per scene, read by the shared ``errors.content_lines``.
-``extract_windows`` alone decides the frame grid from ``frame_step`` and
-the recorded frames, then slices it into observation+prediction windows
-whose pedestrians are the intersection of the pedestrian sets of the
-window's frames. ``bucket_windows`` stacks the windows of equal size, which
-the model then runs as one batch.
+A scene is parsed straight into the map windowing reads, ``{frame:
+{ped_id: (x, y)}}``. ``extract_windows`` alone decides the frame grid
+from ``frame_step`` and the recorded frames, then slices it into
+observation+prediction windows whose pedestrians are the intersection of
+the pedestrian sets of the window's frames. ``bucket_windows`` stacks
+the windows of equal size, which the model then runs as one batch.
 """
 
 from __future__ import annotations
@@ -29,14 +30,6 @@ from .errors import (
     read_utf8,
 )
 from .tensor import Tensor
-
-
-@dataclass(frozen=True)
-class RawRecord:
-    frame: int
-    ped_id: int
-    x: float
-    y: float
 
 
 @dataclass
@@ -114,10 +107,13 @@ def _parse_int_field(token: str, what: str, line_no: int):
     return value
 
 
-def parse_trajectory_file(path) -> list[RawRecord]:
+def parse_trajectory_file(path) -> dict:
     """Read one scene file of ``frame ped_id x y`` rows, exactly four
-    fields each, into records, preserving line order."""
-    records = {}   # by (frame, ped_id), in line order
+    fields each, into ``{frame: {ped_id: (x, y)}}``. Frames keep the order
+    of their first row, and each frame's pedestrians the order of their
+    rows. A second row for a frame and pedestrian raises
+    ``DuplicateRecordError`` naming its line."""
+    scene: dict = {}
     for line_no, line in content_lines(read_utf8(path, ParseError)):
         parts = line.split()
         if len(parts) != 4:
@@ -130,61 +126,62 @@ def parse_trajectory_file(path) -> list[RawRecord]:
             raise ParseError(f"line {line_no}: bad coordinate in {parts[2:4]!r}") from None
         if not (math.isfinite(x) and math.isfinite(y)):
             raise ParseError(f"line {line_no}: non-finite coordinate")
-        if (frame, ped_id) in records:
+        peds = scene.setdefault(frame, {})
+        if ped_id in peds:
             raise DuplicateRecordError(
                 f"line {line_no}: duplicate record for frame {frame}, pedestrian {ped_id}"
             )
-        records[frame, ped_id] = RawRecord(frame, ped_id, x, y)
-    return list(records.values())
+        peds[ped_id] = (x, y)
+    return scene
 
 
 def extract_windows(
-    records: list,
+    scene: dict,
     t_obs: int,
     t_pred: int,
     stride: int = 1,
     scene_name: str = "",
     frame_step: int = 1,
 ) -> list:
-    """Slide a T_obs+T_pred window over the scene's frame grid.
+    """Slide a T_obs+T_pred window over the frame grid of ``scene``, a
+    ``{frame: {ped_id: (x, y)}}`` map whose every frame holds a pedestrian,
+    as ``parse_trajectory_file`` builds it.
 
-    Only records on the ``frame_step`` lattice, counted from the scene's
+    Only frames on the ``frame_step`` lattice, counted from the scene's
     earliest frame, are kept. The grid then steps by the smallest gap
-    between kept frames that hold a record: on data stored every 10th
-    frame, ``frame_step`` 1 or 10 gives rows 10 frames apart, and
-    ``frame_step=15`` gives rows 30 frames apart. A pedestrian joins a
-    window only if recorded at every one of its frames, and ids are sorted;
-    windows where nobody qualifies are dropped, so gaps where the scene is
-    empty produce no windows. Windows start only at kept frames on the
-    ``step * stride`` lattice (one starting elsewhere holds nobody), so
-    time and memory stay linear in the records, not in the frame span.
+    between kept frames: on data stored every 10th frame, ``frame_step`` 1
+    or 10 gives rows 10 frames apart, and ``frame_step=15`` gives rows 30
+    frames apart. A pedestrian joins a window only if recorded at every one
+    of its frames, and ids are sorted; windows where nobody qualifies are
+    dropped, so gaps where the scene is empty produce no windows. Windows
+    start only at kept frames on the ``step * stride`` lattice (one
+    starting elsewhere holds nobody), so time and memory stay linear in
+    the rows, not in the frame span. Neither the order of the frames nor
+    that of each frame's pedestrians changes the windows.
     """
     if t_obs < 1 or t_pred < 1 or stride < 1:
         raise ContractError(f"t_obs={t_obs}, t_pred={t_pred}, stride={stride} must all be >= 1")
     if frame_step < 1:
         raise ContractError(f"frame_step must be >= 1, got {frame_step}")
-    if not records:
+    if not scene:
         return []
-    base = min(r.frame for r in records)
-    by_frame: dict = {}
-    for r in records:
-        if (r.frame - base) % frame_step == 0:
-            by_frame.setdefault(r.frame, {})[r.ped_id] = (r.x, r.y)
-    frames = sorted(by_frame)
-    step = min((b - a for a, b in zip(frames, frames[1:])), default=1)
+    base = min(scene)
+    frames = sorted(f for f in scene if (f - base) % frame_step == 0)
+    # A multiple of frame_step, so every frame of a window lies on the kept
+    # lattice and the scene's own rows there are the kept ones.
+    step = min((b - a for a, b in zip(frames, frames[1:])), default=frame_step)
     t_total = t_obs + t_pred
-    present = {f: set(rows) for f, rows in by_frame.items()}
-    nobody: set = set()
 
     windows = []
     for first in frames:
         if (first - frames[0]) % (step * stride):
             continue
         win_frames = range(first, first + t_total * step, step)
-        ped_ids = sorted(set.intersection(*(present.get(f, nobody) for f in win_frames)))
+        rows = (scene.get(f, ()) for f in win_frames[1:])
+        ped_ids = sorted(set(scene[first]).intersection(*rows))
         if not ped_ids:
             continue
-        values = chain.from_iterable(by_frame[f][pid] for pid in ped_ids for f in win_frames)
+        values = chain.from_iterable(scene[f][pid] for pid in ped_ids for f in win_frames)
         positions = np.fromiter(values, np.float64, 2 * t_total * len(ped_ids))
         positions = positions.reshape(len(ped_ids), t_total, 2)
         windows.append(

@@ -324,17 +324,15 @@ def adam_oracle(values, grad_steps, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     return x
 
 
-def windows_oracle(records, t_obs, t_pred, stride, frame_step):
-    """extract_windows as (start_frame, ped_ids, positions) triples, built
-    with a running set intersection that stops at the first empty frame
-    and a per-element fill loop."""
-    if not records:
+def windows_oracle(scene, t_obs, t_pred, stride, frame_step):
+    """extract_windows of a ``{frame: {ped_id: (x, y)}}`` map as
+    (start_frame, ped_ids, positions) triples, built over every grid frame
+    of the scene's span with a running set intersection that stops at the
+    first empty frame and a per-element fill loop."""
+    if not scene:
         return []
-    base = min(r.frame for r in records)
-    by_frame = {}
-    for r in records:
-        if (r.frame - base) % frame_step == 0:
-            by_frame.setdefault(r.frame, {})[r.ped_id] = (r.x, r.y)
+    base = min(scene)
+    by_frame = {f: rows for f, rows in scene.items() if (f - base) % frame_step == 0}
     frames = sorted(by_frame)
     step = min((b - a for a, b in zip(frames, frames[1:])), default=1)
     grid = range(frames[0], frames[-1] + 1, step)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from graphtcn import data as D
 from graphtcn.config import ModelConfig
@@ -35,52 +35,47 @@ class TestParse:
     def test_basic_line(self, tmp_path):
         p = tmp_path / "s.txt"
         p.write_text("0 1 7.23 4.91\n")
-        recs = D.parse_trajectory_file(p)
-        assert recs == [D.RawRecord(0, 1, 7.23, 4.91)]
+        assert D.parse_trajectory_file(p) == _scene([(0, 1, 7.23, 4.91)])
 
     def test_empty_file(self, tmp_path):
         p = tmp_path / "s.txt"
         p.write_text("")
-        assert D.parse_trajectory_file(p) == []
+        assert D.parse_trajectory_file(p) == {}
 
     def test_comments_and_blanks_skipped(self, tmp_path):
         p = tmp_path / "s.txt"
         p.write_text("# header\n\n10 2 1.0 2.0\n   \n# trailing\n")
-        recs = D.parse_trajectory_file(p)
-        assert len(recs) == 1 and recs[0].frame == 10
+        assert D.parse_trajectory_file(p) == _scene([(10, 2, 1.0, 2.0)])
 
     def test_float_formatted_ids_accepted(self, tmp_path):
         # Public dumps often write "840.0 1.0 ...".
         p = tmp_path / "s.txt"
         p.write_text("840.0 1.0 8.46 3.59\n")
-        recs = D.parse_trajectory_file(p)
-        assert recs[0].frame == 840 and recs[0].ped_id == 1
+        assert D.parse_trajectory_file(p) == _scene([(840, 1, 8.46, 3.59)])
 
     def test_frames_past_two_to_the_53_stay_apart(self, tmp_path):
         # float reads both as 2**53, which made them one duplicate record.
         p = tmp_path / "s.txt"
         p.write_text("9007199254740992 1 0.0 0.0\n9007199254740993 1 1.0 0.0\n")
-        recs = D.parse_trajectory_file(p)
-        assert [r.frame for r in recs] == [9007199254740992, 9007199254740993]
+        assert list(D.parse_trajectory_file(p)) == [9007199254740992, 9007199254740993]
 
     def test_lone_frame_past_two_to_the_53_keeps_its_frame(self, tmp_path):
         p = tmp_path / "s.txt"
         p.write_text("9007199254740993 1 0.0 0.0\n")
-        assert D.parse_trajectory_file(p)[0].frame == 9007199254740993
+        assert list(D.parse_trajectory_file(p)) == [9007199254740993]
 
     def test_float_formatted_id_past_two_to_the_53_is_exact(self, tmp_path):
         p = tmp_path / "s.txt"
         p.write_text("9007199254740993.0 9007199254740995.0 0.0 0.0\n")
-        recs = D.parse_trajectory_file(p)
-        assert (recs[0].frame, recs[0].ped_id) == (9007199254740993, 9007199254740995)
+        expected = _scene([(9007199254740993, 9007199254740995, 0.0, 0.0)])
+        assert D.parse_trajectory_file(p) == expected
 
     @pytest.mark.parametrize("token,value", [
         ("1e3", 1000), ("8.4e2", 840), ("-0", 0), ("100000000000000000000", 10**20)])
     def test_id_is_the_integer_its_text_denotes(self, tmp_path, token, value):
         p = tmp_path / "s.txt"
         p.write_text(f"{token} {token} 0.0 0.0\n")
-        rec = D.parse_trajectory_file(p)[0]
-        assert (rec.frame, rec.ped_id) == (value, value)
+        assert D.parse_trajectory_file(p) == _scene([(value, value, 0.0, 0.0)])
 
     @pytest.mark.parametrize("token,message", [
         ("abc", "is not numeric"), ("840.0000000000000001", "is not an integer"),
@@ -102,7 +97,7 @@ class TestParse:
     def test_universal_newlines(self, tmp_path):
         p = tmp_path / "s.txt"
         p.write_bytes(b"0 1 1.0 2.0\r\n1 1 1.5 2.0\r2 1 2.0 2.0\n")
-        assert [r.frame for r in D.parse_trajectory_file(p)] == [0, 1, 2]
+        assert list(D.parse_trajectory_file(p)) == [0, 1, 2]
 
     def test_non_utf8_bytes_name_the_file_and_offset(self, tmp_path):
         p = tmp_path / "s.txt"
@@ -148,8 +143,19 @@ class TestParse:
     def test_order_preserved(self, tmp_path):
         p = tmp_path / "s.txt"
         p.write_text("20 1 0 0\n0 1 1 1\n10 2 2 2\n")
-        recs = D.parse_trajectory_file(p)
-        assert [r.frame for r in recs] == [20, 0, 10]
+        assert list(D.parse_trajectory_file(p)) == [20, 0, 10]
+
+    def test_frames_out_of_order_parse_to_every_row_once(self, tmp_path):
+        # Frames 20 and 0 each come back after another frame's row.
+        rows = [(20, 5, 0.5, 0.0), (0, 1, 1.0, 1.0), (20, 2, 2.0, 2.0), (10, 2, 3.0, 3.0),
+                (0, 3, 4.0, 4.0), (20, 1, 5.0, 5.0)]
+        p = tmp_path / "s.txt"
+        p.write_text("".join(f"{f} {i} {x} {y}\n" for f, i, x, y in rows))
+        scene = D.parse_trajectory_file(p)
+        parsed = [(f, i, *xy) for f, peds in scene.items() for i, xy in peds.items()]
+        # Grouped by frame in order of first row, each frame's rows in line order.
+        assert parsed == [rows[i] for i in (0, 2, 5, 1, 4, 3)]
+        assert scene == _scene(rows)
 
 
 LINE_BREAKS = ["\n", "\r\n", "\r"]
@@ -181,21 +187,30 @@ def test_every_reader_numbers_physical_lines(tmp_path, reader, message, sep):
 
 
 def _rec(frame, ped=1, x=0.0, y=0.0):
-    return D.RawRecord(frame, ped, x, y)
+    return frame, ped, x, y
 
 
-def _oracle_key(records, t_obs, t_pred, stride, frame_step):
+def _scene(rows):
+    """The ``{frame: {ped_id: (x, y)}}`` map of ``(frame, ped_id, x, y)``
+    rows, inserted in row order, as parse_trajectory_file builds it."""
+    scene = {}
+    for frame, ped, x, y in rows:
+        scene.setdefault(frame, {})[ped] = (x, y)
+    return scene
+
+
+def _oracle_key(scene, t_obs, t_pred, stride, frame_step):
     return [(start, ids, pos.tobytes())
-            for start, ids, pos in windows_oracle(records, t_obs, t_pred, stride, frame_step)]
+            for start, ids, pos in windows_oracle(scene, t_obs, t_pred, stride, frame_step)]
 
 
 class TestResample:
-    """The frame_step lattice extract_windows keeps records on."""
+    """The frame_step lattice extract_windows keeps frames on."""
 
     @staticmethod
     def _row_frames(recs, t_obs, t_pred, frame_step):
         # Each test record carries its frame in x.
-        (w,) = D.extract_windows(recs, t_obs, t_pred, frame_step=frame_step)
+        (w,) = D.extract_windows(_scene(recs), t_obs, t_pred, frame_step=frame_step)
         return w.positions[0, :, 0].tolist()
 
     def test_full_grid_kept(self):
@@ -216,44 +231,44 @@ class TestResample:
 
     def test_bad_step(self):
         with pytest.raises(ContractError):
-            D.extract_windows([_rec(0)], 8, 12, frame_step=0)
+            D.extract_windows(_scene([_rec(0)]), 8, 12, frame_step=0)
 
 
 class TestWindows:
     def test_exact_span_single_window(self):
         recs = [_rec(f * 10, ped=1, x=float(f), y=0.0) for f in range(20)]
-        wins = D.extract_windows(recs, 8, 12, 1)
+        wins = D.extract_windows(_scene(recs), 8, 12, 1)
         assert len(wins) == 1
         assert wins[0].n_peds == 1 and wins[0].positions.shape[1] == 20
 
     def test_partial_presence_excluded(self):
         recs = [_rec(f * 10, ped=1, x=float(f)) for f in range(20)]
         recs += [_rec(f * 10, ped=2, x=-1.0) for f in range(10)]
-        wins = D.extract_windows(recs, 8, 12, 1)
+        wins = D.extract_windows(_scene(recs), 8, 12, 1)
         assert len(wins) == 1 and wins[0].ped_ids == [1]
 
     def test_21_frames_two_windows(self):
         recs = [_rec(f * 10, ped=1, x=float(f)) for f in range(21)]
-        wins = D.extract_windows(recs, 8, 12, 1)
+        wins = D.extract_windows(_scene(recs), 8, 12, 1)
         assert len(wins) == 2
         assert [w.start_frame for w in wins] == [0, 10]
 
     def test_stride_advances_start(self):
         recs = [_rec(f * 10, ped=1, x=float(f)) for f in range(26)]
-        wins = D.extract_windows(recs, 8, 12, 3)
+        wins = D.extract_windows(_scene(recs), 8, 12, 3)
         assert [w.start_frame for w in wins] == [0, 30, 60]
 
     def test_empty_gap_blocks_windows(self):
         # Nobody recorded at frame 100: no window may bridge it.
         recs = [_rec(f * 10, ped=1, x=float(f)) for f in range(25) if f != 10]
-        wins = D.extract_windows(recs, 4, 4, 1)
+        wins = D.extract_windows(_scene(recs), 4, 4, 1)
         assert all(not (w.start_frame <= 100 <= w.start_frame + 7 * 10) for w in wins)
 
     def test_positions_copied_exactly(self):
         rng = np.random.default_rng(0)
         coords = {(f, p): tuple(rng.normal(size=2)) for f in range(20) for p in (1, 2)}
-        recs = [D.RawRecord(f * 10, p, *coords[(f, p)]) for f in range(20) for p in (1, 2)]
-        wins = D.extract_windows(recs, 8, 12, 1)
+        recs = [(f * 10, p, *coords[(f, p)]) for f in range(20) for p in (1, 2)]
+        wins = D.extract_windows(_scene(recs), 8, 12, 1)
         (w,) = wins
         for i, pid in enumerate(w.ped_ids):
             for t in range(20):
@@ -263,23 +278,27 @@ class TestWindows:
         recs = []
         for f in range(20):
             recs += [_rec(f * 10, ped=9, x=1.0), _rec(f * 10, ped=2, x=2.0)]
-        (w,) = D.extract_windows(recs, 8, 12, 1)
+        (w,) = D.extract_windows(_scene(recs), 8, 12, 1)
         assert w.ped_ids == [2, 9]
 
     @given(st.integers(20, 60), st.integers(1, 4))
     @settings(max_examples=30, deadline=None)
     def test_window_count_formula_with_spanning_ped(self, n_frames, stride):
         recs = [_rec(f * 10, ped=1, x=float(f)) for f in range(n_frames)]
-        wins = D.extract_windows(recs, 8, 12, stride)
+        wins = D.extract_windows(_scene(recs), 8, 12, stride)
         n_starts = n_frames - 20 + 1
         assert len(wins) == (n_starts + stride - 1) // stride
 
     def test_empty_records(self):
-        assert D.extract_windows([], 8, 12, 1) == []
+        assert D.extract_windows({}, 8, 12, 1) == []
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 20), st.integers(1, 80), st.integers(0, 3),
            st.integers(1, 40), st.integers(1, 3), st.integers(1, 3), st.integers(1, 3))
     @settings(max_examples=150, deadline=None)
+    # One kept frame, the next stored frame off the lattice: no window may
+    # reach that frame's rows.
+    @example(seed=0, stored_step=1, n_frames=2, n_stray=0, frame_step=2, stride=1, t_obs=1,
+             t_pred=1)
     def test_matches_the_oracle_on_sparse_scenes(self, seed, stored_step, n_frames, n_stray,
                                                  frame_step, stride, t_obs, t_pred):
         # Up to 6 pedestrians with ids far apart (so a set's own order is
@@ -292,10 +311,13 @@ class TestWindows:
                 if rng.random() < 0.8}
         keys |= {(int(f), int(rng.choice(peds)))
                  for f in rng.integers(0, base + n_frames * stored_step + 1, size=n_stray)}
-        recs = [D.RawRecord(f, p, *rng.normal(size=2)) for f, p in sorted(keys)]
+        recs = [(f, p, *rng.normal(size=2)) for f, p in sorted(keys)]
         rng.shuffle(recs)
-        wins = D.extract_windows(recs, t_obs, t_pred, stride, frame_step=frame_step)
-        assert TestFrameGrid._key(wins) == _oracle_key(recs, t_obs, t_pred, stride, frame_step)
+        # Inserted in shuffled order: frames, and the ids within a frame,
+        # arrive out of order.
+        scene = _scene(recs)
+        wins = D.extract_windows(scene, t_obs, t_pred, stride, frame_step=frame_step)
+        assert TestFrameGrid._key(wins) == _oracle_key(scene, t_obs, t_pred, stride, frame_step)
 
 
 class TestSplits:
@@ -407,11 +429,11 @@ class TestFrameGrid:
     @staticmethod
     def _assert_on_grid(windows, path, step):
         """Row t of each window is the record at start_frame + t * step."""
-        at = {(r.frame, r.ped_id): (r.x, r.y) for r in D.parse_trajectory_file(path)}
+        scene = D.parse_trajectory_file(path)
         for w in windows:
             for i, pid in enumerate(w.ped_ids):
                 for t in range(w.positions.shape[1]):
-                    assert tuple(w.positions[i, t]) == at[(w.start_frame + t * step, pid)]
+                    assert tuple(w.positions[i, t]) == scene[w.start_frame + t * step][pid]
 
     def test_unit_step_gives_the_stored_grid(self, scene_dir):
         for name in D.discover_scenes(scene_dir):
@@ -429,9 +451,9 @@ class TestFrameGrid:
     @pytest.mark.parametrize("frame_step", [1, 5, 10, 15, 20])
     def test_bundled_scenes_match_the_oracle(self, scene_dir, frame_step, stride):
         for name in D.discover_scenes(scene_dir):
-            recs = D.parse_trajectory_file(scene_dir / f"{name}.txt")
-            wins = D.extract_windows(recs, 8, 12, stride, frame_step=frame_step)
-            assert self._key(wins) == _oracle_key(recs, 8, 12, stride, frame_step), name
+            scene = D.parse_trajectory_file(scene_dir / f"{name}.txt")
+            wins = D.extract_windows(scene, 8, 12, stride, frame_step=frame_step)
+            assert self._key(wins) == _oracle_key(scene, 8, 12, stride, frame_step), name
 
     @pytest.mark.parametrize("frame_step", [1, 10])
     def test_no_window_bridges_a_gap(self, scene_dir, tmp_path, frame_step):
@@ -453,11 +475,11 @@ class TestFrameGrid:
         # One more record at frame 10**20, on the kept lattice, shares no
         # window: the windows are the scene's own, and the frames between
         # are never visited.
-        recs = D.parse_trajectory_file(scene_dir / "zara1_like.txt")
-        far = recs + [D.RawRecord(10**20, 1, 0.0, 0.0)]
+        scene = D.parse_trajectory_file(scene_dir / "zara1_like.txt")
+        far = {**scene, **_scene([(10**20, 1, 0.0, 0.0)])}
         wins = D.extract_windows(far, 8, 12, stride, frame_step=frame_step)
         assert wins and self._key(wins) == self._key(
-            D.extract_windows(recs, 8, 12, stride, frame_step=frame_step))
+            D.extract_windows(scene, 8, 12, stride, frame_step=frame_step))
 
 
 class TestGridSpacing:
@@ -525,8 +547,8 @@ def test_edited_scene_file_loads_or_fails_by_name(fuzzed_scene, scene):
     # parses and windows, or fails with a GraphTCNError naming the fault.
     fuzzed_scene.write_bytes(scene)
     try:
-        records = D.parse_trajectory_file(fuzzed_scene)
+        parsed = D.parse_trajectory_file(fuzzed_scene)
         for frame_step in (1, 10):
-            D.extract_windows(records, 8, 12, frame_step=frame_step)
+            D.extract_windows(parsed, 8, 12, frame_step=frame_step)
     except GraphTCNError:
         pass

@@ -3,10 +3,10 @@
 Input files are whitespace-separated ``frame ped_id x y`` rows in world
 meters, one file per scene, read by the shared ``errors.content_lines``.
 A scene is parsed straight into the map windowing reads, ``{frame:
-{ped_id: (x, y)}}``. ``extract_windows`` alone decides the frame grid
-from ``frame_step`` and the recorded frames, then slices it into
-observation+prediction windows whose pedestrians are the intersection of
-the pedestrian sets of the window's frames. ``bucket_windows`` stacks
+{ped_id: (x, y)}}``. ``extract_windows`` slices it into
+observation+prediction windows whose rows stand exactly ``frame_step``
+frames apart and whose pedestrians are the intersection of the
+pedestrian sets of the window's frames. ``bucket_windows`` stacks
 the windows of equal size, which the model then runs as one batch.
 """
 
@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import ModelConfig
 from .errors import (
     ConfigError,
     ContractError,
@@ -139,25 +140,23 @@ def extract_windows(
     scene: dict,
     t_obs: int,
     t_pred: int,
-    stride: int = 1,
+    stride: int = ModelConfig.stride,
     scene_name: str = "",
-    frame_step: int = 1,
+    frame_step: int = ModelConfig.frame_step,
 ) -> list:
-    """Slide a T_obs+T_pred window over the frame grid of ``scene``, a
-    ``{frame: {ped_id: (x, y)}}`` map whose every frame holds a pedestrian,
-    as ``parse_trajectory_file`` builds it.
+    """Slide a T_obs+T_pred window, its rows exactly ``frame_step`` frames
+    apart, over ``scene``, a ``{frame: {ped_id: (x, y)}}`` map whose every
+    frame holds a pedestrian, as ``parse_trajectory_file`` builds it.
 
-    Only frames on the ``frame_step`` lattice, counted from the scene's
-    earliest frame, are kept. The grid then steps by the smallest gap
-    between kept frames: on data stored every 10th frame, ``frame_step`` 1
-    or 10 gives rows 10 frames apart, and ``frame_step=15`` gives rows 30
-    frames apart. A pedestrian joins a window only if recorded at every one
-    of its frames, and ids are sorted; windows where nobody qualifies are
-    dropped, so gaps where the scene is empty produce no windows. Windows
-    start only at kept frames on the ``step * stride`` lattice (one
-    starting elsewhere holds nobody), so time and memory stay linear in
-    the rows, not in the frame span. Neither the order of the frames nor
-    that of each frame's pedestrians changes the windows.
+    A window starts at a recorded frame on the ``frame_step * stride``
+    lattice, counted from the scene's earliest frame, and reads ``first,
+    first + frame_step, ...``. A pedestrian joins it only if recorded at
+    each of those frames, and ids are sorted; windows where nobody qualifies
+    are dropped, so no window bridges a gap where the scene is empty. Time
+    and memory stay linear in the rows, not in the frame span, and neither
+    the order of the frames nor that of their pedestrians changes the
+    windows. Two or more frames on the ``frame_step`` lattice, none of them
+    with a recorded frame ``frame_step`` later, raise ``DataError``.
     """
     if t_obs < 1 or t_pred < 1 or stride < 1:
         raise ContractError(f"t_obs={t_obs}, t_pred={t_pred}, stride={stride} must all be >= 1")
@@ -167,16 +166,18 @@ def extract_windows(
         return []
     base = min(scene)
     frames = sorted(f for f in scene if (f - base) % frame_step == 0)
-    # A multiple of frame_step, so every frame of a window lies on the kept
-    # lattice and the scene's own rows there are the kept ones.
-    step = min((b - a for a, b in zip(frames, frames[1:])), default=frame_step)
+    if len(frames) > 1 and not any(f + frame_step in scene for f in frames):
+        recorded = sorted(scene)
+        gap = min(b - a for a, b in zip(recorded, recorded[1:]))
+        raise DataError(f"scene {scene_name!r}: no two frames on its lattice stand frame_step = "
+                        f"{frame_step} apart; the smallest gap between its frames is {gap}")
     t_total = t_obs + t_pred
 
     windows = []
     for first in frames:
-        if (first - frames[0]) % (step * stride):
+        if (first - base) % (frame_step * stride):
             continue
-        win_frames = range(first, first + t_total * step, step)
+        win_frames = range(first, first + t_total * frame_step, frame_step)
         rows = (scene.get(f, ()) for f in win_frames[1:])
         ped_ids = sorted(set(scene[first]).intersection(*rows))
         if not ped_ids:
@@ -184,14 +185,7 @@ def extract_windows(
         values = chain.from_iterable(scene[f][pid] for pid in ped_ids for f in win_frames)
         positions = np.fromiter(values, np.float64, 2 * t_total * len(ped_ids))
         positions = positions.reshape(len(ped_ids), t_total, 2)
-        windows.append(
-            SequenceWindow(
-                scene_name=scene_name,
-                start_frame=win_frames[0],
-                positions=positions,
-                ped_ids=ped_ids,
-            )
-        )
+        windows.append(SequenceWindow(scene_name, first, positions, ped_ids))
     return windows
 
 
@@ -242,7 +236,8 @@ def discover_scenes(data_dir) -> list:
 
 
 def load_scene_windows(data_dir, scene: str, t_obs: int, t_pred: int,
-                       stride: int = 1, frame_step: int = 10) -> list:
+                       stride: int = ModelConfig.stride,
+                       frame_step: int = ModelConfig.frame_step) -> list:
     """Parse and window a single scene file."""
     path = Path(data_dir) / f"{scene}.txt"
     if not path.is_file():
@@ -252,7 +247,8 @@ def load_scene_windows(data_dir, scene: str, t_obs: int, t_pred: int,
 
 
 def load_windows(data_dir, scenes, t_obs: int, t_pred: int,
-                 stride: int = 1, frame_step: int = 10) -> list:
+                 stride: int = ModelConfig.stride,
+                 frame_step: int = ModelConfig.frame_step) -> list:
     """Windows for several scenes, concatenated in scene order."""
     out = []
     for scene in scenes:

@@ -326,16 +326,20 @@ def adam_oracle(values, grad_steps, lr, beta1=0.9, beta2=0.999, eps=1e-8):
 
 def windows_oracle(scene, t_obs, t_pred, stride, frame_step):
     """extract_windows of a ``{frame: {ped_id: (x, y)}}`` map as
-    (start_frame, ped_ids, positions) triples, built over every grid frame
-    of the scene's span with a running set intersection that stops at the
-    first empty frame and a per-element fill loop."""
+    (start_frame, ped_ids, positions) triples, built over every frame of
+    the ``frame_step`` lattice across the scene's span, counted from its
+    earliest frame, with a running set intersection that stops at the
+    first empty frame and a per-element fill loop. None where
+    extract_windows raises: two or more lattice frames are recorded, and
+    no two neighbours on the lattice both are."""
     if not scene:
         return []
     base = min(scene)
     by_frame = {f: rows for f, rows in scene.items() if (f - base) % frame_step == 0}
-    frames = sorted(by_frame)
-    step = min((b - a for a, b in zip(frames, frames[1:])), default=1)
-    grid = range(frames[0], frames[-1] + 1, step)
+    grid = range(base, max(by_frame) + 1, frame_step)
+    if len(by_frame) > 1 and not any(a in by_frame and b in by_frame
+                                     for a, b in zip(grid, grid[1:])):
+        return None
     t_total = t_obs + t_pred
     out = []
     for start in range(0, len(grid) - t_total + 1, stride):

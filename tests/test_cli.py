@@ -82,6 +82,24 @@ def test_train_on_a_scene_with_a_far_frame(workdir, trained):
     assert out.read_bytes() == trained.read_bytes()
 
 
+def test_train_on_data_off_the_frame_step_exits_2(workdir, tmp_path, capsys):
+    # Rows stored every 6th frame: none lies the default frame_step of 10
+    # after another, so train names the scene in one line and writes nothing.
+    _, data, cfg_path = workdir
+    six = tmp_path / "six"
+    shutil.copytree(data, six)
+    (six / "six.txt").write_text(
+        "".join(f"{6 * t} {p} {t / 4} {p}\n" for t in range(200) for p in (1, 2)))
+    out = tmp_path / "six.ckpt"
+    rc = main(["train", "--data", str(six), "--leave-out", "crossing",
+               "--config", str(cfg_path), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == ("error: scene 'six': no two frames on its lattice stand "
+                            "frame_step = 10 apart; the smallest gap between its frames is 6\n")
+    assert not out.exists() and not (tmp_path / "six.ckpt.log").exists()
+
+
 def test_train_unknown_scene(workdir, capsys):
     root, data, cfg_path = workdir
     rc = main(["train", "--data", str(data), "--leave-out", "nope",

@@ -200,8 +200,20 @@ def _scene(rows):
 
 
 def _oracle_key(scene, t_obs, t_pred, stride, frame_step):
-    return [(start, ids, pos.tobytes())
-            for start, ids, pos in windows_oracle(scene, t_obs, t_pred, stride, frame_step)]
+    """The oracle's windows as ``_windows_key`` lists them, or DataError
+    where the oracle rejects the scene."""
+    wins = windows_oracle(scene, t_obs, t_pred, stride, frame_step)
+    return DataError if wins is None else [(start, ids, pos.tobytes()) for start, ids, pos in wins]
+
+
+def _windows_key(scene, t_obs, t_pred, stride, frame_step):
+    """extract_windows' windows as (start_frame, ped_ids, position bytes),
+    or DataError if it raises one."""
+    try:
+        return TestFrameGrid._key(
+            D.extract_windows(scene, t_obs, t_pred, stride, frame_step=frame_step))
+    except DataError:
+        return DataError
 
 
 class TestResample:
@@ -293,17 +305,23 @@ class TestWindows:
         assert D.extract_windows({}, 8, 12, 1) == []
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 20), st.integers(1, 80), st.integers(0, 3),
-           st.integers(1, 40), st.integers(1, 3), st.integers(1, 3), st.integers(1, 3))
+           st.integers(1, 40), st.integers(0, 3), st.integers(1, 3), st.integers(1, 3),
+           st.integers(1, 3))
     @settings(max_examples=150, deadline=None)
     # One kept frame, the next stored frame off the lattice: no window may
     # reach that frame's rows.
-    @example(seed=0, stored_step=1, n_frames=2, n_stray=0, frame_step=2, stride=1, t_obs=1,
-             t_pred=1)
+    @example(seed=0, stored_step=1, n_frames=2, n_stray=0, frame_step=2, multiple=0, stride=1,
+             t_obs=1, t_pred=1)
     def test_matches_the_oracle_on_sparse_scenes(self, seed, stored_step, n_frames, n_stray,
-                                                 frame_step, stride, t_obs, t_pred):
+                                                 frame_step, multiple, stride, t_obs, t_pred):
         # Up to 6 pedestrians with ids far apart (so a set's own order is
         # not sorted), each kept at about 4 in 5 stored frames, plus stray
-        # rows at any frame, on the stored lattice or off it.
+        # rows at any frame, on the stored lattice or off it. A nonzero
+        # ``multiple`` steps by that multiple of the stored spacing, which
+        # fits the data; any other frame_step mostly does not, and then
+        # extract_windows must raise exactly where the oracle rejects.
+        if multiple:
+            frame_step = multiple * stored_step
         rng = np.random.default_rng(seed)
         base = int(rng.integers(0, 50))
         peds = rng.choice(10**6, size=int(rng.integers(1, 7)), replace=False)
@@ -316,8 +334,8 @@ class TestWindows:
         # Inserted in shuffled order: frames, and the ids within a frame,
         # arrive out of order.
         scene = _scene(recs)
-        wins = D.extract_windows(scene, t_obs, t_pred, stride, frame_step=frame_step)
-        assert TestFrameGrid._key(wins) == _oracle_key(scene, t_obs, t_pred, stride, frame_step)
+        args = (scene, t_obs, t_pred, stride, frame_step)
+        assert _windows_key(*args) == _oracle_key(*args)
 
 
 class TestSplits:
@@ -436,11 +454,16 @@ class TestFrameGrid:
                     assert tuple(w.positions[i, t]) == scene[w.start_frame + t * step][pid]
 
     def test_unit_step_gives_the_stored_grid(self, scene_dir):
+        # Rows stand exactly frame_step frames apart: no recorded frame is
+        # one frame after another, so a unit step fails by name, and only
+        # the stored spacing gives the stored grid.
         for name in D.discover_scenes(scene_dir):
-            dense = D.load_scene_windows(scene_dir, name, 8, 12, frame_step=1)
+            with pytest.raises(DataError, match=f"^scene '{name}': .* frame_step = 1 apart; "
+                               "the smallest gap between its frames is 10$"):
+                D.load_scene_windows(scene_dir, name, 8, 12, frame_step=1)
             stored = D.load_scene_windows(scene_dir, name, 8, 12, frame_step=10)
-            assert dense and self._key(dense) == self._key(stored), name
-            self._assert_on_grid(dense, scene_dir / f"{name}.txt", 10)
+            assert stored, name
+            self._assert_on_grid(stored, scene_dir / f"{name}.txt", 10)
 
     def test_double_step_halves_the_grid(self, scene_dir):
         wins = D.load_scene_windows(scene_dir, "zara1_like", 8, 12, frame_step=20)
@@ -448,14 +471,16 @@ class TestFrameGrid:
         self._assert_on_grid(wins, scene_dir / "zara1_like.txt", 20)
 
     @pytest.mark.parametrize("stride", [1, 3])
-    @pytest.mark.parametrize("frame_step", [1, 5, 10, 15, 20])
+    @pytest.mark.parametrize("frame_step", [1, 5, 10, 15, 20, 30])
     def test_bundled_scenes_match_the_oracle(self, scene_dir, frame_step, stride):
+        # Both sides reject a step that is not a multiple of the stored 10.
         for name in D.discover_scenes(scene_dir):
             scene = D.parse_trajectory_file(scene_dir / f"{name}.txt")
-            wins = D.extract_windows(scene, 8, 12, stride, frame_step=frame_step)
-            assert self._key(wins) == _oracle_key(scene, 8, 12, stride, frame_step), name
+            key = _windows_key(scene, 8, 12, stride, frame_step)
+            assert (key is DataError) == (frame_step % 10 != 0), name
+            assert key == _oracle_key(scene, 8, 12, stride, frame_step), name
 
-    @pytest.mark.parametrize("frame_step", [1, 10])
+    @pytest.mark.parametrize("frame_step", [10, 20])
     def test_no_window_bridges_a_gap(self, scene_dir, tmp_path, frame_step):
         # Cut frames 510..590 out of zara1_like: the windows left are
         # exactly the full scene's windows that stay clear of the cut.
@@ -464,13 +489,14 @@ class TestFrameGrid:
         (tmp_path / "gappy.txt").write_text("".join(kept))
         full = D.load_scene_windows(scene_dir, "zara1_like", 8, 12, frame_step=frame_step)
         gappy = D.load_scene_windows(tmp_path, "gappy", 8, 12, frame_step=frame_step)
-        clear = [w for w in full if w.start_frame + 19 * 10 <= 500 or w.start_frame >= 600]
+        clear = [w for w in full
+                 if w.start_frame + 19 * frame_step <= 500 or w.start_frame >= 600]
         assert len(clear) < len(full)
         assert self._key(gappy) == self._key(clear)
 
 
     @pytest.mark.parametrize("stride", [1, 3])
-    @pytest.mark.parametrize("frame_step", [1, 10])
+    @pytest.mark.parametrize("frame_step", [10, 20])
     def test_a_far_frame_adds_no_window(self, scene_dir, frame_step, stride):
         # One more record at frame 10**20, on the kept lattice, shares no
         # window: the windows are the scene's own, and the frames between
@@ -485,8 +511,8 @@ class TestFrameGrid:
 class TestGridSpacing:
     """Grid spacing on dense, sparse and off-lattice scenes.
 
-    Rows stand ``step`` frames apart, where ``step`` is the smallest gap
-    between kept frames that hold a record, so it can exceed ``frame_step``.
+    Rows stand exactly ``frame_step`` frames apart. A scene whose kept
+    frames hold no such pair fails by name rather than yield no windows.
     """
 
     @pytest.fixture
@@ -504,18 +530,43 @@ class TestGridSpacing:
         TestFrameGrid._assert_on_grid(wins, dense_dir / "dense.txt", frame_step)
 
     def test_step_off_the_stored_grid(self, scene_dir):
-        # The 15-frame lattice meets the 10-frame records every 30 frames.
-        wins = D.load_scene_windows(scene_dir, "zara1_like", 8, 12, frame_step=15)
+        # The 15-frame lattice meets the 10-frame records every 30 frames,
+        # but no record lies 15 frames after another: 15 fails, and 30
+        # gives the windows on that coarser grid.
+        with pytest.raises(DataError, match="^scene 'zara1_like': .* frame_step = 15 apart; "
+                           "the smallest gap between its frames is 10$"):
+            D.load_scene_windows(scene_dir, "zara1_like", 8, 12, frame_step=15)
+        wins = D.load_scene_windows(scene_dir, "zara1_like", 8, 12, frame_step=30)
         assert len(wins) == 21
         TestFrameGrid._assert_on_grid(wins, scene_dir / "zara1_like.txt", 30)
 
     def test_one_off_grid_record_narrows_the_unit_grid(self, tmp_path):
         # Records every 10th frame plus one at frame 25: at frame_step=1
-        # the grid narrows to 5 frames and no window has everyone present.
+        # no record lies one frame after another, and the message gives the
+        # 5-frame gap; at 10 the stray record is off the lattice.
         rows = [f"{f * 10} 1 {f} 0\n" for f in range(40)] + ["25 2 0 0\n"]
         (tmp_path / "extra.txt").write_text("".join(rows))
-        assert D.load_scene_windows(tmp_path, "extra", 8, 12, frame_step=1) == []
+        with pytest.raises(DataError, match="^scene 'extra': .* frame_step = 1 apart; "
+                           "the smallest gap between its frames is 5$"):
+            D.load_scene_windows(tmp_path, "extra", 8, 12, frame_step=1)
         assert len(D.load_scene_windows(tmp_path, "extra", 8, 12, frame_step=10)) == 21
+
+    @pytest.mark.parametrize("frame_step,count", [(6, 181), (30, 21), (10, None), (1, None)])
+    def test_data_stored_every_6th_frame(self, tmp_path, frame_step, count):
+        # Two walkers over 200 steps stored every 6th frame: the stored
+        # spacing and its multiples step exactly frame_step frames; the
+        # default 10 and 1 find no record frame_step after another and fail
+        # by name instead of stepping 30 or 6 frames.
+        rows = [f"{6 * t} {p} {t / 4} {p}\n" for t in range(200) for p in (1, 2)]
+        (tmp_path / "six.txt").write_text("".join(rows))
+        if count is None:
+            with pytest.raises(DataError, match=f"^scene 'six': .* frame_step = {frame_step} "
+                               "apart; the smallest gap between its frames is 6$"):
+                D.load_scene_windows(tmp_path, "six", 8, 12, frame_step=frame_step)
+            return
+        wins = D.load_scene_windows(tmp_path, "six", 8, 12, frame_step=frame_step)
+        assert len(wins) == count and all(w.ped_ids == [1, 2] for w in wins)
+        TestFrameGrid._assert_on_grid(wins, tmp_path / "six.txt", frame_step)
 
 
 @st.composite
@@ -548,7 +599,7 @@ def test_edited_scene_file_loads_or_fails_by_name(fuzzed_scene, scene):
     fuzzed_scene.write_bytes(scene)
     try:
         parsed = D.parse_trajectory_file(fuzzed_scene)
-        for frame_step in (1, 10):
+        for frame_step in (10, 20):
             D.extract_windows(parsed, 8, 12, frame_step=frame_step)
     except GraphTCNError:
         pass

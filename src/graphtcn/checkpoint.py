@@ -16,8 +16,8 @@ Layout (all integers little-endian, unsigned):
 
 The config text is canonical (serialize-parse-serialize is identity), so
 save -> load -> save reproduces the file byte for byte. Loading rejects
-text that is not UTF-8, a rank past 32 and parameters holding NaN or Inf
-with CheckpointCorruptError.
+text that is not UTF-8, a rank past 32, dims numpy cannot shape and
+parameters holding NaN or Inf with CheckpointCorruptError.
 """
 
 from __future__ import annotations
@@ -106,8 +106,12 @@ def load_checkpoint(path) -> Checkpoint:
         if rank > 32:  # numpy's limit before 2.0; a model parameter has rank 3 at most
             raise CheckpointCorruptError(f"parameter {name!r} has rank {rank}, past 32")
         dims = r.unpack(f"<{rank}I")
-        count = math.prod(dims)
-        data = np.frombuffer(r.take(8 * count), dtype="<f8").reshape(dims)
+        data = np.frombuffer(r.take(8 * math.prod(dims)), dtype="<f8")
+        try:   # numpy refuses a zero-size shape whose other dims overflow its size
+            data = data.reshape(dims)
+        except ValueError:
+            raise CheckpointCorruptError(
+                f"parameter {name!r} has dims {dims}, too big for an array") from None
         if name in arrays:
             raise CheckpointCorruptError(f"duplicate parameter {name!r}")
         if not np.isfinite(data).all():

@@ -65,7 +65,7 @@ class ModelConfig:
     variety_weight: float = 1.0     # retired
     kl_weight_early: float = _key(0.5, 0.0)
     kl_weight_late: float = _key(0.2, 0.0)
-    kl_switch_epoch: int = 15
+    kl_switch_epoch: int = _key(15, 0)
     seed: int = _key(0, 0)
     leaky_slope: float = 0.2        # retired
     separate_gate: bool = False     # retired

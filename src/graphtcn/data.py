@@ -3,11 +3,11 @@
 Input files are whitespace-separated ``frame ped_id x y`` rows in world
 meters, one file per scene, read by the shared ``errors.content_lines``.
 A scene is parsed straight into the map windowing reads, ``{frame:
-{ped_id: (x, y)}}``. ``extract_windows`` slices it into
-observation+prediction windows whose rows stand exactly ``frame_step``
-frames apart and whose pedestrians are the intersection of the
-pedestrian sets of the window's frames. ``bucket_windows`` stacks
-the windows of equal size, which the model then runs as one batch.
+{ped_id: (x, y)}}``. ``extract_windows`` cuts it into windows, the first
+at the first recorded frame that yields one, whose rows stand exactly
+``frame_step`` frames apart and whose pedestrians are those recorded at
+every row. ``bucket_windows`` stacks the windows of equal size, which the
+model then runs as one batch.
 """
 
 from __future__ import annotations
@@ -148,34 +148,30 @@ def extract_windows(
     apart, over ``scene``, a ``{frame: {ped_id: (x, y)}}`` map whose every
     frame holds a pedestrian, as ``parse_trajectory_file`` builds it.
 
-    A window starts at a recorded frame on the ``frame_step * stride``
-    lattice, counted from the scene's earliest frame, and reads ``first,
-    first + frame_step, ...``. A pedestrian joins it only if recorded at
-    each of those frames, and ids are sorted; windows where nobody qualifies
-    are dropped, so no window bridges a gap where the scene is empty. Time
-    and memory stay linear in the rows, not in the frame span, and neither
-    the order of the frames nor that of their pedestrians changes the
-    windows. Two or more frames on the ``frame_step`` lattice, none of them
-    with a recorded frame ``frame_step`` later, raise ``DataError``.
+    Each recorded frame, in ascending order, may start a window reading
+    ``first, first + frame_step, ...``; the first window's frame anchors the
+    ``frame_step * stride`` lattice that later windows start on. A
+    pedestrian joins a window only if recorded at each of its frames, and
+    ids are sorted; a frame where nobody qualifies starts no window, so no
+    window bridges an empty gap. Time and memory stay linear in the rows,
+    not the frame span, and neither the order of the frames nor that of
+    their pedestrians changes the windows. Two or more frames, none with a
+    recorded frame ``frame_step`` later, raise ``DataError``.
     """
     if t_obs < 1 or t_pred < 1 or stride < 1:
         raise ContractError(f"t_obs={t_obs}, t_pred={t_pred}, stride={stride} must all be >= 1")
     if frame_step < 1:
         raise ContractError(f"frame_step must be >= 1, got {frame_step}")
-    if not scene:
-        return []
-    base = min(scene)
-    frames = sorted(f for f in scene if (f - base) % frame_step == 0)
-    if len(frames) > 1 and not any(f + frame_step in scene for f in frames):
-        recorded = sorted(scene)
+    recorded = sorted(scene)
+    if len(recorded) > 1 and not any(f + frame_step in scene for f in recorded):
         gap = min(b - a for a, b in zip(recorded, recorded[1:]))
-        raise DataError(f"scene {scene_name!r}: no two frames on its lattice stand frame_step = "
-                        f"{frame_step} apart; the smallest gap between its frames is {gap}")
+        raise DataError(f"scene {scene_name!r}: no two frames stand frame_step = {frame_step} "
+                        f"apart; the smallest gap between its frames is {gap}")
     t_total = t_obs + t_pred
 
     windows = []
-    for first in frames:
-        if (first - base) % (frame_step * stride):
+    for first in recorded:
+        if windows and (first - windows[0].start_frame) % (frame_step * stride):
             continue
         win_frames = range(first, first + t_total * frame_step, frame_step)
         rows = (scene.get(f, ()) for f in win_frames[1:])
@@ -250,9 +246,6 @@ def load_windows(data_dir, scenes, t_obs: int, t_pred: int,
                  stride: int = ModelConfig.stride,
                  frame_step: int = ModelConfig.frame_step) -> list:
     """Windows for several scenes, concatenated in scene order."""
-    out = []
-    for scene in scenes:
-        out.extend(
-            load_scene_windows(data_dir, scene, t_obs, t_pred, stride=stride, frame_step=frame_step)
-        )
-    return out
+    return [w for scene in scenes
+            for w in load_scene_windows(data_dir, scene, t_obs, t_pred, stride=stride,
+                                        frame_step=frame_step)]

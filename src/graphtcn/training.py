@@ -48,6 +48,8 @@ class TrainState:
 
     def run_epoch(self, windows) -> str:
         """One step per window (batch size 1); appends the epoch's log line and returns it."""
+        if not windows:
+            raise ContractError("run_epoch needs at least one window")
         model, epoch = self.model, self.epoch + 1
         loss_sum = variety_sum = kl_sum = 0.0
         for window in windows:

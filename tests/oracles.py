@@ -326,36 +326,35 @@ def adam_oracle(values, grad_steps, lr, beta1=0.9, beta2=0.999, eps=1e-8):
 
 def windows_oracle(scene, t_obs, t_pred, stride, frame_step):
     """extract_windows of a ``{frame: {ped_id: (x, y)}}`` map as
-    (start_frame, ped_ids, positions) triples, built over every frame of
-    the ``frame_step`` lattice across the scene's span, counted from its
-    earliest frame, with a running set intersection that stops at the
-    first empty frame and a per-element fill loop. None where
-    extract_windows raises: two or more lattice frames are recorded, and
-    no two neighbours on the lattice both are."""
-    if not scene:
-        return []
-    base = min(scene)
-    by_frame = {f: rows for f, rows in scene.items() if (f - base) % frame_step == 0}
-    grid = range(base, max(by_frame) + 1, frame_step)
-    if len(by_frame) > 1 and not any(a in by_frame and b in by_frame
-                                     for a, b in zip(grid, grid[1:])):
+    (start_frame, ped_ids, positions) triples. Each frame across the
+    scene's span, recorded or not, is tried as a start until one yields a
+    window; from that anchor the starts run every ``frame_step * stride``
+    frames to the span's end. Each window is built with a running set
+    intersection that stops at the first empty frame and a per-element
+    fill loop. None where extract_windows raises: two or more frames are
+    recorded, and no pair of them stands exactly frame_step apart."""
+    if len(scene) > 1 and not any(b - a == frame_step for a in scene for b in scene):
         return None
     t_total = t_obs + t_pred
-    out = []
-    for start in range(0, len(grid) - t_total + 1, stride):
-        win_frames = grid[start : start + t_total]
+
+    def window(start):
+        win_frames = range(start, start + t_total * frame_step, frame_step)
         present = None
         for f in win_frames:
-            here = set(by_frame.get(f, ()))
+            here = set(scene.get(f, ()))
             present = here if present is None else (present & here)
             if not present:
-                break
-        if not present:
-            continue
+                return None
         ped_ids = sorted(present)
         positions = np.empty((len(ped_ids), t_total, 2), dtype=np.float64)
         for i, pid in enumerate(ped_ids):
             for t, f in enumerate(win_frames):
-                positions[i, t] = by_frame[f][pid]
-        out.append((win_frames[0], ped_ids, positions))
-    return out
+                positions[i, t] = scene[f][pid]
+        return win_frames[0], ped_ids, positions
+
+    span = range(min(scene), max(scene) + 1) if scene else range(0)
+    anchor = next((f for f in span if window(f)), None)
+    if anchor is None:
+        return []
+    starts = range(anchor, span.stop, frame_step * stride)
+    return [w for w in map(window, starts) if w is not None]

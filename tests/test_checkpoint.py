@@ -192,6 +192,21 @@ def test_dims_whose_product_overflows_int64_detected(tmp_path):
         load_checkpoint(path)
 
 
+def test_zero_size_dims_past_numpys_array_size_detected(tmp_path):
+    # A zero dim asks for no values, so the read succeeds, but numpy
+    # refused the shape with a bare ValueError ("array is too big").
+    dims = (0, 2**32 - 1, 2**32 - 1)
+    cfg_bytes = small_cfg().to_text().encode()
+    entry = (struct.pack("<H", 1) + b"w" + struct.pack("<B", 3) + struct.pack("<3I", *dims))
+    blob = (MAGIC + struct.pack("<I", 1) + struct.pack("<I", len(cfg_bytes))
+            + cfg_bytes + struct.pack("<I", 1) + entry)
+    path = tmp_path / "zero.ckpt"
+    path.write_bytes(blob)
+    message = r"^parameter 'w' has dims \(0, 4294967295, 4294967295\), too big for an array$"
+    with pytest.raises(CheckpointCorruptError, match=message):
+        load_checkpoint(path)
+
+
 def test_non_utf8_text_detected(tmp_path):
     path = tmp_path / "m.ckpt"
     cfg = small_cfg()

@@ -95,8 +95,8 @@ def test_train_on_data_off_the_frame_step_exits_2(workdir, tmp_path, capsys):
                "--config", str(cfg_path), "--out", str(out)])
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == ""
-    assert captured.err == ("error: scene 'six': no two frames on its lattice stand "
-                            "frame_step = 10 apart; the smallest gap between its frames is 6\n")
+    assert captured.err == ("error: scene 'six': no two frames stand frame_step = 10 apart; "
+                            "the smallest gap between its frames is 6\n")
     assert not out.exists() and not (tmp_path / "six.ckpt.log").exists()
 
 
@@ -448,6 +448,19 @@ def test_plot_bad_dump_exits_2(workdir, capsys, kind, row):
     assert "line 1: " in err or "byte offset 10" in err
 
 
+def test_plot_of_the_retired_tab_separated_dump_exits_2(workdir, capsys):
+    # A dump in the tab-separated format that JSON lines replaced is named
+    # by its first record's line, after the comment line.
+    root, _, _ = workdir
+    old = root / "old.txt"
+    old.write_text("# attention dump\nP\t0\t0\t1.0\t2.0\n")
+    out = root / "old.svg"
+    rc = main(["plot", "--kind", "attention", "--in", str(old), "--out", str(out)])
+    assert rc == 2 and capsys.readouterr() == (
+        "", "error: line 2: not a JSON record: Expecting value at column 1\n")
+    assert not out.exists()
+
+
 def test_non_utf8_scene_or_config_exits_2(workdir, capsys):
     root, data, cfg_path = workdir
     bad_cfg = root / "latin1.cfg"
@@ -479,6 +492,7 @@ def test_bad_config_key_reported(workdir, capsys):
      "parameter store would hold 4000000000000000 values, past its budget of 16777216"),
     ("t_pred = 1000000000000000", "t_pred must be <= 1024, got 1000000000000000"),
     ("samples = 1000000000000000", "samples must be <= 1024, got 1000000000000000"),
+    ("tcn_layers = 1000000000000000", "tcn_layers must be <= 1024, got 1000000000000000"),
 ])
 def test_oversized_config_exits_2_with_one_line(workdir, capsys, line, error):
     # Each is refused before any array of its size is built.

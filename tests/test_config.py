@@ -133,7 +133,7 @@ class TestBounds:
         "gal1_heads": 1, "gal1_out": 1, "gal2_heads": 1, "gal2_out": 1,
         "tcn_channels": 1, "tcn_layers": 1, "tcn_kernel": 1, "noise_dim": 1,
         "future_embed_dim": 1, "decoder_hidden": 0, "samples": 1, "epochs": 1,
-        "kl_weight_early": 0.0, "kl_weight_late": 0.0, "seed": 0,
+        "kl_weight_early": 0.0, "kl_weight_late": 0.0, "kl_switch_epoch": 0, "seed": 0,
     }
     UPPER = {"t_obs": 1024, "t_pred": 1024, "tcn_layers": 1024, "samples": 1024}
 
@@ -156,6 +156,13 @@ class TestBounds:
         # float(10**400) overflows, so to_text could not write it.
         with pytest.raises(ConfigError, match=r"^lr must be finite, got 1000"):
             ModelConfig(lr=10**400)
+
+    def test_kl_switch_epoch_far_out_of_range_rejected_by_name(self):
+        # Both loaded while the key had no bounds; a negative one acted as 0.
+        with pytest.raises(ConfigError, match=f"^kl_switch_epoch must be >= 0, got {-10**30}$"):
+            ModelConfig(kl_switch_epoch=-10**30)
+        with pytest.raises(ConfigError, match=r"^kl_switch_epoch must be finite, got 1000"):
+            ModelConfig(kl_switch_epoch=10**400)
 
     def test_lr_bound_is_open(self):
         with pytest.raises(ConfigError, match=r"^lr must be > 0\.0, got 0\.0$"):

@@ -217,7 +217,7 @@ def _windows_key(scene, t_obs, t_pred, stride, frame_step):
 
 
 class TestResample:
-    """The frame_step lattice extract_windows keeps frames on."""
+    """The frames a window's rows read, frame_step apart."""
 
     @staticmethod
     def _row_frames(recs, t_obs, t_pred, frame_step):
@@ -308,8 +308,8 @@ class TestWindows:
            st.integers(1, 40), st.integers(0, 3), st.integers(1, 3), st.integers(1, 3),
            st.integers(1, 3))
     @settings(max_examples=150, deadline=None)
-    # One kept frame, the next stored frame off the lattice: no window may
-    # reach that frame's rows.
+    # Frames 42 and 43 at frame_step 2: no frame has a record frame_step
+    # later, so both sides reject the scene.
     @example(seed=0, stored_step=1, n_frames=2, n_stray=0, frame_step=2, multiple=0, stride=1,
              t_obs=1, t_pred=1)
     def test_matches_the_oracle_on_sparse_scenes(self, seed, stored_step, n_frames, n_stray,
@@ -511,8 +511,9 @@ class TestFrameGrid:
 class TestGridSpacing:
     """Grid spacing on dense, sparse and off-lattice scenes.
 
-    Rows stand exactly ``frame_step`` frames apart. A scene whose kept
-    frames hold no such pair fails by name rather than yield no windows.
+    Rows stand exactly ``frame_step`` frames apart, from the first frame
+    that yields a window. A scene whose frames hold no such pair fails by
+    name rather than yield no windows.
     """
 
     @pytest.fixture
@@ -550,6 +551,29 @@ class TestGridSpacing:
                            "the smallest gap between its frames is 5$"):
             D.load_scene_windows(tmp_path, "extra", 8, 12, frame_step=1)
         assert len(D.load_scene_windows(tmp_path, "extra", 8, 12, frame_step=10)) == 21
+
+    @pytest.mark.parametrize("strays", [(3,), (3, 13)])
+    def test_a_stray_row_before_the_first_window_moves_nothing(self, strays):
+        # Two walkers at frames 10..400, every 10th frame: 21 windows. A
+        # stray row at frame 3 (and 13) starts no window, so the windows
+        # stay the same to the byte; anchored at the earliest row, the
+        # lattice 3, 13, ... gave none.
+        walkers = _scene([(10 * t, p, t / 4, p) for t in range(1, 41) for p in (1, 2)])
+        wins = D.extract_windows(walkers, 8, 12, frame_step=10)
+        assert len(wins) == 21
+        stray = {**walkers, **_scene([(f, 9, 0.0, 0.0) for f in strays])}
+        assert min(stray) == 3
+        key = TestFrameGrid._key(D.extract_windows(stray, 8, 12, frame_step=10))
+        assert key == TestFrameGrid._key(wins)
+
+    def test_stride_counts_from_the_first_window(self):
+        # Frame 0 starts no window (frame 10 is missing), so the first
+        # window starts at 20 and the stride-3 starts follow every 30
+        # frames from there, not from the earliest row.
+        scene = _scene([(0, 1, 0.0, 0.0)] + [(f, 1, f / 40, 0.0) for f in range(20, 410, 10)])
+        wins = D.extract_windows(scene, 8, 12, 3, frame_step=10)
+        assert [w.start_frame for w in wins] == [20, 50, 80, 110, 140, 170, 200]
+        assert _windows_key(scene, 8, 12, 3, 10) == _oracle_key(scene, 8, 12, 3, 10)
 
     @pytest.mark.parametrize("frame_step,count", [(6, 181), (30, 21), (10, None), (1, None)])
     def test_data_stored_every_6th_frame(self, tmp_path, frame_step, count):

@@ -88,6 +88,19 @@ def test_empty_training_set_rejected():
         train(fast_cfg(), Split(train_scenes=(), test_scene="linear"), DATA_DIR)
 
 
+def test_epoch_over_no_windows_rejected_before_any_state_changes():
+    # An epoch of no steps has no mean loss to log, so it is refused by
+    # name: no log line, no parameter or noise draw moves.
+    state = TrainState(fast_cfg())
+    params = {name: t.data.copy() for name, t in state.model.params.items()}
+    noise = state.noise_rng.bit_generator.state
+    with pytest.raises(ContractError, match="^run_epoch needs at least one window$"):
+        state.run_epoch([])
+    assert state.epoch == 0 and state.log_lines == [] and state.log_text() == ""
+    assert state.noise_rng.bit_generator.state == noise
+    assert all(np.array_equal(t.data, params[name]) for name, t in state.model.params.items())
+
+
 # Two training windows, one per scene.
 TWO_WINDOWS = Split(train_scenes=("linear", "crossing"), test_scene="bench8")
 
